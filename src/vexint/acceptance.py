@@ -21,6 +21,7 @@ import numpy as np
 
 from . import corpus
 from .calderon import (
+    _reconstructions,
     equivalence_experiment,
     factorization_params_pp,
     factorization_params_pq_infty,
@@ -187,12 +188,8 @@ def criterion_01(seed: int) -> CriterionResult:
 
 
 def _max_relative_reconstruction(lam, res, theta: float) -> float:
-    worst = 0.0
-    for key, val in lam.items():
-        recon = res.lam_norm * abs(res.lam0.data[key]) ** (1.0 - theta) \
-            * abs(res.lam1.data[key]) ** theta
-        worst = max(worst, abs(recon - abs(val)) / abs(val))
-    return worst
+    return max((abs(recon - a) / a for _key, a, recon in
+                _reconstructions(lam, res.lam0, res.lam1, res.lam_norm, theta)), default=0.0)
 
 
 def criterion_02(seed: int) -> CriterionResult:
@@ -305,7 +302,7 @@ def criterion_04(seed: int) -> CriterionResult:
     V = 4
     base = corpus.coefficient_corpus(base_grid, V, items=20, count=250,
                                      seed=int(_rng(seed, 4).integers(2 ** 31)))
-    transplanted = [DyadicCoefficients(fine_grid, V, dict(l.data)) for l in base]
+    transplanted = [DyadicCoefficients(fine_grid, V, l.levels) for l in base]
     deeper = corpus.coefficient_corpus(base_grid, V + 1, items=20, count=250,
                                        seed=int(_rng(seed, 4).integers(2 ** 31)))
     rows = []
@@ -348,7 +345,7 @@ def criterion_05(seed: int) -> CriterionResult:
     for tag, params_of, theta in families:
         items = corpus.coefficient_corpus(coarse, V, items=6, count=250,
                                           seed=int(rng.integers(2 ** 31)))
-        moved = [DyadicCoefficients(fine, V, dict(l.data)) for l in items]
+        moved = [DyadicCoefficients(fine, V, l.levels) for l in items]
         rep_c = equivalence_experiment(items, params_of(coarse, theta))
         rep_f = equivalence_experiment(moved, params_of(fine, theta))
         hi = max(rep_f.max_ratio / rep_c.max_ratio, rep_c.max_ratio / rep_f.max_ratio)
@@ -639,7 +636,7 @@ def criterion_15(seed: int) -> CriterionResult:
     items = corpus.coefficient_corpus(coarse, V, items=20, count=120,
                                       seed=int(rng.integers(2 ** 31)))
     worst_c = max(coefficient_bound_check(l, alpha_c, p_c, q_c) for l in items)
-    moved = [DyadicCoefficients(fine, V, dict(l.data)) for l in items]
+    moved = [DyadicCoefficients(fine, V, l.levels) for l in items]
     worst_f = max(coefficient_bound_check(l, alpha_f, p_f, q_f) for l in moved)
     rows.append(_upper("A15", _digest(15, seed, "finite"), worst_c, 1e6))
     rows.append(_upper("A15", _digest(15, seed, "stability"),
@@ -683,10 +680,10 @@ def criterion_16(seed: int) -> CriterionResult:
         assigned = [k for keys in decomp.classes.values() for k in keys]
         if len(assigned) != len(set(assigned)):
             violations += 1
-        if set(assigned) | set(decomp.unassigned) != set(lam.data):
+        if set(assigned) | set(decomp.unassigned) != set(lam.support()):
             violations += 1
         if decomp.unassigned:
-            worst = max(abs(lam.data[k]) for k in decomp.unassigned)
+            worst = max(abs(lam.value(*k)) for k in decomp.unassigned)
             if worst > 1e-12 * decomp.lam_norm:
                 violations += 1
         keys = sorted(assigned)

@@ -11,9 +11,6 @@ one driven by a dyadic level-set decomposition of the stacked majorant.
 
 from __future__ import annotations
 
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -24,10 +21,12 @@ from .errors import (
     PreconditionViolation,
 )
 from .exponents import ExponentField, interpolate_exponents
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, cube_cells, cube_corners
 from .seqspaces import (
     DyadicCoefficients,
+    Key,
     SubsetSelection,
+    _level_integrand,
     f_infty_norm,
     f_infty_subset_norm,
     f_norm,
@@ -64,16 +63,6 @@ def _as_q_field(grid: Grid, q) -> ExponentField:
     if isinstance(q, ExponentField):
         return q
     return _const_field(grid, float(q))
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("VEXINT_THREADS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
 
 
 @dataclass(eq=False)
@@ -232,13 +221,8 @@ def verify_holder_direction(lam: DyadicCoefficients, lam0: DyadicCoefficients,
     if lam0.grid != grid or lam1.grid != grid:
         raise InvalidInput("coefficient families live on different grids")
 
-    bad = []
-    for key in sorted(set(lam.data) | set(lam0.data) | set(lam1.data)):
-        a = abs(lam.data.get(key, 0.0))
-        bound = abs(lam0.data.get(key, 0.0)) ** (1.0 - theta) \
-            * abs(lam1.data.get(key, 0.0)) ** theta
-        if a > bound * (1.0 + 1e-9):
-            bad.append(key)
+    bad = [key for key, a, bound in _reconstructions(lam, lam0, lam1, 1.0, theta)
+           if a > bound * (1.0 + 1e-9)]
     if bad:
         shown = ", ".join(str(k) for k in bad[:8])
         more = "" if len(bad) <= 8 else f" (+{len(bad) - 8} more)"
@@ -282,19 +266,51 @@ class FactorizationResult:
     zero_count: int = 0
 
 
-def _corner_index(grid: Grid, j: int, m: tuple[int, ...]) -> tuple[int, ...]:
-    c = grid.cells_per_axis(j)
-    return tuple(mi * c for mi in m)
+def _reconstructions(lam: DyadicCoefficients, lam0: DyadicCoefficients,
+                     lam1: DyadicCoefficients, norm: float,
+                     theta: float) -> list[tuple[Key, float, float]]:
+    """(key, |lam|, norm |lam0|^{1-theta} |lam1|^theta) over the support of lam, in key order."""
+    out = []
+    for j in range(lam.V + 1):
+        nz, keys = lam.level_support(j)
+        mods = (c.moduli(j)[nz].tolist() for c in (lam, lam0, lam1))
+        out.extend((key, a, norm * b0 ** (1.0 - theta) * b1 ** theta)
+                   for key, a, b0, b1 in zip(keys, *mods))
+    return out
 
 
 def _reconstruction_error(lam: DyadicCoefficients, lam0: DyadicCoefficients,
                           lam1: DyadicCoefficients, norm: float, theta: float) -> float:
-    worst = 0.0
-    for key, val in lam.items():
-        recon = norm * abs(lam0.data.get(key, 0.0)) ** (1.0 - theta) \
-            * abs(lam1.data.get(key, 0.0)) ** theta
-        worst = max(worst, abs(abs(val) - recon))
-    return worst
+    return max((abs(a - recon) for _key, a, recon in
+                _reconstructions(lam, lam0, lam1, norm, theta)), default=0.0)
+
+
+def _corner_factors(lam: DyadicCoefficients, norm: float, params: FactorizationParams,
+                    e0, e1, class_of=lambda key: 0, ratio_l: float = 0.0):
+    """(lam0, lam1, cubes left out) for lam0_{j,m} = 2^{l + j u(x)} (|lam_{j,m}|/norm)^{e0(x)}
+    and lam1_{j,m} = 2^{l ratio_l + j v(x)} (|lam_{j,m}|/norm)^{e1(x)}, x the cube corner
+    and l = class_of((j, m)); cubes whose class is None are left out.
+    """
+    grid = lam.grid
+    levels0 = [np.zeros_like(a) for a in lam.levels]
+    levels1 = [np.zeros_like(a) for a in lam.levels]
+    left_out = 0
+    for j in range(lam.V + 1):
+        nz, keys = lam.level_support(j)
+
+        def at(x):
+            return cube_corners(grid, np.broadcast_to(x, grid.shape), j)[nz].tolist()
+
+        for key, r, u, v, a, b in zip(keys, (lam.moduli(j)[nz] / norm).tolist(),
+                                      at(params.u), at(params.v), at(e0), at(e1)):
+            l = class_of(key)
+            if l is None:
+                left_out += 1
+                continue
+            levels0[j][key[1]] = 2.0 ** (l + j * u) * r ** a
+            levels1[j][key[1]] = 2.0 ** (l * ratio_l + j * v) * r ** b
+    return (DyadicCoefficients(grid, lam.V, levels0),
+            DyadicCoefficients(grid, lam.V, levels1), left_out)
 
 
 def factorize_pp(lam: DyadicCoefficients, params: FactorizationParams) -> FactorizationResult:
@@ -311,17 +327,9 @@ def factorize_pp(lam: DyadicCoefficients, params: FactorizationParams) -> Factor
     if norm == 0.0:
         raise InvalidInput("factorization needs a nonzero norm")
     theta = params.theta
-    data0: dict = {}
-    data1: dict = {}
-    for (j, m), val in lam.items():
-        idx = _corner_index(lam.grid, j, m)
-        rel = abs(val) / norm
-        e0 = params.p.values[idx] / params.p0.values[idx]
-        e1 = params.p.values[idx] / params.p1.values[idx]
-        data0[(j, m)] = 2.0 ** (j * params.u[idx]) * rel ** e0
-        data1[(j, m)] = 2.0 ** (j * params.v[idx]) * rel ** e1
-    lam0 = DyadicCoefficients(lam.grid, lam.V, data0)
-    lam1 = DyadicCoefficients(lam.grid, lam.V, data1)
+    p = params.p.values
+    lam0, lam1, _ = _corner_factors(lam, norm, params, p / params.p0.values,
+                                    p / params.p1.values)
     err = _reconstruction_error(lam, lam0, lam1, norm, theta)
     norm0 = f_norm(lam0, params.alpha0, params.p0, params.p0).value
     norm1 = f_norm(lam1, params.alpha1, params.p1, params.p1).value
@@ -360,12 +368,9 @@ class LevelSetDecomposition:
 
 
 def _stacked_majorant(lam: DyadicCoefficients, alpha: ExponentField, q: float) -> np.ndarray:
-    grid = lam.grid
-    n = grid.n
-    total = np.zeros(grid.shape)
-    for (v, m), val in lam.items():
-        sl = grid.cube_slices(grid.cube(v, m))
-        total[sl] += np.exp2(v * q * (alpha.values[sl] + 0.5 * n)) * abs(val) ** q
+    total = np.zeros(lam.grid.shape)
+    for v in range(lam.V + 1):
+        total += _level_integrand(lam, alpha, v, q)
     return total ** (1.0 / q)
 
 
@@ -386,7 +391,7 @@ def build_level_sets(lam: DyadicCoefficients, alpha: ExponentField, p: ExponentF
     grid = lam.grid
     g_vals = _stacked_majorant(lam, alpha, qv)
     g = GridFunction(grid, g_vals)
-    if not lam.data:
+    if not lam:
         return LevelSetDecomposition(g, {}, {}, [], 0, -1, gamma, 0.0)
     lam_norm = f_norm(lam, alpha, p, q if isinstance(q, ExponentField) else
                       _const_field(grid, qv)).value
@@ -396,20 +401,21 @@ def build_level_sets(lam: DyadicCoefficients, alpha: ExponentField, p: ExponentF
 
     classes: dict = {}
     unassigned: list = []
-    for (j, m), val in lam.items():
-        sl = grid.cube_slices(grid.cube(j, m))
-        cells = ratio[sl].ravel()
-        k = cells.size
+    for j in range(lam.V + 1):
+        nz, keys = lam.level_support(j)
+        cells = cube_cells(grid, ratio, j)
+        k = cells.shape[-1]
         # (K//2+1)-th largest cell value: majority of Q exceeds t iff t < M
-        M = float(np.partition(cells, k - 1 - k // 2)[k - 1 - k // 2])
-        if M <= 0.0:
-            unassigned.append((j, m))
-            continue
-        frac, expo = math.frexp(M)
-        l = expo - 2 if frac == 0.5 else expo - 1
-        classes.setdefault(l, []).append((j, m))
+        M = np.partition(cells, k - 1 - k // 2, axis=-1)[..., k - 1 - k // 2][nz]
+        frac, expo = np.frexp(M)
+        level = np.where(frac == 0.5, expo - 2, expo - 1)
+        for key, top, l in zip(keys, M.tolist(), level.tolist()):
+            if top <= 0.0:
+                unassigned.append(key)
+            else:
+                classes.setdefault(l, []).append(key)
     for key in unassigned:
-        if abs(lam.data[key]) > 1e-12 * lam_norm:
+        if abs(lam.value(*key)) > 1e-12 * lam_norm:
             raise InvalidConfiguration(
                 f"cube {key} escaped every level class but carries a nonzero coefficient"
             )
@@ -429,7 +435,7 @@ def _subset_from_level_sets(lam: DyadicCoefficients,
     """E_Q = Q minus A_{l+1}, padded by one cell when the split is an exact tie."""
     grid = lam.grid
     masks = {}
-    for (j, m), _val in lam.items():
+    for (j, m) in lam.support():
         l = decomp.class_of((j, m))
         sl = grid.cube_slices(grid.cube(j, m))
         upper = decomp.masks[l + 1][sl]
@@ -461,7 +467,7 @@ def factorize_pq_infty(lam: DyadicCoefficients,
         raise InvalidConfiguration(f"params describe a {params.kind} construction")
     if lam.grid != params.grid:
         raise InvalidInput("coefficients and params live on different grids")
-    if not lam.data:
+    if not lam:
         raise InvalidInput("factorization needs a nonzero norm")
     decomp = build_level_sets(lam, params.alpha, params.p, params.q, params)
     norm = decomp.lam_norm
@@ -469,23 +475,9 @@ def factorize_pq_infty(lam: DyadicCoefficients,
         raise InvalidInput("factorization needs a nonzero norm")
     theta = params.theta
     q_val = float(params.q.values.ravel()[0])
-    e0 = q_val / params.q0
-    e1 = q_val / params.q1
-    ratio_l = params.delta / params.gamma
-    data0: dict = {}
-    data1: dict = {}
-    zero_count = 0
-    for (j, m), val in lam.items():
-        l = decomp.class_of((j, m))
-        if l is None:
-            zero_count += 1
-            continue
-        idx = _corner_index(lam.grid, j, m)
-        rel = abs(val) / norm
-        data0[(j, m)] = 2.0 ** (l + j * params.u[idx]) * rel ** e0
-        data1[(j, m)] = 2.0 ** (l * ratio_l + j * params.v[idx]) * rel ** e1
-    lam0 = DyadicCoefficients(lam.grid, lam.V, data0)
-    lam1 = DyadicCoefficients(lam.grid, lam.V, data1)
+    lam0, lam1, zero_count = _corner_factors(lam, norm, params, q_val / params.q0,
+                                             q_val / params.q1, decomp.class_of,
+                                             params.delta / params.gamma)
     err = _reconstruction_error(lam, lam0, lam1, norm, theta)
     q0f = _const_field(lam.grid, params.q0)
     norm0 = f_norm(lam0, params.alpha0, params.p0, q0f).value
@@ -529,8 +521,12 @@ def lattice_property_check(truncations, lam: DyadicCoefficients, alpha: Exponent
     non-decreasing up to the same slack.
     """
     for i, trunc in enumerate(truncations):
-        for key, val in trunc.items():
-            if abs(val) > abs(lam.data.get(key, 0.0)) * (1.0 + 1e-12):
+        if trunc.grid != lam.grid:
+            raise InvalidInput(f"truncation {i} lives on a different grid")
+        for v in range(trunc.V + 1):
+            over = np.argwhere(trunc.moduli(v) > lam.moduli(v) * (1.0 + 1e-12))
+            if len(over):
+                key = (v, tuple(over[0].tolist()))
                 raise PreconditionViolation(
                     f"truncation {i} exceeds the target at {key}"
                 )
@@ -594,8 +590,8 @@ class EquivalenceReport:
 def equivalence_experiment(corpus, params: FactorizationParams,
                            construction: str | None = None) -> EquivalenceReport:
     """Bracket upper/lower over a corpus: lower anchor is the interpolated-space
-    norm, upper anchor the factorization bound.  Items run concurrently and
-    merge by corpus index."""
+    norm, upper anchor the factorization bound, one row per item in corpus
+    order."""
     if construction is not None and construction != params.kind:
         raise InvalidConfiguration(
             f"requested {construction} but params describe {params.kind}"
@@ -606,14 +602,10 @@ def equivalence_experiment(corpus, params: FactorizationParams,
     tag = "case-i" if params.kind == "pp" else "case-ii"
     factorize = factorize_pp if params.kind == "pp" else factorize_pq_infty
 
-    def one(item):
-        i, lam = item
+    rows = []
+    for i, lam in enumerate(corpus):
         res = factorize(lam, params)
         upper = _upper_value(res, params.theta)
-        return EquivalenceRow(i, res.lam_norm, upper, upper / res.lam_norm, tag)
-
-    with ThreadPoolExecutor(max_workers=min(_worker_count(), len(corpus))) as pool:
-        rows = list(pool.map(one, enumerate(corpus)))
-    rows.sort(key=lambda r: r.corpus_id)
+        rows.append(EquivalenceRow(i, res.lam_norm, upper, upper / res.lam_norm, tag))
     ratios = [r.ratio for r in rows]
     return EquivalenceReport(rows, min(ratios), max(ratios), params.kind)

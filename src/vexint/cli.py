@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__, acceptance, corpus
 from .acceptance import ReportRow, rows_to_csv
-from .calderon import _worker_count, factorization_params_pp, \
+from .calderon import _reconstructions, factorization_params_pp, \
     factorization_params_pq_infty, factorize_pp, factorize_pq_infty, \
     verify_holder_direction
 from .errors import (
@@ -243,12 +244,8 @@ def _constant(field: ExponentField, name: str) -> float:
 
 
 def decode_coefficients(grid: Grid, V: int, records, where: str) -> DyadicCoefficients:
-    data = {}
-    for rec in records:
-        v, m, re, im = rec
-        data[(int(v), tuple(int(x) for x in m))] = complex(re, im)
     try:
-        return DyadicCoefficients(grid, V, data)
+        return DyadicCoefficients.from_records(grid, V, records)
     except _CONFIG_ERRORS as exc:
         raise ConfigError(where, str(exc)) from exc
 
@@ -312,6 +309,16 @@ def _lower_row(tag, digest, value, bound):
     return ReportRow(tag, digest, value, bound, value - bound, value - bound >= 0.0)
 
 
+def _worker_count() -> int:
+    raw = os.environ.get("VEXINT_THREADS")
+    if raw:
+        try:
+            return max(1, int(raw))
+        except ValueError:
+            pass
+    return max(1, os.cpu_count() or 1)
+
+
 def _map_ordered(fn, items):
     """Dispatch items to the worker pool; results come back in input order."""
     if len(items) <= 1:
@@ -332,12 +339,8 @@ def _params_for(exp: Experiment, construction: str, theta: float):
 
 
 def _recon_deviation(lam, res, theta: float) -> float:
-    worst = 0.0
-    for key, val in lam.items():
-        recon = res.lam_norm * abs(res.lam0.data[key]) ** (1.0 - theta) \
-            * abs(res.lam1.data[key]) ** theta
-        worst = max(worst, abs(recon / abs(val) - 1.0))
-    return worst
+    return max((abs(recon / a - 1.0) for _key, a, recon in
+                _reconstructions(lam, res.lam0, res.lam1, res.lam_norm, theta)), default=0.0)
 
 
 # ------------------------------------------------------------- experiments

@@ -9,7 +9,7 @@ cubes up to the requested level.
 
 from __future__ import annotations
 
-from itertools import product
+import math
 
 import numpy as np
 
@@ -22,28 +22,27 @@ MAG_HIGH = 1.0e3
 DISTRIBUTIONS = ("log-uniform",)
 
 
-def valid_cubes(grid: Grid, V: int) -> list[tuple[int, tuple[int, ...]]]:
-    """All dyadic keys (j, m) on the grid with level at most V."""
-    keys: list[tuple[int, tuple[int, ...]]] = []
-    for j in range(int(V) + 1):
-        per_axis = grid.cubes_per_axis(j)
-        keys.extend((j, m) for m in product(range(per_axis), repeat=grid.n))
-    return keys
-
-
 def random_coefficients(grid: Grid, V: int, count: int, rng,
                         distribution: str = "log-uniform") -> DyadicCoefficients:
-    """One coefficient set: `count` draws, later draws overwrite on collision."""
+    """One coefficient set: `count` draws, later draws overwrite on collision.
+
+    Each draw picks one of the cubes of levels 0..V, numbered level by level
+    and in C order within a level.
+    """
     if distribution not in DISTRIBUTIONS:
         raise InvalidInput(f"unknown coefficient distribution {distribution!r}")
-    pool = valid_cubes(grid, V)
-    idx = rng.integers(0, len(pool), size=count)
+    shapes = [(grid.cubes_per_axis(j),) * grid.n for j in range(int(V) + 1)]
+    sizes = [math.prod(shape) for shape in shapes]
+    idx = rng.integers(0, sum(sizes), size=count)
     mags = 10.0 ** rng.uniform(np.log10(MAG_LOW), np.log10(MAG_HIGH), size=count)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=count)
-    data = {}
-    for k, mag, ph in zip(idx, mags, phases):
-        data[pool[k]] = mag * complex(np.cos(ph), np.sin(ph))
-    return DyadicCoefficients(grid, V, data)
+    # the last draw of a repeated cube wins
+    last = count - 1 - np.unique(idx[::-1], return_index=True)[1]
+    flat = np.zeros(sum(sizes), dtype=np.complex128)
+    flat.real[idx[last]] = mags[last] * np.cos(phases[last])
+    flat.imag[idx[last]] = mags[last] * np.sin(phases[last])
+    levels = np.split(flat, np.cumsum(sizes)[:-1])
+    return DyadicCoefficients(grid, V, [a.reshape(shape) for a, shape in zip(levels, shapes)])
 
 
 def coefficient_corpus(grid: Grid, V: int, items: int, count: int, seed: int,

@@ -25,6 +25,8 @@ __all__ = [
     "cube_mask",
     "cube_sums",
     "cube_broadcast",
+    "cube_cells",
+    "cube_corners",
 ]
 
 
@@ -160,10 +162,6 @@ class Grid:
         c = self.cells_per_axis(cube.v)
         return tuple(slice(mi * c, (mi + 1) * c) for mi in cube.m)
 
-    def corner_index(self, cube: DyadicCube) -> tuple[int, ...]:
-        c = self.cells_per_axis(cube.v)
-        return tuple(mi * c for mi in cube.m)
-
 
 @dataclass
 class GridFunction:
@@ -251,3 +249,22 @@ def cube_broadcast(grid: Grid, per_cube: np.ndarray, v: int) -> np.ndarray:
     if out.shape != grid.shape:
         raise InvalidInput(f"per-cube array of shape {np.shape(per_cube)} does not tile level {v}")
     return out
+
+
+def cube_cells(grid: Grid, values: np.ndarray, v: int) -> np.ndarray:
+    """Cell values per level-v cube, shape (cubes_per_axis,)*n + (cells**n,).
+
+    Cube (m0, m1) lands at index [m0, m1], its cells in C order along the last axis.
+    """
+    grid.check_level(v)
+    C = grid.cubes_per_axis(v)
+    c = grid.cells_per_axis(v)
+    if grid.n == 1:
+        return values.reshape(C, c)
+    return values.reshape(C, c, C, c).transpose(0, 2, 1, 3).reshape(C, C, c * c)
+
+
+def cube_corners(grid: Grid, values: np.ndarray, v: int) -> np.ndarray:
+    """Writable view of the values at the level-v cube corners, cube (m0, m1) at [m0, m1]."""
+    grid.check_level(v)
+    return values[(slice(None, None, grid.cells_per_axis(v)),) * grid.n]

@@ -22,7 +22,7 @@ from .errors import (
     ResolutionExceeded,
 )
 from .exponents import ExponentField
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, cube_corners
 from .lebesgue import DEFAULT_TOL, NormResult, mixed_norm
 from .seqspaces import DyadicCoefficients, _constant_exponent, dyadic_tail_sup
 
@@ -250,25 +250,11 @@ def analyze(f: GridFunction, bank: FilterBank) -> DyadicCoefficients:
     if not bank.has_duals:
         raise InvalidConfiguration("analysis requires a dual-ready bank")
     grid = bank.grid
-    n = grid.n
-    data: dict = {}
+    levels = []
     for v in range(bank.V + 1):
         conv = _apply(np.conjugate(bank.multiplier(v)), f.values)
-        cubes = grid.cubes_per_axis(v)
-        cells = grid.cells_per_axis(v)
-        if cells < 1 or cubes * cells != grid.N:
-            raise ResolutionExceeded(f"level {v} corner samples fall off the grid")
-        scale = 2.0 ** (-v * n / 2.0)
-        if n == 1:
-            samples = conv[::cells]
-            for m in range(cubes):
-                data[(v, (m,))] = scale * complex(samples[m])
-        else:
-            samples = conv[::cells, ::cells]
-            for m0 in range(cubes):
-                for m1 in range(cubes):
-                    data[(v, (m0, m1))] = scale * complex(samples[m0, m1])
-    return DyadicCoefficients(grid, bank.V, data)
+        levels.append(2.0 ** (-v * grid.n / 2.0) * cube_corners(grid, conv, v))
+    return DyadicCoefficients(grid, bank.V, levels)
 
 
 def synthesize(lam: DyadicCoefficients, bank: FilterBank) -> GridFunction:
@@ -286,16 +272,10 @@ def synthesize(lam: DyadicCoefficients, bank: FilterBank) -> GridFunction:
     hn = grid.h ** n
     out = np.zeros(grid.shape, dtype=np.complex128)
     for v in range(lam.V + 1):
-        impulses = np.zeros(grid.shape, dtype=np.complex128)
-        hit = False
-        cells = grid.cells_per_axis(v)
-        for (lv, m), val in lam.data.items():
-            if lv != v:
-                continue
-            impulses[tuple(mi * cells for mi in m)] = val
-            hit = True
-        if not hit:
+        if not lam.levels[v].any():
             continue
+        impulses = np.zeros(grid.shape, dtype=np.complex128)
+        cube_corners(grid, impulses, v)[...] = lam.levels[v]
         # lam psi_{v,m} sums to the impulse train convolved with the dual kernel
         impulses *= 2.0 ** (-v * n / 2.0) / hn
         out += np.fft.ifftn(np.fft.fftn(impulses) * bank.dual_multiplier(v))

@@ -1,22 +1,26 @@
 """Dyadic coefficient sequences and their weighted sequence-space norms.
 
-A coefficient set assigns a complex number to finitely many dyadic cubes
-Q_{v,m}.  Its norm routes every level through the weighted indicator sum
-F_v(x) = sum_m 2^{v(alpha(x)+n/2)} |lam_{v,m}| chi_{v,m}(x) and hands the
-family to the mixed Lebesgue norm; the endpoint space replaces the outer
-norm by a supremum of cube-averaged tail sums.
+A coefficient set stores one complex array per level v = 0..V, indexed by
+the cube index m of Q_{v,m}; its support is the set of nonzero entries.
+Norms work level by level: F_v(x) = sum_m 2^{v(alpha(x)+n/2)} |lam_{v,m}| chi_{v,m}(x)
+is the level array broadcast over its cubes times the weight, the family
+goes to the mixed Lebesgue norm, and the endpoint space replaces the outer
+norm by a supremum of cube-averaged tail sums.  Moduli come from `np.hypot`
+(equal to `abs(complex)`) and powers of single coefficients from scalar
+float pow, so every value matches a cube-by-cube evaluation bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidSelection
+from .errors import InvalidConfiguration, InvalidInput, InvalidSelection
 from .exponents import ExponentField
-from .grid import Grid, GridFunction, cube_sums
+from .grid import DyadicCube, Grid, GridFunction, cube_broadcast, cube_cells, cube_sums
 from .lebesgue import DEFAULT_TOL, NormResult, mixed_norm
 
 __all__ = [
@@ -39,71 +43,119 @@ Key = tuple[int, tuple[int, ...]]
 GREEDY_CELL_LIMIT = 2 ** 20
 
 
-def _normalize_key(v, m) -> tuple[int, tuple[int, ...]]:
-    if isinstance(m, (int, np.integer)):
+def _as_int(x, what: str) -> int:
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    if isinstance(x, (float, np.floating)) and float(x).is_integer():
+        return int(x)
+    raise InvalidInput(f"{what} {x!r} is not an integer")
+
+
+def _normalize_key(v, m) -> Key:
+    if not isinstance(m, (tuple, list, np.ndarray)):
         m = (m,)
-    return int(v), tuple(int(mi) for mi in m)
+    return _as_int(v, "coefficient level"), tuple(_as_int(mi, "cube index") for mi in m)
 
 
-@dataclass
+def _level_shape(grid: Grid, v: int) -> tuple[int, ...]:
+    return (grid.cubes_per_axis(v),) * grid.n
+
+
+def _levels_from_keys(grid: Grid, V: int, data: Mapping) -> list[np.ndarray]:
+    levels = [np.zeros(_level_shape(grid, v), dtype=np.complex128) for v in range(V + 1)]
+    for key, raw in data.items():
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise InvalidInput(f"coefficient key {key!r} is not a (level, index) pair")
+        v, m = _normalize_key(*key)
+        if v > V:
+            raise InvalidInput(f"coefficient level {v} exceeds declared max level {V}")
+        grid.check_level(v)
+        if len(m) != grid.n or any(mi < 0 or mi >= grid.cubes_per_axis(v) for mi in m):
+            raise InvalidConfiguration(f"cube (v={v}, m={m}) is not a cube of the n={grid.n} "
+                                       f"box [0, {2 * grid.L})^{grid.n}")
+        levels[v][m] = complex(raw)
+    return levels
+
+
+@dataclass(eq=False)
 class DyadicCoefficients:
-    """Finitely supported map (v, m) -> complex on the grid's dyadic cubes.
+    """Coefficients lam_{v,m} on the grid's dyadic cubes of levels 0..V.
 
-    Entries with value exactly zero are dropped, so `support()` is the set
-    of nonzero coefficients.  Phases are kept; norms only read moduli.
+    `levels[v]` is a complex array of shape (cubes_per_axis(v),)*n holding
+    lam_{v,m} at [m]; zero entries lie outside the support.  The arrays are
+    copied and validated as wholes.  The keyed form {(v, m): value} (m an
+    index tuple, or an int when n = 1) is accepted in their place and
+    checked key by key; `items()` and the records are its sorted views.
     """
 
     grid: Grid
     V: int
-    data: dict[Key, complex] = dc_field(repr=False)
+    levels: list[np.ndarray] = dc_field(repr=False)
 
     def __post_init__(self) -> None:
         self.V = int(self.V)
         self.grid.check_level(self.V)
-        clean: dict[Key, complex] = {}
-        for (v, m), raw in self.data.items():
-            v, m = _normalize_key(v, m)
-            val = complex(raw)
-            if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-                raise InvalidInput(f"coefficient at (v={v}, m={m}) is not finite")
-            if v > self.V:
-                raise InvalidInput(f"coefficient level {v} exceeds declared max level {self.V}")
-            self.grid.cube(v, m)  # validates level and index bounds
-            if val != 0:
-                clean[(v, m)] = val
-        self.data = clean
+        levels = self.levels
+        if isinstance(levels, Mapping):
+            levels = _levels_from_keys(self.grid, self.V, levels)
+        levels = [np.array(a, dtype=np.complex128) for a in levels]
+        if len(levels) != self.V + 1:
+            raise InvalidInput(
+                f"{len(levels)} level arrays given for declared max level {self.V}")
+        for v, a in enumerate(levels):
+            if a.shape != _level_shape(self.grid, v):
+                raise InvalidConfiguration(
+                    f"level {v} array has shape {a.shape}, not {_level_shape(self.grid, v)}")
+            if not np.isfinite(a).all():
+                raise InvalidInput(f"level {v} holds a non-finite coefficient")
+        self.levels = levels
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DyadicCoefficients):
+            return NotImplemented
+        return (self.grid == other.grid and self.V == other.V
+                and all(np.array_equal(a, b) for a, b in zip(self.levels, other.levels)))
+
+    def level_support(self, v: int) -> tuple[tuple[np.ndarray, ...], list[Key]]:
+        """Index arrays of the nonzero level-v entries and their keys, in index order."""
+        nz = np.nonzero(self.levels[v])
+        return nz, [(v, m) for m in zip(*(i.tolist() for i in nz))]
+
+    def moduli(self, v: int) -> np.ndarray:
+        """|lam_{v,m}| over the level-v cube indices; zeros above V."""
+        if v > self.V:
+            return np.zeros(_level_shape(self.grid, v))
+        a = self.levels[v]
+        return np.hypot(a.real, a.imag)
 
     def items(self) -> list[tuple[Key, complex]]:
-        return sorted(self.data.items())
+        return [(key, complex(self.levels[key[0]][key[1]])) for key in self.support()]
 
     def support(self) -> list[Key]:
-        return sorted(self.data)
+        return [key for v in range(self.V + 1) for key in self.level_support(v)[1]]
 
     def value(self, v: int, m) -> complex:
-        return self.data.get(_normalize_key(v, m), 0.0 + 0.0j)
+        v, m = _normalize_key(v, m)
+        top = self.grid.cubes_per_axis(v) if 0 <= v <= self.V else 0
+        inside = len(m) == self.grid.n and all(0 <= mi < top for mi in m)
+        return complex(self.levels[v][m]) if inside else 0.0 + 0.0j
 
     def __len__(self) -> int:
-        return len(self.data)
+        return sum(int(np.count_nonzero(a)) for a in self.levels)
 
     def scaled(self, c: complex) -> "DyadicCoefficients":
-        return DyadicCoefficients(self.grid, self.V, {k: c * val for k, val in self.data.items()})
+        return DyadicCoefficients(self.grid, self.V, [c * a for a in self.levels])
 
     def restricted(self, keys) -> "DyadicCoefficients":
         """Truncation keeping only the given support keys."""
-        wanted = {_normalize_key(v, m) for v, m in keys}
-        return DyadicCoefficients(
-            self.grid, self.V, {k: val for k, val in self.data.items() if k in wanted}
-        )
+        return DyadicCoefficients(self.grid, self.V, {(v, m): self.value(v, m) for v, m in keys})
 
     def to_records(self) -> list[tuple[int, list[int], float, float]]:
         return [(v, list(m), val.real, val.imag) for (v, m), val in self.items()]
 
     @classmethod
     def from_records(cls, grid: Grid, V: int, records) -> "DyadicCoefficients":
-        data: dict[Key, complex] = {}
-        for v, m, re, im in records:
-            data[_normalize_key(v, m)] = complex(re, im)
-        return cls(grid, V, data)
+        return cls(grid, V, {_normalize_key(v, m): complex(re, im) for v, m, re, im in records})
 
 
 def _constant_exponent(q) -> float:
@@ -123,15 +175,27 @@ def _check_grid(lam: DyadicCoefficients, *fields: ExponentField) -> None:
             raise InvalidInput("coefficients and exponent fields live on different grids")
 
 
+def _pow_entries(mod: np.ndarray, q: float) -> np.ndarray:
+    """mod**q with one scalar pow per nonzero entry."""
+    if q == 1.0:
+        return mod
+    out = np.zeros_like(mod)
+    nz = np.nonzero(mod)
+    out[nz] = [x ** q for x in mod[nz].tolist()]
+    return out
+
+
+def _level_integrand(lam: DyadicCoefficients, alpha: ExponentField, v: int,
+                     q: float = 1.0) -> np.ndarray:
+    """2^{v(alpha(x)+n/2)q} sum_m |lam_{v,m}|^q chi_{v,m}(x); q = 1 gives F_v."""
+    grid = lam.grid
+    amp = cube_broadcast(grid, _pow_entries(lam.moduli(v), q), v)
+    return amp * np.exp2(v * q * (alpha.values + 0.5 * grid.n))
+
+
 def level_function(lam: DyadicCoefficients, alpha: ExponentField, v: int) -> GridFunction:
     """F_v(x) = sum_m 2^{v(alpha(x)+n/2)} |lam_{v,m}| chi_{v,m}(x)."""
-    grid = lam.grid
-    amp = np.zeros(grid.shape)
-    for (lv, m), val in lam.data.items():
-        if lv == v:
-            amp[grid.cube_slices(grid.cube(lv, m))] = abs(val)
-    n = grid.n
-    return GridFunction(grid, amp * np.exp2(v * (alpha.values + 0.5 * n)))
+    return GridFunction(lam.grid, _level_integrand(lam, alpha, v))
 
 
 def f_norm(lam: DyadicCoefficients, alpha: ExponentField, p: ExponentField,
@@ -140,17 +204,6 @@ def f_norm(lam: DyadicCoefficients, alpha: ExponentField, p: ExponentField,
     _check_grid(lam, alpha, p, q)
     family = [level_function(lam, alpha, v) for v in range(lam.V + 1)]
     return mixed_norm(family, p, q, tol=tol)
-
-
-def _level_integrand(lam: DyadicCoefficients, alpha: ExponentField, v: int,
-                     q: float) -> np.ndarray:
-    # 2^{v(alpha(x)+n/2)q} sum_m |lam_{v,m}|^q chi_{v,m}(x)
-    grid = lam.grid
-    amp = np.zeros(grid.shape)
-    for (lv, m), val in lam.data.items():
-        if lv == v:
-            amp[grid.cube_slices(grid.cube(lv, m))] = abs(val) ** q
-    return amp * np.exp2(v * q * (alpha.values + 0.5 * grid.n))
 
 
 def dyadic_tail_sup(grid: Grid, integrands, q: float) -> float:
@@ -181,7 +234,7 @@ def f_infty_norm(lam: DyadicCoefficients, alpha: ExponentField, q) -> float:
     """
     q = _constant_exponent(q)
     _check_grid(lam, alpha)
-    if not lam.data:
+    if not lam:
         return 0.0
     levels = [_level_integrand(lam, alpha, v, q) for v in range(lam.V + 1)]
     return dyadic_tail_sup(lam.grid, levels, q)
@@ -196,12 +249,15 @@ def coefficient_bound_check(lam: DyadicCoefficients, alpha: ExponentField,
         raise InvalidInput("coefficient bound is undefined for zero norm")
     grid = lam.grid
     n = grid.n
+    expo = alpha.values - n / p.values + 0.5 * n
     worst = 0.0
-    for (j, m), val in lam.items():
-        sl = grid.cube_slices(grid.cube(j, m))
-        expo = alpha.values[sl] - n / p.values[sl] + 0.5 * n
-        # j >= 0, so the pointwise max of 2^{j expo} sits at max expo
-        worst = max(worst, abs(val) * 2.0 ** (j * float(expo.max())) / norm)
+    for j in range(lam.V + 1):
+        mod = lam.moduli(j)
+        nz = np.nonzero(mod)
+        # j >= 0, so the pointwise max of 2^{j expo} over a cube sits at max expo
+        top = cube_cells(grid, expo, j).max(axis=-1)[nz]
+        for a, e in zip(mod[nz].tolist(), top.tolist()):
+            worst = max(worst, a * 2.0 ** (j * e) / norm)
     return worst
 
 
@@ -257,17 +313,13 @@ def greedy_selection(lam: DyadicCoefficients, alpha: ExponentField, q) -> Subset
     q = _constant_exponent(q)
     _check_grid(lam, alpha)
     grid = lam.grid
-    n = grid.n
     masks = {}
-    for (v, m), val in lam.items():
-        sl = grid.cube_slices(grid.cube(v, m))
-        block = np.exp2(v * q * (alpha.values[sl] + 0.5 * n)) * abs(val) ** q
-        flat = block.ravel()
-        keep = flat.size // 2 + 1
-        order = np.argsort(flat, kind="stable")
-        mask = np.zeros(flat.size, dtype=bool)
-        mask[order[:keep]] = True
-        masks[(v, m)] = mask.reshape(block.shape)
+    for v in range(lam.V + 1):
+        blocks = cube_cells(grid, _level_integrand(lam, alpha, v, q), v)
+        ranks = np.argsort(np.argsort(blocks, axis=-1, kind="stable"), axis=-1)
+        keep = ranks <= blocks.shape[-1] // 2
+        for key in lam.level_support(v)[1]:
+            masks[key] = keep[key[1]].reshape((grid.cells_per_axis(v),) * grid.n)
     return SubsetSelection(grid, masks)
 
 
@@ -278,23 +330,24 @@ def f_infty_subset_norm(lam: DyadicCoefficients, alpha: ExponentField, q,
     _check_grid(lam, alpha)
     if sel.grid != lam.grid:
         raise InvalidSelection("selection built on a different grid")
-    if set(sel.masks) != set(lam.data):
+    if set(sel.masks) != set(lam.support()):
         raise InvalidSelection("selection must cover exactly the coefficient support")
-    if not lam.data:
+    if not lam:
         return 0.0
     grid = lam.grid
-    n = grid.n
+    keep = [np.zeros(grid.shape, dtype=bool) for _ in range(lam.V + 1)]
+    for (v, m), mask in sel.masks.items():
+        keep[v][grid.cube_slices(DyadicCube(v, m))] = mask
     total = np.zeros(grid.shape)
-    for (v, m), val in lam.items():
-        sl = grid.cube_slices(grid.cube(v, m))
-        contrib = np.exp2(v * q * (alpha.values[sl] + 0.5 * n)) * abs(val) ** q
-        total[sl] += np.where(sel.masks[(v, m)], contrib, 0.0)
+    for v in range(lam.V + 1):
+        total += np.where(keep[v], _level_integrand(lam, alpha, v, q), 0.0)
     return float(total.max()) ** (1.0 / q)
 
 
 def _support_cells(lam: DyadicCoefficients) -> int:
     grid = lam.grid
-    return sum(grid.cells_per_axis(v) ** grid.n for (v, _m) in lam.data)
+    return sum(int(np.count_nonzero(a)) * grid.cells_per_axis(v) ** grid.n
+               for v, a in enumerate(lam.levels))
 
 
 def prop1_equivalence_check(lam: DyadicCoefficients, alpha: ExponentField,
@@ -306,7 +359,7 @@ def prop1_equivalence_check(lam: DyadicCoefficients, alpha: ExponentField,
     """
     q = _constant_exponent(q)
     _check_grid(lam, alpha)
-    if not lam.data:
+    if not lam:
         return 0.0, 0.0
     if _support_cells(lam) > GREEDY_CELL_LIMIT:
         raise InvalidInput("support too large for the subset search route")

@@ -1,5 +1,6 @@
 """Numba and numpy backends must agree bitwise on the hot kernels."""
 
+import os
 import subprocess
 import sys
 
@@ -65,7 +66,7 @@ def test_env_flag_selects_backend():
     code = "import vexint._accel as a; print(a.get_backend())"
     out = subprocess.run(
         [sys.executable, "-c", code],
-        capture_output=True, text=True, env={"PATH": "/usr/bin:/bin", "VEXINT_ACCEL": "numpy"},
+        capture_output=True, text=True, env={**os.environ, "VEXINT_ACCEL": "numpy"},
     )
     assert out.stdout.strip() == "numpy"
 

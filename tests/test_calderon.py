@@ -470,6 +470,9 @@ def test_lattice_violations():
     keys = sorted(lam.support())
     shrinking = [lam, lam.restricted(keys[: len(keys) // 2])]
     assert not lattice_property_check(shrinking, lam, alpha, p, p)
+    elsewhere = DyadicCoefficients(make_grid(1, 8.0, 512), V, {(0, (0,)): 1.0})
+    with pytest.raises(InvalidInput):
+        lattice_property_check([elsewhere], lam, alpha, p, p)
 
 
 # --------------------------------------------------------------- classifier
@@ -529,7 +532,7 @@ def test_equivalence_experiment_stability():
         build_exponent(fine_grid, "constant", value=-0.1, role="smoothness"),
         build_exponent(fine_grid, "constant", value=2.5), 2.0, 4.0,
     )
-    fine_corpus = [DyadicCoefficients(fine_grid, V, dict(lam.data)) for lam in corpus]
+    fine_corpus = [DyadicCoefficients(fine_grid, V, lam.levels) for lam in corpus]
     fine = equivalence_experiment(fine_corpus, fine_params)
     assert fine.max_ratio <= 2.0 * base.max_ratio
     assert base.max_ratio <= 2.0 * fine.max_ratio

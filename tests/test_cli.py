@@ -135,6 +135,15 @@ def test_corrupted_holder_factors_exit_one_with_key(tmp_path, capsys):
     assert "(1, (3,))" in err
 
 
+def test_coefficient_record_outside_box_is_config_error(tmp_path, capsys):
+    good = [[0, [1], 1.0, 0.0]]
+    path = base_config(tmp_path, "holder", coefficients={
+        "lam": good, "lam0": good, "lam1": [[0, [1], 1.0, 0.0], [1, [99], 1.0, 0.0]],
+    })
+    assert main(["run", path]) == EXIT_CONFIG
+    assert "$.coefficients.lam1" in capsys.readouterr().err
+
+
 def test_explicit_holder_triple_passes(tmp_path):
     path = base_config(tmp_path, "holder", coefficients={
         "lam": [[0, [1], 0.5, 0.0], [2, [7], 0.25, 0.0]],

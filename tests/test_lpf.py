@@ -178,8 +178,8 @@ def test_analyze_pure_frequency_lands_on_matching_levels():
     x = G.coords()[0]
     f = GridFunction(G, np.exp(1j * np.pi * x))
     lam = analyze(f, DUAL)
-    peak = max(abs(val) for val in lam.data.values())
-    hot = {v for (v, _m), val in lam.data.items() if abs(val) > 1e-8 * peak}
+    peak = max(abs(val) for _key, val in lam.items())
+    hot = {v for (v, _m), val in lam.items() if abs(val) > 1e-8 * peak}
     assert hot == {1, 2}
 
 
@@ -192,7 +192,7 @@ def test_analyze_linearity():
         lam_f = analyze(f, DUAL)
         lam_g = analyze(g, DUAL)
         lam_c = analyze(comb, DUAL)
-        keys = set(lam_f.data) | set(lam_g.data) | set(lam_c.data)
+        keys = set(lam_f.support()) | set(lam_g.support()) | set(lam_c.support())
         for key in keys:
             want = a * lam_f.value(*key) + b * lam_g.value(*key)
             assert abs(lam_c.value(*key) - want) <= 1e-10 * max(1.0, abs(want))

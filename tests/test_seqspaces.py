@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vexint.calderon import _stacked_majorant
 from vexint.errors import (
     InvalidConfiguration,
     InvalidInput,
@@ -20,6 +21,7 @@ from vexint.grid import cube_mask, enumerate_cubes, make_grid
 from vexint.seqspaces import (
     DyadicCoefficients,
     SubsetSelection,
+    _level_integrand,
     coefficient_bound_check,
     f_infty_norm,
     f_infty_subset_norm,
@@ -446,6 +448,27 @@ def test_coefficients_validate_levels_and_indices():
         DyadicCoefficients(G, 2, {(2, 32): 1.0})  # index outside the box
     with pytest.raises(InvalidInput):
         DyadicCoefficients(G, 2, {(1, 1): complex(math.nan, 0.0)})
+    for bad in ({(1, (1.7,)): 1.0}, {(1.9, (1,)): 1.0}, {(1, 1.5): 1.0}):
+        with pytest.raises(InvalidInput):  # non-integral level or index
+            DyadicCoefficients(G, 2, bad)
+    with pytest.raises(InvalidInput):
+        DyadicCoefficients.from_records(G, 2, [(1, [2.5], 1.0, 0.0)])
+
+
+def test_level_arrays_validated_as_wholes():
+    levels = [np.zeros(G.cubes_per_axis(v), dtype=complex) for v in range(3)]
+    levels[2][5] = 1.5 - 2.0j
+    lam = DyadicCoefficients(G, 2, levels)
+    assert lam.items() == [((2, (5,)), 1.5 - 2.0j)]
+    levels[2][5] = 0.0  # the constructor copies
+    assert lam.value(2, 5) == 1.5 - 2.0j
+    with pytest.raises(InvalidInput):
+        DyadicCoefficients(G, 1, levels)  # a level above the declared V
+    with pytest.raises(InvalidConfiguration):
+        DyadicCoefficients(G, 2, [levels[0], levels[1], levels[1]])
+    levels[1][0] = complex(math.inf, 0.0)
+    with pytest.raises(InvalidInput):
+        DyadicCoefficients(G, 2, levels)
 
 
 def test_zero_values_dropped_from_support():
@@ -467,7 +490,7 @@ def test_record_roundtrip_preserves_phases():
     rng = np.random.default_rng(23)
     lam = random_coeffs(G, rng, 40)
     back = DyadicCoefficients.from_records(G, lam.V, lam.to_records())
-    assert back.data == lam.data
+    assert back.items() == lam.items()
 
 
 def test_restricted_truncation():
@@ -475,3 +498,123 @@ def test_restricted_truncation():
     part = lam.restricted([(0, 1), (2, 3)])
     assert part.support() == [(0, (1,)), (2, (3,))]
     assert part.value(1, 2) == 0.0
+
+
+# -- per-level arrays against the per-cube loops they replaced -------------------
+
+ORACLE_GRIDS = {1: make_grid(1, 4, 256), 2: make_grid(2, 1, 32)}
+
+
+def level_function_oracle(lam, alpha, v):
+    grid = lam.grid
+    amp = np.zeros(grid.shape)
+    for (lv, m), val in lam.items():
+        if lv == v:
+            amp[grid.cube_slices(grid.cube(lv, m))] = abs(val)
+    return amp * np.exp2(v * (alpha.values + 0.5 * grid.n))
+
+
+def level_integrand_oracle(lam, alpha, v, q):
+    grid = lam.grid
+    amp = np.zeros(grid.shape)
+    for (lv, m), val in lam.items():
+        if lv == v:
+            amp[grid.cube_slices(grid.cube(lv, m))] = abs(val) ** q
+    return amp * np.exp2(v * q * (alpha.values + 0.5 * grid.n))
+
+
+def stacked_majorant_oracle(lam, alpha, q):
+    grid = lam.grid
+    total = np.zeros(grid.shape)
+    for (v, m), val in lam.items():
+        sl = grid.cube_slices(grid.cube(v, m))
+        total[sl] += np.exp2(v * q * (alpha.values[sl] + 0.5 * grid.n)) * abs(val) ** q
+    return total ** (1.0 / q)
+
+
+def greedy_masks_oracle(lam, alpha, q):
+    grid = lam.grid
+    masks = {}
+    for (v, m), val in lam.items():
+        sl = grid.cube_slices(grid.cube(v, m))
+        block = np.exp2(v * q * (alpha.values[sl] + 0.5 * grid.n)) * abs(val) ** q
+        order = np.argsort(block.ravel(), kind="stable")
+        mask = np.zeros(block.size, dtype=bool)
+        mask[order[:block.size // 2 + 1]] = True
+        masks[(v, m)] = mask.reshape(block.shape)
+    return masks
+
+
+def subset_norm_oracle(lam, alpha, q, sel):
+    grid = lam.grid
+    total = np.zeros(grid.shape)
+    for (v, m), val in lam.items():
+        sl = grid.cube_slices(grid.cube(v, m))
+        contrib = np.exp2(v * q * (alpha.values[sl] + 0.5 * grid.n)) * abs(val) ** q
+        total[sl] += np.where(sel.masks[(v, m)], contrib, 0.0)
+    return float(total.max()) ** (1.0 / q)
+
+
+@st.composite
+def coefficient_sets(draw):
+    """Random supports on a 1D or 2D grid.  Some drawn values are exactly
+    zero; the others have moduli log-uniform in [1e-3, 1e3] and uniform
+    phases, taken from a drawn seed so they are not the round numbers
+    hypothesis favours."""
+    n = draw(st.sampled_from([1, 2]))
+    grid = ORACLE_GRIDS[n]
+    V = draw(st.integers(min_value=0, max_value=grid.v_max))
+    entries = draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=V),
+                  st.tuples(*[st.integers(min_value=0, max_value=2 ** 16)] * n),
+                  st.booleans()),
+        max_size=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    data = {}
+    for v, m, zero in entries:
+        top = grid.cubes_per_axis(v)
+        mag = 10.0 ** rng.uniform(-3.0, 3.0)
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        key = (v, tuple(mi % top for mi in m))
+        data[key] = 0.0 if zero else mag * complex(math.cos(phase), math.sin(phase))
+    return DyadicCoefficients(grid, V, data)
+
+
+def oracle_alpha(grid, base, amplitude):
+    return build_exponent(grid, "sine", base=base, amplitude=amplitude, role="smoothness")
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficient_sets(),
+       st.floats(min_value=-0.8, max_value=0.8),
+       st.floats(min_value=0.0, max_value=0.5),
+       st.one_of(st.just(1.0), st.integers(min_value=0, max_value=2 ** 32).map(
+           lambda seed: float(np.random.default_rng(seed).uniform(1.0, 4.0)))))
+def test_level_arrays_match_per_cube_oracles_exactly(lam, base, amplitude, q):
+    alpha = oracle_alpha(lam.grid, base, amplitude)
+    for v in range(lam.V + 1):
+        assert np.array_equal(level_function(lam, alpha, v).values,
+                              level_function_oracle(lam, alpha, v))
+        assert np.array_equal(_level_integrand(lam, alpha, v, q),
+                              level_integrand_oracle(lam, alpha, v, q))
+    assert np.array_equal(_stacked_majorant(lam, alpha, q),
+                          stacked_majorant_oracle(lam, alpha, q))
+    sel = greedy_selection(lam, alpha, q)
+    want = greedy_masks_oracle(lam, alpha, q)
+    assert sel.masks.keys() == want.keys()
+    assert all(np.array_equal(sel.masks[k], want[k]) for k in want)
+    if len(lam):
+        assert f_infty_subset_norm(lam, alpha, q, sel) == subset_norm_oracle(lam, alpha, q, sel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficient_sets())
+def test_records_roundtrip_exact_and_sorted(lam):
+    back = DyadicCoefficients.from_records(lam.grid, lam.V, lam.to_records())
+    assert back == lam
+    assert back.items() == lam.items()
+    keys = [key for key, _val in lam.items()]
+    assert keys == sorted(keys) == lam.support()
+    assert len(lam) == len(keys)
+    assert all(val != 0 for _key, val in lam.items())
+    assert DyadicCoefficients(lam.grid, lam.V, dict(lam.items())) == lam
