@@ -1,67 +1,14 @@
-"""Hot numeric kernels: numba-compiled with pure-numpy fallbacks.
+"""Hot numeric kernels: the all-offset difference scans and the modular sum.
 
-Backend selection: VEXINT_ACCEL=numba|numpy|auto (default auto = numba when
-importable).  The numpy implementations are kept semantically identical and
-are exercised against the numba ones in the test suite.  VEXINT_THREADS caps
-the numba thread pool.
+They live in one module so that profilers and tracers can wrap the three
+functions that dominate the regularity scans and every Luxemburg solve.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
-    from numba import njit, prange
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-__all__ = [
-    "HAS_NUMBA",
-    "get_backend",
-    "set_backend",
-    "offset_abs_max_1d",
-    "offset_abs_max_2d",
-    "modular_pow_sum",
-]
-
-_BACKEND = "numpy"
-
-
-def _resolve(requested: str) -> str:
-    if requested == "numpy":
-        return "numpy"
-    if requested == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("VEXINT_ACCEL=numba requested but numba is not importable")
-        return "numba"
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-def set_backend(name: str) -> str:
-    """Select 'numba', 'numpy', or 'auto'; returns the resolved backend."""
-    global _BACKEND
-    _BACKEND = _resolve(name)
-    return _BACKEND
-
-
-def get_backend() -> str:
-    return _BACKEND
-
-
-set_backend(os.environ.get("VEXINT_ACCEL", "auto"))
-
-if HAS_NUMBA:
-    _threads = os.environ.get("VEXINT_THREADS")
-    if _threads:
-        try:
-            numba.set_num_threads(max(1, min(int(_threads), numba.config.NUMBA_NUM_THREADS)))
-        except ValueError:
-            pass
+__all__ = ["offset_abs_max_1d", "offset_abs_max_2d", "modular_pow_sum"]
 
 
 # -- per-offset maximum absolute difference ---------------------------------
@@ -72,7 +19,8 @@ if HAS_NUMBA:
 # enumerated; the mirrored offset reaches the same unordered pairs.
 
 
-def _offset_abs_max_1d_numpy(g: np.ndarray) -> np.ndarray:
+def offset_abs_max_1d(g: np.ndarray) -> np.ndarray:
+    g = np.ascontiguousarray(g, dtype=np.float64)
     N = g.shape[0]
     out = np.zeros(N // 2 + 1)
     for k in range(1, N // 2 + 1):
@@ -80,7 +28,9 @@ def _offset_abs_max_1d_numpy(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _offset_abs_max_2d_numpy(g: np.ndarray) -> np.ndarray:
+def offset_abs_max_2d(g: np.ndarray) -> np.ndarray:
+    """Half-plane offset maxima; entries -1 mark offsets covered by symmetry."""
+    g = np.ascontiguousarray(g, dtype=np.float64)
     N = g.shape[0]
     out = np.full((N // 2 + 1, N), -1.0)
     out[0, 0] = 0.0
@@ -97,92 +47,12 @@ def _offset_abs_max_2d_numpy(g: np.ndarray) -> np.ndarray:
     return out
 
 
-if HAS_NUMBA:
-
-    @njit("float64[:](float64[:])", cache=True, parallel=True)
-    def _offset_abs_max_1d_numba(g):
-        N = g.shape[0]
-        out = np.zeros(N // 2 + 1)
-        for k in prange(1, N // 2 + 1):
-            best = 0.0
-            for i in range(N):
-                j = i + k
-                if j >= N:
-                    j -= N
-                d = abs(g[i] - g[j])
-                if d > best:
-                    best = d
-            out[k] = best
-        return out
-
-    @njit("float64[:,:](float64[:,:])", cache=True, parallel=True)
-    def _offset_abs_max_2d_numba(g):
-        N = g.shape[0]
-        out = np.full((N // 2 + 1, N), -1.0)
-        out[0, 0] = 0.0
-        for k0 in prange(N // 2 + 1):
-            if k0 == 0:
-                lo, hi = 1, N // 2 + 1
-            elif k0 == N // 2:
-                lo, hi = 0, N // 2 + 1
-            else:
-                lo, hi = 0, N
-            for k1 in range(lo, hi):
-                best = 0.0
-                for i in range(N):
-                    ii = i + k0
-                    if ii >= N:
-                        ii -= N
-                    for j in range(N):
-                        jj = j + k1
-                        if jj >= N:
-                            jj -= N
-                        d = abs(g[i, j] - g[ii, jj])
-                        if d > best:
-                            best = d
-                out[k0, k1] = best
-        return out
-
-
-def offset_abs_max_1d(g: np.ndarray) -> np.ndarray:
-    g = np.ascontiguousarray(g, dtype=np.float64)
-    if _BACKEND == "numba":
-        return _offset_abs_max_1d_numba(g)
-    return _offset_abs_max_1d_numpy(g)
-
-
-def offset_abs_max_2d(g: np.ndarray) -> np.ndarray:
-    """Half-plane offset maxima; entries -1 mark offsets covered by symmetry."""
-    g = np.ascontiguousarray(g, dtype=np.float64)
-    if _BACKEND == "numba":
-        return _offset_abs_max_2d_numba(g)
-    return _offset_abs_max_2d_numpy(g)
-
-
 # -- variable-exponent modular sum -------------------------------------------
-
-
-def _modular_pow_sum_numpy(absf: np.ndarray, p: np.ndarray, lam: float) -> float:
-    with np.errstate(over="ignore"):
-        return float(np.sum((absf / lam) ** p))
-
-
-if HAS_NUMBA:
-
-    @njit("float64(float64[:], float64[:], float64)", cache=True, parallel=True)
-    def _modular_pow_sum_numba(absf, p, lam):
-        s = 0.0
-        for i in prange(absf.shape[0]):
-            a = absf[i] / lam
-            if a > 0.0:
-                s += a ** p[i]
-        return s
 
 
 def modular_pow_sum(absf: np.ndarray, p: np.ndarray, lam: float) -> float:
     """sum_i (|f_i|/lam)^{p_i}; may overflow to inf, which callers treat as > 1."""
     absf = np.ascontiguousarray(absf, dtype=np.float64).ravel()
     p = np.ascontiguousarray(p, dtype=np.float64).ravel()
-    if _BACKEND == "numba":
-        return _modular_pow_sum_numba(absf, p, lam)
-    return _modular_pow_sum_numpy(absf, p, lam)
+    with np.errstate(over="ignore"):
+        return float(np.sum((absf / lam) ** p))

@@ -309,21 +309,11 @@ def _lower_row(tag, digest, value, bound):
     return ReportRow(tag, digest, value, bound, value - bound, value - bound >= 0.0)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("VEXINT_THREADS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
-
-
 def _map_ordered(fn, items):
     """Dispatch items to the worker pool; results come back in input order."""
     if len(items) <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(_worker_count(), len(items))) as pool:
+    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(items))) as pool:
         return list(pool.map(fn, items))
 
 

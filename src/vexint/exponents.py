@@ -129,36 +129,32 @@ def build_exponent(grid: Grid, recipe: str, *, role: str = "integrability", **pa
     return ExponentField(grid, vals, lo, hi, role, g_inf=g_inf)
 
 
-def _offset_weights_1d(grid: Grid) -> np.ndarray:
-    k = np.arange(grid.N // 2 + 1, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        w = np.log(math.e + 1.0 / (k * grid.h))
-    w[0] = 0.0  # zero-distance pairs carry no constraint
-    return w
+def _offset_profile(field: ExponentField, budget: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """(max_x |g(x) - g(x+k)|, periodic |k|) per lattice offset k, zero offset first.
 
-
-def _offset_weights_2d(grid: Grid) -> np.ndarray:
-    N = grid.N
-    k0 = np.arange(N // 2 + 1, dtype=np.float64)[:, None]
-    k1 = np.arange(N, dtype=np.float64)[None, :]
-    k1f = np.minimum(k1, N - k1)
-    d = grid.h * np.sqrt(k0 * k0 + k1f * k1f)
-    with np.errstate(divide="ignore"):
-        w = np.log(math.e + 1.0 / d)
-    w[0, 0] = 0.0
-    return w
-
-
-def _c_loc_sampled(field: ExponentField) -> tuple[float, int]:
-    # stratified offsets: uniform per dyadic distance band, fixed seed
+    With `budget` None every offset is enumerated once up to the mirror
+    symmetry k -> -k.  Otherwise about `budget` offsets are drawn, uniformly
+    per dyadic radius band with a fixed seed, so equal budgets see equal
+    offsets and budget doublings are comparable across calls.
+    """
     grid = field.grid
-    rng = np.random.default_rng(SAMPLE_SEED)
     N = grid.N
     g = field.values
+    if budget is None:
+        if grid.n == 1:
+            return _accel.offset_abs_max_1d(g), grid.h * np.arange(N // 2 + 1, dtype=np.float64)
+        M = _accel.offset_abs_max_2d(g)
+        k0 = np.arange(N // 2 + 1, dtype=np.float64)[:, None]
+        k1 = np.arange(N, dtype=np.float64)[None, :]
+        k1f = np.minimum(k1, N - k1)
+        d = grid.h * np.sqrt(k0 * k0 + k1f * k1f)
+        keep = M >= 0.0
+        return M[keep], d[keep]
+    rng = np.random.default_rng(SAMPLE_SEED)
     bands = max(1, int(math.log2(N // 2)))
-    per_band = max(1, SAMPLE_OFFSETS // bands)
-    best = 0.0
-    count = 0
+    per_band = max(1, budget // bands)
+    Ms = [0.0]
+    ds = [0.0]
     for b in range(bands):
         lo, hi = 2 ** b, min(2 ** (b + 1), N // 2 + 1)
         if lo >= hi:
@@ -166,10 +162,8 @@ def _c_loc_sampled(field: ExponentField) -> tuple[float, int]:
         radii = rng.integers(lo, hi, size=per_band)
         if grid.n == 1:
             for k in radii:
-                d = k * grid.h
-                diff = np.max(np.abs(g - np.roll(g, -int(k))))
-                best = max(best, diff * math.log(math.e + 1.0 / d))
-                count += 1
+                Ms.append(float(np.max(np.abs(g - np.roll(g, -int(k))))))
+                ds.append(int(k) * grid.h)
         else:
             angles = rng.uniform(0.0, 2.0 * math.pi, size=per_band)
             for r, t in zip(radii, angles):
@@ -177,13 +171,11 @@ def _c_loc_sampled(field: ExponentField) -> tuple[float, int]:
                 k1 = int(round(r * math.sin(t))) % N
                 if k0 == 0 and k1 == 0:
                     continue
+                Ms.append(float(np.max(np.abs(g - np.roll(g, (-k0, -k1), axis=(0, 1))))))
                 d0 = min(k0, N - k0) * grid.h
                 d1 = min(k1, N - k1) * grid.h
-                d = math.hypot(d0, d1)
-                diff = np.max(np.abs(g - np.roll(g, (-k0, -k1), axis=(0, 1))))
-                best = max(best, diff * math.log(math.e + 1.0 / d))
-                count += 1
-    return best, count
+                ds.append(math.hypot(d0, d1))
+    return np.asarray(Ms), np.asarray(ds)
 
 
 def log_holder_constants(field: ExponentField) -> LogHolderReport:
@@ -197,22 +189,19 @@ def log_holder_constants(field: ExponentField) -> LogHolderReport:
     if field._lh_report is not None:
         return field._lh_report
     grid = field.grid
-    if grid.size <= EXHAUSTIVE_POINT_LIMIT:
-        if grid.n == 1:
-            M = _accel.offset_abs_max_1d(field.values)
-            w = _offset_weights_1d(grid)
-            c_loc = float(np.max(M * w))
-            evaluated = M.size - 1
-        else:
-            M = _accel.offset_abs_max_2d(field.values)
-            w = _offset_weights_2d(grid)
-            valid = M >= 0.0
-            c_loc = float(np.max(np.where(valid, M * w, 0.0)))
-            evaluated = int(valid.sum()) - 1
-        exhaustive = True
+    exhaustive = grid.size <= EXHAUSTIVE_POINT_LIMIT
+    M, d = _offset_profile(field, None if exhaustive else SAMPLE_OFFSETS)
+    if exhaustive:
+        with np.errstate(divide="ignore"):
+            w = np.log(math.e + 1.0 / d)
+        w[0] = 0.0  # zero-distance pairs carry no constraint
+        c_loc = float(np.max(M * w))
     else:
-        c_loc, evaluated = _c_loc_sampled(field)
-        exhaustive = False
+        # math.log, not np.log: recorded references pin the sampled c_loc bit for bit
+        c_loc = 0.0
+        for m, dist in zip(M[1:], d[1:]):
+            c_loc = max(c_loc, float(m * math.log(math.e + 1.0 / dist)))
+    evaluated = M.size - 1
     dec_weight = np.log(math.e + grid.center_radius())
     c_dec = float(np.max(np.abs(field.values - field.g_inf) * dec_weight))
     report = LogHolderReport(c_loc=c_loc, c_dec=c_dec, g_inf=field.g_inf,

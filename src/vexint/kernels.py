@@ -16,9 +16,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.integrate import quad
 
-from . import _accel
 from .errors import InvalidInput, PreconditionViolation, PreconditionWarning
-from .exponents import ExponentField, SAMPLE_SEED, log_holder_constants
+from .exponents import ExponentField, _offset_profile, log_holder_constants
 from .grid import Grid, GridFunction, cube_broadcast, cube_sums
 from .lebesgue import luxemburg_norm, mixed_norm
 
@@ -167,57 +166,6 @@ class AlphaShiftReport:
         return self.c
 
 
-def _offset_profile_exhaustive(field: ExponentField) -> tuple[np.ndarray, np.ndarray]:
-    """(max |field(x)-field(x+k)|, periodic |k|) over every lattice offset."""
-    grid = field.grid
-    N = grid.N
-    if grid.n == 1:
-        M = _accel.offset_abs_max_1d(field.values)
-        d = grid.h * np.arange(N // 2 + 1, dtype=np.float64)
-        return M, d
-    M = _accel.offset_abs_max_2d(field.values)
-    k0 = np.arange(N // 2 + 1, dtype=np.float64)[:, None]
-    k1 = np.arange(N, dtype=np.float64)[None, :]
-    k1f = np.minimum(k1, N - k1)
-    d = grid.h * np.sqrt(k0 * k0 + k1f * k1f)
-    keep = M >= 0.0
-    return M[keep], d[keep]
-
-
-def _offset_profile_sampled(field: ExponentField, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    # stratified over dyadic radius bands, seeded; mirrors the regularity
-    # estimator's sampling so budget doublings are comparable across calls
-    grid = field.grid
-    N = grid.N
-    g = field.values
-    rng = np.random.default_rng(SAMPLE_SEED)
-    bands = max(1, int(math.log2(N // 2)))
-    per_band = max(1, budget // bands)
-    Ms = [0.0]
-    ds = [0.0]
-    for b in range(bands):
-        lo, hi = 2 ** b, min(2 ** (b + 1), N // 2 + 1)
-        if lo >= hi:
-            continue
-        radii = rng.integers(lo, hi, size=per_band)
-        if grid.n == 1:
-            for k in radii:
-                Ms.append(float(np.max(np.abs(g - np.roll(g, -int(k))))))
-                ds.append(int(k) * grid.h)
-        else:
-            angles = rng.uniform(0.0, 2.0 * math.pi, size=per_band)
-            for r, t in zip(radii, angles):
-                k0 = int(round(r * math.cos(t))) % N
-                k1 = int(round(r * math.sin(t))) % N
-                if k0 == 0 and k1 == 0:
-                    continue
-                Ms.append(float(np.max(np.abs(g - np.roll(g, (-k0, -k1), axis=(0, 1))))))
-                d0 = min(k0, N - k0) * grid.h
-                d1 = min(k1, N - k1) * grid.h
-                ds.append(math.hypot(d0, d1))
-    return np.asarray(Ms), np.asarray(ds)
-
-
 def verify_alpha_shift(alpha: ExponentField, h_exp: float, R: float,
                        v_list, samples: int = 4096) -> AlphaShiftReport:
     """Largest sampled ratio of 2^{v a(x)} eta_{v,h+R}(x-y) to 2^{v a(y)} eta_{v,h}(x-y).
@@ -238,10 +186,7 @@ def verify_alpha_shift(alpha: ExponentField, h_exp: float, R: float,
     grid = alpha.grid
     n_offsets = grid.N // 2 + 1 if grid.n == 1 else (grid.N // 2 + 1) * grid.N
     exhaustive = n_offsets <= max(1, int(samples))
-    if exhaustive:
-        M, d = _offset_profile_exhaustive(alpha)
-    else:
-        M, d = _offset_profile_sampled(alpha, int(samples))
+    M, d = _offset_profile(alpha, None if exhaustive else int(samples))
 
     c_loc = log_holder_constants(alpha).c_loc
     flagged = R < c_loc - 1e-12

@@ -62,6 +62,8 @@ def luxemburg_norm(f, p: ExponentField, tol: float = DEFAULT_TOL) -> NormResult:
     _check_shapes(fv, p)
     absf = np.abs(fv)
     fmax = float(absf.max())
+    if not np.isfinite(fmax):
+        raise InvalidInput("function has a non-finite value; its Luxemburg norm is undefined")
     if fmax == 0.0:
         return NormResult(0.0, 0, 0.0, "zero")
     hn = p.grid.h ** p.grid.n
@@ -116,6 +118,8 @@ def stack(family, q: ExponentField) -> np.ndarray:
     if not vals:
         return np.zeros(q.grid.shape)
     big = np.maximum.reduce(vals)
+    if not np.isfinite(big.max()):  # both maxima propagate nan
+        raise InvalidInput("family has a non-finite value; its level stack is undefined")
     out = np.zeros(q.grid.shape)
     pos = big > 0.0
     if np.any(pos):

@@ -1,87 +1,106 @@
-"""Numba and numpy backends must agree bitwise on the hot kernels."""
+"""The hot kernels against per-pair and per-term Python loops."""
 
-import os
-import subprocess
-import sys
+import itertools
+import math
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vexint import _accel
 
-
-@pytest.fixture
-def both_backends():
-    if not _accel.HAS_NUMBA:
-        pytest.skip("numba unavailable; single-backend build")
-    saved = _accel.get_backend()
-    yield
-    _accel.set_backend(saved)
+EPS = np.finfo(np.float64).eps
+field_values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
-def test_offset_abs_max_1d_backends_agree(both_backends):
-    rng = np.random.default_rng(101)
-    g = rng.normal(size=512)
-    _accel.set_backend("numpy")
-    a = _accel.offset_abs_max_1d(g)
-    _accel.set_backend("numba")
-    b = _accel.offset_abs_max_1d(g)
-    assert np.array_equal(a, b)
+def pair_loop_1d(g):
+    """max |g(i) - g(j)| per mirrored offset class min(k, N-k), one pair at a time."""
+    N = len(g)
+    out = np.zeros(N // 2 + 1)
+    for i in range(N):
+        for j in range(N):
+            k = (j - i) % N
+            c = min(k, N - k)
+            out[c] = max(out[c], abs(g[i] - g[j]))
+    return out
 
 
-def test_offset_abs_max_2d_backends_agree(both_backends):
-    rng = np.random.default_rng(103)
-    g = rng.normal(size=(32, 32))
-    _accel.set_backend("numpy")
-    a = _accel.offset_abs_max_2d(g)
-    _accel.set_backend("numba")
-    b = _accel.offset_abs_max_2d(g)
-    assert np.array_equal(a, b)
-    # half-plane sentinels must line up too
-    assert np.array_equal(a < 0, b < 0)
+def half_plane_offset(k0, k1, N):
+    """The member of {k, -k} that the half-plane table stores."""
+    h = N // 2
+    if k0 > h or (k0 in (0, h) and k1 > h):
+        k0, k1 = (-k0) % N, (-k1) % N
+    return k0, k1
 
 
-def test_modular_pow_sum_backends_agree(both_backends):
-    rng = np.random.default_rng(107)
-    absf = np.abs(rng.normal(size=2048))
-    p = rng.uniform(1.0, 4.0, size=2048)
-    _accel.set_backend("numpy")
-    a = _accel.modular_pow_sum(absf, p, 0.7)
-    _accel.set_backend("numba")
-    b = _accel.modular_pow_sum(absf, p, 0.7)
-    assert a == pytest.approx(b, rel=1e-13)
+def pair_loop_2d(g):
+    """Half-plane table by a per-pair loop; cells no pair reaches keep the -1 sentinel."""
+    N = g.shape[0]
+    out = np.full((N // 2 + 1, N), -1.0)
+    cells = list(itertools.product(range(N), repeat=2))
+    for i0, i1 in cells:
+        for j0, j1 in cells:
+            c = half_plane_offset((j0 - i0) % N, (j1 - i1) % N, N)
+            out[c] = max(out[c], abs(g[i0, i1] - g[j0, j1]))
+    return out
 
 
-def test_set_backend_resolution():
-    saved = _accel.get_backend()
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 24).flatmap(lambda N: st.lists(field_values, min_size=N, max_size=N)))
+def test_offset_abs_max_1d_matches_pair_loop(vals):
+    g = np.array(vals, dtype=np.float64)
+    assert np.array_equal(_accel.offset_abs_max_1d(g), pair_loop_1d(g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 4, 6, 8]).flatmap(
+    lambda N: st.lists(field_values, min_size=N * N, max_size=N * N).map(
+        lambda v: np.array(v, dtype=np.float64).reshape(N, N))))
+def test_offset_abs_max_2d_matches_pair_loop(g):
+    got = _accel.offset_abs_max_2d(g)
+    want = pair_loop_2d(g)
+    assert np.array_equal(got, want)
+    # the symmetry sentinels sit exactly where no canonical offset lands
+    assert np.array_equal(got < 0, want < 0)
+
+
+def pow_or_inf(x, p):
     try:
-        assert _accel.set_backend("numpy") == "numpy"
-        resolved = _accel.set_backend("auto")
-        assert resolved == ("numba" if _accel.HAS_NUMBA else "numpy")
-    finally:
-        _accel.set_backend(saved)
+        return x ** p
+    except OverflowError:
+        return math.inf
 
 
-def test_env_flag_selects_backend():
-    code = "import vexint._accel as a; print(a.get_backend())"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env={**os.environ, "VEXINT_ACCEL": "numpy"},
-    )
-    assert out.stdout.strip() == "numpy"
+magnitudes = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
 
 
-def test_norms_identical_across_backends(both_backends):
-    from vexint.exponents import build_exponent
-    from vexint.grid import make_grid
-    from vexint.lebesgue import luxemburg_norm
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 64).flatmap(lambda n: st.tuples(
+    st.lists(magnitudes, min_size=n, max_size=n),
+    st.lists(st.floats(1.0, 6.0), min_size=n, max_size=n),
+    st.floats(1e-3, 1e3),
+)))
+def test_modular_pow_sum_matches_term_loop(case):
+    absf, p, lam = case
+    terms = [pow_or_inf(a / lam, q) for a, q in zip(absf, p)]
+    want = math.fsum(terms)
+    got = _accel.modular_pow_sum(np.array(absf), np.array(p), lam)
+    # numpy's vectorized pow may differ from libm pow in the last bit, and
+    # any summation order errs by at most (n-1) eps times the sum of the
+    # non-negative terms
+    assert abs(got - want) <= (len(terms) + 4) * EPS * want
 
-    g = make_grid(1, 4, 256)
-    p = build_exponent(g, "plateau", left=2.0, right=3.0, width=1.0)
-    rng = np.random.default_rng(109)
-    f = np.abs(rng.normal(size=g.shape))
-    _accel.set_backend("numpy")
-    a = luxemburg_norm(f, p).value
-    _accel.set_backend("numba")
-    b = luxemburg_norm(f, p).value
-    assert a == pytest.approx(b, rel=1e-12)
+
+def test_modular_pow_sum_zero_entries_and_overflow():
+    p = np.array([3.0, 2.0, 1.5])
+    assert _accel.modular_pow_sum(np.zeros(3), p, 0.5) == 0.0
+    assert _accel.modular_pow_sum(np.array([0.0, 2.0, 0.0]), p, 1.0) == 4.0
+    # one term overflows
+    absf = np.array([1e200, 1.0, 0.0])
+    assert pow_or_inf(1e200, 3.0) == math.inf
+    assert _accel.modular_pow_sum(absf, p, 1.0) == math.inf
+    # every term is finite, their sum is not
+    big = np.array([1e308, 1e308])
+    assert sum([1e308, 1e308]) == math.inf
+    assert _accel.modular_pow_sum(big, np.ones(2), 1.0) == math.inf
+

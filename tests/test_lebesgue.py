@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from vexint.errors import SolverFailure
+from vexint.errors import InvalidInput, SolverFailure
 from vexint.exponents import ExponentField, build_exponent
 from vexint.grid import GridFunction, cube_mask, make_grid
 from vexint.lebesgue import (
@@ -206,3 +206,36 @@ def test_norm_result_reports_bracket_and_residual():
     assert lo <= r.value <= hi
     assert (hi - lo) <= 1e-10 * hi
     assert r.residual == pytest.approx(abs(modular_at(f, p, r.value) - 1.0), rel=1e-6, abs=1e-12)
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 32)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("recipe,params", [
+    ("constant", dict(value=2.0)),
+    ("plateau", dict(left=2.0, right=3.0, width=1.0)),
+])
+def test_non_finite_input_is_rejected(n, N, bad, recipe, params):
+    g = make_grid(n, 4, N)
+    p = build_exponent(g, recipe, **params)
+    f = np.ones(g.shape)
+    f.flat[3] = bad
+    with pytest.raises(InvalidInput):
+        luxemburg_norm(f, p)
+    with pytest.raises(InvalidInput):
+        mixed_norm([f, np.ones(g.shape)], p, p)
+    with pytest.raises(InvalidInput):
+        unit_ball_check(f, p)
+
+
+@pytest.mark.parametrize("n,N", [(1, 256), (2, 32)])
+def test_zero_and_extreme_magnitudes_keep_their_norms(n, N):
+    g = make_grid(n, 4, N)
+    p = build_exponent(g, "plateau", left=2.0, right=3.0, width=1.0)
+    zero = luxemburg_norm(np.zeros(g.shape), p)
+    assert (zero.value, zero.iterations, zero.residual, zero.method) == (0.0, 0, 0.0, "zero")
+    f = np.abs(np.random.default_rng(1).normal(size=g.shape)) + 0.1
+    base = luxemburg_norm(f, p)
+    for scale in (1e300, 1e-300):
+        r = luxemburg_norm(scale * f, p)
+        assert r.method == "bisection" and r.iterations == base.iterations
+        assert r.value == pytest.approx(scale * base.value, rel=1e-12)

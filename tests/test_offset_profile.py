@@ -1,0 +1,228 @@
+"""The shared offset profile reproduces the two scans it replaced, bit for bit.
+
+`log_holder_constants` and `verify_alpha_shift` used to enumerate lattice
+offsets separately.  The functions below are those former enumerations, kept
+verbatim as oracles; the c_loc values, offset counts and shift ratios of the
+shared `exponents._offset_profile` must equal theirs under `==` on the
+exhaustive and on the sampled route, in 1D and in 2D.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from vexint import _accel, exponents
+from vexint.errors import PreconditionWarning
+from vexint.exponents import (
+    SAMPLE_OFFSETS,
+    SAMPLE_SEED,
+    ExponentField,
+    build_exponent,
+    log_holder_constants,
+)
+from vexint.grid import make_grid
+from vexint.kernels import verify_alpha_shift
+
+# -- former regularity estimator ------------------------------------------
+
+
+def _offset_weights_1d(grid):
+    k = np.arange(grid.N // 2 + 1, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        w = np.log(math.e + 1.0 / (k * grid.h))
+    w[0] = 0.0  # zero-distance pairs carry no constraint
+    return w
+
+
+def _offset_weights_2d(grid):
+    N = grid.N
+    k0 = np.arange(N // 2 + 1, dtype=np.float64)[:, None]
+    k1 = np.arange(N, dtype=np.float64)[None, :]
+    k1f = np.minimum(k1, N - k1)
+    d = grid.h * np.sqrt(k0 * k0 + k1f * k1f)
+    with np.errstate(divide="ignore"):
+        w = np.log(math.e + 1.0 / d)
+    w[0, 0] = 0.0
+    return w
+
+
+def _c_loc_sampled(field):
+    # stratified offsets: uniform per dyadic distance band, fixed seed
+    grid = field.grid
+    rng = np.random.default_rng(SAMPLE_SEED)
+    N = grid.N
+    g = field.values
+    bands = max(1, int(math.log2(N // 2)))
+    per_band = max(1, SAMPLE_OFFSETS // bands)
+    best = 0.0
+    count = 0
+    for b in range(bands):
+        lo, hi = 2 ** b, min(2 ** (b + 1), N // 2 + 1)
+        if lo >= hi:
+            continue
+        radii = rng.integers(lo, hi, size=per_band)
+        if grid.n == 1:
+            for k in radii:
+                d = k * grid.h
+                diff = np.max(np.abs(g - np.roll(g, -int(k))))
+                best = max(best, diff * math.log(math.e + 1.0 / d))
+                count += 1
+        else:
+            angles = rng.uniform(0.0, 2.0 * math.pi, size=per_band)
+            for r, t in zip(radii, angles):
+                k0 = int(round(r * math.cos(t))) % N
+                k1 = int(round(r * math.sin(t))) % N
+                if k0 == 0 and k1 == 0:
+                    continue
+                d0 = min(k0, N - k0) * grid.h
+                d1 = min(k1, N - k1) * grid.h
+                d = math.hypot(d0, d1)
+                diff = np.max(np.abs(g - np.roll(g, (-k0, -k1), axis=(0, 1))))
+                best = max(best, diff * math.log(math.e + 1.0 / d))
+                count += 1
+    return best, count
+
+
+def old_c_loc(field, exhaustive):
+    """(c_loc, offsets_evaluated) as the former log_holder_constants computed them."""
+    grid = field.grid
+    if not exhaustive:
+        return _c_loc_sampled(field)
+    if grid.n == 1:
+        M = _accel.offset_abs_max_1d(field.values)
+        w = _offset_weights_1d(grid)
+        return float(np.max(M * w)), M.size - 1
+    M = _accel.offset_abs_max_2d(field.values)
+    w = _offset_weights_2d(grid)
+    valid = M >= 0.0
+    return float(np.max(np.where(valid, M * w, 0.0))), int(valid.sum()) - 1
+
+
+# -- former shift-check profiles ------------------------------------------
+
+
+def _offset_profile_exhaustive(field):
+    """(max |field(x)-field(x+k)|, periodic |k|) over every lattice offset."""
+    grid = field.grid
+    N = grid.N
+    if grid.n == 1:
+        M = _accel.offset_abs_max_1d(field.values)
+        d = grid.h * np.arange(N // 2 + 1, dtype=np.float64)
+        return M, d
+    M = _accel.offset_abs_max_2d(field.values)
+    k0 = np.arange(N // 2 + 1, dtype=np.float64)[:, None]
+    k1 = np.arange(N, dtype=np.float64)[None, :]
+    k1f = np.minimum(k1, N - k1)
+    d = grid.h * np.sqrt(k0 * k0 + k1f * k1f)
+    keep = M >= 0.0
+    return M[keep], d[keep]
+
+
+def _offset_profile_sampled(field, budget):
+    # stratified over dyadic radius bands, seeded; mirrors the regularity
+    # estimator's sampling so budget doublings are comparable across calls
+    grid = field.grid
+    N = grid.N
+    g = field.values
+    rng = np.random.default_rng(SAMPLE_SEED)
+    bands = max(1, int(math.log2(N // 2)))
+    per_band = max(1, budget // bands)
+    Ms = [0.0]
+    ds = [0.0]
+    for b in range(bands):
+        lo, hi = 2 ** b, min(2 ** (b + 1), N // 2 + 1)
+        if lo >= hi:
+            continue
+        radii = rng.integers(lo, hi, size=per_band)
+        if grid.n == 1:
+            for k in radii:
+                Ms.append(float(np.max(np.abs(g - np.roll(g, -int(k))))))
+                ds.append(int(k) * grid.h)
+        else:
+            angles = rng.uniform(0.0, 2.0 * math.pi, size=per_band)
+            for r, t in zip(radii, angles):
+                k0 = int(round(r * math.cos(t))) % N
+                k1 = int(round(r * math.sin(t))) % N
+                if k0 == 0 and k1 == 0:
+                    continue
+                Ms.append(float(np.max(np.abs(g - np.roll(g, (-k0, -k1), axis=(0, 1))))))
+                d0 = min(k0, N - k0) * grid.h
+                d1 = min(k1, N - k1) * grid.h
+                ds.append(math.hypot(d0, d1))
+    return np.asarray(Ms), np.asarray(ds)
+
+
+def old_alpha_shift(alpha, R, v_list, samples):
+    """(c, per_level, offsets_evaluated, exhaustive) as the former verifier computed them."""
+    grid = alpha.grid
+    n_offsets = grid.N // 2 + 1 if grid.n == 1 else (grid.N // 2 + 1) * grid.N
+    exhaustive = n_offsets <= max(1, int(samples))
+    if exhaustive:
+        M, d = _offset_profile_exhaustive(alpha)
+    else:
+        M, d = _offset_profile_sampled(alpha, int(samples))
+    per_level = {}
+    for v in v_list:
+        s = 2.0 ** v
+        per_level[v] = float(np.max(2.0 ** (v * M) * (1.0 + s * d) ** (-R)))
+    return max(per_level.values()), per_level, int(M.size), exhaustive
+
+
+# -- fields ----------------------------------------------------------------
+
+
+def _fields():
+    """Recipe and seeded random fields on 1D and 2D grids of a few sizes."""
+    out = []
+    for n, L, N in ((1, 4, 64), (1, 4, 1024), (2, 2, 16), (2, 4, 64)):
+        g = make_grid(n, L, N)
+        out.append(build_exponent(g, "sine", base=3.0, amplitude=0.5, frequency=2.0))
+        out.append(build_exponent(g, "plateau", left=2.0, right=3.0, width=1.0))
+        vals = np.random.default_rng(N + n).uniform(1.5, 4.0, size=g.shape)
+        out.append(ExponentField(g, vals, 1.5, 4.0, "integrability"))
+        if n == 2:
+            # varies along the anti-diagonal, so offsets with k1 > N/2 carry
+            # the largest differences at short periodic distance
+            x0, x1 = g.coords()
+            vals = 3.0 + np.sin(2.0 * math.pi * 3.0 * (x0 - x1) / (2.0 * g.L))
+            out.append(ExponentField(g, vals, 2.0, 4.0, "integrability"))
+    return out
+
+
+FIELDS = _fields()
+IDS = [f"{f.grid.n}d-N{f.grid.N}-{i}" for i, f in enumerate(FIELDS)]
+
+
+def _fresh(field):
+    # log_holder_constants memoizes its report on the field
+    return ExponentField(field.grid, field.values, field.lo, field.hi, field.role,
+                         g_inf=field.g_inf)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@pytest.mark.parametrize("exhaustive", [True, False], ids=["exhaustive", "sampled"])
+def test_c_loc_and_offset_count_unchanged(field, exhaustive, monkeypatch):
+    # the route is chosen by the point count; move the limit to reach both
+    limit = 2 ** 30 if exhaustive else 0
+    monkeypatch.setattr(exponents, "EXHAUSTIVE_POINT_LIMIT", limit)
+    rep = log_holder_constants(_fresh(field))
+    assert rep.exhaustive is exhaustive
+    assert (rep.c_loc, rep.offsets_evaluated) == old_c_loc(field, exhaustive)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@pytest.mark.parametrize("exhaustive", [True, False], ids=["exhaustive", "sampled"])
+def test_alpha_shift_report_unchanged(field, exhaustive):
+    # every field above has more than 32 offsets up to symmetry
+    samples = 2 ** 30 if exhaustive else 32
+    v_list = list(range(6))
+    # a small R lets offsets far from 0 win the ratio, so their distances count
+    for R in (0.25, 1.5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PreconditionWarning)
+            rep = verify_alpha_shift(field, 2.0, R, v_list, samples=samples)
+        assert rep.exhaustive is exhaustive
+        assert (rep.c, rep.per_level, rep.offsets_evaluated, rep.exhaustive) == \
+            old_alpha_shift(field, R, v_list, samples)
