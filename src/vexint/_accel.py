@@ -1,7 +1,9 @@
-"""Hot numeric kernels: the all-offset difference scans and the modular sum.
+"""Hot numeric kernels: the per-offset difference scans and the modular sum.
 
 They live in one module so that profilers and tracers can wrap the three
 functions that dominate the regularity scans and every Luxemburg solve.
+The offset scans take slices, not rolls, over offsets given by the caller:
+which offsets to scan, once each, is decided in `exponents`.
 """
 
 from __future__ import annotations
@@ -13,38 +15,33 @@ __all__ = ["offset_abs_max_1d", "offset_abs_max_2d", "modular_pow_sum"]
 
 # -- per-offset maximum absolute difference ---------------------------------
 #
-# For a periodic field g, M[k] = max_x |g(x) - g(x+k)|.  Enumerating every
-# offset makes the surrounding scans exact all-pairs maxima while costing
-# O(points * offsets) instead of storing pairs.  Only half the offsets are
-# enumerated; the mirrored offset reaches the same unordered pairs.
+# For a periodic field g, M[k] = max_x |g(x) - g(x+k)| for any integer
+# offsets k (taken modulo the grid).  The field is tiled twice along every
+# axis once per call, so g(x+k) is the slice of that tiling starting at k;
+# each offset costs one subtraction into a reused buffer, an in-place abs
+# and a max, with no copy of the field per offset.
 
 
-def offset_abs_max_1d(g: np.ndarray) -> np.ndarray:
+def _offset_abs_max(g: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     g = np.ascontiguousarray(g, dtype=np.float64)
-    N = g.shape[0]
-    out = np.zeros(N // 2 + 1)
-    for k in range(1, N // 2 + 1):
-        out[k] = np.max(np.abs(g - np.roll(g, -k)))
+    tiled = np.tile(g, (2,) * g.ndim)
+    buf = np.empty_like(g)
+    out = np.empty(len(offsets))
+    for i, k in enumerate((np.asarray(offsets) % g.shape).tolist()):
+        np.subtract(g, tiled[tuple(slice(a, a + s) for a, s in zip(k, g.shape))], out=buf)
+        np.abs(buf, out=buf)
+        out[i] = buf.max()
     return out
 
 
-def offset_abs_max_2d(g: np.ndarray) -> np.ndarray:
-    """Half-plane offset maxima; entries -1 mark offsets covered by symmetry."""
-    g = np.ascontiguousarray(g, dtype=np.float64)
-    N = g.shape[0]
-    out = np.full((N // 2 + 1, N), -1.0)
-    out[0, 0] = 0.0
-    for k0 in range(N // 2 + 1):
-        r0 = np.roll(g, -k0, axis=0)
-        if k0 == 0:
-            k1s = range(1, N // 2 + 1)
-        elif k0 == N // 2:
-            k1s = range(0, N // 2 + 1)
-        else:
-            k1s = range(N)
-        for k1 in k1s:
-            out[k0, k1] = np.max(np.abs(g - np.roll(r0, -k1, axis=1)))
-    return out
+def offset_abs_max_1d(g: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """M[k] for each integer offset k in `offsets`, shape (K,)."""
+    return _offset_abs_max(g, np.reshape(offsets, (-1, 1)))
+
+
+def offset_abs_max_2d(g: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """M[k] for each integer offset pair k in `offsets`, shape (K, 2)."""
+    return _offset_abs_max(g, np.reshape(offsets, (-1, 2)))
 
 
 # -- variable-exponent modular sum -------------------------------------------

@@ -129,31 +129,31 @@ def build_exponent(grid: Grid, recipe: str, *, role: str = "integrability", **pa
     return ExponentField(grid, vals, lo, hi, role, g_inf=g_inf)
 
 
-def _offset_profile(field: ExponentField, budget: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """(max_x |g(x) - g(x+k)|, periodic |k|) per lattice offset k, zero offset first.
+def _offsets(grid: Grid, budget: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Integer lattice offsets k, one per row with the zero offset first, and periodic |k|.
 
-    With `budget` None every offset is enumerated once up to the mirror
-    symmetry k -> -k.  Otherwise about `budget` offsets are drawn, uniformly
-    per dyadic radius band with a fixed seed, so equal budgets see equal
-    offsets and budget doublings are comparable across calls.
+    With `budget` None every offset appears once up to the mirror symmetry
+    k -> -k.  Otherwise about `budget` offsets are drawn, uniformly per
+    dyadic radius band with a fixed seed, so equal budgets see equal offsets
+    and budget doublings are comparable across calls; draws may repeat.
     """
-    grid = field.grid
     N = grid.N
-    g = field.values
     if budget is None:
         if grid.n == 1:
-            return _accel.offset_abs_max_1d(g), grid.h * np.arange(N // 2 + 1, dtype=np.float64)
-        M = _accel.offset_abs_max_2d(g)
-        k0 = np.arange(N // 2 + 1, dtype=np.float64)[:, None]
-        k1 = np.arange(N, dtype=np.float64)[None, :]
-        k1f = np.minimum(k1, N - k1)
-        d = grid.h * np.sqrt(k0 * k0 + k1f * k1f)
-        keep = M >= 0.0
-        return M[keep], d[keep]
+            k = np.arange(N // 2 + 1)
+            return k[:, None], grid.h * k.astype(np.float64)
+        # half plane k0 in [0, N/2]; on the rows k0 = 0 and k0 = N/2 the
+        # mirror of k1 is N - k1 in the same row, so only k1 <= N/2 is kept
+        k0, k1 = np.meshgrid(np.arange(N // 2 + 1), np.arange(N), indexing="ij")
+        keep = ((k0 != 0) & (k0 != N // 2)) | (k1 <= N // 2)
+        k0f = k0.astype(np.float64)
+        k1f = np.minimum(k1, N - k1).astype(np.float64)
+        d = grid.h * np.sqrt(k0f * k0f + k1f * k1f)
+        return np.stack([k0[keep], k1[keep]], axis=1), d[keep]
     rng = np.random.default_rng(SAMPLE_SEED)
     bands = max(1, int(math.log2(N // 2)))
     per_band = max(1, budget // bands)
-    Ms = [0.0]
+    ks = [(0,) * grid.n]
     ds = [0.0]
     for b in range(bands):
         lo, hi = 2 ** b, min(2 ** (b + 1), N // 2 + 1)
@@ -162,7 +162,7 @@ def _offset_profile(field: ExponentField, budget: int | None) -> tuple[np.ndarra
         radii = rng.integers(lo, hi, size=per_band)
         if grid.n == 1:
             for k in radii:
-                Ms.append(float(np.max(np.abs(g - np.roll(g, -int(k))))))
+                ks.append((int(k),))
                 ds.append(int(k) * grid.h)
         else:
             angles = rng.uniform(0.0, 2.0 * math.pi, size=per_band)
@@ -171,11 +171,64 @@ def _offset_profile(field: ExponentField, budget: int | None) -> tuple[np.ndarra
                 k1 = int(round(r * math.sin(t))) % N
                 if k0 == 0 and k1 == 0:
                     continue
-                Ms.append(float(np.max(np.abs(g - np.roll(g, (-k0, -k1), axis=(0, 1))))))
+                ks.append((k0, k1))
                 d0 = min(k0, N - k0) * grid.h
                 d1 = min(k1, N - k1) * grid.h
                 ds.append(math.hypot(d0, d1))
-    return np.asarray(Ms), np.asarray(ds)
+    return np.array(ks), np.asarray(ds)
+
+
+def _distinct_offsets(k: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of k up to periodicity and k -> -k, each once, and where each row went.
+
+    One scan per distinct offset suffices: M[k] = M[-k] exactly, because
+    |fl(a - b)| = |fl(b - a)|.
+    """
+    dims = (N,) * k.shape[1]
+    key = np.minimum(np.ravel_multi_index((k % N).T, dims),
+                     np.ravel_multi_index((-k % N).T, dims))
+    keys, where = np.unique(key, return_inverse=True)
+    return np.stack(np.unravel_index(keys, dims), axis=1), where.reshape(-1)
+
+
+def _scan(field: ExponentField, k: np.ndarray) -> np.ndarray:
+    """max_x |g(x) - g(x+k)| for each row of k."""
+    if field.grid.n == 1:
+        return _accel.offset_abs_max_1d(field.values, k[:, 0])
+    return _accel.offset_abs_max_2d(field.values, k)
+
+
+def _offset_profile(field: ExponentField, budget: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """(max_x |g(x) - g(x+k)|, periodic |k|) per offset row of `_offsets`."""
+    k, d = _offsets(field.grid, budget)
+    distinct, where = _distinct_offsets(k, field.grid.N)
+    return _scan(field, distinct)[where], d
+
+
+# offsets handed to one kernel call by the weight-ordered scan; a chunk may
+# scan past the cutoff, never short of it
+_SCAN_CHUNK = 128
+
+
+def _weighted_max(field: ExponentField, k: np.ndarray, w: np.ndarray) -> float:
+    """max over the rows of k of M[k] * w, scanning only offsets that can raise it.
+
+    Offsets are visited in decreasing weight, and the scan stops at the first
+    one with fl(osc * w) <= best, where osc = fl(max g - min g).  That is
+    exact with no margin: rounding is monotone, so M[k] <= osc and every
+    skipped product fl(M[k] * w) <= fl(osc * w) <= best.
+    """
+    g = field.values
+    osc = g.max() - g.min()
+    order = np.argsort(-w, kind="stable")
+    best = 0.0
+    for start in range(0, order.size, _SCAN_CHUNK):
+        idx = order[start:start + _SCAN_CHUNK]
+        idx = idx[osc * w[idx] > best]  # a prefix: weights decrease along idx
+        if idx.size == 0:
+            break
+        best = max(best, float(np.max(_scan(field, k[idx]) * w[idx])))
+    return best
 
 
 def log_holder_constants(field: ExponentField) -> LogHolderReport:
@@ -183,29 +236,35 @@ def log_holder_constants(field: ExponentField) -> LogHolderReport:
 
     c_loc = max over point pairs of |g(x)-g(y)| log(e + 1/dist(x,y)) with the
     periodic distance; exact all-pairs maximum whenever the grid has at most
-    2^16 points, seeded stratified sampling otherwise.  c_dec weights the
+    2^16 points, seeded stratified sampling otherwise.  Each distinct offset
+    is scanned at most once, in decreasing computed weight log(e + 1/|k|),
+    stopping at the first with fl(osc * w) <= best: the result equals the
+    full-table maximum bit for bit, since M[k] <= osc gives
+    fl(M[k] * w) <= fl(osc * w) for every skipped offset.  c_dec weights the
     deviation from g_inf by log(e + distance-to-center).  Memoized per field.
     """
     if field._lh_report is not None:
         return field._lh_report
     grid = field.grid
     exhaustive = grid.size <= EXHAUSTIVE_POINT_LIMIT
-    M, d = _offset_profile(field, None if exhaustive else SAMPLE_OFFSETS)
+    k, d = _offsets(grid, None if exhaustive else SAMPLE_OFFSETS)
     if exhaustive:
         with np.errstate(divide="ignore"):
             w = np.log(math.e + 1.0 / d)
         w[0] = 0.0  # zero-distance pairs carry no constraint
-        c_loc = float(np.max(M * w))
     else:
         # math.log, not np.log: recorded references pin the sampled c_loc bit for bit
-        c_loc = 0.0
-        for m, dist in zip(M[1:], d[1:]):
-            c_loc = max(c_loc, float(m * math.log(math.e + 1.0 / dist)))
-    evaluated = M.size - 1
+        w = np.array([0.0] + [math.log(math.e + 1.0 / dist) for dist in d[1:]])
+    distinct, where = _distinct_offsets(k, grid.N)
+    # repeated draws of one offset share its length; M >= 0 makes the
+    # largest weight the one that counts in any case
+    w_distinct = np.zeros(len(distinct))
+    np.maximum.at(w_distinct, where, w)
+    c_loc = _weighted_max(field, distinct, w_distinct)
     dec_weight = np.log(math.e + grid.center_radius())
     c_dec = float(np.max(np.abs(field.values - field.g_inf) * dec_weight))
     report = LogHolderReport(c_loc=c_loc, c_dec=c_dec, g_inf=field.g_inf,
-                             exhaustive=exhaustive, offsets_evaluated=evaluated)
+                             exhaustive=exhaustive, offsets_evaluated=d.size - 1)
     field._lh_report = report
     return report
 

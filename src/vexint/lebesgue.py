@@ -46,11 +46,20 @@ def _check_shapes(fv: np.ndarray, p: ExponentField) -> None:
 
 
 def modular_at(f, p: ExponentField, lam: float) -> float:
-    """Modular of f/lam: integral of (|f(x)|/lam)^{p(x)}."""
+    """Modular of f/lam: integral of (|f(x)|/lam)^{p(x)}.
+
+    May overflow to inf for finite input; a non-finite entry of f or a lam
+    outside (0, inf) raises InvalidInput.
+    """
     fv = _values(f)
     _check_shapes(fv, p)
+    if not 0.0 < lam < np.inf:  # also false for a nan lam
+        raise InvalidInput(f"modular scale must be positive and finite, got {lam}")
+    absf = np.abs(fv)
+    if not np.isfinite(absf.max()):  # max propagates nan
+        raise InvalidInput("function has a non-finite value; its modular is undefined")
     hn = p.grid.h ** p.grid.n
-    return _accel.modular_pow_sum(np.abs(fv), p.values, lam) * hn
+    return _accel.modular_pow_sum(absf, p.values, lam) * hn
 
 
 def modular(f, p: ExponentField) -> float:

@@ -45,23 +45,34 @@ def pair_loop_2d(g):
     return out
 
 
+# offsets anywhere in the lattice: negative, wrapped several times, repeated
+lattice_offsets = st.lists(st.integers(-50, 50), min_size=1, max_size=30)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 24).flatmap(lambda N: st.lists(field_values, min_size=N, max_size=N)))
-def test_offset_abs_max_1d_matches_pair_loop(vals):
+@given(st.integers(1, 24).flatmap(lambda N: st.tuples(
+    st.lists(field_values, min_size=N, max_size=N), lattice_offsets)))
+def test_offset_abs_max_1d_matches_pair_loop(case):
+    vals, ks = case
     g = np.array(vals, dtype=np.float64)
-    assert np.array_equal(_accel.offset_abs_max_1d(g), pair_loop_1d(g))
+    N = len(g)
+    table = pair_loop_1d(g)
+    want = np.array([table[min(k % N, -k % N)] for k in ks])
+    assert np.array_equal(_accel.offset_abs_max_1d(g, np.array(ks)), want)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([2, 4, 6, 8]).flatmap(
-    lambda N: st.lists(field_values, min_size=N * N, max_size=N * N).map(
-        lambda v: np.array(v, dtype=np.float64).reshape(N, N))))
-def test_offset_abs_max_2d_matches_pair_loop(g):
-    got = _accel.offset_abs_max_2d(g)
-    want = pair_loop_2d(g)
-    assert np.array_equal(got, want)
-    # the symmetry sentinels sit exactly where no canonical offset lands
-    assert np.array_equal(got < 0, want < 0)
+@given(st.sampled_from([2, 4, 6, 8]).flatmap(lambda N: st.tuples(
+    st.lists(field_values, min_size=N * N, max_size=N * N).map(
+        lambda v: np.array(v, dtype=np.float64).reshape(N, N)),
+    st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), min_size=1, max_size=30))))
+def test_offset_abs_max_2d_matches_pair_loop(case):
+    g, ks = case
+    N = g.shape[0]
+    table = pair_loop_2d(g)
+    want = np.array([table[half_plane_offset(k0 % N, k1 % N, N)] for k0, k1 in ks])
+    assert np.all(want >= 0.0)  # every offset has a half-plane representative
+    assert np.array_equal(_accel.offset_abs_max_2d(g, np.array(ks)), want)
 
 
 def pow_or_inf(x, p):

@@ -225,6 +225,19 @@ def test_non_finite_input_is_rejected(n, N, bad, recipe, params):
         mixed_norm([f, np.ones(g.shape)], p, p)
     with pytest.raises(InvalidInput):
         unit_ball_check(f, p)
+    with pytest.raises(InvalidInput):
+        modular(f, p)
+    with pytest.raises(InvalidInput):
+        modular_at(f, p, 2.0)
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 32)])
+@pytest.mark.parametrize("lam", [0.0, -1.0, -0.0, math.nan, math.inf])
+def test_modular_scale_outside_positive_reals_is_rejected(n, N, lam):
+    g = make_grid(n, 4, N)
+    p = build_exponent(g, "plateau", left=2.0, right=3.0, width=1.0)
+    with pytest.raises(InvalidInput):
+        modular_at(np.ones(g.shape), p, lam)
 
 
 @pytest.mark.parametrize("n,N", [(1, 256), (2, 32)])
@@ -239,3 +252,9 @@ def test_zero_and_extreme_magnitudes_keep_their_norms(n, N):
         r = luxemburg_norm(scale * f, p)
         assert r.method == "bisection" and r.iterations == base.iterations
         assert r.value == pytest.approx(scale * base.value, rel=1e-12)
+    # the modulars of such inputs overflow or underflow without raising
+    assert modular(np.zeros(g.shape), p) == 0.0
+    assert modular(1e300 * f, p) == math.inf
+    assert modular(1e-300 * f, p) == 0.0
+    assert modular_at(f, p, 1e300) == 0.0
+    assert modular_at(f, p, 1e-300) == math.inf

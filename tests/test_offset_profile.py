@@ -1,10 +1,12 @@
-"""The shared offset profile reproduces the two scans it replaced, bit for bit.
+"""The offset scans reproduce the full-table scans they replaced, bit for bit.
 
 `log_holder_constants` and `verify_alpha_shift` used to enumerate lattice
-offsets separately.  The functions below are those former enumerations, kept
-verbatim as oracles; the c_loc values, offset counts and shift ratios of the
-shared `exponents._offset_profile` must equal theirs under `==` on the
-exhaustive and on the sampled route, in 1D and in 2D.
+offsets separately, with one `np.roll` copy per offset and a full table of
+per-offset maxima.  The functions below are those former kernels and
+enumerations, kept verbatim as oracles.  The shared `exponents._offset_profile`
+(slice kernel, each distinct offset scanned once) and the weight-ordered
+cutoff of `log_holder_constants` must equal them under `==` on the exhaustive
+and on the sampled route, in 1D and in 2D.
 """
 
 import math
@@ -12,8 +14,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from vexint import _accel, exponents
+from vexint import exponents
 from vexint.errors import PreconditionWarning
 from vexint.exponents import (
     SAMPLE_OFFSETS,
@@ -24,6 +28,37 @@ from vexint.exponents import (
 )
 from vexint.grid import make_grid
 from vexint.kernels import verify_alpha_shift
+
+# -- former kernels ---------------------------------------------------------
+
+
+def _old_offset_abs_max_1d(g):
+    g = np.ascontiguousarray(g, dtype=np.float64)
+    N = g.shape[0]
+    out = np.zeros(N // 2 + 1)
+    for k in range(1, N // 2 + 1):
+        out[k] = np.max(np.abs(g - np.roll(g, -k)))
+    return out
+
+
+def _old_offset_abs_max_2d(g):
+    """Half-plane offset maxima; entries -1 mark offsets covered by symmetry."""
+    g = np.ascontiguousarray(g, dtype=np.float64)
+    N = g.shape[0]
+    out = np.full((N // 2 + 1, N), -1.0)
+    out[0, 0] = 0.0
+    for k0 in range(N // 2 + 1):
+        r0 = np.roll(g, -k0, axis=0)
+        if k0 == 0:
+            k1s = range(1, N // 2 + 1)
+        elif k0 == N // 2:
+            k1s = range(0, N // 2 + 1)
+        else:
+            k1s = range(N)
+        for k1 in k1s:
+            out[k0, k1] = np.max(np.abs(g - np.roll(r0, -k1, axis=1)))
+    return out
+
 
 # -- former regularity estimator ------------------------------------------
 
@@ -91,10 +126,10 @@ def old_c_loc(field, exhaustive):
     if not exhaustive:
         return _c_loc_sampled(field)
     if grid.n == 1:
-        M = _accel.offset_abs_max_1d(field.values)
+        M = _old_offset_abs_max_1d(field.values)
         w = _offset_weights_1d(grid)
         return float(np.max(M * w)), M.size - 1
-    M = _accel.offset_abs_max_2d(field.values)
+    M = _old_offset_abs_max_2d(field.values)
     w = _offset_weights_2d(grid)
     valid = M >= 0.0
     return float(np.max(np.where(valid, M * w, 0.0))), int(valid.sum()) - 1
@@ -108,10 +143,10 @@ def _offset_profile_exhaustive(field):
     grid = field.grid
     N = grid.N
     if grid.n == 1:
-        M = _accel.offset_abs_max_1d(field.values)
+        M = _old_offset_abs_max_1d(field.values)
         d = grid.h * np.arange(N // 2 + 1, dtype=np.float64)
         return M, d
-    M = _accel.offset_abs_max_2d(field.values)
+    M = _old_offset_abs_max_2d(field.values)
     k0 = np.arange(N // 2 + 1, dtype=np.float64)[:, None]
     k1 = np.arange(N, dtype=np.float64)[None, :]
     k1f = np.minimum(k1, N - k1)
@@ -226,3 +261,95 @@ def test_alpha_shift_report_unchanged(field, exhaustive):
         assert rep.exhaustive is exhaustive
         assert (rep.c, rep.per_level, rep.offsets_evaluated, rep.exhaustive) == \
             old_alpha_shift(field, R, v_list, samples)
+
+
+# -- half-plane enumeration, weight-ordered cutoff, deduplicated draws ----
+
+
+@pytest.mark.parametrize("n,N", [(1, 16), (1, 64), (2, 16), (2, 32)])
+def test_exhaustive_offsets_are_the_former_table_cells(n, N):
+    # the former 2D table marked mirrored offsets with -1; the enumeration
+    # lists exactly its other cells, in the table's row-major order
+    grid = make_grid(n, 2, N)
+    g = np.random.default_rng(N).uniform(1.5, 4.0, size=grid.shape)
+    k, d = exponents._offsets(grid, None)
+    if n == 1:
+        table = _old_offset_abs_max_1d(g)
+        assert np.array_equal(k[:, 0], np.arange(table.size))
+    else:
+        table = _old_offset_abs_max_2d(g)
+        assert np.array_equal(k, np.argwhere(table >= 0.0))
+    field = ExponentField(grid, g, 1.5, 4.0, "integrability")
+    M_old, d_old = _offset_profile_exhaustive(field)
+    M, d_new = exponents._offset_profile(field, None)
+    assert np.array_equal(d, d_old) and np.array_equal(d_new, d_old)
+    assert np.array_equal(M, M_old)
+
+
+def _field(grid, kind, a, b, seed):
+    """A test field: constant, a plateau with transition width a*L, two spikes, or noise."""
+    if kind == "constant":
+        return build_exponent(grid, "constant", value=2.0 + a)
+    if kind == "spikes":
+        # +-0.5 spikes a lattice vector D apart: M = osc only at k = +-D, and
+        # for short D that offset wins and is the last one the cutoff scans
+        vals = np.full(grid.shape, 2.0)
+        x = np.unravel_index(seed % grid.size, grid.shape)
+        D = (1 + int(a * 12), int(b * 12)) if grid.n == 2 else (1 + int(a * 60),)
+        vals[x] += 0.5
+        vals[tuple((xi + di) % grid.N for xi, di in zip(x, D))] -= 0.5
+        return ExponentField(grid, vals, 1.5, 2.5, "integrability")
+    if kind == "plateau":
+        # a wide transition puts the largest weighted difference at large |k|,
+        # late in the weight order
+        return build_exponent(grid, "plateau", left=2.0, right=2.0 + 2.0 * b,
+                              width=max(a, 1e-3) * grid.L)
+    vals = np.random.default_rng(seed).uniform(1.5, 1.5 + 2.0 * b, size=grid.shape)
+    return ExponentField(grid, vals, 1.5, 3.5, "integrability")
+
+
+# 1D up to N=8192 and 2D up to N=128, the sizes where the full table is cheap
+grids = st.one_of(
+    st.sampled_from([16, 64, 256, 1024, 8192]).map(lambda N: make_grid(1, 2, N)),
+    st.sampled_from([16, 32, 64, 128]).map(lambda N: make_grid(2, 2, N)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grids, st.sampled_from(["constant", "plateau", "spikes", "uniform"]),
+       st.floats(0.0, 1.0), st.floats(0.01, 1.0), st.integers(0, 2 ** 16),
+       st.booleans())
+@example(make_grid(1, 2, 8192), "plateau", 1.0, 0.5, 0, True)
+@example(make_grid(1, 2, 8192), "plateau", 0.3, 0.5, 0, False)
+@example(make_grid(2, 2, 128), "plateau", 1.0, 0.5, 0, True)
+@example(make_grid(2, 2, 128), "plateau", 0.6, 0.5, 0, False)
+@example(make_grid(2, 2, 128), "spikes", 0.7, 0.3, 5000, True)
+@example(make_grid(2, 2, 64), "spikes", 0.5, 0.5, 77, True)
+@example(make_grid(1, 2, 8192), "spikes", 0.5, 0.5, 77, True)
+@example(make_grid(2, 2, 128), "uniform", 0.0, 1.0, 3, True)
+@example(make_grid(2, 2, 64), "constant", 0.5, 1.0, 0, True)
+@example(make_grid(1, 2, 1024), "constant", 0.5, 1.0, 0, False)
+def test_weight_ordered_cutoff_equals_full_table(grid, kind, a, b, seed, exhaustive):
+    field = _field(grid, kind, a, b, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exponents, "EXHAUSTIVE_POINT_LIMIT", 2 ** 30 if exhaustive else 0)
+        rep = log_holder_constants(field)
+    assert rep.exhaustive is exhaustive
+    assert (rep.c_loc, rep.offsets_evaluated) == old_c_loc(field, exhaustive)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@pytest.mark.parametrize("budget", [32, 512, SAMPLE_OFFSETS])
+def test_deduplicated_sampled_profile_equals_per_draw_rolls(field, budget):
+    N = field.grid.N
+    k, _ = exponents._offsets(field.grid, budget)
+    distinct, where = exponents._distinct_offsets(k, N)
+    # each draw maps to itself or its mirror, and the larger budgets repeat draws
+    rep = distinct[where]
+    assert np.all(np.all((rep - k) % N == 0, axis=1) | np.all((rep + k) % N == 0, axis=1))
+    assert len(np.unique(distinct, axis=0)) == len(distinct)
+    if budget == SAMPLE_OFFSETS:
+        assert len(distinct) < len(k)
+    M, d = exponents._offset_profile(field, budget)
+    M_old, d_old = _offset_profile_sampled(field, budget)
+    assert np.array_equal(M, M_old) and np.array_equal(d, d_old)
