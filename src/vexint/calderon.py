@@ -12,6 +12,7 @@ one driven by a dyadic level-set decomposition of the stacked majorant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -286,29 +287,27 @@ def _reconstruction_error(lam: DyadicCoefficients, lam0: DyadicCoefficients,
 
 
 def _corner_factors(lam: DyadicCoefficients, norm: float, params: FactorizationParams,
-                    e0, e1, class_of=lambda key: 0, ratio_l: float = 0.0):
+                    e0, e1, classes: list[np.ndarray], ratio_l: float = 0.0):
     """(lam0, lam1, cubes left out) for lam0_{j,m} = 2^{l + j u(x)} (|lam_{j,m}|/norm)^{e0(x)}
     and lam1_{j,m} = 2^{l ratio_l + j v(x)} (|lam_{j,m}|/norm)^{e1(x)}, x the cube corner
-    and l = class_of((j, m)); cubes whose class is None are left out.
+    and l = classes[j][m]; cubes of class NO_CLASS are left out.
     """
     grid = lam.grid
     levels0 = [np.zeros_like(a) for a in lam.levels]
     levels1 = [np.zeros_like(a) for a in lam.levels]
     left_out = 0
     for j in range(lam.V + 1):
-        nz, keys = lam.level_support(j)
+        nz = np.nonzero((lam.levels[j] != 0) & (classes[j] != NO_CLASS))
+        left_out += np.count_nonzero(lam.levels[j]) - len(nz[0])
 
         def at(x):
             return cube_corners(grid, np.broadcast_to(x, grid.shape), j)[nz].tolist()
 
-        for key, r, u, v, a, b in zip(keys, (lam.moduli(j)[nz] / norm).tolist(),
-                                      at(params.u), at(params.v), at(e0), at(e1)):
-            l = class_of(key)
-            if l is None:
-                left_out += 1
-                continue
-            levels0[j][key[1]] = 2.0 ** (l + j * u) * r ** a
-            levels1[j][key[1]] = 2.0 ** (l * ratio_l + j * v) * r ** b
+        for m, l, r, u, v, a, b in zip(zip(*nz), classes[j][nz].tolist(),
+                                       (lam.moduli(j)[nz] / norm).tolist(),
+                                       at(params.u), at(params.v), at(e0), at(e1)):
+            levels0[j][m] = 2.0 ** (l + j * u) * r ** a
+            levels1[j][m] = 2.0 ** (l * ratio_l + j * v) * r ** b
     return (DyadicCoefficients(grid, lam.V, levels0),
             DyadicCoefficients(grid, lam.V, levels1), left_out)
 
@@ -329,42 +328,69 @@ def factorize_pp(lam: DyadicCoefficients, params: FactorizationParams) -> Factor
     theta = params.theta
     p = params.p.values
     lam0, lam1, _ = _corner_factors(lam, norm, params, p / params.p0.values,
-                                    p / params.p1.values)
+                                    p / params.p1.values,
+                                    [np.zeros(a.shape, dtype=np.int64) for a in lam.levels])
     err = _reconstruction_error(lam, lam0, lam1, norm, theta)
     norm0 = f_norm(lam0, params.alpha0, params.p0, params.p0).value
     norm1 = f_norm(lam1, params.alpha1, params.p1, params.p1).value
     return FactorizationResult(lam0, lam1, norm, err, norm0, norm1)
 
 
+NO_CLASS = np.iinfo(np.int64).min  # class of a cube outside the support or of no level set
+
+
+def _dyadic_level(x: np.ndarray) -> np.ndarray:
+    """Largest integer l with 2^l < x, elementwise; NO_CLASS where x <= 0."""
+    frac, expo = np.frexp(x)
+    expo = expo.astype(np.int64)
+    return np.where(x > 0.0, np.where(frac == 0.5, expo - 2, expo - 1), NO_CLASS)
+
+
 @dataclass(eq=False)
 class LevelSetDecomposition:
-    """Dyadic slicing of the stacked majorant g by powers of (g/||lam||)^gamma.
+    """Dyadic slicing of the stacked majorant g by powers of ratio = (g/||lam||)^gamma.
 
-    masks[l] is the grid mask of A_{l}; classes[l] lists the supported cubes
-    whose majority lies in A_l but not in A_{l+1}.  Masks cover the closed
-    range l_min .. l_max + 1 so every membership test can be replayed.
+    class_levels[j][m] is the class l of Q_{j,m}, whose majority lies in
+    A_l = {ratio > 2^l} but not in A_{l+1}; NO_CLASS off the support and on
+    the unassigned cubes.  The views masks[l] (the grid mask of A_l, for the
+    closed range l_min .. l_max + 1 so every membership test can be
+    replayed), classes[l] (the keys of class l) and class_of are built once.
     """
 
     g: GridFunction
-    masks: dict = dc_field(repr=False)
-    classes: dict
+    ratio: np.ndarray | None = dc_field(repr=False)
+    class_levels: list[np.ndarray] = dc_field(repr=False)
     unassigned: list
     l_min: int
     l_max: int
     gamma: float
     lam_norm: float
-    _index: dict = dc_field(default_factory=dict, repr=False)
 
-    def __post_init__(self) -> None:
-        if not self._index:
-            self._index = {key: l for l, keys in self.classes.items() for key in keys}
+    @cached_property
+    def masks(self) -> dict:
+        if self.ratio is None:
+            return {}
+        level = _dyadic_level(self.ratio)
+        return {l: level >= l for l in range(self.l_min, self.l_max + 2)}
+
+    @cached_property
+    def classes(self) -> dict:
+        out: dict = {}
+        for j, cls in enumerate(self.class_levels):
+            nz = np.nonzero(cls != NO_CLASS)
+            for m, l in zip(zip(*(i.tolist() for i in nz)), cls[nz].tolist()):
+                out.setdefault(l, []).append((j, m))
+        return out
 
     def class_of(self, key) -> int | None:
-        return self._index.get(key)
-
-    @property
-    def cardinalities(self) -> dict:
-        return {l: len(keys) for l, keys in sorted(self.classes.items())}
+        j, m = key
+        if not 0 <= j < len(self.class_levels):
+            return None
+        cls = self.class_levels[j]
+        if len(m) != cls.ndim or not all(0 <= mi < s for mi, s in zip(m, cls.shape)):
+            return None
+        l = int(cls[m])
+        return None if l == NO_CLASS else l
 
 
 def _stacked_majorant(lam: DyadicCoefficients, alpha: ExponentField, q: float) -> np.ndarray:
@@ -392,41 +418,35 @@ def build_level_sets(lam: DyadicCoefficients, alpha: ExponentField, p: ExponentF
     g_vals = _stacked_majorant(lam, alpha, qv)
     g = GridFunction(grid, g_vals)
     if not lam:
-        return LevelSetDecomposition(g, {}, {}, [], 0, -1, gamma, 0.0)
+        return LevelSetDecomposition(g, None, [np.full(a.shape, NO_CLASS) for a in lam.levels],
+                                     [], 0, -1, gamma, 0.0)
     lam_norm = f_norm(lam, alpha, p, q if isinstance(q, ExponentField) else
                       _const_field(grid, qv)).value
     positive = g_vals > 0.0
     ratio = np.zeros(grid.shape)
     ratio[positive] = (g_vals[positive] / lam_norm) ** gamma
 
-    classes: dict = {}
+    class_levels = []
     unassigned: list = []
     for j in range(lam.V + 1):
-        nz, keys = lam.level_support(j)
         cells = cube_cells(grid, ratio, j)
         k = cells.shape[-1]
         # (K//2+1)-th largest cell value: majority of Q exceeds t iff t < M
-        M = np.partition(cells, k - 1 - k // 2, axis=-1)[..., k - 1 - k // 2][nz]
-        frac, expo = np.frexp(M)
-        level = np.where(frac == 0.5, expo - 2, expo - 1)
-        for key, top, l in zip(keys, M.tolist(), level.tolist()):
-            if top <= 0.0:
-                unassigned.append(key)
-            else:
-                classes.setdefault(l, []).append(key)
+        M = np.partition(cells, k - 1 - k // 2, axis=-1)[..., k - 1 - k // 2]
+        supported = lam.levels[j] != 0
+        cls = np.where(supported, _dyadic_level(M), NO_CLASS)
+        unassigned.extend((j, m) for m in zip(*(i.tolist() for i in
+                                                 np.nonzero(supported & (M <= 0.0)))))
+        class_levels.append(cls)
     for key in unassigned:
         if abs(lam.value(*key)) > 1e-12 * lam_norm:
             raise InvalidConfiguration(
                 f"cube {key} escaped every level class but carries a nonzero coefficient"
             )
 
-    levels = sorted(classes)
-    l_min, l_max = (levels[0], levels[-1]) if levels else (0, -1)
-    masks = {
-        l: positive & (ratio > 2.0 ** l)
-        for l in range(l_min, l_max + 2)
-    }
-    return LevelSetDecomposition(g, masks, classes, unassigned, l_min, l_max,
+    assigned = np.concatenate([cls[cls != NO_CLASS] for cls in class_levels])
+    l_min, l_max = (int(assigned.min()), int(assigned.max())) if assigned.size else (0, -1)
+    return LevelSetDecomposition(g, ratio, class_levels, unassigned, l_min, l_max,
                                  gamma, lam_norm)
 
 
@@ -434,23 +454,18 @@ def _subset_from_level_sets(lam: DyadicCoefficients,
                             decomp: LevelSetDecomposition) -> SubsetSelection:
     """E_Q = Q minus A_{l+1}, padded by one cell when the split is an exact tie."""
     grid = lam.grid
-    masks = {}
-    for (j, m) in lam.support():
-        l = decomp.class_of((j, m))
-        sl = grid.cube_slices(grid.cube(j, m))
-        upper = decomp.masks[l + 1][sl]
-        keep = ~upper
-        k = keep.size
-        if int(keep.sum()) * 2 == k:
-            # exact half split: move the smallest excluded cell into E
-            ratio_block = (decomp.g.values[sl] / decomp.lam_norm) ** decomp.gamma
-            flat_keep = keep.ravel().copy()
-            candidates = np.flatnonzero(~flat_keep)
-            pick = candidates[np.argmin(ratio_block.ravel()[candidates])]
-            flat_keep[pick] = True
-            keep = flat_keep.reshape(keep.shape)
-        masks[(j, m)] = keep
-    return SubsetSelection(grid, masks)
+    level = _dyadic_level(decomp.ratio)
+    levels = []
+    for j in range(lam.V + 1):
+        ratio = cube_cells(grid, decomp.ratio, j)
+        keep = ((cube_cells(grid, level, j) <= decomp.class_levels[j][..., None])
+                & (lam.levels[j] != 0)[..., None])
+        tie = np.nonzero(2 * keep.sum(axis=-1) == keep.shape[-1])
+        # exact half split: move the smallest excluded cell into E
+        pick = np.argmin(np.where(keep[tie], np.inf, ratio[tie]), axis=-1)
+        keep[tie + (pick,)] = True
+        levels.append(keep)
+    return SubsetSelection(grid, levels)
 
 
 def factorize_pq_infty(lam: DyadicCoefficients,
@@ -476,7 +491,7 @@ def factorize_pq_infty(lam: DyadicCoefficients,
     theta = params.theta
     q_val = float(params.q.values.ravel()[0])
     lam0, lam1, zero_count = _corner_factors(lam, norm, params, q_val / params.q0,
-                                             q_val / params.q1, decomp.class_of,
+                                             q_val / params.q1, decomp.class_levels,
                                              params.delta / params.gamma)
     err = _reconstruction_error(lam, lam0, lam1, norm, theta)
     q0f = _const_field(lam.grid, params.q0)

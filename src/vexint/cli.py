@@ -198,10 +198,6 @@ class ConfigError(Exception):
         self.message = message
 
 
-class ContractFailure(Exception):
-    pass
-
-
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")

@@ -26,6 +26,7 @@ __all__ = [
     "cube_sums",
     "cube_broadcast",
     "cube_cells",
+    "cells_to_grid",
     "cube_corners",
 ]
 
@@ -93,10 +94,6 @@ class Grid:
     def coords(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays of shape `self.shape`, one per axis."""
         return tuple(np.meshgrid(*(self.axis,) * self.n, indexing="ij"))
-
-    def centered_coords(self) -> tuple[np.ndarray, ...]:
-        """Coordinates folded to [-L, L) per axis (periodic representative)."""
-        return tuple(((c + self.L) % (2.0 * self.L)) - self.L for c in self.coords())
 
     def periodic_radius(self) -> np.ndarray:
         """Periodic distance from each grid point to the origin."""
@@ -262,6 +259,16 @@ def cube_cells(grid: Grid, values: np.ndarray, v: int) -> np.ndarray:
     if grid.n == 1:
         return values.reshape(C, c)
     return values.reshape(C, c, C, c).transpose(0, 2, 1, 3).reshape(C, C, c * c)
+
+
+def cells_to_grid(grid: Grid, cells: np.ndarray, v: int) -> np.ndarray:
+    """Grid-shaped array of a level-v `cube_cells` layout; the inverse of cube_cells."""
+    grid.check_level(v)
+    C = grid.cubes_per_axis(v)
+    c = grid.cells_per_axis(v)
+    if grid.n == 1:
+        return cells.reshape(grid.shape)
+    return cells.reshape(C, C, c, c).transpose(0, 2, 1, 3).reshape(grid.shape)
 
 
 def cube_corners(grid: Grid, values: np.ndarray, v: int) -> np.ndarray:

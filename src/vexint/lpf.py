@@ -206,8 +206,8 @@ def build_resolution_of_unity(grid: Grid, V: int) -> FilterBank:
     )
 
 
-def _apply(mult: np.ndarray, values: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(mult * np.fft.fftn(values))
+def _apply(mult: np.ndarray, spec: np.ndarray) -> np.ndarray:
+    return np.fft.ifftn(mult * spec)
 
 
 def kernel(bank: FilterBank, v: int) -> GridFunction:
@@ -250,9 +250,10 @@ def analyze(f: GridFunction, bank: FilterBank) -> DyadicCoefficients:
     if not bank.has_duals:
         raise InvalidConfiguration("analysis requires a dual-ready bank")
     grid = bank.grid
+    spec = np.fft.fftn(f.values)
     levels = []
     for v in range(bank.V + 1):
-        conv = _apply(np.conjugate(bank.multiplier(v)), f.values)
+        conv = _apply(np.conjugate(bank.multiplier(v)), spec)
         levels.append(2.0 ** (-v * grid.n / 2.0) * cube_corners(grid, conv, v))
     return DyadicCoefficients(grid, bank.V, levels)
 
@@ -314,8 +315,8 @@ def retract_roundtrip(f: GridFunction, bank: FilterBank) -> RetractReport:
         return RetractReport(0.0, True, 2.0 ** bank.V)
     out = np.zeros(grid.shape, dtype=np.complex128)
     for v in range(bank.V + 1):
-        fv = _apply(bank.multiplier(v), f.values)
-        out += _apply(bank.omegas[v], fv)
+        fv = _apply(bank.multiplier(v), spec)
+        out += _apply(bank.omegas[v], np.fft.fftn(fv))
     residual = float(np.abs(out - f.values).max()) / sup
     return RetractReport(residual, band_limited, 2.0 ** bank.V)
 
@@ -325,9 +326,10 @@ def F_norm(f: GridFunction, alpha: ExponentField, p: ExponentField,
     """Mixed (p, q) norm of the weighted decomposition (2^{v alpha(.)} phi_v * f)_v."""
     if f.grid != bank.grid or alpha.grid != bank.grid:
         raise InvalidInput("function, fields, and bank must share one grid")
+    spec = np.fft.fftn(f.values)
     family = []
     for v in range(bank.V + 1):
-        conv = _apply(bank.multiplier(v), f.values)
+        conv = _apply(bank.multiplier(v), spec)
         family.append(np.exp2(v * alpha.values) * np.abs(conv))
     return mixed_norm(family, p, q, tol=tol)
 
@@ -337,8 +339,9 @@ def F_infty_norm(f: GridFunction, alpha: ExponentField, q, bank: FilterBank) -> 
     if f.grid != bank.grid or alpha.grid != bank.grid:
         raise InvalidInput("function, fields, and bank must share one grid")
     q = _constant_exponent(q)
+    spec = np.fft.fftn(f.values)
     levels = []
     for v in range(bank.V + 1):
-        conv = _apply(bank.multiplier(v), f.values)
+        conv = _apply(bank.multiplier(v), spec)
         levels.append(np.exp2(v * q * alpha.values) * np.abs(conv) ** q)
     return dyadic_tail_sup(bank.grid, levels, q)

@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidConfiguration, InvalidInput, InvalidSelection
 from .exponents import ExponentField
-from .grid import DyadicCube, Grid, GridFunction, cube_broadcast, cube_cells, cube_sums
+from .grid import Grid, GridFunction, cells_to_grid, cube_broadcast, cube_cells, cube_sums
 from .lebesgue import DEFAULT_TOL, NormResult, mixed_norm
 
 __all__ = [
@@ -61,19 +62,21 @@ def _level_shape(grid: Grid, v: int) -> tuple[int, ...]:
     return (grid.cubes_per_axis(v),) * grid.n
 
 
-def _levels_from_keys(grid: Grid, V: int, data: Mapping) -> list[np.ndarray]:
-    levels = [np.zeros(_level_shape(grid, v), dtype=np.complex128) for v in range(V + 1)]
+def _levels_from_keys(grid: Grid, levels: list[np.ndarray], data: Mapping,
+                      entry=lambda key, raw: complex(raw)) -> list[np.ndarray]:
+    """Write entry(key, raw) at [m] of levels[v] for each validated key (v, m) of data."""
+    V = len(levels) - 1
     for key, raw in data.items():
         if not (isinstance(key, tuple) and len(key) == 2):
-            raise InvalidInput(f"coefficient key {key!r} is not a (level, index) pair")
+            raise InvalidInput(f"key {key!r} is not a (level, index) pair")
         v, m = _normalize_key(*key)
         if v > V:
-            raise InvalidInput(f"coefficient level {v} exceeds declared max level {V}")
+            raise InvalidInput(f"level {v} exceeds declared max level {V}")
         grid.check_level(v)
         if len(m) != grid.n or any(mi < 0 or mi >= grid.cubes_per_axis(v) for mi in m):
             raise InvalidConfiguration(f"cube (v={v}, m={m}) is not a cube of the n={grid.n} "
                                        f"box [0, {2 * grid.L})^{grid.n}")
-        levels[v][m] = complex(raw)
+        levels[v][m] = entry((v, m), raw)
     return levels
 
 
@@ -97,7 +100,8 @@ class DyadicCoefficients:
         self.grid.check_level(self.V)
         levels = self.levels
         if isinstance(levels, Mapping):
-            levels = _levels_from_keys(self.grid, self.V, levels)
+            levels = _levels_from_keys(self.grid, [np.zeros(_level_shape(self.grid, v), np.complex128)
+                                                   for v in range(self.V + 1)], levels)
         levels = [np.array(a, dtype=np.complex128) for a in levels]
         if len(levels) != self.V + 1:
             raise InvalidInput(
@@ -261,47 +265,72 @@ def coefficient_bound_check(lam: DyadicCoefficients, alpha: ExponentField,
     return worst
 
 
-@dataclass
-class SubsetSelection:
-    """Per-cube cell masks E_Q, each covering strictly more than half of Q.
+def _cells_shape(grid: Grid, v: int) -> tuple[int, ...]:
+    return _level_shape(grid, v) + (grid.cells_per_axis(v) ** grid.n,)
 
-    Masks are stored as boolean blocks in the cube's own cell shape, so the
-    subset relation E_Q <= Q holds by construction; only the measure
-    condition needs checking.
+
+def _mask_row(grid: Grid, key: Key, block) -> np.ndarray:
+    mask = np.asarray(block, dtype=bool)
+    shape = (grid.cells_per_axis(key[0]),) * grid.n
+    if mask.shape != shape or not mask.any():
+        raise InvalidSelection(f"mask for {key} of shape {mask.shape} is not a nonempty cell "
+                               f"subset of the cube block {shape}")
+    return mask.ravel()
+
+
+@dataclass(eq=False)
+class SubsetSelection:
+    """Cell subsets E_Q of the supported cubes, each covering strictly more than half of Q.
+
+    `levels[v]` is a bool array in the `cube_cells` layout
+    (cubes_per_axis(v),)*n + (cells**n,): row [m] marks the cells of Q_{v,m}
+    in C order, and an all-false row leaves the cube unselected.  So E_Q <= Q
+    holds by construction and the measure condition is checked level by
+    level.  Levels are padded with empty ones up to grid.v_max.  The keyed
+    form {(v, m): block}, block in the cube's own cell shape, is accepted in
+    place of the arrays; `masks` is its view.
     """
 
     grid: Grid
-    masks: dict[Key, np.ndarray] = dc_field(repr=False)
+    levels: list[np.ndarray] = dc_field(repr=False)
 
     def __post_init__(self) -> None:
-        clean: dict[Key, np.ndarray] = {}
-        for (v, m), mask in self.masks.items():
-            v, m = _normalize_key(v, m)
-            cube = self.grid.cube(v, m)
-            mask = np.asarray(mask, dtype=bool)
-            c = self.grid.cells_per_axis(v)
-            if mask.shape != (c,) * self.grid.n:
+        grid = self.grid
+        empty = [np.zeros(_cells_shape(grid, v), dtype=bool) for v in range(grid.v_max + 1)]
+        levels = self.levels
+        if isinstance(levels, Mapping):
+            levels = _levels_from_keys(grid, empty, levels,
+                                       lambda key, block: _mask_row(grid, key, block))
+        levels = [np.array(a, dtype=bool) for a in levels]
+        for v, keep in enumerate(levels):
+            grid.check_level(v)
+            if keep.shape != _cells_shape(grid, v):
                 raise InvalidSelection(
-                    f"mask for (v={v}, m={m}) has shape {mask.shape}, cube block is {(c,) * self.grid.n}"
-                )
-            measure = int(mask.sum()) * self.grid.h ** self.grid.n
-            if not measure > cube.measure() / 2.0:
-                raise InvalidSelection(
-                    f"selected measure {measure} is not more than half of |Q|={cube.measure()} "
-                    f"at (v={v}, m={m})"
-                )
-            clean[(v, m)] = mask
-        self.masks = clean
+                    f"level {v} selection has shape {keep.shape}, not {_cells_shape(grid, v)}")
+            counts = keep.sum(axis=-1)
+            bad = np.argwhere((counts > 0) & (2 * counts <= keep.shape[-1]))
+            if len(bad):
+                m = tuple(bad[0].tolist())
+                raise InvalidSelection(f"{counts[m]} of {keep.shape[-1]} cells is not more "
+                                       f"than half of the cube (v={v}, m={m})")
+        self.levels = levels + empty[len(levels):]
+
+    @cached_property
+    def masks(self) -> dict[Key, np.ndarray]:
+        """{(v, m): E_Q in the cube's cell shape} over the selected cubes, in key order."""
+        out = {}
+        for v, keep in enumerate(self.levels):
+            block = (self.grid.cells_per_axis(v),) * self.grid.n
+            for m in zip(*(i.tolist() for i in np.nonzero(keep.any(axis=-1)))):
+                out[(v, m)] = keep[m].reshape(block)
+        return out
 
 
 def full_selection(lam: DyadicCoefficients) -> SubsetSelection:
     """The selection E_Q = Q on every supported cube."""
     grid = lam.grid
-    masks = {}
-    for (v, m) in lam.support():
-        c = grid.cells_per_axis(v)
-        masks[(v, m)] = np.ones((c,) * grid.n, dtype=bool)
-    return SubsetSelection(grid, masks)
+    return SubsetSelection(grid, [np.repeat((a != 0)[..., None], grid.cells_per_axis(v) ** grid.n,
+                                            axis=-1) for v, a in enumerate(lam.levels)])
 
 
 def greedy_selection(lam: DyadicCoefficients, alpha: ExponentField, q) -> SubsetSelection:
@@ -313,14 +342,12 @@ def greedy_selection(lam: DyadicCoefficients, alpha: ExponentField, q) -> Subset
     q = _constant_exponent(q)
     _check_grid(lam, alpha)
     grid = lam.grid
-    masks = {}
+    levels = []
     for v in range(lam.V + 1):
         blocks = cube_cells(grid, _level_integrand(lam, alpha, v, q), v)
         ranks = np.argsort(np.argsort(blocks, axis=-1, kind="stable"), axis=-1)
-        keep = ranks <= blocks.shape[-1] // 2
-        for key in lam.level_support(v)[1]:
-            masks[key] = keep[key[1]].reshape((grid.cells_per_axis(v),) * grid.n)
-    return SubsetSelection(grid, masks)
+        levels.append((ranks <= blocks.shape[-1] // 2) & (lam.levels[v] != 0)[..., None])
+    return SubsetSelection(grid, levels)
 
 
 def f_infty_subset_norm(lam: DyadicCoefficients, alpha: ExponentField, q,
@@ -330,17 +357,16 @@ def f_infty_subset_norm(lam: DyadicCoefficients, alpha: ExponentField, q,
     _check_grid(lam, alpha)
     if sel.grid != lam.grid:
         raise InvalidSelection("selection built on a different grid")
-    if set(sel.masks) != set(lam.support()):
+    if any(not np.array_equal(keep.any(axis=-1), lam.moduli(v) != 0)
+           for v, keep in enumerate(sel.levels)):
         raise InvalidSelection("selection must cover exactly the coefficient support")
     if not lam:
         return 0.0
     grid = lam.grid
-    keep = [np.zeros(grid.shape, dtype=bool) for _ in range(lam.V + 1)]
-    for (v, m), mask in sel.masks.items():
-        keep[v][grid.cube_slices(DyadicCube(v, m))] = mask
     total = np.zeros(grid.shape)
     for v in range(lam.V + 1):
-        total += np.where(keep[v], _level_integrand(lam, alpha, v, q), 0.0)
+        keep = cells_to_grid(grid, sel.levels[v], v)
+        total += np.where(keep, _level_integrand(lam, alpha, v, q), 0.0)
     return float(total.max()) ** (1.0 / q)
 
 

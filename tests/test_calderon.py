@@ -216,6 +216,8 @@ def test_level_sets_single_coefficient():
     decomp = build_level_sets(lam, params.alpha, params.p, params.q, params)
     assert sum(1 for keys in decomp.classes.values() if keys) == 1
     assert decomp.class_of((2, (3,))) is not None
+    for off_support in [(2, (4,)), (2, (-1,)), (2, (32,)), (9, (0,)), (2, (3, 0))]:
+        assert decomp.class_of(off_support) is None
     assert decomp.unassigned == []
     for l in range(decomp.l_min, decomp.l_max + 1):
         inner = decomp.masks[l + 1]
@@ -279,6 +281,23 @@ def test_subset_tie_padding():
     assert coarse.sum() == cells // 2 + 1
     assert bool(coarse[0])  # the padded cell is the lowest-index excluded one
     assert np.all(coarse[cells // 2:])
+    res = factorize_pq_infty(lam, params)
+    assert res.reconstruction_error <= 1e-9 * res.lam_norm
+
+    # the same tie in 2D: two finer cubes cover the upper half of a level-0 cube
+    g2 = make_grid(2, 1.0, 32)
+    zero = const(g2, 0.0, "smoothness")
+    params = factorization_params_pq_infty(0.5, zero, zero, const(g2, 3.0), 2.0, 2.0)
+    lam = DyadicCoefficients(g2, 1, {(0, (0, 0)): 1.0, (1, (0, 0)): 2.0, (1, (0, 1)): 2.0})
+    decomp = build_level_sets(lam, params.alpha, params.p, params.q, params)
+    sel = _subset_from_level_sets(lam, decomp)
+    c = g2.cells_per_axis(0)
+    coarse = sel.masks[(0, (0, 0))]
+    assert coarse.shape == (c, c)
+    assert coarse.sum() == c * c // 2 + 1
+    assert bool(coarse[0, 0])  # the padded cell is the first excluded one in C order
+    assert not coarse[0, 1:].any() and not coarse[1:c // 2].any()
+    assert np.all(coarse[c // 2:])
     res = factorize_pq_infty(lam, params)
     assert res.reconstruction_error <= 1e-9 * res.lam_norm
 

@@ -325,7 +325,34 @@ def test_selection_measure_condition_enforced():
     SubsetSelection(G, {(2, (7,)): ok})
     with pytest.raises(InvalidSelection):
         SubsetSelection(G, {(2, (7,)): np.ones(4, dtype=bool)})  # wrong block shape
-    del sel
+    with pytest.raises(InvalidSelection):
+        SubsetSelection(G, {(2, (7,)): np.ones(9, dtype=bool)})  # wrong block size
+    with pytest.raises(InvalidSelection):
+        SubsetSelection(G, {(2, (7,)): np.zeros(8, dtype=bool)})  # no cell at all
+    # the same conditions on the per-level arrays
+    levels = [a.copy() for a in sel.levels]
+    assert int(levels[2][7].sum()) == 8
+    levels[2][7] = bad
+    with pytest.raises(InvalidSelection):
+        SubsetSelection(G, levels)  # a cube selected at exactly half
+    levels[2][7] = ok
+    assert np.array_equal(SubsetSelection(G, levels).masks[(2, (7,))], ok)
+    with pytest.raises(InvalidSelection):
+        SubsetSelection(G, [*levels[:2], levels[2][:, :4]])  # wrong level shape
+    with pytest.raises(InvalidSelection):
+        SubsetSelection(G, [*levels[:2], levels[1]])  # level 2 in the level-1 shape
+    finer = np.ones((G.cubes_per_axis(G.v_max + 1), G.cells_per_axis(G.v_max + 1)), dtype=bool)
+    with pytest.raises(ResolutionExceeded):
+        SubsetSelection(G, [*levels, finer])  # more levels than the grid's v_max allows
+    g2 = make_grid(2, 1, 32)
+    with pytest.raises(InvalidSelection):
+        SubsetSelection(g2, {(1, (2, 3)): np.ones((8, 4), dtype=bool)})  # 2D block shape
+    half = np.zeros((8, 8), dtype=bool)
+    half[:4] = True
+    with pytest.raises(InvalidSelection):
+        SubsetSelection(g2, {(1, (2, 3)): half})
+    half[4, 0] = True
+    assert np.array_equal(SubsetSelection(g2, {(1, (2, 3)): half}).masks[(1, (2, 3))], half)
 
 
 def test_subset_norm_requires_exact_coverage():
@@ -341,6 +368,22 @@ def test_subset_norm_requires_exact_coverage():
     })
     with pytest.raises(InvalidSelection):
         f_infty_subset_norm(lam, a, 2.0, extra)
+    # per-level arrays: a selected cube off the support, at a level past lam.V,
+    # and a supported cube left unselected
+    levels = full_selection(lam).levels
+    for v, m in ((2, 12), (3, 0)):
+        wrong = [keep.copy() for keep in levels]
+        wrong[v][m] = True
+        with pytest.raises(InvalidSelection):
+            f_infty_subset_norm(lam, a, 2.0, SubsetSelection(G, wrong))
+    wrong = [keep.copy() for keep in levels]
+    wrong[2][9] = False
+    with pytest.raises(InvalidSelection):
+        f_infty_subset_norm(lam, a, 2.0, SubsetSelection(G, wrong))
+    assert f_infty_subset_norm(lam, a, 2.0, SubsetSelection(G, levels)) == \
+        f_infty_subset_norm(lam, a, 2.0, full_selection(lam))
+    with pytest.raises(InvalidSelection):
+        f_infty_subset_norm(lam, a, 2.0, full_selection(DyadicCoefficients(G, 3, {(2, 3): 1.0})))
 
 
 def test_greedy_dominated_by_full_selection():
