@@ -1,16 +1,21 @@
-"""Hot numeric kernels: the per-offset difference scans and the modular sum.
+"""Hot numeric kernels: the per-offset difference scans and the modular sums.
 
-They live in one module so that profilers and tracers can wrap the three
+They live in one module so that profilers and tracers can wrap the four
 functions that dominate the regularity scans and every Luxemburg solve.
 The offset scans take slices, not rolls, over offsets given by the caller:
-which offsets to scan, once each, is decided in `exponents`.
+which offsets to scan, once each, is decided in `exponents`.  A Luxemburg
+solve makes its real modular passes with `modular_pow_sum` and its Newton
+steps for the root with `log_modular_step`, one pass over the nonzero
+entries each.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["offset_abs_max_1d", "offset_abs_max_2d", "modular_pow_sum"]
+__all__ = ["offset_abs_max_1d", "offset_abs_max_2d", "modular_pow_sum", "log_modular_step"]
 
 
 # -- per-offset maximum absolute difference ---------------------------------
@@ -53,3 +58,21 @@ def modular_pow_sum(absf: np.ndarray, p: np.ndarray, lam: float) -> float:
     p = np.ascontiguousarray(p, dtype=np.float64).ravel()
     with np.errstate(over="ignore"):
         return float(np.sum((absf / lam) ** p))
+
+
+def log_modular_step(logf: np.ndarray, p: np.ndarray, t: float) -> tuple[float, float]:
+    """log sum_i exp(p_i (logf_i - t)) and its derivative in t, for one Newton step.
+
+    `logf` holds log|f| over the nonzero entries and `p` the exponents there,
+    so h^n times the sum is the modular at lambda = e^t.  The exponents are
+    shifted by their maximum, so no term overflows and the largest one is
+    exactly 1; the derivative -sum p_i w_i / sum w_i lies in [-max p, -min p].
+    """
+    z = np.subtract(logf, t)
+    z *= p
+    top = float(z.max())
+    z -= top
+    np.exp(z, out=z)
+    s = float(z.sum())
+    z *= p
+    return top + math.log(s), -float(z.sum()) / s

@@ -1,12 +1,54 @@
 """Variable-exponent Lebesgue modulars, Luxemburg norms, and mixed norms.
 
-The Luxemburg norm is the unique positive lambda with modular(f/lambda) = 1
-(for nonzero f with finite exponent); it is found by bisection on log lambda,
-which the strict monotone decrease of lambda -> modular(f/lambda) justifies.
+The Luxemburg norm is the unique positive lambda with rho(lambda) = 1, where
+rho(lambda) = h^n sum_i (|f_i|/lambda)^{p_i} is the modular of f/lambda (for
+nonzero f with finite exponent).  rho is strictly decreasing in lambda, and
+the value reported is the upper end of a fixed geometric bisection: the
+bracket [lo, hi] opens at [||f||_{p+}/2, 2 ||f||_{p-} + max|f|], is doubled
+up and halved down until rho(hi) <= 1 < rho(lo), and is then halved at the
+geometric midpoint until hi - lo <= tol * hi.  Every step is a decision
+rho(lam) > 1, and the reported NormResult is a function of those decisions.
+
+Most decisions are known without a pass over f.  Safeguarded Newton first
+finds t* = log lambda* as the root of g(t) = log rho(e^t), in the log domain
+(`_accel.log_modular_step`); g is convex and decreasing with slope in
+[-p+, -p-], so Newton started below the root climbs to it monotonically.
+A decision at lam with |log lam - t*| > MARGIN is then read off t*; only the
+few midpoints within MARGIN of t*, and the residual rho(hi), are real
+passes, so the result is bit for bit the one real passes everywhere give.
+
+Why MARGIN = 1e-9 is safe.  Let u = 2^-53, N the number of entries, and
+assume numpy's log, exp and pow within 4 ulps (8 u).  rho~ below is the exact
+modular of the float data, with the float h^n; both the real passes and g
+approximate it, and its root is the true t*.
+  * A real pass fl(rho) is rho~ times 1 +- d_rho.  The quotient |f|/lam
+    rounds by u, which the power raises to p u; the power adds 8 u, the
+    pairwise sum (log2 N + 25) u and the factor h^n u, so
+    d_rho <= (p+ + log2 N + 34) u < 2e-14.  An underflowing term errs by at
+    most 2^-1022, and all of them together by (2L)^n 2^-1022, nothing
+    beside 1; a term or a sum that overflows does so only where rho~ > 1.
+  * The computed g errs by at most E.  On the float range |log x| <= 745,
+    and t stays in the opening bracket, so log|f_i| errs by 5960 u, the
+    exponent p_i (log|f_i| - t) by 8940 p+ u, its shift by the maximum by
+    2980 p+ u, and the sum, the logs and the additions by
+    (log2 N + 7200) u: E <= (13410 p+ + log2 N + 7200) u <= 1e-10 for
+    p+ <= REPLAY_P_MAX = 64.  Newton accepts t* only with a computed
+    |g(t*)| <= NEWTON_RESIDUAL = 1e-11, and |g'| >= p- >= 1, so t* lies
+    within 1.1e-10 of the true root.
+  * log lam errs by 8 u 745 < 7e-13.  A decision replayed at
+    |log lam - t*| > MARGIN therefore sits more than 8.8e-10 from the true
+    root in log, where rho~ differs from 1 by a factor of at least
+    e^{8.8e-10}, far beyond d_rho: fl(rho) > 1 holds exactly when
+    log lam < t*, as the replay answers.
+Newton that has not converged after NEWTON_STEPS, or leaves the opening
+bracket, gives no t*, and so does p+ > REPLAY_P_MAX; every decision is then
+a real pass.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +62,12 @@ __all__ = ["NormResult", "modular", "luxemburg_norm", "mixed_norm", "unit_ball_c
 
 DEFAULT_TOL = 1e-10
 MAX_ITER = 200
+# replayed decisions: see the module docstring for why these values are safe
+MARGIN = 1e-9
+NEWTON_STEPS = 30
+NEWTON_RESIDUAL = 1e-11
+REPLAY_P_MAX = 64.0
+FLOAT_MAX = sys.float_info.max
 
 
 @dataclass
@@ -66,7 +114,30 @@ def modular(f, p: ExponentField) -> float:
     return modular_at(f, p, 1.0)
 
 
+def _log_root(absf: np.ndarray, p: ExponentField, hn: float, lo: float, hi: float) -> float | None:
+    """t* = log lambda* by Newton from log lo, or None unless it converges in [log lo, log hi]."""
+    if p.max > REPLAY_P_MAX:
+        return None
+    nz = absf > 0.0
+    logf = np.log(absf[nz])
+    pn = p.values[nz]
+    t_lo, t_hi = math.log(lo), math.log(hi)
+    log_hn = math.log(hn)
+    t = t_lo
+    for _ in range(NEWTON_STEPS):
+        g, slope = _accel.log_modular_step(logf, pn, t)
+        g += log_hn
+        if abs(g) <= NEWTON_RESIDUAL:
+            return t
+        t -= g / slope
+        if not t_lo <= t <= t_hi:
+            return None
+    return None
+
+
 def luxemburg_norm(f, p: ExponentField, tol: float = DEFAULT_TOL) -> NormResult:
+    if not 0.0 < tol < 1.0:  # also false for a nan tol
+        raise InvalidInput(f"Luxemburg tolerance must lie in (0, 1), got {tol}")
     fv = _values(f)
     _check_shapes(fv, p)
     absf = np.abs(fv)
@@ -83,23 +154,39 @@ def luxemburg_norm(f, p: ExponentField, tol: float = DEFAULT_TOL) -> NormResult:
         return fmax * float(s) ** (1.0 / c)
 
     if p.is_constant:
-        return NormResult(const_norm(p.min), 0, 0.0, "closed-form")
+        value = const_norm(p.min)
+        if value > FLOAT_MAX:
+            raise InvalidInput("Luxemburg norm exceeds the float range")
+        return NormResult(value, 0, 0.0, "closed-form")
 
     def rho(lam: float) -> float:
         return _accel.modular_pow_sum(absf, p.values, lam) * hn
 
-    # bracket: the constant-exponent norms at p+ and p- straddle the solution
+    # bracket: the constant-exponent norms at p+ and p- straddle the solution;
+    # both ends stay finite, since the norms themselves may overflow
     norm_hi = const_norm(p.max)
     norm_lo = const_norm(p.min)
-    lo = max(norm_hi / 2.0, 1e-300)
-    hi = 2.0 * norm_lo + fmax
+    lo = max(min(norm_hi, FLOAT_MAX) / 2.0, 1e-300)
+    hi = min(2.0 * norm_lo + fmax, FLOAT_MAX)
+    t_star = _log_root(absf, p, hn, lo, hi)
+
+    def above(lam: float) -> bool:
+        """rho(lam) > 1: read off t* outside the margin, else a real pass."""
+        if t_star is not None:
+            t = math.log(lam)
+            if abs(t - t_star) > MARGIN:
+                return t < t_star
+        return rho(lam) > 1.0
+
     iterations = 0
-    while rho(hi) > 1.0:
-        hi *= 2.0
+    while above(hi):
+        if hi == FLOAT_MAX:
+            raise InvalidInput("Luxemburg norm exceeds the float range")
+        hi = min(2.0 * hi, FLOAT_MAX)
         iterations += 1
         if iterations >= MAX_ITER:
             raise SolverFailure("upper bracket for the Luxemburg norm did not close")
-    while rho(lo) <= 1.0:
+    while not above(lo):
         lo /= 2.0
         iterations += 1
         if iterations >= MAX_ITER:
@@ -107,7 +194,7 @@ def luxemburg_norm(f, p: ExponentField, tol: float = DEFAULT_TOL) -> NormResult:
 
     while hi - lo > tol * hi:
         mid = np.sqrt(lo) * np.sqrt(hi)  # geometric midpoint, overflow-safe
-        if rho(mid) > 1.0:
+        if above(mid):
             lo = mid
         else:
             hi = mid
@@ -123,22 +210,22 @@ def luxemburg_norm(f, p: ExponentField, tol: float = DEFAULT_TOL) -> NormResult:
 
 def stack(family, q: ExponentField) -> np.ndarray:
     """Pointwise inner norm (sum_v |f_v(x)|^{q(x)})^{1/q(x)}, overflow-safe."""
-    vals = [np.abs(_values(f)) for f in family]
+    vals = [_values(f) for f in family]
     if not vals:
         return np.zeros(q.grid.shape)
-    big = np.maximum.reduce(vals)
+    vals = np.abs(vals).astype(np.float64, copy=False)
+    big = vals.max(axis=0)
     if not np.isfinite(big.max()):  # both maxima propagate nan
         raise InvalidInput("family has a non-finite value; its level stack is undefined")
     out = np.zeros(q.grid.shape)
     pos = big > 0.0
-    if np.any(pos):
-        # factor out the pointwise max so the q-powers stay in [0, 1]
-        acc = np.zeros(big.shape)
-        for v in vals:
-            ratio = np.zeros(big.shape)
-            ratio[pos] = v[pos] / big[pos]
-            acc[pos] += ratio[pos] ** q.values[pos]
-        out[pos] = big[pos] * acc[pos] ** (1.0 / q.values[pos])
+    # factor out the pointwise max so the q-powers stay in [0, 1]; levels add
+    # up in order, as a running sum over the levels would
+    np.divide(vals, big, out=vals, where=pos)
+    np.power(vals, q.values, out=vals, where=pos)
+    acc = vals.sum(axis=0)
+    np.power(acc, 1.0 / q.values, out=acc, where=pos)
+    np.multiply(big, acc, out=out, where=pos)
     return out
 
 
@@ -153,6 +240,7 @@ def mixed_norm(family, p: ExponentField, q: ExponentField, tol: float = DEFAULT_
 def unit_ball_check(f, p: ExponentField) -> tuple[bool, bool]:
     """(norm <= 1, modular <= 1); the two must agree for every input."""
     res = luxemburg_norm(f, p)
+    modular_ok = modular(f, p) <= 1.0
     if res.bracket is not None:
         lo, hi = res.bracket
         if hi <= 1.0:
@@ -160,9 +248,9 @@ def unit_ball_check(f, p: ExponentField) -> tuple[bool, bool]:
         elif lo > 1.0:
             norm_ok = False
         else:
-            # the bracket straddles 1: resolve the boundary exactly by one
-            # more solver query at lambda = 1 instead of bisecting further
-            norm_ok = modular_at(f, p, 1.0) <= 1.0
+            # the bracket straddles 1: the modular at lambda = 1 resolves the
+            # boundary exactly, instead of bisecting further
+            norm_ok = modular_ok
     else:
         norm_ok = res.value <= 1.0
-    return norm_ok, modular(f, p) <= 1.0
+    return norm_ok, modular_ok

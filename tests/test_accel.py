@@ -115,3 +115,24 @@ def test_modular_pow_sum_zero_entries_and_overflow():
     assert sum([1e308, 1e308]) == math.inf
     assert _accel.modular_pow_sum(big, np.ones(2), 1.0) == math.inf
 
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 64).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-700.0, 700.0), min_size=n, max_size=n),
+    st.lists(st.floats(1.0, 64.0), min_size=n, max_size=n),
+    st.floats(-700.0, 700.0),
+)))
+def test_log_modular_step_matches_term_loop(case):
+    logf, p, t = case
+    exps = [q * (lf - t) for lf, q in zip(logf, p)]
+    top = max(exps)
+    w = [math.exp(e - top) for e in exps]
+    want_g = top + math.log(math.fsum(w))
+    want_slope = -math.fsum(q * x for q, x in zip(p, w)) / math.fsum(w)
+    g, slope = _accel.log_modular_step(np.array(logf), np.array(p), t)
+    # the exponents p (logf - t) reach 1e5 in size, so each may err by a few
+    # ulps of that; the weights and sums err by a few ulps relative
+    assert abs(g - want_g) <= 16 * EPS * (abs(top) + max(abs(e) for e in exps) + len(w))
+    assert abs(slope - want_slope) <= 1e-9 * abs(want_slope)
+    assert -max(p) * (1 + 4 * EPS) <= slope <= -min(p) * (1 - 4 * EPS)

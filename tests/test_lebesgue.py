@@ -1,14 +1,17 @@
 """Modular, Luxemburg norm, mixed norm: closed forms, oracles, iff property."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from vexint import _accel
 from vexint.errors import InvalidInput, SolverFailure
 from vexint.exponents import ExponentField, build_exponent
 from vexint.grid import GridFunction, cube_mask, make_grid
+from vexint.seqspaces import DyadicCoefficients, f_norm
 from vexint.lebesgue import (
     luxemburg_norm,
     mixed_norm,
@@ -258,3 +261,53 @@ def test_zero_and_extreme_magnitudes_keep_their_norms(n, N):
     assert modular(1e-300 * f, p) == 0.0
     assert modular_at(f, p, 1e300) == 0.0
     assert modular_at(f, p, 1e-300) == math.inf
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-10, 1.0, 2.0])
+def test_tolerance_outside_unit_interval_is_rejected_before_any_pass(tol, monkeypatch):
+    def no_pass(*args):
+        raise AssertionError("a modular pass ran before the tolerance was checked")
+
+    monkeypatch.setattr(_accel, "modular_pow_sum", no_pass)
+    monkeypatch.setattr(_accel, "log_modular_step", no_pass)
+    p = build_exponent(G, "plateau", left=2.0, right=3.0, width=1.0)
+    f = random_piecewise(np.random.default_rng(3))
+    with pytest.raises(InvalidInput, match="tolerance"):
+        luxemburg_norm(f, p, tol=tol)
+    with pytest.raises(InvalidInput, match="tolerance"):
+        luxemburg_norm(f, P2, tol=tol)
+    with pytest.raises(InvalidInput, match="tolerance"):
+        mixed_norm([f, f], p, p, tol=tol)
+    lam = DyadicCoefficients(G, 2, {(1, (1,)): 2.0})
+    alpha = build_exponent(G, "constant", value=0.5, role="smoothness")
+    with pytest.raises(InvalidInput, match="tolerance"):
+        f_norm(lam, alpha, p, p, tol=tol)
+
+
+def test_finite_norm_near_the_float_ceiling_is_returned():
+    # 2 ||f||_{p-} + max|f| overflows: the upper bracket end clamps to the
+    # largest float, where the modular is still <= 1
+    g = make_grid(1, 1.0, 64)
+    p = build_exponent(g, "sine", base=1.5, amplitude=0.4, frequency=1.0)
+    f = np.full(g.shape, 5e307)
+    f[::2] /= 2.0
+    r = luxemburg_norm(f, p)
+    assert r.method == "bisection" and r.iterations > 0
+    assert math.isfinite(r.value) and 5e307 < r.value < sys.float_info.max
+    lo, hi = r.bracket
+    assert hi == r.value and hi - lo <= 1e-10 * hi
+    assert modular_at(f, p, r.value) <= 1.0 < modular_at(f, p, lo)
+
+
+@pytest.mark.parametrize("recipe,params", [
+    # ||f||_{p+} itself overflows, so the lower bracket end is not finite either
+    ("sine", dict(base=1.9, amplitude=0.05, frequency=1.0)),
+    ("constant", dict(value=1.5)),
+])
+def test_norm_beyond_the_float_range_is_rejected(recipe, params):
+    g = make_grid(1, 8.0, 64)
+    p = build_exponent(g, recipe, **params)
+    f = np.full(g.shape, 1e308)
+    assert modular_at(f, p, sys.float_info.max) > 1.0
+    with pytest.raises(InvalidInput, match="exceeds the float range"):
+        luxemburg_norm(f, p)
