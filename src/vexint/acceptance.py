@@ -188,8 +188,8 @@ def criterion_01(seed: int) -> CriterionResult:
 
 
 def _max_relative_reconstruction(lam, res, theta: float) -> float:
-    return max((abs(recon - a) / a for _key, a, recon in
-                _reconstructions(lam, res.lam0, res.lam1, res.lam_norm, theta)), default=0.0)
+    a, recon = _reconstructions(lam, res.lam0, res.lam1, res.lam_norm, theta)
+    return float((np.abs(recon - a) / a).max(initial=0.0))
 
 
 def criterion_02(seed: int) -> CriterionResult:

@@ -21,13 +21,13 @@ from .errors import (
     InvalidInput,
     PreconditionViolation,
 )
-from .exponents import ExponentField, interpolate_exponents
+from .exponents import ExponentField, _check_theta, interpolate_exponents
 from .grid import Grid, GridFunction, cube_cells, cube_corners
 from .seqspaces import (
     DyadicCoefficients,
-    Key,
     SubsetSelection,
     _level_integrand,
+    _pow_each,
     f_infty_norm,
     f_infty_subset_norm,
     f_norm,
@@ -98,13 +98,6 @@ class FactorizationParams:
         return self.p0.grid
 
 
-def _check_theta(theta: float) -> float:
-    theta = float(theta)
-    if not 0.0 < theta < 1.0:
-        raise InvalidInput(f"theta={theta} must lie strictly inside (0, 1)")
-    return theta
-
-
 def factorization_params_pp(theta: float, alpha0: ExponentField, alpha1: ExponentField,
                             p0: ExponentField, p1: ExponentField) -> FactorizationParams:
     """Derived data for the p(.) = q(.) construction."""
@@ -143,12 +136,7 @@ def factorization_params_pq_infty(theta: float, alpha0: ExponentField, alpha1: E
     if alpha.grid != grid:
         raise InvalidConfiguration("exponent fields live on different grids")
     n = grid.n
-    # second integrability endpoint is infinite: 1/p = (1-theta)/p0
-    scale = 1.0 / (1.0 - theta)
-    p_vals = p0.values * scale
-    g_inf = None if p0.g_inf is None else p0.g_inf * scale
-    p = ExponentField(grid, p_vals, float(p_vals.min()), float(p_vals.max()),
-                      "integrability", g_inf=g_inf)
+    p = _p_infty(p0, theta)
     q_val = 1.0 / ((1.0 - theta) / q0 + theta / q1)
     q = _const_field(grid, q_val)
     diff = alpha1.values / q0 - alpha0.values / q1
@@ -169,6 +157,15 @@ def factorization_params_pq_infty(theta: float, alpha0: ExponentField, alpha1: E
         "pq-infty", theta, alpha0, alpha1, p0, None, q0, q1, alpha, p, q,
         u, v, gamma, delta, residual,
     )
+
+
+def _p_infty(p0: ExponentField, theta: float) -> ExponentField:
+    """p with 1/p = (1-theta)/p0: the second integrability endpoint is infinite."""
+    scale = 1.0 / (1.0 - theta)
+    vals = p0.values * scale
+    g_inf = None if p0.g_inf is None else p0.g_inf * scale
+    return ExponentField(p0.grid, vals, float(vals.min()), float(vals.max()),
+                         "integrability", g_inf=g_inf)
 
 
 # ------------------------------------------------------------- easy direction
@@ -222,11 +219,12 @@ def verify_holder_direction(lam: DyadicCoefficients, lam0: DyadicCoefficients,
     if lam0.grid != grid or lam1.grid != grid:
         raise InvalidInput("coefficient families live on different grids")
 
-    bad = [key for key, a, bound in _reconstructions(lam, lam0, lam1, 1.0, theta)
-           if a > bound * (1.0 + 1e-9)]
-    if bad:
-        shown = ", ".join(str(k) for k in bad[:8])
-        more = "" if len(bad) <= 8 else f" (+{len(bad) - 8} more)"
+    a, bound = _reconstructions(lam, lam0, lam1, 1.0, theta)
+    bad = np.flatnonzero(a > bound * (1.0 + 1e-9))
+    if bad.size:
+        keys = lam.support()
+        shown = ", ".join(str(keys[i]) for i in bad[:8])
+        more = "" if bad.size <= 8 else f" (+{bad.size - 8} more)"
         raise PreconditionViolation(f"domination fails at {shown}{more}")
 
     q0f = _as_q_field(grid, q0)
@@ -234,11 +232,7 @@ def verify_holder_direction(lam: DyadicCoefficients, lam0: DyadicCoefficients,
     alpha = interpolate_exponents(alpha0, alpha1, theta, "affine")
     q = interpolate_exponents(q0f, q1f, theta, "harmonic")
     if p1 is None:
-        scale = 1.0 / (1.0 - theta)
-        vals = p0.values * scale
-        g_inf = None if p0.g_inf is None else p0.g_inf * scale
-        p = ExponentField(grid, vals, float(vals.min()), float(vals.max()),
-                          "integrability", g_inf=g_inf)
+        p = _p_infty(p0, theta)
         norm1 = f_infty_subset_norm(lam1, alpha1, q1f.values.ravel()[0], full_selection(lam1))
         direct1 = f_infty_norm(lam1, alpha1, q1f.values.ravel()[0])
     else:
@@ -269,28 +263,25 @@ class FactorizationResult:
 
 def _reconstructions(lam: DyadicCoefficients, lam0: DyadicCoefficients,
                      lam1: DyadicCoefficients, norm: float,
-                     theta: float) -> list[tuple[Key, float, float]]:
-    """(key, |lam|, norm |lam0|^{1-theta} |lam1|^theta) over the support of lam, in key order."""
-    out = []
-    for j in range(lam.V + 1):
-        nz, keys = lam.level_support(j)
-        mods = (c.moduli(j)[nz].tolist() for c in (lam, lam0, lam1))
-        out.extend((key, a, norm * b0 ** (1.0 - theta) * b1 ** theta)
-                   for key, a, b0, b1 in zip(keys, *mods))
-    return out
+                     theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """|lam| and norm |lam0|^{1-theta} |lam1|^theta over the support of lam, flat in key order."""
+    nzs = [np.nonzero(a) for a in lam.levels]
+    a, b0, b1 = (np.concatenate([c.moduli(j)[nz] for j, nz in enumerate(nzs)])
+                 for c in (lam, lam0, lam1))
+    return a, norm * _pow_each(b0, 1.0 - theta) * _pow_each(b1, theta)
 
 
 def _reconstruction_error(lam: DyadicCoefficients, lam0: DyadicCoefficients,
                           lam1: DyadicCoefficients, norm: float, theta: float) -> float:
-    return max((abs(a - recon) for _key, a, recon in
-                _reconstructions(lam, lam0, lam1, norm, theta)), default=0.0)
+    a, recon = _reconstructions(lam, lam0, lam1, norm, theta)
+    return float(np.abs(a - recon).max(initial=0.0))
 
 
 def _corner_factors(lam: DyadicCoefficients, norm: float, params: FactorizationParams,
                     e0, e1, classes: list[np.ndarray], ratio_l: float = 0.0):
     """(lam0, lam1, cubes left out) for lam0_{j,m} = 2^{l + j u(x)} (|lam_{j,m}|/norm)^{e0(x)}
     and lam1_{j,m} = 2^{l ratio_l + j v(x)} (|lam_{j,m}|/norm)^{e1(x)}, x the cube corner
-    and l = classes[j][m]; cubes of class NO_CLASS are left out.
+    and l = classes[j][m]; e0, e1 are grid-shaped and cubes of class NO_CLASS are left out.
     """
     grid = lam.grid
     levels0 = [np.zeros_like(a) for a in lam.levels]
@@ -299,15 +290,11 @@ def _corner_factors(lam: DyadicCoefficients, norm: float, params: FactorizationP
     for j in range(lam.V + 1):
         nz = np.nonzero((lam.levels[j] != 0) & (classes[j] != NO_CLASS))
         left_out += np.count_nonzero(lam.levels[j]) - len(nz[0])
-
-        def at(x):
-            return cube_corners(grid, np.broadcast_to(x, grid.shape), j)[nz].tolist()
-
-        for m, l, r, u, v, a, b in zip(zip(*nz), classes[j][nz].tolist(),
-                                       (lam.moduli(j)[nz] / norm).tolist(),
-                                       at(params.u), at(params.v), at(e0), at(e1)):
-            levels0[j][m] = 2.0 ** (l + j * u) * r ** a
-            levels1[j][m] = 2.0 ** (l * ratio_l + j * v) * r ** b
+        l = classes[j][nz]
+        r = lam.moduli(j)[nz] / norm
+        u, v, a, b = (cube_corners(grid, x, j)[nz] for x in (params.u, params.v, e0, e1))
+        levels0[j][nz] = _pow_each(2.0, l + j * u) * _pow_each(r, a)
+        levels1[j][nz] = _pow_each(2.0, l * ratio_l + j * v) * _pow_each(r, b)
     return (DyadicCoefficients(grid, lam.V, levels0),
             DyadicCoefficients(grid, lam.V, levels1), left_out)
 
@@ -435,14 +422,13 @@ def build_level_sets(lam: DyadicCoefficients, alpha: ExponentField, p: ExponentF
         M = np.partition(cells, k - 1 - k // 2, axis=-1)[..., k - 1 - k // 2]
         supported = lam.levels[j] != 0
         cls = np.where(supported, _dyadic_level(M), NO_CLASS)
-        unassigned.extend((j, m) for m in zip(*(i.tolist() for i in
-                                                 np.nonzero(supported & (M <= 0.0)))))
+        escaped = supported & (M <= 0.0)
+        big = np.argwhere(escaped & (lam.moduli(j) > 1e-12 * lam_norm))
+        if len(big):
+            raise InvalidConfiguration(f"cube {(j, tuple(big[0].tolist()))} escaped every "
+                                       "level class but carries a nonzero coefficient")
+        unassigned.extend((j, m) for m in zip(*(i.tolist() for i in np.nonzero(escaped))))
         class_levels.append(cls)
-    for key in unassigned:
-        if abs(lam.value(*key)) > 1e-12 * lam_norm:
-            raise InvalidConfiguration(
-                f"cube {key} escaped every level class but carries a nonzero coefficient"
-            )
 
     assigned = np.concatenate([cls[cls != NO_CLASS] for cls in class_levels])
     l_min, l_max = (int(assigned.min()), int(assigned.max())) if assigned.size else (0, -1)
@@ -489,10 +475,9 @@ def factorize_pq_infty(lam: DyadicCoefficients,
     if norm == 0.0:
         raise InvalidInput("factorization needs a nonzero norm")
     theta = params.theta
-    q_val = float(params.q.values.ravel()[0])
-    lam0, lam1, zero_count = _corner_factors(lam, norm, params, q_val / params.q0,
-                                             q_val / params.q1, decomp.class_levels,
-                                             params.delta / params.gamma)
+    q = params.q.values
+    lam0, lam1, zero_count = _corner_factors(lam, norm, params, q / params.q0, q / params.q1,
+                                             decomp.class_levels, params.delta / params.gamma)
     err = _reconstruction_error(lam, lam0, lam1, norm, theta)
     q0f = _const_field(lam.grid, params.q0)
     norm0 = f_norm(lam0, params.alpha0, params.p0, q0f).value

@@ -22,7 +22,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__, acceptance, corpus
-from .acceptance import ReportRow, rows_to_csv
+from .acceptance import ReportRow, _lower, _upper, rows_to_csv
 from .calderon import _reconstructions, factorization_params_pp, \
     factorization_params_pq_infty, factorize_pp, factorize_pq_infty, \
     verify_holder_direction
@@ -107,9 +107,9 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["n", "L", "N"],
             "properties": {
-                "n": {"type": "integer", "minimum": 1, "maximum": 3},
+                "n": {"type": "integer", "minimum": 1, "maximum": 2},
                 "L": {"type": "number", "exclusiveMinimum": 0},
-                "N": {"type": "integer", "minimum": 4},
+                "N": {"type": "integer", "minimum": 16},
             },
         },
         "levels": {"type": "integer", "minimum": 0},
@@ -295,16 +295,6 @@ class Experiment:
         }
 
 
-def _upper_row(tag, digest, value, bound):
-    value, bound = float(value), float(bound)
-    return ReportRow(tag, digest, value, bound, bound - value, bound - value >= 0.0)
-
-
-def _lower_row(tag, digest, value, bound):
-    value, bound = float(value), float(bound)
-    return ReportRow(tag, digest, value, bound, value - bound, value - bound >= 0.0)
-
-
 def _map_ordered(fn, items):
     """Dispatch items to the worker pool; results come back in input order."""
     if len(items) <= 1:
@@ -325,8 +315,8 @@ def _params_for(exp: Experiment, construction: str, theta: float):
 
 
 def _recon_deviation(lam, res, theta: float) -> float:
-    return max((abs(recon / a - 1.0) for _key, a, recon in
-                _reconstructions(lam, res.lam0, res.lam1, res.lam_norm, theta)), default=0.0)
+    a, recon = _reconstructions(lam, res.lam0, res.lam1, res.lam_norm, theta)
+    return float(np.abs(recon / a - 1.0).max(initial=0.0))
 
 
 # ------------------------------------------------------------- experiments
@@ -338,8 +328,8 @@ def run_norms(exp: Experiment):
                                      exp.seed, exp.distribution)
     alpha, p, q = exp.field("alpha0"), exp.field("p0"), exp.field("q0")
     values = _map_ordered(lambda lam: f_norm(lam, alpha, p, q).value, lams)
-    rows = [_upper_row("norms", acceptance._digest("norms", exp.seed, i), v,
-                       exp.tol("finite"))
+    rows = [_upper("norms", acceptance._digest("norms", exp.seed, i), v,
+                   exp.tol("finite"))
             for i, v in enumerate(values)]
     return rows, {"values": values}
 
@@ -360,8 +350,8 @@ def run_factorize(exp: Experiment, construction: str):
     jobs = [(i, lam, theta) for i, lam in enumerate(lams)
             for theta in exp.thetas]
     for i, theta, dev, n0, n1 in _map_ordered(one, jobs):
-        rows.append(_upper_row(kind, acceptance._digest(kind, exp.seed, i, theta),
-                               dev, exp.tol("reconstruction")))
+        rows.append(_upper(kind, acceptance._digest(kind, exp.seed, i, theta),
+                           dev, exp.tol("reconstruction")))
         norms.append({"item": i, "theta": theta, "factor0_norm": n0,
                       "factor1_norm": n1})
     return rows, {"factor_norms": norms}
@@ -395,9 +385,9 @@ def run_holder(exp: Experiment):
                                    "$.coefficients.lam1")
         for theta in exp.thetas:
             rep = verify_holder_direction(lam, lam0, lam1, space0, space1, theta)
-            rows.append(_lower_row("holder",
-                                   acceptance._digest("holder", exp.seed, theta),
-                                   rep.margin, -exp.tol("holder") * rep.product))
+            rows.append(_lower("holder",
+                               acceptance._digest("holder", exp.seed, theta),
+                               rep.margin, -exp.tol("holder") * rep.product))
         return rows, {}
     factorize = factorize_pp if construction == "pp" else factorize_pq_infty
     lams = corpus.coefficient_corpus(exp.grid, exp.V, exp.items, exp.count,
@@ -411,9 +401,9 @@ def run_holder(exp: Experiment):
         return i, theta, rep.margin, rep.product
     jobs = [(i, lam, theta) for i, lam in enumerate(lams) for theta in exp.thetas]
     for i, theta, margin, product in _map_ordered(one, jobs):
-        rows.append(_lower_row("holder",
-                               acceptance._digest("holder", exp.seed, i, theta),
-                               margin, -exp.tol("holder") * product))
+        rows.append(_lower("holder",
+                           acceptance._digest("holder", exp.seed, i, theta),
+                           margin, -exp.tol("holder") * product))
     return rows, {}
 
 
@@ -431,12 +421,12 @@ def run_roundtrip(exp: Experiment):
         return i, transform, retract_roundtrip(f, rou).residual
     rows = []
     for i, transform, retract in _map_ordered(one, list(enumerate(fns))):
-        rows.append(_upper_row("roundtrip",
-                               acceptance._digest("roundtrip", exp.seed, i, "T"),
-                               transform, exp.tol("residual")))
-        rows.append(_upper_row("roundtrip",
-                               acceptance._digest("roundtrip", exp.seed, i, "R"),
-                               retract, exp.tol("residual")))
+        rows.append(_upper("roundtrip",
+                           acceptance._digest("roundtrip", exp.seed, i, "T"),
+                           transform, exp.tol("residual")))
+        rows.append(_upper("roundtrip",
+                           acceptance._digest("roundtrip", exp.seed, i, "R"),
+                           retract, exp.tol("residual")))
     return rows, {"band_radius": 2.0 ** exp.V}
 
 
@@ -453,10 +443,10 @@ def run_lebesgue_interp(exp: Experiment):
     jobs = [(i, f, theta) for i, f in enumerate(simples) for theta in exp.thetas]
     rows, lower = [], []
     for i, theta, rep in _map_ordered(one, jobs):
-        rows.append(_upper_row("lebesgue-interp",
-                               acceptance._digest("lebesgue-interp", exp.seed,
-                                                  i, theta),
-                               rep.upper_ratio, 1.0 + exp.tol("upper")))
+        rows.append(_upper("lebesgue-interp",
+                           acceptance._digest("lebesgue-interp", exp.seed,
+                                              i, theta),
+                           rep.upper_ratio, 1.0 + exp.tol("upper")))
         lower.append({"item": i, "theta": theta, "lower_ratio": rep.lower_ratio,
                       "rho0": rep.rho0, "rho1": rep.rho1})
     return rows, {"lower_ratios": lower}
@@ -543,9 +533,9 @@ def run_norm_kind(exp: Experiment, which: str):
         bank = build_admissible_pair(exp.grid, exp.V)
         values = [F_infty_norm(f, alpha, _constant(q, "q0"), bank) for f in inputs]
     for i, v in enumerate(values):
-        rows.append(_upper_row(f"norm-{which}",
-                               acceptance._digest("norm", which, exp.seed, i),
-                               v, exp.tol("finite")))
+        rows.append(_upper(f"norm-{which}",
+                           acceptance._digest("norm", which, exp.seed, i),
+                           v, exp.tol("finite")))
     return rows, {"values": values}
 
 

@@ -282,6 +282,13 @@ def conjugate(field: ExponentField) -> ExponentField:
     )
 
 
+def _check_theta(theta: float) -> float:
+    theta = float(theta)
+    if not 0.0 < theta < 1.0:
+        raise InvalidInput(f"theta={theta} must lie strictly inside (0, 1)")
+    return theta
+
+
 def interpolate_exponents(e0: ExponentField, e1: ExponentField, theta: float,
                           mode: str) -> ExponentField:
     """Pointwise interpolation: 'harmonic' 1/p = (1-t)/p0 + t/p1, or 'affine'.

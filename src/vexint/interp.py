@@ -20,7 +20,7 @@ from .errors import (
     SolverFailure,
     UnsupportedParameters,
 )
-from .exponents import ExponentField, interpolate_exponents
+from .exponents import ExponentField, _check_theta, interpolate_exponents
 from .grid import Grid, GridFunction
 from .lebesgue import DEFAULT_TOL, luxemburg_norm, modular_at
 
@@ -85,9 +85,7 @@ def strip_poisson(theta: float) -> PoissonPair:
     tolerance; the masses and the Re z^k reproduction (k <= 2) are checked
     before the pair is returned.
     """
-    theta = float(theta)
-    if not 0.0 < theta < 1.0:
-        raise InvalidInput(f"theta={theta} must lie strictly inside (0, 1)")
+    theta = _check_theta(theta)
     t = np.arange(-QUAD_T, QUAD_T + QUAD_STEP / 2.0, QUAD_STEP)
     pair = PoissonPair(theta, t, np.empty(0), np.empty(0), 0.0, 0.0)
     pair.mu0_values = pair.mu0(t)
@@ -160,9 +158,7 @@ class CompetitorFamily:
 def competitor_family(f, p0: ExponentField, p1: ExponentField,
                       theta: float) -> CompetitorFamily:
     """Build the family from a simple f given as (value, region mask) pairs."""
-    theta = float(theta)
-    if not 0.0 < theta < 1.0:
-        raise InvalidInput(f"theta={theta} must lie strictly inside (0, 1)")
+    theta = _check_theta(theta)
     try:
         pairs = [(complex(v), np.asarray(m, dtype=bool)) for v, m in f]
     except (TypeError, ValueError) as exc:
@@ -305,9 +301,7 @@ def inter_rest_check(f: GridFunction, alpha0, alpha1, p0: ExponentField,
     a1 = _constant_value(alpha1, "alpha1")
     q0v = _constant_value(q0, "q0")
     q1v = _constant_value(q1, "q1")
-    theta = float(theta)
-    if not 0.0 < theta < 1.0:
-        raise InvalidInput(f"theta={theta} must lie strictly inside (0, 1)")
+    theta = _check_theta(theta)
     grid = bank.grid
     if f.grid != grid or p0.grid != grid:
         raise InvalidInput("function, fields, and bank must share one grid")

@@ -8,6 +8,9 @@ goes to the mixed Lebesgue norm, and the endpoint space replaces the outer
 norm by a supremum of cube-averaged tail sums.  Moduli come from `np.hypot`
 (equal to `abs(complex)`) and powers of single coefficients from scalar
 float pow, so every value matches a cube-by-cube evaluation bit for bit.
+`_pow_each` is the one place that takes that scalar pow, here and in the
+factorizations of `calderon`: numpy's vectorised `np.power` can differ from
+it by an ulp.
 """
 
 from __future__ import annotations
@@ -179,13 +182,24 @@ def _check_grid(lam: DyadicCoefficients, *fields: ExponentField) -> None:
             raise InvalidInput("coefficients and exponent fields live on different grids")
 
 
+_scalar_pow = np.frompyfunc(pow, 2, 1)
+
+
+def _pow_each(base, expo) -> np.ndarray:
+    """base ** expo elementwise by one Python float pow per element; the arguments broadcast."""
+    try:
+        return np.asarray(_scalar_pow(base, expo), dtype=np.float64)
+    except OverflowError:
+        raise InvalidInput("a coefficient power exceeds the float range") from None
+
+
 def _pow_entries(mod: np.ndarray, q: float) -> np.ndarray:
     """mod**q with one scalar pow per nonzero entry."""
     if q == 1.0:
         return mod
     out = np.zeros_like(mod)
     nz = np.nonzero(mod)
-    out[nz] = [x ** q for x in mod[nz].tolist()]
+    out[nz] = _pow_each(mod[nz], q)
     return out
 
 
@@ -260,8 +274,7 @@ def coefficient_bound_check(lam: DyadicCoefficients, alpha: ExponentField,
         nz = np.nonzero(mod)
         # j >= 0, so the pointwise max of 2^{j expo} over a cube sits at max expo
         top = cube_cells(grid, expo, j).max(axis=-1)[nz]
-        for a, e in zip(mod[nz].tolist(), top.tolist()):
-            worst = max(worst, a * 2.0 ** (j * e) / norm)
+        worst = max(worst, float((mod[nz] * _pow_each(2.0, j * top) / norm).max(initial=0.0)))
     return worst
 
 

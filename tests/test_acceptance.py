@@ -6,6 +6,8 @@ stated tolerances and scales against the report rows.  Criterion 17 is
 the suite's own determinism and runtime contract.
 """
 
+import hashlib
+
 import pytest
 
 from vexint import acceptance
@@ -178,6 +180,13 @@ def test_criterion_17_suite_determinism_and_runtime(suite):
             f"[{suite.elapsed_first:.2f}s, {len(suite.rows)} rows]")
     print(line)
     assert ok, line
+
+
+def test_suite_csv_bytes_are_pinned(suite):
+    # the digest of this numpy build on this CPU: a refactor must keep the
+    # bytes, while another libm or SIMD path may legitimately move an ulp
+    assert hashlib.sha256(suite.csv.encode("utf-8")).hexdigest() == (
+        "271c72d835fe9171abe42b37a27ce0bb63ee356793d9f9ee962cceeb15a9afe4")
 
 
 def test_row_margins_encode_pass(suite):

@@ -1,5 +1,6 @@
 """Exit-code contract, config validation, and report emission of the CLI."""
 
+import hashlib
 import json
 
 import pytest
@@ -46,6 +47,16 @@ def test_describe_schema_round_trips(capsys):
     printed = json.loads(capsys.readouterr().out)
     assert printed == CONFIG_SCHEMA
     assert "seed" in printed["properties"]["corpus"]["required"]
+
+
+@pytest.mark.parametrize("where, grid", [("$.grid.n", {"n": 3, "L": 1.0, "N": 64}),
+                                         ("$.grid.N", {"n": 1, "L": 1.0, "N": 8})])
+def test_schema_bounds_the_grid_as_make_grid_does(tmp_path, capsys, where, grid):
+    props = CONFIG_SCHEMA["properties"]["grid"]["properties"]
+    assert props["n"]["maximum"] == 2 and props["N"]["minimum"] == 16
+    path = base_config(tmp_path, "norms", grid=grid)
+    assert main(["run", path]) == EXIT_CONFIG
+    assert f"config error at {where}:" in capsys.readouterr().err
 
 
 def test_missing_seed_exits_two(tmp_path, capsys):
@@ -196,6 +207,18 @@ def test_norm_verb_prints_finite_values(tmp_path, capsys, which):
     assert all(float(line.split(": ")[1]) > 0.0 for line in lines)
 
 
+def test_norm_verb_power_overflow_is_contract_failure(tmp_path, capsys):
+    # |lam|^400 leaves the float range for moduli above about 5.9
+    path = base_config(tmp_path, "norms", output={})
+    cfg = json.loads(open(path).read())
+    cfg["exponents"]["q0"] = {"recipe": "constant", "value": 400.0}
+    path = write_config(tmp_path, "q400.json", cfg)
+    assert main(["norm", "--kind", "finfty", path]) == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("contract failure [norm-finfty]: ")
+    assert "exceeds the float range" in err and "Traceback" not in err
+
+
 def test_norm_verb_missing_recipe(tmp_path, capsys):
     path = base_config(tmp_path, "norms", output={})
     cfg = json.loads(open(path).read())
@@ -212,6 +235,9 @@ def test_suite_verb_is_bitwise_deterministic(tmp_path, capsys):
     capsys.readouterr()
     csv_a = (out_a / "suite.csv").read_bytes()
     assert csv_a == (out_b / "suite.csv").read_bytes()
+    # the seed-9 digest of this numpy build on this CPU
+    assert hashlib.sha256(csv_a).hexdigest() == (
+        "8d3c9dc4fb3f79972e4e96c040b2a364d7a396d970194dc53f0f8732381e3415")
     report = json.loads((out_a / "suite.json").read_text())
     assert report["summary"]["deterministic"] is True
     assert report["summary"]["passed"] is True

@@ -19,7 +19,9 @@ from vexint.calderon import (
     _stacked_majorant,
     _subset_from_level_sets,
     build_level_sets,
+    factorization_params_pp,
     factorization_params_pq_infty,
+    factorize_pp,
     factorize_pq_infty,
 )
 from vexint.errors import InvalidSelection
@@ -254,6 +256,28 @@ def check_against_oracles(lam, params):
 def test_level_sets_and_factors_match_per_cube_oracles(data):
     lam = data.draw(power_of_two_coefficients())
     check_against_oracles(lam, data.draw(pq_settings(lam.grid)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_pp_factors_match_per_cube_oracle(data):
+    # the corner construction: every cube of class 0, exponents varying in x
+    lam = data.draw(power_of_two_coefficients())
+    if not lam:
+        return
+    grid = lam.grid
+
+    def sine(base, role="integrability"):
+        return build_exponent(grid, "sine", base=base, amplitude=0.3, role=role)
+
+    params = factorization_params_pp(data.draw(st.floats(min_value=0.1, max_value=0.9)),
+                                     sine(0.2, "smoothness"), sine(-0.1, "smoothness"),
+                                     sine(2.0), sine(3.5))
+    res = factorize_pp(lam, params)
+    p = params.p.values
+    lam0, lam1, _ = corner_factors_oracle(lam, res.lam_norm, params, p / params.p0.values,
+                                          p / params.p1.values)
+    assert res.lam0 == lam0 and res.lam1 == lam1
 
 
 def test_exact_half_ties_match_oracles_1d_and_2d():

@@ -261,6 +261,16 @@ def test_f_infty_rejects_variable_or_bad_q():
         f_infty_norm(lam, a, math.inf)
 
 
+def test_coefficient_power_beyond_float_range_is_typed():
+    # 1e3 ** 500 overflows the single-coefficient power
+    a, _, _ = const_fields(G)
+    lam = single(G, 1, 3, val=1e3)
+    with pytest.raises(InvalidInput, match="exceeds the float range"):
+        f_infty_norm(lam, a, 500.0)
+    with pytest.raises(InvalidInput, match="exceeds the float range"):
+        prop1_equivalence_check(lam, a, 500.0)
+
+
 # -- coefficient bound --------------------------------------------------------
 
 
