@@ -341,7 +341,13 @@ def F_infty_norm(f: GridFunction, alpha: ExponentField, q, bank: FilterBank) -> 
     q = _constant_exponent(q)
     spec = np.fft.fftn(f.values)
     levels = []
-    for v in range(bank.V + 1):
-        conv = _apply(bank.multiplier(v), spec)
-        levels.append(np.exp2(v * q * alpha.values) * np.abs(conv) ** q)
-    return dyadic_tail_sup(bank.grid, levels, q)
+    try:
+        # an integrand or a tail sum past the float range has no norm to report
+        with np.errstate(over="raise", invalid="raise"):
+            for v in range(bank.V + 1):
+                conv = _apply(bank.multiplier(v), spec)
+                levels.append(np.exp2(v * q * alpha.values) * np.abs(conv) ** q)
+            return dyadic_tail_sup(bank.grid, levels, q)
+    except FloatingPointError:
+        raise InvalidInput(f"a level integrand 2^(v alpha q) |phi_v * f|^q or its tail sum "
+                           f"exceeds the float range (q={q})") from None

@@ -219,6 +219,19 @@ def test_norm_verb_power_overflow_is_contract_failure(tmp_path, capsys):
     assert "exceeds the float range" in err and "Traceback" not in err
 
 
+def test_norm_verb_Finfty_power_overflow_is_contract_failure(tmp_path, capsys):
+    # |phi_v * f|^400 leaves the float range; it used to print inf per item
+    path = base_config(tmp_path, "norms", output={})
+    cfg = json.loads(open(path).read())
+    cfg["exponents"]["q0"] = {"recipe": "constant", "value": 400.0}
+    path = write_config(tmp_path, "q400.json", cfg)
+    assert main(["norm", "--kind", "Finfty", path]) == EXIT_CONTRACT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("contract failure [norm-Finfty]: ")
+    assert "exceeds the float range" in captured.err and "Traceback" not in captured.err
+    assert "inf" not in captured.out
+
+
 def test_norm_verb_missing_recipe(tmp_path, capsys):
     path = base_config(tmp_path, "norms", output={})
     cfg = json.loads(open(path).read())

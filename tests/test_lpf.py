@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from vexint import corpus
 from vexint.errors import (
     AdmissibilityFailure,
     InvalidConfiguration,
@@ -333,6 +334,20 @@ def test_F_infty_homogeneity():
     base = F_infty_norm(f, alpha, 2.0, BANK)
     doubled = F_infty_norm(GridFunction(G, 2.0 * f.values), alpha, 2.0, BANK)
     assert abs(doubled - 2.0 * base) <= 1e-9 * doubled
+
+
+@pytest.mark.parametrize("q", [205.0, 400.0])
+def test_F_infty_overflow_raises_invalid_input(q):
+    # at q=400 |phi_v * f|^q leaves the float range, at q=205 only the tail
+    # sums do; both used to come back as inf
+    grid = make_grid(1, 4.0, 256)
+    bank = build_admissible_pair(grid, 3)
+    modes = corpus.random_modes(1, grid.L, 8.0, 6, np.random.default_rng(11))
+    f = GridFunction(grid, 10.0 * corpus.trig_polynomial(grid, modes).values)
+    alpha = const(grid, 0.2, role="smoothness")
+    assert math.isfinite(F_infty_norm(f, alpha, 2.0, bank))
+    with pytest.raises(InvalidInput, match="exceeds the float range"):
+        F_infty_norm(f, alpha, q, bank)
 
 
 def test_coefficient_norm_brackets_function_norm():

@@ -6,7 +6,8 @@ per-offset maxima.  The functions below are those former kernels and
 enumerations, kept verbatim as oracles.  The shared `exponents._offset_profile`
 (slice kernel, each distinct offset scanned once) and the weight-ordered
 cutoff of `log_holder_constants` must equal them under `==` on the exhaustive
-and on the sampled route, in 1D and in 2D.
+and on the sampled route, in 1D and in 2D.  The cutoff orders offsets by a
+block-extremum bound, which must never fall below the offset's true maximum.
 """
 
 import math
@@ -133,6 +134,58 @@ def old_c_loc(field, exhaustive):
     w = _offset_weights_2d(grid)
     valid = M >= 0.0
     return float(np.max(np.where(valid, M * w, 0.0))), int(valid.sum()) - 1
+
+
+# -- former offset enumeration ---------------------------------------------
+
+
+def _old_offsets(grid, budget):
+    """Integer lattice offsets k, one per row with the zero offset first, and periodic |k|.
+
+    With `budget` None every offset appears once up to the mirror symmetry
+    k -> -k.  Otherwise about `budget` offsets are drawn, uniformly per
+    dyadic radius band with a fixed seed, so equal budgets see equal offsets
+    and budget doublings are comparable across calls; draws may repeat.
+    """
+    N = grid.N
+    if budget is None:
+        if grid.n == 1:
+            k = np.arange(N // 2 + 1)
+            return k[:, None], grid.h * k.astype(np.float64)
+        # half plane k0 in [0, N/2]; on the rows k0 = 0 and k0 = N/2 the
+        # mirror of k1 is N - k1 in the same row, so only k1 <= N/2 is kept
+        k0, k1 = np.meshgrid(np.arange(N // 2 + 1), np.arange(N), indexing="ij")
+        keep = ((k0 != 0) & (k0 != N // 2)) | (k1 <= N // 2)
+        k0f = k0.astype(np.float64)
+        k1f = np.minimum(k1, N - k1).astype(np.float64)
+        d = grid.h * np.sqrt(k0f * k0f + k1f * k1f)
+        return np.stack([k0[keep], k1[keep]], axis=1), d[keep]
+    rng = np.random.default_rng(SAMPLE_SEED)
+    bands = max(1, int(math.log2(N // 2)))
+    per_band = max(1, budget // bands)
+    ks = [(0,) * grid.n]
+    ds = [0.0]
+    for b in range(bands):
+        lo, hi = 2 ** b, min(2 ** (b + 1), N // 2 + 1)
+        if lo >= hi:
+            continue
+        radii = rng.integers(lo, hi, size=per_band)
+        if grid.n == 1:
+            for k in radii:
+                ks.append((int(k),))
+                ds.append(int(k) * grid.h)
+        else:
+            angles = rng.uniform(0.0, 2.0 * math.pi, size=per_band)
+            for r, t in zip(radii, angles):
+                k0 = int(round(r * math.cos(t))) % N
+                k1 = int(round(r * math.sin(t))) % N
+                if k0 == 0 and k1 == 0:
+                    continue
+                ks.append((k0, k1))
+                d0 = min(k0, N - k0) * grid.h
+                d1 = min(k1, N - k1) * grid.h
+                ds.append(math.hypot(d0, d1))
+    return np.array(ks), np.asarray(ds)
 
 
 # -- former shift-check profiles ------------------------------------------
@@ -287,9 +340,20 @@ def test_exhaustive_offsets_are_the_former_table_cells(n, N):
 
 
 def _field(grid, kind, a, b, seed):
-    """A test field: constant, a plateau with transition width a*L, two spikes, or noise."""
+    """A test field: constant, a plateau with transition width a*L, two spikes,
+    plane waves, or noise."""
     if kind == "constant":
         return build_exponent(grid, "constant", value=2.0 + a)
+    if kind == "wave":
+        # plane waves with integer wave vectors and random phases, the fields
+        # of the regularity benchmark
+        rng = np.random.default_rng(seed)
+        vals = np.full(grid.shape, 2.5)
+        for amp in (0.5 * b, 0.25 * a):
+            vec = rng.integers(-3, 4, size=grid.n).tolist()
+            arg = sum(c * x for c, x in zip(vec, grid.coords())) * (math.pi / grid.L)
+            vals = vals + amp * np.sin(arg + rng.uniform(0.0, 2.0 * math.pi))
+        return ExponentField(grid, vals, 1.5, 3.5, "integrability")
     if kind == "spikes":
         # +-0.5 spikes a lattice vector D apart: M = osc only at k = +-D, and
         # for short D that offset wins and is the last one the cutoff scans
@@ -315,9 +379,11 @@ grids = st.one_of(
 )
 
 
+kinds = st.sampled_from(["constant", "plateau", "spikes", "wave", "uniform"])
+
+
 @settings(max_examples=40, deadline=None)
-@given(grids, st.sampled_from(["constant", "plateau", "spikes", "uniform"]),
-       st.floats(0.0, 1.0), st.floats(0.01, 1.0), st.integers(0, 2 ** 16),
+@given(grids, kinds, st.floats(0.0, 1.0), st.floats(0.01, 1.0), st.integers(0, 2 ** 16),
        st.booleans())
 @example(make_grid(1, 2, 8192), "plateau", 1.0, 0.5, 0, True)
 @example(make_grid(1, 2, 8192), "plateau", 0.3, 0.5, 0, False)
@@ -329,6 +395,11 @@ grids = st.one_of(
 @example(make_grid(2, 2, 128), "uniform", 0.0, 1.0, 3, True)
 @example(make_grid(2, 2, 64), "constant", 0.5, 1.0, 0, True)
 @example(make_grid(1, 2, 1024), "constant", 0.5, 1.0, 0, False)
+@example(make_grid(1, 2, 8192), "wave", 0.8, 0.6, 7, True)
+@example(make_grid(1, 2, 8192), "wave", 0.8, 0.6, 7, False)
+@example(make_grid(2, 2, 128), "wave", 0.7, 0.9, 9, True)
+@example(make_grid(2, 2, 128), "wave", 0.7, 0.9, 9, False)
+@example(make_grid(2, 2, 64), "wave", 1.0, 0.2, 3, True)
 def test_weight_ordered_cutoff_equals_full_table(grid, kind, a, b, seed, exhaustive):
     field = _field(grid, kind, a, b, seed)
     with pytest.MonkeyPatch.context() as mp:
@@ -336,6 +407,55 @@ def test_weight_ordered_cutoff_equals_full_table(grid, kind, a, b, seed, exhaust
         rep = log_holder_constants(field)
     assert rep.exhaustive is exhaustive
     assert (rep.c_loc, rep.offsets_evaluated) == old_c_loc(field, exhaustive)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grids, kinds, st.floats(0.0, 1.0), st.floats(0.01, 1.0), st.integers(0, 2 ** 16))
+# a spike pair whose second point lies in the next block along every
+# spilling axis: only the B+K+1 neighbour holds it
+@example(make_grid(1, 2, 64), "spikes", 0.5, 0.5, 7)
+@example(make_grid(2, 2, 32), "spikes", 0.5, 0.6, 7 * 32 + 6)
+@example(make_grid(2, 2, 32), "spikes", 0.0, 0.6, 6)
+@example(make_grid(2, 2, 32), "spikes", 0.5, 0.0, 7 * 32)
+@example(make_grid(2, 2, 128), "wave", 0.7, 0.9, 9)
+@example(make_grid(1, 2, 8192), "uniform", 0.0, 1.0, 3)
+def test_block_bound_covers_every_offset(grid, kind, a, b, seed):
+    # M[k] <= U[k] <= osc on the whole lattice: the exhaustive table and
+    # the mirror of each of its offsets
+    field = _field(grid, kind, a, b, seed)
+    g = field.values
+    k, _ = exponents._offsets(grid, None)
+    M, _ = exponents._offset_profile(field, None)
+    for lattice in (k, -k % grid.N):
+        U = exponents._offset_bounds(g, lattice)
+        assert np.all(U >= M)
+        assert np.all(U <= g.max() - g.min())
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 32)])
+@pytest.mark.parametrize("exhaustive", [True, False], ids=["exhaustive", "sampled"])
+def test_constant_field_needs_no_scan(n, N, exhaustive, monkeypatch):
+    # U = 0 everywhere, so the first offset already meets fl(U * w) <= best = 0
+    def no_scan(field, k):
+        raise AssertionError(f"scanned {len(k)} offsets of a constant field")
+
+    monkeypatch.setattr(exponents, "_scan", no_scan)
+    monkeypatch.setattr(exponents, "EXHAUSTIVE_POINT_LIMIT", 2 ** 30 if exhaustive else 0)
+    rep = log_holder_constants(build_exponent(make_grid(n, 2, N), "constant", value=2.5))
+    assert rep.c_loc == 0.0 and rep.exhaustive is exhaustive
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("budget", [32, 512, SAMPLE_OFFSETS])
+def test_sampled_offsets_equal_the_former_draws(n, budget):
+    # the sampled route loops over Python scalars now; every grid size from
+    # 16 to 2^17 must still draw the same offsets and distances
+    for N in [2 ** e for e in range(4, 18)]:
+        grid = make_grid(n, 2, N)
+        k, d = exponents._offsets(grid, budget)
+        k_old, d_old = _old_offsets(grid, budget)
+        assert k.dtype == k_old.dtype and d.dtype == d_old.dtype
+        assert np.array_equal(k, k_old) and np.array_equal(d, d_old)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
