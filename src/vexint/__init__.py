@@ -47,6 +47,7 @@ from .calderon import (
     equivalence_experiment,
     factorization_params_pp,
     factorization_params_pq_infty,
+    factorize,
     factorize_pp,
     factorize_pq_infty,
     verify_holder_direction,
@@ -100,6 +101,7 @@ __all__ = [
     "equivalence_experiment",
     "factorization_params_pp",
     "factorization_params_pq_infty",
+    "factorize",
     "factorize_pp",
     "factorize_pq_infty",
     "verify_holder_direction",

@@ -25,6 +25,7 @@ from .calderon import (
     equivalence_experiment,
     factorization_params_pp,
     factorization_params_pq_infty,
+    factorize,
     factorize_pp,
     factorize_pq_infty,
     build_level_sets,
@@ -285,7 +286,7 @@ def _pq_recipe(grid: Grid, theta: float, q0: float = 2.0, q1: float = 3.0):
     return factorization_params_pq_infty(theta, a0, a1, p0, q0, q1)
 
 
-def _factor_norm_max(lams, params, factorize) -> float:
+def _factor_norm_max(lams, params) -> float:
     worst = 0.0
     for lam in lams:
         res = factorize(lam, params)
@@ -306,11 +307,10 @@ def criterion_04(seed: int) -> CriterionResult:
     deeper = corpus.coefficient_corpus(base_grid, V + 1, items=20, count=250,
                                        seed=int(_rng(seed, 4).integers(2 ** 31)))
     rows = []
-    for tag, params_of, factorize in (("pp", _pp_recipe, factorize_pp),
-                                      ("pq", _pq_recipe, factorize_pq_infty)):
-        m_base = _factor_norm_max(base, params_of(base_grid, theta), factorize)
-        m_fine = _factor_norm_max(transplanted, params_of(fine_grid, theta), factorize)
-        m_deep = _factor_norm_max(deeper, params_of(base_grid, theta), factorize)
+    for tag, params_of in (("pp", _pp_recipe), ("pq", _pq_recipe)):
+        m_base = _factor_norm_max(base, params_of(base_grid, theta))
+        m_fine = _factor_norm_max(transplanted, params_of(fine_grid, theta))
+        m_deep = _factor_norm_max(deeper, params_of(base_grid, theta))
         rows.append(_upper("A04", _digest(4, seed, tag, "N"), m_fine / m_base, 2.0))
         rows.append(_upper("A04", _digest(4, seed, tag, "V"), m_deep / m_base, 2.0))
     return CriterionResult(4, "factor-norm stability", rows,

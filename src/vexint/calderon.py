@@ -26,6 +26,7 @@ from .grid import Grid, GridFunction, cube_cells, cube_corners
 from .seqspaces import (
     DyadicCoefficients,
     SubsetSelection,
+    _constant_exponent,
     _level_integrand,
     _pow_each,
     f_infty_norm,
@@ -46,6 +47,7 @@ __all__ = [
     "factorize_pp",
     "build_level_sets",
     "factorize_pq_infty",
+    "factorize",
     "calderon_upper",
     "lattice_property_check",
     "case_classifier",
@@ -233,8 +235,8 @@ def verify_holder_direction(lam: DyadicCoefficients, lam0: DyadicCoefficients,
     q = interpolate_exponents(q0f, q1f, theta, "harmonic")
     if p1 is None:
         p = _p_infty(p0, theta)
-        norm1 = f_infty_subset_norm(lam1, alpha1, q1f.values.ravel()[0], full_selection(lam1))
-        direct1 = f_infty_norm(lam1, alpha1, q1f.values.ravel()[0])
+        norm1 = f_infty_subset_norm(lam1, alpha1, q1f, full_selection(lam1))
+        direct1 = f_infty_norm(lam1, alpha1, q1f)
     else:
         p = interpolate_exponents(p0, p1, theta, "harmonic")
         norm1 = f_norm(lam1, alpha1, p1, q1f).value
@@ -400,15 +402,14 @@ def build_level_sets(lam: DyadicCoefficients, alpha: ExponentField, p: ExponentF
     gamma = params.gamma
     if abs(gamma) <= IDENTITY_TOL:
         raise InvalidConfiguration("gamma vanishes; this decomposition needs the case-ii setting")
-    qv = float(np.asarray(q.values if isinstance(q, ExponentField) else q).ravel()[0])
+    qv = _constant_exponent(q)
     grid = lam.grid
     g_vals = _stacked_majorant(lam, alpha, qv)
     g = GridFunction(grid, g_vals)
     if not lam:
         return LevelSetDecomposition(g, None, [np.full(a.shape, NO_CLASS) for a in lam.levels],
                                      [], 0, -1, gamma, 0.0)
-    lam_norm = f_norm(lam, alpha, p, q if isinstance(q, ExponentField) else
-                      _const_field(grid, qv)).value
+    lam_norm = f_norm(lam, alpha, p, _as_q_field(grid, q)).value
     positive = g_vals > 0.0
     ratio = np.zeros(grid.shape)
     ratio[positive] = (g_vals[positive] / lam_norm) ** gamma
@@ -489,6 +490,13 @@ def factorize_pq_infty(lam: DyadicCoefficients,
                                zero_count=zero_count)
 
 
+def factorize(lam: DyadicCoefficients, params: FactorizationParams) -> FactorizationResult:
+    """Run the construction params describe: factorize_pp for kind "pp", else factorize_pq_infty."""
+    if params.kind == "pp":
+        return factorize_pp(lam, params)
+    return factorize_pq_infty(lam, params)
+
+
 def calderon_upper(lam: DyadicCoefficients, params: FactorizationParams,
                    construction: str | None = None) -> float:
     """Upper anchor ||lam|| max(1, ||lam0||)^{1-theta} max(1, ||lam1||)^theta.
@@ -500,8 +508,7 @@ def calderon_upper(lam: DyadicCoefficients, params: FactorizationParams,
         raise InvalidConfiguration(
             f"requested {construction} but params describe {params.kind}"
         )
-    res = factorize_pp(lam, params) if params.kind == "pp" else factorize_pq_infty(lam, params)
-    return _upper_value(res, params.theta)
+    return _upper_value(factorize(lam, params), params.theta)
 
 
 def _upper_value(res: FactorizationResult, theta: float) -> float:
@@ -600,7 +607,6 @@ def equivalence_experiment(corpus, params: FactorizationParams,
     if not corpus:
         raise InvalidInput("corpus must be nonempty")
     tag = "case-i" if params.kind == "pp" else "case-ii"
-    factorize = factorize_pp if params.kind == "pp" else factorize_pq_infty
 
     rows = []
     for i, lam in enumerate(corpus):

@@ -24,8 +24,7 @@ import numpy as np
 from . import __version__, acceptance, corpus
 from .acceptance import ReportRow, _lower, _upper, rows_to_csv
 from .calderon import _reconstructions, factorization_params_pp, \
-    factorization_params_pq_infty, factorize_pp, factorize_pq_infty, \
-    verify_holder_direction
+    factorization_params_pq_infty, factorize, verify_holder_direction
 from .errors import (
     AdmissibilityFailure,
     InvalidConfiguration,
@@ -156,16 +155,14 @@ CONFIG_SCHEMA = {
     },
 }
 
-# recipes each experiment reads; missing ones are a config error, not a default
+# recipes each experiment and norm kind reads, in build order (holder reads those
+# of factorize-<construction>); missing ones are a config error, not a default
 REQUIRED_RECIPES = {
     "norms": ("alpha0", "p0", "q0"),
     "factorize-pp": ("alpha0", "alpha1", "p0", "p1"),
     "factorize-pq-infty": ("alpha0", "alpha1", "p0", "q0", "q1"),
-    "holder": (),
-    "roundtrip": (),
     "lebesgue-interp": ("p0", "p1"),
     "inter-rest": ("alpha0", "alpha1", "p0", "p1", "q0", "q1"),
-    "suite": (),
     "lux": ("p0",),
     "mixed": ("p0", "q0"),
     "f": ("alpha0", "p0", "q0"),
@@ -215,14 +212,6 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _require_recipes(cfg: dict, kind: str) -> None:
-    have = cfg.get("exponents", {})
-    for name in REQUIRED_RECIPES[kind]:
-        if name not in have:
-            raise ConfigError(f"$.exponents.{name}",
-                              f"recipe required by kind {kind!r}")
-
-
 def build_field(grid: Grid, name: str, spec: dict) -> ExponentField:
     role = "smoothness" if name.startswith("alpha") else "integrability"
     kwargs = {k: v for k, v in spec.items() if k != "recipe"}
@@ -270,15 +259,24 @@ class Experiment:
         self.thetas = cfg.get("theta", [0.5])
         self.tolerances = {**DEFAULT_TOLERANCES, **cfg.get("tolerances", {})}
         self.construction = cfg.get("construction", "pp")
-        self.fields = {}
 
-    def field(self, name: str) -> ExponentField:
-        if name not in self.fields:
-            spec = self.cfg.get("exponents", {}).get(name)
-            if spec is None:
-                raise ConfigError(f"$.exponents.{name}", "recipe missing")
-            self.fields[name] = build_field(self.grid, name, spec)
-        return self.fields[name]
+    def fields(self, kind: str) -> dict:
+        """The exponent fields `kind` reads, built in REQUIRED_RECIPES order."""
+        have = self.cfg.get("exponents", {})
+        for name in REQUIRED_RECIPES[kind]:
+            if name not in have:
+                raise ConfigError(f"$.exponents.{name}",
+                                  f"recipe required by kind {kind!r}")
+        return {name: build_field(self.grid, name, have[name])
+                for name in REQUIRED_RECIPES[kind]}
+
+    def coefficients(self) -> list:
+        return corpus.coefficient_corpus(self.grid, self.V, self.items, self.count,
+                                         self.seed, self.distribution)
+
+    def functions(self) -> list:
+        return corpus.band_limited_corpus(self.grid, 2.0 ** self.V, self.items,
+                                          self.count, self.seed)
 
     def tol(self, name: str) -> float:
         return self.tolerances[name]
@@ -303,15 +301,23 @@ def _map_ordered(fn, items):
         return list(pool.map(fn, items))
 
 
-def _params_for(exp: Experiment, construction: str, theta: float):
+def _over_corpus(items, one, thetas) -> list:
+    """[(i, theta, one(items[i], theta))] for every item and theta, through the pool."""
+    jobs = [(i, theta) for i in range(len(items)) for theta in thetas]
+    results = _map_ordered(lambda job: one(items[job[0]], job[1]), jobs)
+    return [(i, theta, r) for (i, theta), r in zip(jobs, results)]
+
+
+def _construction(exp: Experiment, construction: str):
+    """(params of theta, Hoelder space 0, Hoelder space 1) of the pp or p/infty factorization."""
+    f = exp.fields("factorize-" + construction)
+    alpha0, alpha1, p0 = f["alpha0"], f["alpha1"], f["p0"]
     if construction == "pp":
-        return factorization_params_pp(theta, exp.field("alpha0"),
-                                       exp.field("alpha1"), exp.field("p0"),
-                                       exp.field("p1"))
-    return factorization_params_pq_infty(theta, exp.field("alpha0"),
-                                         exp.field("alpha1"), exp.field("p0"),
-                                         _constant(exp.field("q0"), "q0"),
-                                         _constant(exp.field("q1"), "q1"))
+        return (lambda theta: factorization_params_pp(theta, alpha0, alpha1, p0, f["p1"]),
+                (alpha0, p0), (alpha1, f["p1"]))
+    q0, q1 = _constant(f["q0"], "q0"), _constant(f["q1"], "q1")
+    return (lambda theta: factorization_params_pq_infty(theta, alpha0, alpha1, p0, q0, q1),
+            (alpha0, p0, q0), (alpha1, None, q1))
 
 
 def _recon_deviation(lam, res, theta: float) -> float:
@@ -322,34 +328,16 @@ def _recon_deviation(lam, res, theta: float) -> float:
 # ------------------------------------------------------------- experiments
 
 
-def run_norms(exp: Experiment):
-    _require_recipes(exp.cfg, "norms")
-    lams = corpus.coefficient_corpus(exp.grid, exp.V, exp.items, exp.count,
-                                     exp.seed, exp.distribution)
-    alpha, p, q = exp.field("alpha0"), exp.field("p0"), exp.field("q0")
-    values = _map_ordered(lambda lam: f_norm(lam, alpha, p, q).value, lams)
-    rows = [_upper("norms", acceptance._digest("norms", exp.seed, i), v,
-                   exp.tol("finite"))
-            for i, v in enumerate(values)]
-    return rows, {"values": values}
-
-
 def run_factorize(exp: Experiment, construction: str):
-    kind = "factorize-pp" if construction == "pp" else "factorize-pq-infty"
-    _require_recipes(exp.cfg, kind)
-    factorize = factorize_pp if construction == "pp" else factorize_pq_infty
-    lams = corpus.coefficient_corpus(exp.grid, exp.V, exp.items, exp.count,
-                                     exp.seed, exp.distribution)
-    rows, norms = [], []
+    kind = "factorize-" + construction
+    params_of, _, _ = _construction(exp, construction)
+    params = {theta: params_of(theta) for theta in exp.thetas}
 
-    def one(job):
-        i, lam, theta = job
-        res = factorize(lam, _params_for(exp, construction, theta))
-        return (i, theta, _recon_deviation(lam, res, theta),
-                res.factor0_norm, res.factor1_norm)
-    jobs = [(i, lam, theta) for i, lam in enumerate(lams)
-            for theta in exp.thetas]
-    for i, theta, dev, n0, n1 in _map_ordered(one, jobs):
+    def one(lam, theta):
+        res = factorize(lam, params[theta])
+        return _recon_deviation(lam, res, theta), res.factor0_norm, res.factor1_norm
+    rows, norms = [], []
+    for i, theta, (dev, n0, n1) in _over_corpus(exp.coefficients(), one, exp.thetas):
         rows.append(_upper(kind, acceptance._digest(kind, exp.seed, i, theta),
                            dev, exp.tol("reconstruction")))
         norms.append({"item": i, "theta": theta, "factor0_norm": n0,
@@ -357,70 +345,49 @@ def run_factorize(exp: Experiment, construction: str):
     return rows, {"factor_norms": norms}
 
 
-def _holder_spaces(exp: Experiment, construction: str):
-    if construction == "pp":
-        return ((exp.field("alpha0"), exp.field("p0")),
-                (exp.field("alpha1"), exp.field("p1")))
-    return ((exp.field("alpha0"), exp.field("p0"), _constant(exp.field("q0"), "q0")),
-            (exp.field("alpha1"), None, _constant(exp.field("q1"), "q1")))
-
-
 def run_holder(exp: Experiment):
-    construction = exp.construction
-    kind = "factorize-pp" if construction == "pp" else "factorize-pq-infty"
-    _require_recipes(exp.cfg, kind)
-    space0, space1 = _holder_spaces(exp, construction)
+    params_of, space0, space1 = _construction(exp, exp.construction)
     explicit = exp.cfg.get("coefficients")
-    rows = []
-    if explicit is not None:
+    if explicit is None:
+        params = {theta: params_of(theta) for theta in exp.thetas}
+        items = exp.coefficients()
+
+        def one(lam, theta):
+            res = factorize(lam, params[theta])
+            return verify_holder_direction(lam.scaled(1.0 / res.lam_norm), res.lam0,
+                                           res.lam1, space0, space1, theta)
+    else:
         for name in ("lam", "lam0", "lam1"):
             if name not in explicit:
                 raise ConfigError(f"$.coefficients.{name}",
                                   "holder kind needs lam, lam0 and lam1")
-        lam = decode_coefficients(exp.grid, exp.V, explicit["lam"],
-                                  "$.coefficients.lam")
-        lam0 = decode_coefficients(exp.grid, exp.V, explicit["lam0"],
-                                   "$.coefficients.lam0")
-        lam1 = decode_coefficients(exp.grid, exp.V, explicit["lam1"],
-                                   "$.coefficients.lam1")
-        for theta in exp.thetas:
-            rep = verify_holder_direction(lam, lam0, lam1, space0, space1, theta)
-            rows.append(_lower("holder",
-                               acceptance._digest("holder", exp.seed, theta),
-                               rep.margin, -exp.tol("holder") * rep.product))
-        return rows, {}
-    factorize = factorize_pp if construction == "pp" else factorize_pq_infty
-    lams = corpus.coefficient_corpus(exp.grid, exp.V, exp.items, exp.count,
-                                     exp.seed, exp.distribution)
+        lam, lam0, lam1 = (decode_coefficients(exp.grid, exp.V, explicit[name],
+                                               f"$.coefficients.{name}")
+                           for name in ("lam", "lam0", "lam1"))
+        items = [lam]
 
-    def one(job):
-        i, lam, theta = job
-        res = factorize(lam, _params_for(exp, construction, theta))
-        rep = verify_holder_direction(lam.scaled(1.0 / res.lam_norm), res.lam0,
-                                      res.lam1, space0, space1, theta)
-        return i, theta, rep.margin, rep.product
-    jobs = [(i, lam, theta) for i, lam in enumerate(lams) for theta in exp.thetas]
-    for i, theta, margin, product in _map_ordered(one, jobs):
-        rows.append(_lower("holder",
-                           acceptance._digest("holder", exp.seed, i, theta),
-                           margin, -exp.tol("holder") * product))
+        def one(lam, theta):
+            return verify_holder_direction(lam, lam0, lam1, space0, space1, theta)
+    rows = []
+    for i, theta, rep in _over_corpus(items, one, exp.thetas):
+        # an explicit triple is keyed by theta alone
+        key = (i, theta) if explicit is None else (theta,)
+        rows.append(_lower("holder", acceptance._digest("holder", exp.seed, *key),
+                           rep.margin, -exp.tol("holder") * rep.product))
     return rows, {}
 
 
 def run_roundtrip(exp: Experiment):
     dual = build_dual_pair(build_admissible_pair(exp.grid, exp.V))
     rou = build_resolution_of_unity(exp.grid, exp.V)
-    fns = corpus.band_limited_corpus(exp.grid, 2.0 ** exp.V, exp.items,
-                                     exp.count, exp.seed)
 
-    def one(job):
-        i, f = job
+    def one(f, _theta):
         sup = float(np.abs(f.values).max())
         back = synthesize(analyze(f, dual), dual)
         transform = float(np.abs(back.values - f.values).max()) / sup
-        return i, transform, retract_roundtrip(f, rou).residual
+        return transform, retract_roundtrip(f, rou).residual
     rows = []
-    for i, transform, retract in _map_ordered(one, list(enumerate(fns))):
+    for i, _, (transform, retract) in _over_corpus(exp.functions(), one, [None]):
         rows.append(_upper("roundtrip",
                            acceptance._digest("roundtrip", exp.seed, i, "T"),
                            transform, exp.tol("residual")))
@@ -431,18 +398,14 @@ def run_roundtrip(exp: Experiment):
 
 
 def run_lebesgue_interp(exp: Experiment):
-    _require_recipes(exp.cfg, "lebesgue-interp")
-    p0, p1 = exp.field("p0"), exp.field("p1")
+    f = exp.fields("lebesgue-interp")
     simples = corpus.simple_function_corpus(exp.grid, exp.items, exp.regions,
                                             exp.seed)
-
-    def one(job):
-        i, f, theta = job
-        rep = scalar_interp_sandwich(f, p0, p1, theta)
-        return i, theta, rep
-    jobs = [(i, f, theta) for i, f in enumerate(simples) for theta in exp.thetas]
     rows, lower = [], []
-    for i, theta, rep in _map_ordered(one, jobs):
+
+    def one(g, theta):
+        return scalar_interp_sandwich(g, f["p0"], f["p1"], theta)
+    for i, theta, rep in _over_corpus(simples, one, exp.thetas):
         rows.append(_upper("lebesgue-interp",
                            acceptance._digest("lebesgue-interp", exp.seed,
                                               i, theta),
@@ -453,25 +416,19 @@ def run_lebesgue_interp(exp: Experiment):
 
 
 def run_inter_rest(exp: Experiment):
-    _require_recipes(exp.cfg, "inter-rest")
+    f = exp.fields("inter-rest")
     # the retraction route needs constant smoothness and inner exponents;
     # the integrability pair may vary
     for name in ("alpha0", "alpha1", "q0", "q1"):
-        _constant(exp.field(name), name)
+        _constant(f[name], name)
     bank = build_resolution_of_unity(exp.grid, exp.V)
-    fns = corpus.band_limited_corpus(exp.grid, 2.0 ** exp.V, exp.items,
-                                     exp.count, exp.seed)
     bracket = exp.tol("bracket")
-
-    def one(job):
-        i, f, theta = job
-        rep = inter_rest_check(f, exp.field("alpha0"), exp.field("alpha1"),
-                               exp.field("p0"), exp.field("p1"),
-                               exp.field("q0"), exp.field("q1"), theta, bank)
-        return i, theta, rep.ratio
-    jobs = [(i, f, theta) for i, f in enumerate(fns) for theta in exp.thetas]
     rows = []
-    for i, theta, ratio in _map_ordered(one, jobs):
+
+    def one(g, theta):
+        return inter_rest_check(g, f["alpha0"], f["alpha1"], f["p0"], f["p1"],
+                                f["q0"], f["q1"], theta, bank).ratio
+    for i, theta, ratio in _over_corpus(exp.functions(), one, exp.thetas):
         # folded two-sided bracket: pass iff 1/bracket <= ratio <= bracket
         folded = max(ratio, 1.0 / ratio) if ratio > 0.0 else float("inf")
         margin = bracket - folded
@@ -482,8 +439,45 @@ def run_inter_rest(exp: Experiment):
     return rows, {"bracket": bracket}
 
 
+def _norm_of(exp: Experiment, which: str, f: dict):
+    """The norm `which` of one corpus item, with its filter bank and constant q built once."""
+    alpha, p, q = (f.get(name) for name in ("alpha0", "p0", "q0"))
+    if which == "lux":
+        return lambda g: luxemburg_norm(g, p).value
+    if which == "f":
+        return lambda lam: f_norm(lam, alpha, p, q).value
+    if which == "finfty":
+        q_const = _constant(q, "q0")
+        return lambda lam: f_infty_norm(lam, alpha, q_const)
+    if which == "mixed":
+        bank = build_resolution_of_unity(exp.grid, exp.V)
+        mults = [bank.multiplier(v) for v in range(exp.V + 1)]
+
+        def mixed(g):
+            spec = np.fft.fftn(g.values)
+            return mixed_norm([np.fft.ifftn(spec * m) for m in mults], p, q).value
+        return mixed
+    bank = build_admissible_pair(exp.grid, exp.V)
+    if which == "F":
+        return lambda g: F_norm(g, alpha, p, q, bank).value
+    q_const = _constant(q, "q0")
+    return lambda g: F_infty_norm(g, alpha, q_const, bank)
+
+
+def run_norm_kind(exp: Experiment, which: str, kind: str | None = None):
+    """One norm over the corpus.  Rows are labelled norm-<which>, or by the
+    experiment `kind` that runs this norm under its own label and recipes."""
+    label, key = (f"norm-{which}", ("norm", which)) if kind is None else (kind, (kind,))
+    norm = _norm_of(exp, which, exp.fields(kind or which))
+    items = exp.coefficients() if which in ("f", "finfty") else exp.functions()
+    values = [v for _, _, v in _over_corpus(items, lambda x, _theta: norm(x), [None])]
+    rows = [_upper(label, acceptance._digest(*key, exp.seed, i), v, exp.tol("finite"))
+            for i, v in enumerate(values)]
+    return rows, {"values": values}
+
+
 EXPERIMENTS = {
-    "norms": run_norms,
+    "norms": lambda exp: run_norm_kind(exp, "f", "norms"),
     "factorize-pp": lambda exp: run_factorize(exp, "pp"),
     "factorize-pq-infty": lambda exp: run_factorize(exp, "pq-infty"),
     "holder": run_holder,
@@ -491,52 +485,6 @@ EXPERIMENTS = {
     "lebesgue-interp": run_lebesgue_interp,
     "inter-rest": run_inter_rest,
 }
-
-
-# ------------------------------------------------------------ norm verb
-
-
-def run_norm_kind(exp: Experiment, which: str):
-    _require_recipes(exp.cfg, which)
-    rows = []
-    if which in ("f", "finfty"):
-        inputs = corpus.coefficient_corpus(exp.grid, exp.V, exp.items,
-                                           exp.count, exp.seed,
-                                           exp.distribution)
-    else:
-        inputs = corpus.band_limited_corpus(exp.grid, 2.0 ** exp.V, exp.items,
-                                            exp.count, exp.seed)
-    if which == "lux":
-        p = exp.field("p0")
-        values = [luxemburg_norm(f, p).value for f in inputs]
-    elif which == "mixed":
-        p, q = exp.field("p0"), exp.field("q0")
-        bank = build_resolution_of_unity(exp.grid, exp.V)
-        mults = [bank.multiplier(v) for v in range(exp.V + 1)]
-
-        def slices(f):
-            spec = np.fft.fftn(f.values)
-            return [np.fft.ifftn(spec * m) for m in mults]
-        values = [mixed_norm(slices(f), p, q).value for f in inputs]
-    elif which == "f":
-        alpha, p, q = exp.field("alpha0"), exp.field("p0"), exp.field("q0")
-        values = [f_norm(lam, alpha, p, q).value for lam in inputs]
-    elif which == "finfty":
-        alpha, q = exp.field("alpha0"), exp.field("q0")
-        values = [f_infty_norm(lam, alpha, _constant(q, "q0")) for lam in inputs]
-    elif which == "F":
-        alpha, p, q = exp.field("alpha0"), exp.field("p0"), exp.field("q0")
-        bank = build_admissible_pair(exp.grid, exp.V)
-        values = [F_norm(f, alpha, p, q, bank).value for f in inputs]
-    else:
-        alpha, q = exp.field("alpha0"), exp.field("q0")
-        bank = build_admissible_pair(exp.grid, exp.V)
-        values = [F_infty_norm(f, alpha, _constant(q, "q0"), bank) for f in inputs]
-    for i, v in enumerate(values):
-        rows.append(_upper(f"norm-{which}",
-                           acceptance._digest("norm", which, exp.seed, i),
-                           v, exp.tol("finite")))
-    return rows, {"values": values}
 
 
 # --------------------------------------------------------------- reports
@@ -579,6 +527,21 @@ def _print_rows(rows, limit: int = 12) -> None:
 # ----------------------------------------------------------------- verbs
 
 
+def _execute(exp: Experiment, label: str, run, out: dict | None, show) -> int:
+    """Time run(), print it by show(rows, extras, runtime), write the reports;
+    a contract error is reported under `label` instead."""
+    t0 = time.perf_counter()
+    try:
+        rows, extras = run()
+    except _CONTRACT_ERRORS as exc:
+        print(f"contract failure [{label}]: {exc}", file=sys.stderr)
+        return EXIT_CONTRACT
+    runtime = time.perf_counter() - t0
+    show(rows, extras, runtime)
+    write_reports(exp.echo(), label, rows, extras, runtime, out)
+    return EXIT_PASS if all(r.passed for r in rows) else EXIT_CONTRACT
+
+
 def cmd_run(path: str) -> int:
     cfg = load_config(path)
     exp = Experiment(cfg)
@@ -587,20 +550,14 @@ def cmd_run(path: str) -> int:
     out.setdefault("json", f"{exp.kind}-report.json")
     if exp.kind == "suite":
         return cmd_suite(exp.seed, out["csv"], out["json"])
-    t0 = time.perf_counter()
-    try:
-        rows, extras = EXPERIMENTS[exp.kind](exp)
-    except _CONTRACT_ERRORS as exc:
-        print(f"contract failure [{exp.kind}]: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
-    runtime = time.perf_counter() - t0
-    write_reports(exp.echo(), exp.kind, rows, extras, runtime, out)
-    passed = all(r.passed for r in rows)
-    print(f"{exp.kind}: {len(rows)} rows, "
-          f"{'all passed' if passed else 'FAILURES'} ({runtime:.2f}s)")
-    if not passed:
-        _print_rows([r for r in rows if not r.passed])
-    return EXIT_PASS if passed else EXIT_CONTRACT
+
+    def show(rows, _extras, runtime):
+        passed = all(r.passed for r in rows)
+        print(f"{exp.kind}: {len(rows)} rows, "
+              f"{'all passed' if passed else 'FAILURES'} ({runtime:.2f}s)")
+        if not passed:
+            _print_rows([r for r in rows if not r.passed])
+    return _execute(exp, exp.kind, lambda: EXPERIMENTS[exp.kind](exp), out, show)
 
 
 def cmd_suite(seed: int, csv_path=None, json_path=None, out_dir=None) -> int:
@@ -653,19 +610,12 @@ def cmd_suite(seed: int, csv_path=None, json_path=None, out_dir=None) -> int:
 def cmd_norm(which: str, path: str) -> int:
     cfg = load_config(path)
     exp = Experiment(cfg)
-    t0 = time.perf_counter()
-    try:
-        rows, extras = run_norm_kind(exp, which)
-    except _CONTRACT_ERRORS as exc:
-        print(f"contract failure [norm-{which}]: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
-    runtime = time.perf_counter() - t0
-    for i, value in enumerate(extras["values"]):
-        print(f"item {i}: {value:.12e}")
-    write_reports(exp.echo(), f"norm-{which}", rows, extras, runtime,
-                  cfg.get("output"))
-    passed = all(r.passed for r in rows)
-    return EXIT_PASS if passed else EXIT_CONTRACT
+
+    def show(_rows, extras, _runtime):
+        for i, value in enumerate(extras["values"]):
+            print(f"item {i}: {value:.12e}")
+    return _execute(exp, f"norm-{which}", lambda: run_norm_kind(exp, which),
+                    cfg.get("output"), show)
 
 
 def main(argv=None) -> int:

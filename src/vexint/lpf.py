@@ -24,7 +24,8 @@ from .errors import (
 from .exponents import ExponentField
 from .grid import Grid, GridFunction, cube_corners
 from .lebesgue import DEFAULT_TOL, NormResult, mixed_norm
-from .seqspaces import DyadicCoefficients, _constant_exponent, dyadic_tail_sup
+from .seqspaces import DyadicCoefficients, _constant_exponent, _within_float_range, \
+    dyadic_tail_sup
 
 __all__ = [
     "FilterBank",
@@ -341,13 +342,8 @@ def F_infty_norm(f: GridFunction, alpha: ExponentField, q, bank: FilterBank) -> 
     q = _constant_exponent(q)
     spec = np.fft.fftn(f.values)
     levels = []
-    try:
-        # an integrand or a tail sum past the float range has no norm to report
-        with np.errstate(over="raise", invalid="raise"):
-            for v in range(bank.V + 1):
-                conv = _apply(bank.multiplier(v), spec)
-                levels.append(np.exp2(v * q * alpha.values) * np.abs(conv) ** q)
-            return dyadic_tail_sup(bank.grid, levels, q)
-    except FloatingPointError:
-        raise InvalidInput(f"a level integrand 2^(v alpha q) |phi_v * f|^q or its tail sum "
-                           f"exceeds the float range (q={q})") from None
+    with _within_float_range("a level integrand 2^(v alpha q) |phi_v * f|^q or its tail sum", q):
+        for v in range(bank.V + 1):
+            conv = _apply(bank.multiplier(v), spec)
+            levels.append(np.exp2(v * q * alpha.values) * np.abs(conv) ** q)
+        return dyadic_tail_sup(bank.grid, levels, q)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -182,6 +183,16 @@ def _check_grid(lam: DyadicCoefficients, *fields: ExponentField) -> None:
             raise InvalidInput("coefficients and exponent fields live on different grids")
 
 
+@contextmanager
+def _within_float_range(what: str, q: float):
+    """Raise InvalidInput for a numpy overflow in the block: `what` has no norm to report."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise InvalidInput(f"{what} exceeds the float range (q={q})") from None
+
+
 _scalar_pow = np.frompyfunc(pow, 2, 1)
 
 
@@ -254,8 +265,10 @@ def f_infty_norm(lam: DyadicCoefficients, alpha: ExponentField, q) -> float:
     _check_grid(lam, alpha)
     if not lam:
         return 0.0
-    levels = [_level_integrand(lam, alpha, v, q) for v in range(lam.V + 1)]
-    return dyadic_tail_sup(lam.grid, levels, q)
+    with _within_float_range("a level integrand 2^(v (alpha + n/2) q) |lam|^q or its tail sum",
+                             q):
+        levels = [_level_integrand(lam, alpha, v, q) for v in range(lam.V + 1)]
+        return dyadic_tail_sup(lam.grid, levels, q)
 
 
 def coefficient_bound_check(lam: DyadicCoefficients, alpha: ExponentField,

@@ -14,6 +14,7 @@ from vexint.calderon import (
     equivalence_experiment,
     factorization_params_pp,
     factorization_params_pq_infty,
+    factorize,
     factorize_pp,
     factorize_pq_infty,
     lattice_property_check,
@@ -205,6 +206,38 @@ def test_pp_kind_guard():
         factorize_pq_infty(random_coeffs(G, V, 5, RNG), pp_params_const())
     with pytest.raises(InvalidConfiguration):
         factorize_pp(random_coeffs(G, V, 5, RNG), pq_params())
+
+
+def test_factorize_picks_the_construction_of_the_params():
+    lam = random_coeffs(G, V, 20, np.random.default_rng(5))
+    for params, construction in ((pp_params_variable(), factorize_pp),
+                                 (pq_params(q0=2.0, q1=3.0), factorize_pq_infty)):
+        got, want = factorize(lam, params), construction(lam, params)
+        assert (got.lam_norm, got.factor0_norm, got.factor1_norm) == \
+            (want.lam_norm, want.factor0_norm, want.factor1_norm)
+        assert all(np.array_equal(a, b) for a, b in zip(got.lam0.levels, want.lam0.levels))
+        assert all(np.array_equal(a, b) for a, b in zip(got.lam1.levels, want.lam1.levels))
+
+
+def test_variable_q_is_refused_where_a_constant_is_read():
+    # a non-constant q used to be read at its first grid entry
+    lam = random_coeffs(G, V, 20, np.random.default_rng(6))
+    params = pq_params(q0=2.0, q1=3.0)
+    sine_q = build_exponent(G, "sine", base=2.5, amplitude=0.3, frequency=1)
+    with pytest.raises(InvalidInput, match="constant q"):
+        build_level_sets(lam, params.alpha, params.p, sine_q, params)
+    res = factorize_pq_infty(lam, params)
+    a0, a1 = params.alpha0, params.alpha1
+    with pytest.raises(InvalidInput, match="constant q"):
+        verify_holder_direction(lam.scaled(1.0 / res.lam_norm), res.lam0, res.lam1,
+                                (a0, params.p0, 2.0), (a1, None, sine_q), params.theta)
+    # the constant field reads as the float it holds
+    rep = verify_holder_direction(lam.scaled(1.0 / res.lam_norm), res.lam0, res.lam1,
+                                  (a0, params.p0, 2.0), (a1, None, const(G, 3.0)),
+                                  params.theta)
+    assert rep == verify_holder_direction(lam.scaled(1.0 / res.lam_norm), res.lam0,
+                                          res.lam1, (a0, params.p0, 2.0), (a1, None, 3.0),
+                                          params.theta)
 
 
 # --------------------------------------------------------------- level sets

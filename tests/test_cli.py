@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -208,15 +209,18 @@ def test_norm_verb_prints_finite_values(tmp_path, capsys, which):
 
 
 def test_norm_verb_power_overflow_is_contract_failure(tmp_path, capsys):
-    # |lam|^400 leaves the float range for moduli above about 5.9
-    path = base_config(tmp_path, "norms", output={})
-    cfg = json.loads(open(path).read())
-    cfg["exponents"]["q0"] = {"recipe": "constant", "value": 400.0}
-    path = write_config(tmp_path, "q400.json", cfg)
-    assert main(["norm", "--kind", "finfty", path]) == EXIT_CONTRACT
-    err = capsys.readouterr().err
-    assert err.startswith("contract failure [norm-finfty]: ")
-    assert "exceeds the float range" in err and "Traceback" not in err
+    # |lam|^400 leaves the float range for moduli above about 5.9; |lam|^91 is
+    # finite but 2^{v q (alpha + n/2)} |lam|^91 is not, and used to print inf
+    for q in (400.0, 91.0):
+        path = base_config(tmp_path, "norms", output={})
+        cfg = json.loads(open(path).read())
+        cfg["exponents"]["q0"] = {"recipe": "constant", "value": q}
+        path = write_config(tmp_path, f"q{q}.json", cfg)
+        assert main(["norm", "--kind", "finfty", path]) == EXIT_CONTRACT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("contract failure [norm-finfty]: ")
+        assert "exceeds the float range" in captured.err and "Traceback" not in captured.err
+        assert "inf" not in captured.out
 
 
 def test_norm_verb_Finfty_power_overflow_is_contract_failure(tmp_path, capsys):
@@ -255,3 +259,116 @@ def test_suite_verb_is_bitwise_deterministic(tmp_path, capsys):
     assert report["summary"]["deterministic"] is True
     assert report["summary"]["passed"] is True
     assert len(report["summary"]["criteria"]) == 16
+
+
+# ------------------------------------------------------------ golden outputs
+
+# case: (verb, experiment or norm kind, config overrides)
+GOLDEN_CASES = {
+    "norms": ("run", "norms", {}),
+    "factorize-pp": ("run", "factorize-pp", {}),
+    "factorize-pq-infty": ("run", "factorize-pq-infty", {}),
+    "holder-pp": ("run", "holder", {"construction": "pp"}),
+    "holder-pq-infty": ("run", "holder", {"construction": "pq-infty"}),
+    "roundtrip": ("run", "roundtrip", {}),
+    "lebesgue-interp": ("run", "lebesgue-interp", {}),
+    # the sine alpha0 is refused; a constant one runs the retraction route
+    "inter-rest": ("run", "inter-rest", {}),
+    "inter-rest-constant": ("run", "inter-rest",
+                            {"alpha0": {"recipe": "constant", "value": 0.2}}),
+    **{f"norm-{which}": ("norm", which, {})
+       for which in ("lux", "mixed", "f", "finfty", "F", "Finfty")},
+}
+
+# (exit code, sha256 of the CSV, of the JSON report without runtime_seconds,
+# of stdout with the runtime blanked); "-" marks a report that is not written
+GOLDEN = {
+    "norms": (0, "f114b05033a223474a36fda2e891fbcb61c57d7b4e5c0629fb1415f46ee87051",
+              "64f8b4db7b20d81da659de1ff34629ccc13d35460dca375e2b803960ae286747",
+              "f920509043742c829d605e57e74f8599274620058398186bcef1b5abf0e1dfb8"),
+    "factorize-pp": (0, "7064f20347b73dd374875ba3211caa6e2791d1092328f93ad69b28232cc8fd87",
+                     "3c2463a6885fae39712593872809a8ab36117836d13cf7417d3550ec8cbf5ea9",
+                     "9affaa2e2354edc6a283de04fa402d52ed6ba1561e0ed19694fe529009014c88"),
+    "factorize-pq-infty": (0, "ffc79fe77ef6e9554e8e289316e7cb438a5dfce82a5ab07d8af99d5920ed00d6",
+                           "897a795bef69a91f2e0d43416156873befb870a71a211efec88ef904d1873cfc",
+                           "4a7843616a378bfea42ecea0408446eff19b2496c63856c86a1a2cdae3355c19"),
+    "holder-pp": (1, "c850e53999df5f06292bb539271b9aa2760ee3c1246584f598f027cd55ee6459",
+                  "5b882057ace097dfce45dd25855e1ea3bba69270879ff4c435a866302c6fb40d",
+                  "302b72e7499542038a50dc6541ad6435d48deca8634b7e37559f0f79daf9284e"),
+    "holder-pq-infty": (0, "70f902519c88cb07d13301ef6fad48660946ac77056ef1923ad7f576ce3cc1f6",
+                        "83409d581123f594852571c94becd8d58c3cb36b7bd140335f0dbc921c8a6179",
+                        "5e752a3fabd9d5ac30c8c5e5fd5e505eb63b893f60c1fb62d78236ea2bebb7e9"),
+    "roundtrip": (0, "0ab8b7b62ef773cf1bd78332b46818dec3b8d43bfea15ab2e89fab65c732910b",
+                  "d5023c6ccd1b5b90298e797c7f6ca3205bec9ee1807b15192c4e89df8ae66953",
+                  "51800357a0d77f7392f0cb2ca7d591753f7165d69cf1663a267503e3ec75bce8"),
+    "lebesgue-interp": (0, "1a7d6460f6f0b7736b5cafaa0a3e41c67009d856f923a819aac4c5dfa31d7cb1",
+                        "b66d405a784f9d2c079b7be2792566690ba06fbf0fa72c1d89a5030e5a9d9810",
+                        "7dde6d698d1e99a03f5dd6b47cb54c3f6bece34c3a1359019c64815e97577a8e"),
+    "inter-rest": (2, "-",
+                   "-",
+                   "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "inter-rest-constant": (0, "bacc8fd899a5227e15f3d08f9dc8a3ee2458e62d976e01cb1f00dbc6568e4444",
+                            "4b605d708cd6065841cabcba07354dabcec0c380df9203e97331364f174b71ca",
+                            "803159b8ac962ac0f27ed7554928f8a9a3b3bff8b1f3db0e31596775235ef978"),
+    "norm-lux": (0, "f6966e353bdb33f6519d99c014edb28085b0f77866da20e555a4db1b368371f5",
+                 "8094f96dd2aa45cdce2042087b2323c7eef9187f4fd8ac482d487b32aeaa0f9f",
+                 "9d54b599ac528f0235c1268cafb9a60a18f3bd56d5c62587ae7519a5ca908c46"),
+    "norm-mixed": (0, "ed0bb6e024899dca45736e28a7caca84b6b5740ad41ebc644ff1886b3d7844a8",
+                   "f0aeaa3d6212bd5b47e295c0714ac9d998ec306e1710e55f8b5e9243d67a81b4",
+                   "67f004b719127c46060a4d710fc0c22b6795b6931ea218033aa363f952f71108"),
+    "norm-f": (0, "dc176c073d6bae6ec81c5cf1df27dec1faca14015c720929d7fd8b9d88fc82ec",
+               "50b9e49de1e84e536016471078ed8c50ab1836247ccc874181e3bf586c381c9b",
+               "493e750f884404492c58bae76e9e1a18cb9743934443a546b79234532e47185d"),
+    "norm-finfty": (0, "4696ba6dec0dc2228da16781f81d8c278b0de1204b851027698c9b35642cbecc",
+                    "79f483f85248e829efb0e8940073fcc23bc46aae51ed1a76cbe0603f32c71b8a",
+                    "c097555415d21480e33ec6ded6680fd1f8128647beb994b2bfe5a9b14c6b933a"),
+    "norm-F": (0, "6157051432b42a11907c85a7e50433aae93c8f42019a72ae9f91eafd4cc51e0e",
+               "fbaf5ca9284fdbd865357d0e4838d8e6b4f93fb39dd6327449c443bae0e082cb",
+               "7455cdcb538d148d82d41f2d4ba08b8ba817668b72aefdb729c7e21db086353c"),
+    "norm-Finfty": (0, "16e10c759ad409a65a2eadec7906781822f246b7ce0ea00bab8cd0f4480b3bed",
+                    "f29d33e0925d69f779f562668fe55fc014a545d3671fc5bba1ccd797ccf5db9e",
+                    "d0466bbf4f385a1ca8a0fdee45055400a4e989ef1639532f783de6cd99435331"),
+}
+
+
+def _sha(data) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_cli_outputs_are_pinned(tmp_path, monkeypatch, capsys, case):
+    verb, kind, overrides = GOLDEN_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    cfg = {
+        "kind": "norms" if verb == "norm" else kind,
+        "grid": {"n": 1, "L": 4.0, "N": 256},
+        "levels": 3,
+        "exponents": {
+            "alpha0": {"recipe": "sine", "base": 0.2, "amplitude": 0.15, "frequency": 1},
+            "alpha1": {"recipe": "constant", "value": -0.1},
+            "p0": {"recipe": "sine", "base": 2.4, "amplitude": 0.3, "frequency": 1},
+            "p1": {"recipe": "constant", "value": 3.0},
+            "q0": {"recipe": "constant", "value": 2.0},
+            "q1": {"recipe": "constant", "value": 3.0},
+        },
+        "theta": [0.3, 0.6],
+        "corpus": {"seed": 11, "items": 3, "count": 50},
+        "output": {"csv": "rows.csv", "json": "report.json"},
+    }
+    if "construction" in overrides:
+        cfg["construction"] = overrides["construction"]
+    cfg["exponents"].update({k: v for k, v in overrides.items() if k != "construction"})
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+    argv = ["run", "cfg.json"] if verb == "run" else ["norm", "--kind", kind, "cfg.json"]
+    code = main(argv)
+    out = re.sub(r"\(\d+\.\d+s\)", "(runtime)", capsys.readouterr().out)
+    csv = tmp_path / "rows.csv"
+    report = tmp_path / "report.json"
+    if report.exists():
+        doc = json.loads(report.read_text())
+        del doc["summary"]["runtime_seconds"]
+        report_sha = _sha(json.dumps(doc, indent=2))
+    else:
+        report_sha = "-"
+    got = (code, _sha(csv.read_bytes()) if csv.exists() else "-", report_sha, _sha(out))
+    assert got == GOLDEN[case]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vexint.calderon import _stacked_majorant
+from vexint.corpus import coefficient_corpus
 from vexint.errors import (
     InvalidConfiguration,
     InvalidInput,
@@ -269,6 +270,11 @@ def test_coefficient_power_beyond_float_range_is_typed():
         f_infty_norm(lam, a, 500.0)
     with pytest.raises(InvalidInput, match="exceeds the float range"):
         prop1_equivalence_check(lam, a, 500.0)
+    # |lam|^91 is finite, its product with 2^{v q (alpha + n/2)} is not
+    lam = coefficient_corpus(G, 3, 3, 50, 11)[0]
+    a = build_exponent(G, "constant", value=0.2, role="smoothness")
+    with pytest.raises(InvalidInput, match="exceeds the float range"):
+        f_infty_norm(lam, a, 91.0)
 
 
 # -- coefficient bound --------------------------------------------------------
