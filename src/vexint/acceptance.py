@@ -21,6 +21,7 @@ import numpy as np
 
 from . import corpus
 from .calderon import (
+    NO_CLASS,
     _reconstructions,
     equivalence_experiment,
     factorization_params_pp,
@@ -648,9 +649,9 @@ def criterion_15(seed: int) -> CriterionResult:
 # -------------------------------------------------------------- criterion 16
 
 
-def _independent_classes(decomp, grid: Grid, key) -> list:
-    j, m = key
-    sl = grid.cube_slices(grid.cube(j, m))
+def _independent_classes(decomp, grid: Grid, j: int, m) -> list:
+    c = grid.cells_per_axis(j)
+    sl = tuple(slice(mi * c, (mi + 1) * c) for mi in m)
     cells = (decomp.g.values[sl] / decomp.lam_norm) ** decomp.gamma
     K = cells.size
     out = []
@@ -673,24 +674,27 @@ def criterion_16(seed: int) -> CriterionResult:
     for i in range(100):
         lam = corpus.random_coefficients(grid, V, 150, rng)
         decomp = build_level_sets(lam, params.alpha, params.p, params.q, params)
+        classes = decomp.class_levels
         violations = 0
         for l in range(decomp.l_min, decomp.l_max + 1):
-            if not np.all(decomp.masks[l] >= decomp.masks[l + 1]):
+            if not np.all((decomp.ratio > 2.0 ** l) >= (decomp.ratio > 2.0 ** (l + 1))):
                 violations += 1
-        assigned = [k for keys in decomp.classes.values() for k in keys]
-        if len(assigned) != len(set(assigned)):
+        assigned = [cls != NO_CLASS for cls in classes]
+        if any(np.any(a & ((cls < decomp.l_min) | (cls > decomp.l_max)))
+               for a, cls in zip(assigned, classes)):
             violations += 1
-        if set(assigned) | set(decomp.unassigned) != set(lam.support()):
+        if any(np.any(a & (lam.levels[j] == 0)) for j, a in enumerate(assigned)):
             violations += 1
-        if decomp.unassigned:
-            worst = max(abs(lam.value(*k)) for k in decomp.unassigned)
-            if worst > 1e-12 * decomp.lam_norm:
-                violations += 1
-        keys = sorted(assigned)
+        if any(np.any(~a & (lam.moduli(j) > 1e-12 * decomp.lam_norm))
+               for j, a in enumerate(assigned)):
+            violations += 1
+        # assigned cubes as rows (j, *m) in level-major C order, the order of sorted keys
+        keys = np.concatenate([np.column_stack([np.full(int(a.sum()), j), np.argwhere(a)])
+                               for j, a in enumerate(assigned)])
         picks = rng.choice(len(keys), size=min(3, len(keys)), replace=False)
         for k_idx in picks:
-            key = keys[int(k_idx)]
-            if _independent_classes(decomp, grid, key) != [decomp.class_of(key)]:
+            j, *m = keys[int(k_idx)].tolist()
+            if _independent_classes(decomp, grid, j, m) != [int(classes[j][tuple(m)])]:
                 violations += 1
         rows.append(_upper("A16", _digest(16, seed, i), float(violations), 0.0))
     return CriterionResult(16, "level-set structure", rows,

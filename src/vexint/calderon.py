@@ -12,7 +12,6 @@ one driven by a dyadic level-set decomposition of the stacked majorant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 import numpy as np
 
@@ -341,45 +340,16 @@ class LevelSetDecomposition:
 
     class_levels[j][m] is the class l of Q_{j,m}, whose majority lies in
     A_l = {ratio > 2^l} but not in A_{l+1}; NO_CLASS off the support and on
-    the unassigned cubes.  The views masks[l] (the grid mask of A_l, for the
-    closed range l_min .. l_max + 1 so every membership test can be
-    replayed), classes[l] (the keys of class l) and class_of are built once.
+    the unassigned cubes, the supported cubes no A_l reaches.
     """
 
     g: GridFunction
     ratio: np.ndarray | None = dc_field(repr=False)
     class_levels: list[np.ndarray] = dc_field(repr=False)
-    unassigned: list
     l_min: int
     l_max: int
     gamma: float
     lam_norm: float
-
-    @cached_property
-    def masks(self) -> dict:
-        if self.ratio is None:
-            return {}
-        level = _dyadic_level(self.ratio)
-        return {l: level >= l for l in range(self.l_min, self.l_max + 2)}
-
-    @cached_property
-    def classes(self) -> dict:
-        out: dict = {}
-        for j, cls in enumerate(self.class_levels):
-            nz = np.nonzero(cls != NO_CLASS)
-            for m, l in zip(zip(*(i.tolist() for i in nz)), cls[nz].tolist()):
-                out.setdefault(l, []).append((j, m))
-        return out
-
-    def class_of(self, key) -> int | None:
-        j, m = key
-        if not 0 <= j < len(self.class_levels):
-            return None
-        cls = self.class_levels[j]
-        if len(m) != cls.ndim or not all(0 <= mi < s for mi, s in zip(m, cls.shape)):
-            return None
-        l = int(cls[m])
-        return None if l == NO_CLASS else l
 
 
 def _stacked_majorant(lam: DyadicCoefficients, alpha: ExponentField, q: float) -> np.ndarray:
@@ -408,14 +378,13 @@ def build_level_sets(lam: DyadicCoefficients, alpha: ExponentField, p: ExponentF
     g = GridFunction(grid, g_vals)
     if not lam:
         return LevelSetDecomposition(g, None, [np.full(a.shape, NO_CLASS) for a in lam.levels],
-                                     [], 0, -1, gamma, 0.0)
+                                     0, -1, gamma, 0.0)
     lam_norm = f_norm(lam, alpha, p, _as_q_field(grid, q)).value
     positive = g_vals > 0.0
     ratio = np.zeros(grid.shape)
     ratio[positive] = (g_vals[positive] / lam_norm) ** gamma
 
     class_levels = []
-    unassigned: list = []
     for j in range(lam.V + 1):
         cells = cube_cells(grid, ratio, j)
         k = cells.shape[-1]
@@ -423,18 +392,15 @@ def build_level_sets(lam: DyadicCoefficients, alpha: ExponentField, p: ExponentF
         M = np.partition(cells, k - 1 - k // 2, axis=-1)[..., k - 1 - k // 2]
         supported = lam.levels[j] != 0
         cls = np.where(supported, _dyadic_level(M), NO_CLASS)
-        escaped = supported & (M <= 0.0)
-        big = np.argwhere(escaped & (lam.moduli(j) > 1e-12 * lam_norm))
+        big = np.argwhere(supported & (M <= 0.0) & (lam.moduli(j) > 1e-12 * lam_norm))
         if len(big):
             raise InvalidConfiguration(f"cube {(j, tuple(big[0].tolist()))} escaped every "
                                        "level class but carries a nonzero coefficient")
-        unassigned.extend((j, m) for m in zip(*(i.tolist() for i in np.nonzero(escaped))))
         class_levels.append(cls)
 
     assigned = np.concatenate([cls[cls != NO_CLASS] for cls in class_levels])
     l_min, l_max = (int(assigned.min()), int(assigned.max())) if assigned.size else (0, -1)
-    return LevelSetDecomposition(g, ratio, class_levels, unassigned, l_min, l_max,
-                                 gamma, lam_norm)
+    return LevelSetDecomposition(g, ratio, class_levels, l_min, l_max, gamma, lam_norm)
 
 
 def _subset_from_level_sets(lam: DyadicCoefficients,
@@ -497,17 +463,12 @@ def factorize(lam: DyadicCoefficients, params: FactorizationParams) -> Factoriza
     return factorize_pq_infty(lam, params)
 
 
-def calderon_upper(lam: DyadicCoefficients, params: FactorizationParams,
-                   construction: str | None = None) -> float:
+def calderon_upper(lam: DyadicCoefficients, params: FactorizationParams) -> float:
     """Upper anchor ||lam|| max(1, ||lam0||)^{1-theta} max(1, ||lam1||)^theta.
 
     Normalized form of the product infimum: rescale each factor into the
     unit ball and absorb the scale into the constant.
     """
-    if construction is not None and construction != params.kind:
-        raise InvalidConfiguration(
-            f"requested {construction} but params describe {params.kind}"
-        )
     return _upper_value(factorize(lam, params), params.theta)
 
 
@@ -594,15 +555,10 @@ class EquivalenceReport:
         }
 
 
-def equivalence_experiment(corpus, params: FactorizationParams,
-                           construction: str | None = None) -> EquivalenceReport:
+def equivalence_experiment(corpus, params: FactorizationParams) -> EquivalenceReport:
     """Bracket upper/lower over a corpus: lower anchor is the interpolated-space
     norm, upper anchor the factorization bound, one row per item in corpus
     order."""
-    if construction is not None and construction != params.kind:
-        raise InvalidConfiguration(
-            f"requested {construction} but params describe {params.kind}"
-        )
     corpus = list(corpus)
     if not corpus:
         raise InvalidInput("corpus must be nonempty")

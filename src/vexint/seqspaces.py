@@ -19,7 +19,6 @@ import math
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 import numpy as np
 
@@ -66,10 +65,9 @@ def _level_shape(grid: Grid, v: int) -> tuple[int, ...]:
     return (grid.cubes_per_axis(v),) * grid.n
 
 
-def _levels_from_keys(grid: Grid, levels: list[np.ndarray], data: Mapping,
-                      entry=lambda key, raw: complex(raw)) -> list[np.ndarray]:
-    """Write entry(key, raw) at [m] of levels[v] for each validated key (v, m) of data."""
-    V = len(levels) - 1
+def _levels_from_keys(grid: Grid, V: int, data: Mapping) -> list[np.ndarray]:
+    """Level arrays 0..V holding complex(raw) at [m] of level v for each validated key (v, m)."""
+    levels = [np.zeros(_level_shape(grid, v), np.complex128) for v in range(V + 1)]
     for key, raw in data.items():
         if not (isinstance(key, tuple) and len(key) == 2):
             raise InvalidInput(f"key {key!r} is not a (level, index) pair")
@@ -80,7 +78,7 @@ def _levels_from_keys(grid: Grid, levels: list[np.ndarray], data: Mapping,
         if len(m) != grid.n or any(mi < 0 or mi >= grid.cubes_per_axis(v) for mi in m):
             raise InvalidConfiguration(f"cube (v={v}, m={m}) is not a cube of the n={grid.n} "
                                        f"box [0, {2 * grid.L})^{grid.n}")
-        levels[v][m] = entry((v, m), raw)
+        levels[v][m] = complex(raw)
     return levels
 
 
@@ -104,8 +102,7 @@ class DyadicCoefficients:
         self.grid.check_level(self.V)
         levels = self.levels
         if isinstance(levels, Mapping):
-            levels = _levels_from_keys(self.grid, [np.zeros(_level_shape(self.grid, v), np.complex128)
-                                                   for v in range(self.V + 1)], levels)
+            levels = _levels_from_keys(self.grid, self.V, levels)
         levels = [np.array(a, dtype=np.complex128) for a in levels]
         if len(levels) != self.V + 1:
             raise InvalidInput(
@@ -295,15 +292,6 @@ def _cells_shape(grid: Grid, v: int) -> tuple[int, ...]:
     return _level_shape(grid, v) + (grid.cells_per_axis(v) ** grid.n,)
 
 
-def _mask_row(grid: Grid, key: Key, block) -> np.ndarray:
-    mask = np.asarray(block, dtype=bool)
-    shape = (grid.cells_per_axis(key[0]),) * grid.n
-    if mask.shape != shape or not mask.any():
-        raise InvalidSelection(f"mask for {key} of shape {mask.shape} is not a nonempty cell "
-                               f"subset of the cube block {shape}")
-    return mask.ravel()
-
-
 @dataclass(eq=False)
 class SubsetSelection:
     """Cell subsets E_Q of the supported cubes, each covering strictly more than half of Q.
@@ -312,9 +300,7 @@ class SubsetSelection:
     (cubes_per_axis(v),)*n + (cells**n,): row [m] marks the cells of Q_{v,m}
     in C order, and an all-false row leaves the cube unselected.  So E_Q <= Q
     holds by construction and the measure condition is checked level by
-    level.  Levels are padded with empty ones up to grid.v_max.  The keyed
-    form {(v, m): block}, block in the cube's own cell shape, is accepted in
-    place of the arrays; `masks` is its view.
+    level.  Levels are padded with empty ones up to grid.v_max.
     """
 
     grid: Grid
@@ -323,11 +309,7 @@ class SubsetSelection:
     def __post_init__(self) -> None:
         grid = self.grid
         empty = [np.zeros(_cells_shape(grid, v), dtype=bool) for v in range(grid.v_max + 1)]
-        levels = self.levels
-        if isinstance(levels, Mapping):
-            levels = _levels_from_keys(grid, empty, levels,
-                                       lambda key, block: _mask_row(grid, key, block))
-        levels = [np.array(a, dtype=bool) for a in levels]
+        levels = [np.array(a, dtype=bool) for a in self.levels]
         for v, keep in enumerate(levels):
             grid.check_level(v)
             if keep.shape != _cells_shape(grid, v):
@@ -340,16 +322,6 @@ class SubsetSelection:
                 raise InvalidSelection(f"{counts[m]} of {keep.shape[-1]} cells is not more "
                                        f"than half of the cube (v={v}, m={m})")
         self.levels = levels + empty[len(levels):]
-
-    @cached_property
-    def masks(self) -> dict[Key, np.ndarray]:
-        """{(v, m): E_Q in the cube's cell shape} over the selected cubes, in key order."""
-        out = {}
-        for v, keep in enumerate(self.levels):
-            block = (self.grid.cells_per_axis(v),) * self.grid.n
-            for m in zip(*(i.tolist() for i in np.nonzero(keep.any(axis=-1)))):
-                out[(v, m)] = keep[m].reshape(block)
-        return out
 
 
 def full_selection(lam: DyadicCoefficients) -> SubsetSelection:

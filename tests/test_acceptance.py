@@ -8,10 +8,16 @@ the suite's own determinism and runtime contract.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from vexint import acceptance
 from vexint.acceptance import CSV_HEADER, SCALE_1D, SCALE_2D, rows_to_csv, run_suite
+from vexint.calderon import NO_CLASS, build_level_sets, factorization_params_pq_infty, \
+    factorize_pq_infty
+from vexint.corpus import random_coefficients
+from vexint.exponents import build_exponent
+from vexint.grid import Grid, make_grid
 
 SEED = 20260819
 
@@ -164,6 +170,64 @@ def test_criterion_16_level_set_structure(suite):
     ok = (res.passed and len(res.rows) == 100
           and all(r.bound == 0.0 and r.value == 0.0 for r in res.rows))
     report(res, ok)
+
+
+def _lift_one_class(decomp, lam):
+    cls = decomp.class_levels[-1]
+    cls[np.flatnonzero(cls != NO_CLASS)[0]] = decomp.l_max + 1
+
+
+def _class_off_support(decomp, lam):
+    decomp.class_levels[-1][np.flatnonzero(lam.levels[-1] == 0)[0]] = decomp.l_min
+
+
+def _drop_largest_class(decomp, lam):
+    j = max(range(lam.V + 1), key=lambda v: lam.moduli(v).max())
+    decomp.class_levels[j][np.argmax(lam.moduli(j))] = NO_CLASS
+
+
+def _shift_all_classes(decomp, lam):
+    for cls in decomp.class_levels:
+        cls[cls != NO_CLASS] += 1
+    decomp.l_min += 1
+    decomp.l_max += 1
+
+
+@pytest.mark.parametrize("corrupt", [_lift_one_class, _class_off_support, _drop_largest_class,
+                                     _shift_all_classes])
+def test_criterion_16_counts_corrupted_class_arrays(monkeypatch, corrupt):
+    # every restated check has a corruption it must see in every item: a
+    # class outside [l_min, l_max], a class off the support, a large
+    # coefficient left unassigned, and classes the recount disagrees with
+    def build(lam, *args):
+        decomp = build_level_sets(lam, *args)
+        corrupt(decomp, lam)
+        return decomp
+
+    monkeypatch.setattr(acceptance, "build_level_sets", build)
+    res = acceptance.criterion_16(7)
+    assert len(res.rows) == 100 and all(r.value >= 1.0 for r in res.rows)
+    if corrupt is _shift_all_classes:
+        assert all(r.value == 3.0 for r in res.rows)
+
+
+def test_level_set_paths_take_no_per_cube_lookup(monkeypatch):
+    # A16 and both dimensions of the p/infty factorization work on the class
+    # arrays only: a Grid.cube call anywhere below them fails the test
+    def refuse(self, v, m):
+        raise AssertionError(f"Grid.cube({v}, {m}) called")
+
+    monkeypatch.setattr(Grid, "cube", refuse)
+    assert all(r.value == 0.0 for r in acceptance.criterion_16(7).rows)
+    rng = np.random.default_rng(5)
+    for grid, V in ((make_grid(1, 4.0, 256), 3), (make_grid(2, 1.0, 32), 1)):
+        smooth = build_exponent(grid, "sine", base=0.1, amplitude=0.2, role="smoothness")
+        zero = build_exponent(grid, "constant", value=0.0, role="smoothness")
+        params = factorization_params_pq_infty(
+            0.4, smooth, zero, build_exponent(grid, "constant", value=2.5), 2.0, 4.0)
+        lam = random_coefficients(grid, V, 40, rng)
+        res = factorize_pq_infty(lam, params)
+        assert res.reconstruction_error <= 1e-9 * res.lam_norm
 
 
 def test_criterion_17_suite_determinism_and_runtime(suite):

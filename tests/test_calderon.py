@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vexint.calderon import (
+    NO_CLASS,
     EquivalenceReport,
     _subset_from_level_sets,
     build_level_sets,
@@ -27,7 +28,7 @@ from vexint.errors import (
 )
 from vexint.exponents import build_exponent
 from vexint.grid import cube_mask, make_grid
-from vexint.seqspaces import DyadicCoefficients, f_norm
+from vexint.seqspaces import DyadicCoefficients, f_infty_subset_norm, f_norm, full_selection
 
 G = make_grid(1, 4.0, 256)
 V = 3
@@ -247,14 +248,13 @@ def test_level_sets_single_coefficient():
     params = pq_params(theta=0.5, q0=2.0, q1=2.0, p0val=3.0)
     lam = DyadicCoefficients(G, V, {(2, (3,)): 1.37})
     decomp = build_level_sets(lam, params.alpha, params.p, params.q, params)
-    assert sum(1 for keys in decomp.classes.values() if keys) == 1
-    assert decomp.class_of((2, (3,))) is not None
-    for off_support in [(2, (4,)), (2, (-1,)), (2, (32,)), (9, (0,)), (2, (3, 0))]:
-        assert decomp.class_of(off_support) is None
-    assert decomp.unassigned == []
+    # the one supported cube has a class; every other slot, at any level, has none
+    assert [int(np.count_nonzero(c != NO_CLASS)) for c in decomp.class_levels] == [0, 0, 1, 0]
+    assert decomp.class_levels[2][3] != NO_CLASS
+    assert decomp.l_min == decomp.l_max == decomp.class_levels[2][3]
     for l in range(decomp.l_min, decomp.l_max + 1):
-        inner = decomp.masks[l + 1]
-        outer = decomp.masks[l]
+        inner = decomp.ratio > 2.0 ** (l + 1)
+        outer = decomp.ratio > 2.0 ** l
         assert np.all(outer[inner])  # nesting A_{l+1} subset of A_l
 
 
@@ -262,15 +262,11 @@ def test_level_sets_magnitude_separation():
     params = pq_params()
     lam = DyadicCoefficients(G, V, {(1, (0,)): 1e3, (1, (7,)): 1e-3})
     decomp = build_level_sets(lam, params.alpha, params.p, params.q, params)
-    la = decomp.class_of((1, (0,)))
-    lb = decomp.class_of((1, (7,)))
-    assert la is not None and lb is not None and la != lb
-    seen = set()
-    for l, keys in decomp.classes.items():
-        for key in keys:
-            assert key not in seen
-            seen.add(key)
-    assert seen == set(lam.support())
+    la, lb = decomp.class_levels[1][[0, 7]]
+    assert NO_CLASS not in (la, lb) and la != lb
+    # classes sit exactly on the support: no supported cube is left unassigned
+    for c, a in zip(decomp.class_levels, lam.levels):
+        assert np.array_equal(c != NO_CLASS, a != 0)
 
 
 def test_level_sets_membership_by_counting():
@@ -278,24 +274,26 @@ def test_level_sets_membership_by_counting():
     params = pq_params(theta=0.5, q0=2.0, q1=3.0)
     lam = random_coeffs(G, V, 50, RNG)
     decomp = build_level_sets(lam, params.alpha, params.p, params.q, params)
+    masks = {l: decomp.ratio > 2.0 ** l for l in range(decomp.l_min, decomp.l_max + 2)}
     for (j, m) in lam.support():
         cube = G.cube(j, m)
         block = cube_mask(G, cube)
         K = int(block.sum())
         passing = []
         for l in range(decomp.l_min, decomp.l_max + 1):
-            c_here = int((decomp.masks[l] & block).sum())
-            c_next = int((decomp.masks[l + 1] & block).sum())
+            c_here = int((masks[l] & block).sum())
+            c_next = int((masks[l + 1] & block).sum())
             if c_here * 2 > K and c_next * 2 <= K:
                 passing.append(l)
-        assert passing == [decomp.class_of((j, m))]
+        assert passing == [decomp.class_levels[j][m]]
 
 
 def test_level_sets_zero_and_gamma_guard():
     params = pq_params()
     decomp = build_level_sets(DyadicCoefficients(G, V, {}), params.alpha,
                               params.p, params.q, params)
-    assert decomp.classes == {} and decomp.lam_norm == 0.0
+    assert decomp.ratio is None and decomp.lam_norm == 0.0
+    assert all(np.all(c == NO_CLASS) for c in decomp.class_levels)
     pp = pp_params_const()
     with pytest.raises(InvalidConfiguration):
         build_level_sets(random_coeffs(G, V, 5, RNG), pp.alpha, pp.p, pp.q, pp)
@@ -309,7 +307,7 @@ def test_subset_tie_padding():
     decomp = build_level_sets(lam, params.alpha, params.p, params.q, params)
     sel = _subset_from_level_sets(lam, decomp)
     cells = G.cells_per_axis(0)
-    coarse = sel.masks[(0, (0,))]
+    coarse = sel.levels[0][0]
     # upper half of the coarse cube is excluded, plus one padded cell
     assert coarse.sum() == cells // 2 + 1
     assert bool(coarse[0])  # the padded cell is the lowest-index excluded one
@@ -325,8 +323,7 @@ def test_subset_tie_padding():
     decomp = build_level_sets(lam, params.alpha, params.p, params.q, params)
     sel = _subset_from_level_sets(lam, decomp)
     c = g2.cells_per_axis(0)
-    coarse = sel.masks[(0, (0, 0))]
-    assert coarse.shape == (c, c)
+    coarse = sel.levels[0][0, 0].reshape(c, c)
     assert coarse.sum() == c * c // 2 + 1
     assert bool(coarse[0, 0])  # the padded cell is the first excluded one in C order
     assert not coarse[0, 1:].any() and not coarse[1:c // 2].any()
@@ -362,7 +359,7 @@ def test_pq_infty_single_coefficient_closed_form():
     l = math.ceil(math.log2(ratio)) - 1
     if 2.0 ** l >= ratio:  # guard the pen-and-paper class against log rounding
         l -= 1
-    assert res.level_sets.class_of((j, (m,))) == l
+    assert res.level_sets.class_levels[j][m] == l
     rel = mag / norm
     want0 = 2.0 ** (l + j * u) * rel ** (q / q0)
     want1 = 2.0 ** (l * delta / gamma + j * v) * rel ** (q / q1)
@@ -377,14 +374,32 @@ def test_pq_infty_single_coefficient_closed_form():
 
 
 def test_pq_infty_random_corpus():
+    # the endpoint norm of lam1 against the subset values of Prop. 1: a cube
+    # average of the tail never exceeds the grid max of the full sum, and with
+    # alpha1 constant each cube's integrand is constant, so |E_Q| > |Q|/2 gives
+    # direct^q1 < 2 subset^q1; the subset value may lie below the direct norm
     params = pq_params(theta=0.4, q0=2.0, q1=4.0, p0val=2.5, a0=0.2, a1=-0.1)
+    rng = np.random.default_rng(0xCA1)
     for _ in range(10):
-        lam = random_coeffs(G, V, 60, RNG)
+        lam = random_coeffs(G, V, 60, rng)
         res = factorize_pq_infty(lam, params)
         assert res.reconstruction_error <= 1e-9 * res.lam_norm
         assert res.zero_count == 0
         assert res.factor1_direct is not None
-        assert res.factor1_direct <= res.factor1_norm * (1.0 + 1e-12)
+        full = f_infty_subset_norm(res.lam1, params.alpha1, params.q1, full_selection(res.lam1))
+        assert res.factor1_direct <= full * (1.0 + 1e-12)
+        assert res.factor1_direct <= 2.0 ** (1.0 / params.q1) * res.factor1_norm * (1.0 + 1e-12)
+
+
+def test_pq_infty_subset_value_below_direct_norm():
+    # the fourth draw above: the level-set selection's value undercuts the
+    # direct endpoint norm, so direct <= subset is no bound of the construction
+    params = pq_params(theta=0.4, q0=2.0, q1=4.0, p0val=2.5, a0=0.2, a1=-0.1)
+    rng = np.random.default_rng(0xCA1)
+    lam = [random_coeffs(G, V, 60, rng) for _ in range(4)][-1]
+    res = factorize_pq_infty(lam, params)
+    assert res.factor1_direct > res.factor1_norm * (1.0 + 1e-3)
+    assert res.factor1_direct <= 2.0 ** (1.0 / params.q1) * res.factor1_norm
 
 
 def test_pq_infty_factor_norms_bounded_and_stable():
@@ -482,11 +497,6 @@ def test_calderon_upper_degenerate():
     norm = f_norm(lam, params.alpha, params.p, params.q).value
     upper = calderon_upper(lam, params)
     assert abs(upper - norm) <= 1e-8 * norm
-
-
-def test_calderon_upper_construction_guard():
-    with pytest.raises(InvalidConfiguration):
-        calderon_upper(random_coeffs(G, V, 5, RNG), pp_params_const(), "pq-infty")
 
 
 # ------------------------------------------------------------------ lattice
@@ -593,6 +603,3 @@ def test_equivalence_experiment_stability():
 def test_equivalence_experiment_guards():
     with pytest.raises(InvalidInput):
         equivalence_experiment([], pp_params_const())
-    with pytest.raises(InvalidConfiguration):
-        equivalence_experiment([random_coeffs(G, V, 5, RNG)], pp_params_const(),
-                               "pq-infty")

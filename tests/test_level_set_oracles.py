@@ -3,9 +3,10 @@ they replaced.
 
 The oracles below are the per-cube implementations of the class loop of
 `build_level_sets`, of `_corner_factors`, `_subset_from_level_sets`, the
-keyed validation of `SubsetSelection` and `f_infty_subset_norm`, kept
-verbatim (bodies unchanged, wrapped as functions over plain dicts).  Every
-compared quantity must be `==`, not close.
+keyed validation `SubsetSelection` once had and `f_infty_subset_norm`, kept
+verbatim (bodies unchanged, wrapped as functions over plain dicts).  Their
+dict outputs are laid out as the class and selection arrays before they are
+compared, and every compared quantity must be `==`, not close.
 """
 
 from types import SimpleNamespace
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vexint.calderon import (
+    NO_CLASS,
     _const_field,
     _stacked_majorant,
     _subset_from_level_sets,
@@ -29,7 +31,6 @@ from vexint.exponents import ExponentField, build_exponent
 from vexint.grid import DyadicCube, GridFunction, cube_cells, cube_corners, make_grid
 from vexint.seqspaces import (
     DyadicCoefficients,
-    SubsetSelection,
     _constant_exponent,
     _check_grid,
     _level_integrand,
@@ -222,9 +223,27 @@ def pq_settings(draw, grid):
     return factorization_params_pq_infty(theta, a0, a1, p0f, q0, q1)
 
 
-def assert_masks_equal(got, want):
-    assert list(got) == list(want)
-    assert all(np.array_equal(got[k], want[k]) for k in want)
+def class_levels_of(grid, V, classes):
+    """An oracle's {l: [keys]} as per-level class arrays, NO_CLASS elsewhere."""
+    levels = [np.full((grid.cubes_per_axis(j),) * grid.n, NO_CLASS) for j in range(V + 1)]
+    for l, keys in classes.items():
+        for j, m in keys:
+            levels[j][m] = l
+    return levels
+
+
+def selection_levels(grid, masks):
+    """An oracle's {(v, m): E_Q} in the SubsetSelection layout, cells in C order."""
+    levels = [np.zeros((grid.cubes_per_axis(v),) * grid.n + (grid.cells_per_axis(v) ** grid.n,),
+                       dtype=bool) for v in range(grid.v_max + 1)]
+    for (v, m), mask in masks.items():
+        levels[v][m] = mask.ravel()
+    return levels
+
+
+def assert_levels_equal(got, want):
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 # -- equivalence -------------------------------------------------------------------
@@ -233,13 +252,14 @@ def assert_masks_equal(got, want):
 def check_against_oracles(lam, params):
     decomp = build_level_sets(lam, params.alpha, params.p, params.q, params)
     want = level_sets_oracle(lam, params.alpha, params.p, params.q, params)
-    assert decomp.classes == want.classes
-    assert list(decomp.classes) == list(want.classes)
-    assert decomp.unassigned == want.unassigned
+    assert_levels_equal(decomp.class_levels, class_levels_of(lam.grid, lam.V, want.classes))
+    # the unassigned cubes are the supported ones without a class
+    assert [key for key in lam.support()
+            if decomp.class_levels[key[0]][key[1]] == NO_CLASS] == want.unassigned
     assert (decomp.l_min, decomp.l_max, decomp.lam_norm) == (want.l_min, want.l_max,
                                                              want.lam_norm)
-    assert_masks_equal(decomp.masks, want.masks)
-    assert all(decomp.class_of(key) == want.class_of(key) for key in lam.support())
+    for l, mask in want.masks.items():
+        assert np.array_equal(decomp.ratio > 2.0 ** l, mask)
     if not lam:
         return None
     res = factorize_pq_infty(lam, params)
@@ -247,7 +267,8 @@ def check_against_oracles(lam, params):
     assert res.lam0 == lam0 and res.lam1 == lam1
     assert res.zero_count == zero_count
     assert res.factor1_norm == norm1
-    assert_masks_equal(_subset_from_level_sets(res.lam1, res.level_sets).masks, masks)
+    assert_levels_equal(_subset_from_level_sets(res.lam1, res.level_sets).levels,
+                        selection_levels(lam.grid, masks))
     return masks
 
 
@@ -293,45 +314,6 @@ def test_exact_half_ties_match_oracles_1d_and_2d():
         assert int(masks[(0, (0,) * n)].sum()) == cells // 2 + 1
 
 
-@st.composite
-def keyed_selections(draw):
-    n = draw(st.sampled_from([1, 2]))
-    grid = GRIDS[n]
-    masks = {}
-    for _ in range(draw(st.integers(min_value=0, max_value=6))):
-        v = draw(st.integers(min_value=0, max_value=grid.v_max))
-        m = tuple(draw(st.integers(min_value=0, max_value=grid.cubes_per_axis(v) - 1))
-                  for _ in range(n))
-        k = grid.cells_per_axis(v) ** n
-        # selected cell counts around half of the cube, and the wrong block size
-        size = k + draw(st.sampled_from([0, 0, 0, 0, 1]))
-        count = draw(st.sampled_from([0, k // 2 - 1, k // 2, k // 2 + 1, k]))
-        order = np.random.default_rng(draw(st.integers(0, 2 ** 32))).permutation(size)
-        block = np.zeros(size, dtype=bool)
-        block[order[:count]] = True
-        shape = (grid.cells_per_axis(v),) * n if size == k else (size,)
-        masks[(v, m)] = block.reshape(shape)
-    return grid, masks
-
-
-@settings(max_examples=150, deadline=None)
-@given(keyed_selections())
-def test_keyed_selection_matches_per_key_validation(case):
-    grid, masks = case
-    try:
-        want = selection_oracle(grid, masks)
-    except InvalidSelection:
-        want = None
-    if want is None:
-        try:
-            SubsetSelection(grid, masks)
-        except InvalidSelection:
-            return
-        raise AssertionError("the per-key validation rejects this selection")
-    # the view lists cubes in key order, the per-key dict in input order
-    assert_masks_equal(SubsetSelection(grid, masks).masks, dict(sorted(want.items())))
-
-
 def test_unassigned_cube_is_left_out_as_in_oracles():
     # |lam|^q underflows to 0 on a cube apart from the rest: its cells never
     # enter a level set, so the cube gets no class and no factor entries
@@ -343,5 +325,5 @@ def test_unassigned_cube_is_left_out_as_in_oracles():
         lam = DyadicCoefficients(grid, 2, {(0, (0,) * n): 1.0, far: 1e-200})
         check_against_oracles(lam, params)
         decomp = build_level_sets(lam, params.alpha, params.p, params.q, params)
-        assert decomp.unassigned == [far] and decomp.class_of(far) is None
+        assert decomp.class_levels[far[0]][far[1]] == NO_CLASS
         assert factorize_pq_infty(lam, params).zero_count == 1

@@ -3,6 +3,7 @@ and lattice/homogeneity/scaling invariants."""
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -334,25 +335,15 @@ def test_selection_measure_condition_enforced():
     sel = full_selection(lam)
     bad = np.zeros(8, dtype=bool)
     bad[:4] = True  # exactly half: not strictly more
-    with pytest.raises(InvalidSelection):
-        SubsetSelection(G, {(2, (7,)): bad})
     ok = np.zeros(8, dtype=bool)
     ok[:5] = True
-    SubsetSelection(G, {(2, (7,)): ok})
-    with pytest.raises(InvalidSelection):
-        SubsetSelection(G, {(2, (7,)): np.ones(4, dtype=bool)})  # wrong block shape
-    with pytest.raises(InvalidSelection):
-        SubsetSelection(G, {(2, (7,)): np.ones(9, dtype=bool)})  # wrong block size
-    with pytest.raises(InvalidSelection):
-        SubsetSelection(G, {(2, (7,)): np.zeros(8, dtype=bool)})  # no cell at all
-    # the same conditions on the per-level arrays
     levels = [a.copy() for a in sel.levels]
     assert int(levels[2][7].sum()) == 8
     levels[2][7] = bad
     with pytest.raises(InvalidSelection):
         SubsetSelection(G, levels)  # a cube selected at exactly half
     levels[2][7] = ok
-    assert np.array_equal(SubsetSelection(G, levels).masks[(2, (7,))], ok)
+    assert np.array_equal(SubsetSelection(G, levels).levels[2][7], ok)
     with pytest.raises(InvalidSelection):
         SubsetSelection(G, [*levels[:2], levels[2][:, :4]])  # wrong level shape
     with pytest.raises(InvalidSelection):
@@ -361,31 +352,25 @@ def test_selection_measure_condition_enforced():
     with pytest.raises(ResolutionExceeded):
         SubsetSelection(G, [*levels, finer])  # more levels than the grid's v_max allows
     g2 = make_grid(2, 1, 32)
+    levels = [np.zeros((g2.cubes_per_axis(v),) * 2 + (g2.cells_per_axis(v) ** 2,), dtype=bool)
+              for v in range(2)]
     with pytest.raises(InvalidSelection):
-        SubsetSelection(g2, {(1, (2, 3)): np.ones((8, 4), dtype=bool)})  # 2D block shape
+        SubsetSelection(g2, [levels[0], levels[1][..., :32]])  # 2D cell count
     half = np.zeros((8, 8), dtype=bool)
     half[:4] = True
+    levels[1][2, 3] = half.ravel()
     with pytest.raises(InvalidSelection):
-        SubsetSelection(g2, {(1, (2, 3)): half})
+        SubsetSelection(g2, levels)
     half[4, 0] = True
-    assert np.array_equal(SubsetSelection(g2, {(1, (2, 3)): half}).masks[(1, (2, 3))], half)
+    levels[1][2, 3] = half.ravel()
+    assert np.array_equal(SubsetSelection(g2, levels).levels[1][2, 3], half.ravel())
 
 
 def test_subset_norm_requires_exact_coverage():
     a = build_exponent(G, "constant", value=0.0, role="smoothness")
     lam = DyadicCoefficients(G, 2, {(2, 3): 1.0, (2, 9): 2.0})
-    only_one = SubsetSelection(G, {(2, (3,)): np.ones(8, dtype=bool)})
-    with pytest.raises(InvalidSelection):
-        f_infty_subset_norm(lam, a, 2.0, only_one)
-    extra = SubsetSelection(G, {
-        (2, (3,)): np.ones(8, dtype=bool),
-        (2, (9,)): np.ones(8, dtype=bool),
-        (2, (12,)): np.ones(8, dtype=bool),
-    })
-    with pytest.raises(InvalidSelection):
-        f_infty_subset_norm(lam, a, 2.0, extra)
-    # per-level arrays: a selected cube off the support, at a level past lam.V,
-    # and a supported cube left unselected
+    # a selected cube off the support, at a level past lam.V, and a supported
+    # cube left unselected
     levels = full_selection(lam).levels
     for v, m in ((2, 12), (3, 0)):
         wrong = [keep.copy() for keep in levels]
@@ -427,7 +412,7 @@ def test_greedy_ties_keep_lowest_cell_indices():
     a = build_exponent(G, "constant", value=0.3, role="smoothness")
     lam = single(G, 2, 5)
     sel = greedy_selection(lam, a, 2.0)
-    mask = sel.masks[(2, (5,))]
+    mask = sel.levels[2][5]
     want = np.zeros(8, dtype=bool)
     want[:5] = True  # constant integrand: stable sort keeps cells 0..4
     assert np.array_equal(mask, want)
@@ -660,10 +645,11 @@ def test_level_arrays_match_per_cube_oracles_exactly(lam, base, amplitude, q):
                           stacked_majorant_oracle(lam, alpha, q))
     sel = greedy_selection(lam, alpha, q)
     want = greedy_masks_oracle(lam, alpha, q)
-    assert sel.masks.keys() == want.keys()
-    assert all(np.array_equal(sel.masks[k], want[k]) for k in want)
+    assert sum(int(keep.any(axis=-1).sum()) for keep in sel.levels) == len(want)
+    assert all(np.array_equal(sel.levels[v][m], mask.ravel()) for (v, m), mask in want.items())
     if len(lam):
-        assert f_infty_subset_norm(lam, alpha, q, sel) == subset_norm_oracle(lam, alpha, q, sel)
+        assert f_infty_subset_norm(lam, alpha, q, sel) == \
+            subset_norm_oracle(lam, alpha, q, SimpleNamespace(masks=want))
 
 
 @settings(max_examples=60, deadline=None)
