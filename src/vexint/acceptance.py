@@ -675,10 +675,13 @@ def criterion_16(seed: int) -> CriterionResult:
         lam = corpus.random_coefficients(grid, V, 150, rng)
         decomp = build_level_sets(lam, params.alpha, params.p, params.q, params)
         classes = decomp.class_levels
-        violations = 0
-        for l in range(decomp.l_min, decomp.l_max + 1):
-            if not np.all((decomp.ratio > 2.0 ** l) >= (decomp.ratio > 2.0 ** (l + 1))):
-                violations += 1
+        # ratio as build_level_sets forms it, bit for bit: the masks A_l = {ratio > 2^l}
+        # are nested for any float array, so the array itself is what can be wrong
+        g = decomp.g.values
+        positive = g > 0.0
+        ratio = np.zeros(grid.shape)
+        ratio[positive] = (g[positive] / decomp.lam_norm) ** decomp.gamma
+        violations = int(decomp.ratio.tobytes() != ratio.tobytes())
         assigned = [cls != NO_CLASS for cls in classes]
         if any(np.any(a & ((cls < decomp.l_min) | (cls > decomp.l_max)))
                for a, cls in zip(assigned, classes)):

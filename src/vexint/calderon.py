@@ -172,13 +172,26 @@ def _p_infty(p0: ExponentField, theta: float) -> ExponentField:
 # ------------------------------------------------------------- easy direction
 
 
+def _read_once(memo: dict, name: str, compute):
+    """memo[name], set to compute() on its first read.
+
+    A plain per-instance dict, not functools.cached_property: on Python 3.11
+    that holds one lock per property, shared by every instance, for the
+    whole computation, which would serialize the CLI's worker threads.
+    """
+    if name not in memo:
+        memo[name] = compute()
+    return memo[name]
+
+
 @dataclass
 class HolderReport:
     """Margin of the Hoelder (easy) direction and the norms behind it.
 
     factor1_norm is the stacked-sup functional when the second space is of
     sup type (the route for which the discrete chain is exact); the direct
-    endpoint norm is then reported in factor1_direct.
+    endpoint norm of lam1 is then factor1_direct, computed on first read
+    from _direct_args = (lam1, alpha1, q1); it is None otherwise.
     """
 
     margin: float
@@ -186,7 +199,15 @@ class HolderReport:
     lam_norm: float
     factor0_norm: float
     factor1_norm: float
-    factor1_direct: float | None = None
+    _direct_args: tuple | None = dc_field(default=None, repr=False, compare=False)
+    _memo: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def factor1_direct(self) -> float | None:
+        if self._direct_args is None:
+            return None
+        return _read_once(self._memo, "factor1_direct",
+                          lambda: f_infty_norm(*self._direct_args))
 
     def __float__(self) -> float:
         return self.margin
@@ -235,15 +256,15 @@ def verify_holder_direction(lam: DyadicCoefficients, lam0: DyadicCoefficients,
     if p1 is None:
         p = _p_infty(p0, theta)
         norm1 = f_infty_subset_norm(lam1, alpha1, q1f, full_selection(lam1))
-        direct1 = f_infty_norm(lam1, alpha1, q1f)
+        direct_args = (lam1, alpha1, q1f)
     else:
         p = interpolate_exponents(p0, p1, theta, "harmonic")
         norm1 = f_norm(lam1, alpha1, p1, q1f).value
-        direct1 = None
+        direct_args = None
     lam_norm = f_norm(lam, alpha, p, q).value
     norm0 = f_norm(lam0, alpha0, p0, q0f).value
     product = norm0 ** (1.0 - theta) * norm1 ** theta
-    return HolderReport(product - lam_norm, product, lam_norm, norm0, norm1, direct1)
+    return HolderReport(product - lam_norm, product, lam_norm, norm0, norm1, direct_args)
 
 
 # ------------------------------------------------------------ factorizations
@@ -251,15 +272,60 @@ def verify_holder_direction(lam: DyadicCoefficients, lam0: DyadicCoefficients,
 
 @dataclass(eq=False)
 class FactorizationResult:
+    """Factors of lam = ||lam|| |lam0|^{1-theta} |lam1|^theta on the support of lam.
+
+    lam0, lam1, lam_norm, level_sets and zero_count come from the
+    construction.  The factor norms, the direct endpoint norm of lam1
+    (None for pp) and the reconstruction error are computed on first read
+    and kept: the upper anchor needs the factor norms, the reconstruction
+    and Hoelder checks need none of them.
+    """
+
+    lam: DyadicCoefficients = dc_field(repr=False)
+    params: FactorizationParams = dc_field(repr=False)
     lam0: DyadicCoefficients
     lam1: DyadicCoefficients
     lam_norm: float
-    reconstruction_error: float
-    factor0_norm: float
-    factor1_norm: float
-    factor1_direct: float | None = None
     level_sets: "LevelSetDecomposition | None" = None
     zero_count: int = 0
+    _memo: dict = dc_field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def reconstruction_error(self) -> float:
+        return _read_once(self._memo, "reconstruction_error", lambda: _reconstruction_error(
+            self.lam, self.lam0, self.lam1, self.lam_norm, self.params.theta))
+
+    @property
+    def factor0_norm(self) -> float:
+        """||lam0|| in F^{alpha0}_{p0,p0} for pp, F^{alpha0}_{p0,q0} for pq-infty."""
+        par = self.params
+
+        def compute():
+            q0 = par.p0 if par.kind == "pp" else _const_field(self.lam.grid, par.q0)
+            return f_norm(self.lam0, par.alpha0, par.p0, q0).value
+        return _read_once(self._memo, "factor0_norm", compute)
+
+    @property
+    def factor1_norm(self) -> float:
+        """||lam1|| in F^{alpha1}_{p1,p1} for pp; for pq-infty the subset
+        evaluation over E_Q = Q minus A_{l+1}."""
+        par = self.params
+
+        def compute():
+            if par.kind == "pp":
+                return f_norm(self.lam1, par.alpha1, par.p1, par.p1).value
+            sel = _subset_from_level_sets(self.lam1, self.level_sets)
+            return f_infty_subset_norm(self.lam1, par.alpha1, par.q1, sel)
+        return _read_once(self._memo, "factor1_norm", compute)
+
+    @property
+    def factor1_direct(self) -> float | None:
+        """The direct endpoint norm of lam1 for pq-infty, None for pp."""
+        par = self.params
+        if par.kind == "pp":
+            return None
+        return _read_once(self._memo, "factor1_direct",
+                          lambda: f_infty_norm(self.lam1, par.alpha1, par.q1))
 
 
 def _reconstructions(lam: DyadicCoefficients, lam0: DyadicCoefficients,
@@ -313,15 +379,11 @@ def factorize_pp(lam: DyadicCoefficients, params: FactorizationParams) -> Factor
     norm = f_norm(lam, params.alpha, params.p, params.q).value
     if norm == 0.0:
         raise InvalidInput("factorization needs a nonzero norm")
-    theta = params.theta
     p = params.p.values
     lam0, lam1, _ = _corner_factors(lam, norm, params, p / params.p0.values,
                                     p / params.p1.values,
                                     [np.zeros(a.shape, dtype=np.int64) for a in lam.levels])
-    err = _reconstruction_error(lam, lam0, lam1, norm, theta)
-    norm0 = f_norm(lam0, params.alpha0, params.p0, params.p0).value
-    norm1 = f_norm(lam1, params.alpha1, params.p1, params.p1).value
-    return FactorizationResult(lam0, lam1, norm, err, norm0, norm1)
+    return FactorizationResult(lam, params, lam0, lam1, norm)
 
 
 NO_CLASS = np.iinfo(np.int64).min  # class of a cube outside the support or of no level set
@@ -429,7 +491,7 @@ def factorize_pq_infty(lam: DyadicCoefficients,
     lam1_{j,m} = 2^{l delta/gamma + j v(x_{j,m})} (|lam|/||lam||)^{q/q1},
     with l the cube's level-set class.  The second factor norm is the
     subset evaluation over E_Q = Q minus A_{l+1}; the direct endpoint norm
-    rides along for comparison.
+    is there for comparison.  Both are computed on first read.
     """
     if params.kind != "pq-infty":
         raise InvalidConfiguration(f"params describe a {params.kind} construction")
@@ -441,18 +503,10 @@ def factorize_pq_infty(lam: DyadicCoefficients,
     norm = decomp.lam_norm
     if norm == 0.0:
         raise InvalidInput("factorization needs a nonzero norm")
-    theta = params.theta
     q = params.q.values
     lam0, lam1, zero_count = _corner_factors(lam, norm, params, q / params.q0, q / params.q1,
                                              decomp.class_levels, params.delta / params.gamma)
-    err = _reconstruction_error(lam, lam0, lam1, norm, theta)
-    q0f = _const_field(lam.grid, params.q0)
-    norm0 = f_norm(lam0, params.alpha0, params.p0, q0f).value
-    sel = _subset_from_level_sets(lam1, decomp)
-    norm1 = f_infty_subset_norm(lam1, params.alpha1, params.q1, sel)
-    direct1 = f_infty_norm(lam1, params.alpha1, params.q1)
-    return FactorizationResult(lam0, lam1, norm, err, norm0, norm1,
-                               factor1_direct=direct1, level_sets=decomp,
+    return FactorizationResult(lam, params, lam0, lam1, norm, level_sets=decomp,
                                zero_count=zero_count)
 
 

@@ -16,6 +16,8 @@ finds t* = log lambda* as the root of g(t) = log rho(e^t), in the log domain
 A decision at lam with |log lam - t*| > MARGIN is then read off t*; only the
 few midpoints within MARGIN of t*, and the residual rho(hi), are real
 passes, so the result is bit for bit the one real passes everywhere give.
+Passes are kept by scale within one solve: the residual reuses the pass
+that last decided at hi, if one did.
 
 Why MARGIN = 1e-9 is safe.  Let u = 2^-53, N the number of entries, and
 assume numpy's log, exp and pow within 4 ulps (8 u).  rho~ below is the exact
@@ -159,8 +161,12 @@ def luxemburg_norm(f, p: ExponentField, tol: float = DEFAULT_TOL) -> NormResult:
             raise InvalidInput("Luxemburg norm exceeds the float range")
         return NormResult(value, 0, 0.0, "closed-form")
 
+    passes: dict[float, float] = {}
+
     def rho(lam: float) -> float:
-        return _accel.modular_pow_sum(absf, p.values, lam) * hn
+        if lam not in passes:
+            passes[lam] = _accel.modular_pow_sum(absf, p.values, lam) * hn
+        return passes[lam]
 
     # bracket: the constant-exponent norms at p+ and p- straddle the solution;
     # both ends stay finite, since the norms themselves may overflow

@@ -181,13 +181,14 @@ def _check_grid(lam: DyadicCoefficients, *fields: ExponentField) -> None:
 
 
 @contextmanager
-def _within_float_range(what: str, q: float):
+def _within_float_range(what: str, q: float | None = None):
     """Raise InvalidInput for a numpy overflow in the block: `what` has no norm to report."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except FloatingPointError:
-        raise InvalidInput(f"{what} exceeds the float range (q={q})") from None
+        at = "" if q is None else f" (q={q})"
+        raise InvalidInput(f"{what} exceeds the float range{at}") from None
 
 
 _scalar_pow = np.frompyfunc(pow, 2, 1)
@@ -228,7 +229,8 @@ def f_norm(lam: DyadicCoefficients, alpha: ExponentField, p: ExponentField,
            q: ExponentField, tol: float = DEFAULT_TOL) -> NormResult:
     """Sequence-space norm: mixed (p, q) norm of the weighted level functions."""
     _check_grid(lam, alpha, p, q)
-    family = [level_function(lam, alpha, v) for v in range(lam.V + 1)]
+    with _within_float_range("a level function 2^(v (alpha + n/2)) |lam|"):
+        family = [_level_integrand(lam, alpha, v) for v in range(lam.V + 1)]
     return mixed_norm(family, p, q, tol=tol)
 
 

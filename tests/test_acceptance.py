@@ -193,12 +193,19 @@ def _shift_all_classes(decomp, lam):
     decomp.l_max += 1
 
 
+def _nudge_largest_ratio(decomp, lam):
+    r = decomp.ratio
+    k = np.argmax(r)
+    r[k] = np.nextafter(r[k], np.inf)
+
+
 @pytest.mark.parametrize("corrupt", [_lift_one_class, _class_off_support, _drop_largest_class,
-                                     _shift_all_classes])
+                                     _shift_all_classes, _nudge_largest_ratio])
 def test_criterion_16_counts_corrupted_class_arrays(monkeypatch, corrupt):
-    # every restated check has a corruption it must see in every item: a
-    # class outside [l_min, l_max], a class off the support, a large
-    # coefficient left unassigned, and classes the recount disagrees with
+    # every check has a corruption it must see in every item: a class
+    # outside [l_min, l_max], a class off the support, a large coefficient
+    # left unassigned, classes the recount disagrees with, and a ratio one
+    # ulp off the one the majorant gives
     def build(lam, *args):
         decomp = build_level_sets(lam, *args)
         corrupt(decomp, lam)
@@ -209,6 +216,8 @@ def test_criterion_16_counts_corrupted_class_arrays(monkeypatch, corrupt):
     assert len(res.rows) == 100 and all(r.value >= 1.0 for r in res.rows)
     if corrupt is _shift_all_classes:
         assert all(r.value == 3.0 for r in res.rows)
+    if corrupt is _nudge_largest_ratio:
+        assert all(r.value == 1.0 for r in res.rows)
 
 
 def test_level_set_paths_take_no_per_cube_lookup(monkeypatch):

@@ -278,6 +278,18 @@ def test_coefficient_power_beyond_float_range_is_typed():
         f_infty_norm(lam, a, 91.0)
 
 
+def test_f_norm_level_function_beyond_float_range_is_typed():
+    # the coefficients are finite, F_3 = 2^{3 (alpha + n/2)} |lam| is not: the
+    # norm raises the typed error, for either p, and never returns inf
+    a, p, q = const_fields(G)
+    sine_p = build_exponent(G, "sine", base=2.0, amplitude=0.5)
+    for val in (1e308, 1e308 + 1e308j):
+        lam = DyadicCoefficients(G, 3, {(0, (1,)): 1.0, (3, (5,)): val})
+        for pf in (p, sine_p):
+            with pytest.raises(InvalidInput, match="exceeds the float range"):
+                f_norm(lam, a, pf, q)
+
+
 # -- coefficient bound --------------------------------------------------------
 
 
