@@ -22,7 +22,6 @@ import numpy as np
 from . import corpus
 from .calderon import (
     NO_CLASS,
-    _reconstructions,
     equivalence_experiment,
     factorization_params_pp,
     factorization_params_pq_infty,
@@ -58,7 +57,6 @@ __all__ = [
     "SUITE_BUDGET",
     "CSV_HEADER",
     "rows_to_csv",
-    "run_criterion",
     "generate_rows",
     "run_suite",
 ]
@@ -156,9 +154,8 @@ def _rand_smoothness(grid: Grid, rng) -> ExponentField:
 # --------------------------------------------------------------- criterion 1
 
 
-def criterion_01(seed: int) -> CriterionResult:
+def criterion_01(seed: int) -> list:
     """Exponent identities of both factorization parameter sets."""
-    t0 = time.perf_counter()
     grid = make_grid(1, 4.0, 64)
     rng = _rng(seed, 1)
     rows = []
@@ -182,21 +179,14 @@ def criterion_01(seed: int) -> CriterionResult:
             i3 = float(np.abs((1.0 - theta) * par.p.values / p0.values - 1.0).max())
             worst = max(i1, i2, i3)
         rows.append(_upper("A01", _digest(1, seed, i), worst, 1e-12))
-    return CriterionResult(1, "exponent identities", rows,
-                           time.perf_counter() - t0, BUDGETS[1])
+    return rows
 
 
 # --------------------------------------------------------------- criterion 2
 
 
-def _max_relative_reconstruction(lam, res, theta: float) -> float:
-    a, recon = _reconstructions(lam, res.lam0, res.lam1, res.lam_norm, theta)
-    return float((np.abs(recon - a) / a).max(initial=0.0))
-
-
-def criterion_02(seed: int) -> CriterionResult:
+def criterion_02(seed: int) -> list:
     """Pointwise reconstruction of both factorizations."""
-    t0 = time.perf_counter()
     grid = make_grid(*SCALE_1D)
     V = 4
     rng = _rng(seed, 2)
@@ -209,29 +199,27 @@ def criterion_02(seed: int) -> CriterionResult:
         p1 = _rand_integrability(grid, rng)
         pp = factorization_params_pp(theta, a0, a1, p0, p1)
         rows.append(_upper("A02", _digest(2, seed, i, "pp"),
-                           _max_relative_reconstruction(lam, factorize_pp(lam, pp), theta),
+                           factorize_pp(lam, pp).reconstruction_error,
                            1e-9))
         q0 = float(rng.uniform(1.2, 4.0))
         q1 = float(rng.uniform(1.2, 4.0))
         pq = factorization_params_pq_infty(theta, a0, a1, p0, q0, q1)
         rows.append(_upper("A02", _digest(2, seed, i, "pq"),
-                           _max_relative_reconstruction(lam, factorize_pq_infty(lam, pq), theta),
+                           factorize_pq_infty(lam, pq).reconstruction_error,
                            1e-9))
-    return CriterionResult(2, "factorization reconstruction", rows,
-                           time.perf_counter() - t0, BUDGETS[2])
+    return rows
 
 
 # --------------------------------------------------------------- criterion 3
 
 
-def criterion_03(seed: int) -> CriterionResult:
+def criterion_03(seed: int) -> list:
     """Holder direction margin on factorized triples.
 
     The corpus covers the two routes whose chain is float-exact: the
     corner construction with constant exponents and the endpoint
     construction with any exponents.
     """
-    t0 = time.perf_counter()
     grid = make_grid(*SCALE_1D)
     V = 4
     rng = _rng(seed, 3)
@@ -247,8 +235,7 @@ def criterion_03(seed: int) -> CriterionResult:
         p1 = build_exponent(grid, "constant", value=float(rng.uniform(1.3, 4.0)))
         par = factorization_params_pp(theta, a0, a1, p0, p1)
         res = factorize_pp(lam, par)
-        rep = verify_holder_direction(lam.scaled(1.0 / res.lam_norm), res.lam0,
-                                      res.lam1, (a0, p0), (a1, p1), theta)
+        rep = verify_holder_direction(lam.scaled(1.0 / res.lam_norm), res.lam0, res.lam1, par)
         rows.append(_lower("A03", _digest(3, seed, i, "pp"),
                            rep.margin, -1e-9 * rep.product))
     for i in range(40):
@@ -260,12 +247,10 @@ def criterion_03(seed: int) -> CriterionResult:
         q1 = float(rng.uniform(1.2, 4.0))
         par = factorization_params_pq_infty(theta, a0, a1, p0, q0, q1)
         res = factorize_pq_infty(lam, par)
-        rep = verify_holder_direction(lam.scaled(1.0 / res.lam_norm), res.lam0,
-                                      res.lam1, (a0, p0, q0), (a1, None, q1), theta)
+        rep = verify_holder_direction(lam.scaled(1.0 / res.lam_norm), res.lam0, res.lam1, par)
         rows.append(_lower("A03", _digest(3, seed, i, "pq"),
                            rep.margin, -1e-9 * rep.product))
-    return CriterionResult(3, "Holder direction margins", rows,
-                           time.perf_counter() - t0)
+    return rows
 
 
 # --------------------------------------------------------------- criterion 4
@@ -295,9 +280,8 @@ def _factor_norm_max(lams, params) -> float:
     return worst
 
 
-def criterion_04(seed: int) -> CriterionResult:
+def criterion_04(seed: int) -> list:
     """Factor-norm growth under grid refinement and one extra level."""
-    t0 = time.perf_counter()
     theta = 0.4
     base_grid = make_grid(*SCALE_1D)
     fine_grid = make_grid(1, 4.0, 2048)
@@ -314,16 +298,14 @@ def criterion_04(seed: int) -> CriterionResult:
         m_deep = _factor_norm_max(deeper, params_of(base_grid, theta))
         rows.append(_upper("A04", _digest(4, seed, tag, "N"), m_fine / m_base, 2.0))
         rows.append(_upper("A04", _digest(4, seed, tag, "V"), m_deep / m_base, 2.0))
-    return CriterionResult(4, "factor-norm stability", rows,
-                           time.perf_counter() - t0)
+    return rows
 
 
 # --------------------------------------------------------------- criterion 5
 
 
-def criterion_05(seed: int) -> CriterionResult:
+def criterion_05(seed: int) -> list:
     """Equivalence-bracket refinement stability for four parameter families."""
-    t0 = time.perf_counter()
     coarse = make_grid(1, 4.0, 512)
     fine = make_grid(*SCALE_1D)
     V = 3
@@ -353,16 +335,14 @@ def criterion_05(seed: int) -> CriterionResult:
         lo = max(rep_f.min_ratio / rep_c.min_ratio, rep_c.min_ratio / rep_f.min_ratio)
         rows.append(_upper("A05", _digest(5, seed, tag, "max"), hi, 2.0))
         rows.append(_upper("A05", _digest(5, seed, tag, "min"), lo, 2.0))
-    return CriterionResult(5, "equivalence bracket stability", rows,
-                           time.perf_counter() - t0)
+    return rows
 
 
 # --------------------------------------------------------------- criterion 6
 
 
-def criterion_06(seed: int) -> CriterionResult:
+def criterion_06(seed: int) -> list:
     """Luxemburg correctness: closed form, unit-ball consistency, homogeneity."""
-    t0 = time.perf_counter()
     grid = make_grid(1, 4.0, 256)
     rng = _rng(seed, 6)
     rows = []
@@ -388,16 +368,14 @@ def criterion_06(seed: int) -> CriterionResult:
         got = luxemburg_norm(c * values, p_var).value
         worst = max(worst, abs(got - abs(c) * base) / (abs(c) * base))
     rows.append(_upper("A06", _digest(6, seed, "homogeneity"), worst, 1e-9))
-    return CriterionResult(6, "Luxemburg correctness", rows,
-                           time.perf_counter() - t0)
+    return rows
 
 
 # --------------------------------------------------------------- criterion 7
 
 
-def criterion_07(seed: int) -> CriterionResult:
+def criterion_07(seed: int) -> list:
     """Kernel mass closed form and large-level mass saturation."""
-    t0 = time.perf_counter()
     grid = make_grid(1, 2048.0, 16384)
     rows = []
     kernels = [eta(v, 2.0, grid) for v in range(7)]
@@ -408,16 +386,14 @@ def criterion_07(seed: int) -> CriterionResult:
     drift = max(abs(k.mass - k.c_limit) for k in kernels
                 if 2.0 ** k.level * grid.L >= 1e3)
     rows.append(_upper("A07", _digest(7, "variation"), drift, 1e-3))
-    return CriterionResult(7, "kernel mass quadrature", rows,
-                           time.perf_counter() - t0)
+    return rows
 
 
 # --------------------------------------------------------------- criterion 8
 
 
-def criterion_08(seed: int) -> CriterionResult:
+def criterion_08(seed: int) -> list:
     """Weighted-kernel shift bound: exactness, stability, and divergence."""
-    t0 = time.perf_counter()
     levels = list(range(7))
     grid = make_grid(*SCALE_1D)
     const = build_exponent(grid, "constant", value=0.3, role="smoothness")
@@ -438,16 +414,14 @@ def criterion_08(seed: int) -> CriterionResult:
         warnings.simplefilter("ignore", PreconditionWarning)
         bare = verify_alpha_shift(alpha, 2.0, 0.0, [6])
     rows.append(_lower("A08", _digest(8, "divergence"), bare.per_level[6], 2.0 * rep.c))
-    return CriterionResult(8, "shift-bound verifier", rows,
-                           time.perf_counter() - t0)
+    return rows
 
 
 # --------------------------------------------------------------- criterion 9
 
 
-def criterion_09(seed: int) -> CriterionResult:
+def criterion_09(seed: int) -> list:
     """Damped cube-average estimate margins on a normalized corpus."""
-    t0 = time.perf_counter()
     grid = make_grid(1, 4.0, 512)
     rng = _rng(seed, 9)
     rows = []
@@ -466,16 +440,14 @@ def criterion_09(seed: int) -> CriterionResult:
         f = raw / (scale * (1.0 + 1e-12))
         rep = verify_jensen_gamma(p, float(grid.n + 1), f, [0, 1, 2, 3])
         rows.append(_lower("A09", _digest(9, seed, i), rep.margin_min, 0.0))
-    return CriterionResult(9, "damped cube-average margins", rows,
-                           time.perf_counter() - t0)
+    return rows
 
 
 # -------------------------------------------------------------- criterion 10
 
 
-def criterion_10(seed: int) -> CriterionResult:
+def criterion_10(seed: int) -> list:
     """Partition-of-unity and dual-pair residuals at both desk scales."""
-    t0 = time.perf_counter()
     rows = []
     for scale, V in ((SCALE_1D, 4), (SCALE_2D, 3)):
         grid = make_grid(*scale)
@@ -485,16 +457,14 @@ def criterion_10(seed: int) -> CriterionResult:
                            rou.rou_residual, 1e-12))
         rows.append(_upper("A10", _digest(10, scale, "duality"),
                            dual.ass4_residual, 1e-10))
-    return CriterionResult(10, "partition and duality residuals", rows,
-                           time.perf_counter() - t0)
+    return rows
 
 
 # -------------------------------------------------------------- criterion 11
 
 
-def criterion_11(seed: int) -> CriterionResult:
+def criterion_11(seed: int) -> list:
     """Transform and retraction round trips on band-limited inputs."""
-    t0 = time.perf_counter()
     rows = []
     rng = _rng(seed, 11)
     for scale, V, items in ((SCALE_1D, 4, 50), (SCALE_2D, 3, 3)):
@@ -510,16 +480,14 @@ def criterion_11(seed: int) -> CriterionResult:
             rows.append(_upper("A11", _digest(11, scale, i, "transform"), resid, 1e-6))
             rows.append(_upper("A11", _digest(11, scale, i, "retract"),
                                retract_roundtrip(f, rou).residual, 1e-6))
-    return CriterionResult(11, "round-trip residuals", rows,
-                           time.perf_counter() - t0, BUDGETS[11])
+    return rows
 
 
 # -------------------------------------------------------------- criterion 12
 
 
-def criterion_12(seed: int) -> CriterionResult:
+def criterion_12(seed: int) -> list:
     """Coefficient-norm vs function-norm ratio bracket under refinement."""
-    t0 = time.perf_counter()
     V = 4
     coarse = make_grid(1, 4.0, 512)
     fine = make_grid(*SCALE_1D)
@@ -549,16 +517,14 @@ def criterion_12(seed: int) -> CriterionResult:
         _upper("A12", _digest(12, seed, "max"), hi, 2.0),
         _upper("A12", _digest(12, seed, "min"), lo, 2.0),
     ]
-    return CriterionResult(12, "transform norm equivalence", rows,
-                           time.perf_counter() - t0)
+    return rows
 
 
 # -------------------------------------------------------------- criterion 13
 
 
-def criterion_13(seed: int) -> CriterionResult:
+def criterion_13(seed: int) -> list:
     """Strip kernel masses and harmonic reproduction."""
-    t0 = time.perf_counter()
     rows = []
     for theta in (0.1, 0.25, 0.5, 0.75, 0.9):
         pair = strip_poisson(theta)
@@ -573,16 +539,14 @@ def criterion_13(seed: int) -> CriterionResult:
                                  lambda t: np.real((1.0 + 1j * t) ** k))
             rows.append(_upper("A13", _digest(13, theta, "harmonic", k),
                                abs(got - theta ** k), 1e-6))
-    return CriterionResult(13, "strip kernel quadrature", rows,
-                           time.perf_counter() - t0)
+    return rows
 
 
 # -------------------------------------------------------------- criterion 14
 
 
-def criterion_14(seed: int) -> CriterionResult:
+def criterion_14(seed: int) -> list:
     """Scalar interpolation sandwich on normalized competitors."""
-    t0 = time.perf_counter()
     grid = make_grid(1, 4.0, 256)
     p0 = build_exponent(grid, "sine", base=2.2, amplitude=0.3, frequency=1)
     p1 = build_exponent(grid, "plateau", left=3.0, right=2.0, width=0.5)
@@ -599,16 +563,14 @@ def criterion_14(seed: int) -> CriterionResult:
     rep = scalar_interp_sandwich(chi, two, four, 0.5)
     rows.append(_upper("A14", _digest(14, "closed-form"),
                        abs(rep.upper_ratio - 1.0), 1e-9))
-    return CriterionResult(14, "interpolation sandwich", rows,
-                           time.perf_counter() - t0)
+    return rows
 
 
 # -------------------------------------------------------------- criterion 15
 
 
-def criterion_15(seed: int) -> CriterionResult:
+def criterion_15(seed: int) -> list:
     """Coefficient bound: single-coefficient equality and corpus stability."""
-    t0 = time.perf_counter()
     coarse = make_grid(1, 4.0, 256)
     fine = make_grid(1, 4.0, 512)
     V = 3
@@ -642,8 +604,7 @@ def criterion_15(seed: int) -> CriterionResult:
     rows.append(_upper("A15", _digest(15, seed, "finite"), worst_c, 1e6))
     rows.append(_upper("A15", _digest(15, seed, "stability"),
                        max(worst_f / worst_c, worst_c / worst_f), 2.0))
-    return CriterionResult(15, "coefficient bound", rows,
-                           time.perf_counter() - t0)
+    return rows
 
 
 # -------------------------------------------------------------- criterion 16
@@ -663,9 +624,8 @@ def _independent_classes(decomp, grid: Grid, j: int, m) -> list:
     return out
 
 
-def criterion_16(seed: int) -> CriterionResult:
+def criterion_16(seed: int) -> list:
     """Level-set decomposition structure re-verified by measure counting."""
-    t0 = time.perf_counter()
     grid = make_grid(1, 4.0, 512)
     V = 3
     rng = _rng(seed, 16)
@@ -673,7 +633,7 @@ def criterion_16(seed: int) -> CriterionResult:
     rows = []
     for i in range(100):
         lam = corpus.random_coefficients(grid, V, 150, rng)
-        decomp = build_level_sets(lam, params.alpha, params.p, params.q, params)
+        decomp = build_level_sets(lam, params)
         classes = decomp.class_levels
         # ratio as build_level_sets forms it, bit for bit: the masks A_l = {ratio > 2^l}
         # are nested for any float array, so the array itself is what can be wrong
@@ -700,41 +660,37 @@ def criterion_16(seed: int) -> CriterionResult:
             if _independent_classes(decomp, grid, j, m) != [int(classes[j][tuple(m)])]:
                 violations += 1
         rows.append(_upper("A16", _digest(16, seed, i), float(violations), 0.0))
-    return CriterionResult(16, "level-set structure", rows,
-                           time.perf_counter() - t0)
+    return rows
 
 
 # ------------------------------------------------------------------- suite
 
 
+# cid -> (the criterion, its title); a criterion returns the rows of a seed
 CRITERIA = {
-    1: criterion_01,
-    2: criterion_02,
-    3: criterion_03,
-    4: criterion_04,
-    5: criterion_05,
-    6: criterion_06,
-    7: criterion_07,
-    8: criterion_08,
-    9: criterion_09,
-    10: criterion_10,
-    11: criterion_11,
-    12: criterion_12,
-    13: criterion_13,
-    14: criterion_14,
-    15: criterion_15,
-    16: criterion_16,
+    1: (criterion_01, "exponent identities"),
+    2: (criterion_02, "factorization reconstruction"),
+    3: (criterion_03, "Holder direction margins"),
+    4: (criterion_04, "factor-norm stability"),
+    5: (criterion_05, "equivalence bracket stability"),
+    6: (criterion_06, "Luxemburg correctness"),
+    7: (criterion_07, "kernel mass quadrature"),
+    8: (criterion_08, "shift-bound verifier"),
+    9: (criterion_09, "damped cube-average margins"),
+    10: (criterion_10, "partition and duality residuals"),
+    11: (criterion_11, "round-trip residuals"),
+    12: (criterion_12, "transform norm equivalence"),
+    13: (criterion_13, "strip kernel quadrature"),
+    14: (criterion_14, "interpolation sandwich"),
+    15: (criterion_15, "coefficient bound"),
+    16: (criterion_16, "level-set structure"),
 }
-
-
-def run_criterion(cid: int, seed: int) -> CriterionResult:
-    return CRITERIA[cid](seed)
 
 
 def generate_rows(seed: int) -> list:
     rows = []
     for cid in sorted(CRITERIA):
-        rows.extend(CRITERIA[cid](seed).rows)
+        rows.extend(CRITERIA[cid][0](seed))
     return rows
 
 
@@ -762,7 +718,13 @@ def run_suite(seed: int) -> SuiteResult:
     first full pass (timings never enter the CSV).
     """
     t0 = time.perf_counter()
-    results = [CRITERIA[cid](seed) for cid in sorted(CRITERIA)]
+    results = []
+    for cid in sorted(CRITERIA):
+        criterion, title = CRITERIA[cid]
+        start = time.perf_counter()
+        rows = criterion(seed)
+        results.append(CriterionResult(cid, title, rows, time.perf_counter() - start,
+                                       BUDGETS.get(cid)))
     elapsed_first = time.perf_counter() - t0
     first = [row for res in results for row in res.rows]
     second = generate_rows(seed)

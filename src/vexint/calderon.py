@@ -61,12 +61,6 @@ def _const_field(grid: Grid, value: float, role: str = "integrability") -> Expon
     return ExponentField(grid, np.full(grid.shape, value), value, value, role, g_inf=value)
 
 
-def _as_q_field(grid: Grid, q) -> ExponentField:
-    if isinstance(q, ExponentField):
-        return q
-    return _const_field(grid, float(q))
-
-
 @dataclass(eq=False)
 class FactorizationParams:
     """Endpoint data plus every derived exponent the constructions need.
@@ -97,6 +91,14 @@ class FactorizationParams:
     @property
     def grid(self) -> Grid:
         return self.p0.grid
+
+
+def _endpoint_q(params: FactorizationParams) -> tuple[ExponentField, ExponentField]:
+    """The q fields of the two endpoint spaces: p0 and p1 for pp, the constants q0 and q1
+    for pq-infty."""
+    if params.kind == "pp":
+        return params.p0, params.p1
+    return _const_field(params.grid, params.q0), _const_field(params.grid, params.q1)
 
 
 def factorization_params_pp(theta: float, alpha0: ExponentField, alpha1: ExponentField,
@@ -213,33 +215,20 @@ class HolderReport:
         return self.margin
 
 
-def _space_triple(spec) -> tuple[ExponentField, ExponentField | None, object]:
-    if len(spec) == 2:
-        alpha, p = spec
-        q = p
-    elif len(spec) == 3:
-        alpha, p, q = spec
-    else:
-        raise InvalidInput("space spec must be (alpha, p) or (alpha, p, q)")
-    if p is None and q is None:
-        raise InvalidInput("sup-type space needs an explicit q")
-    return alpha, p, q
-
-
 def verify_holder_direction(lam: DyadicCoefficients, lam0: DyadicCoefficients,
-                            lam1: DyadicCoefficients, space0, space1,
-                            theta: float) -> HolderReport:
+                            lam1: DyadicCoefficients,
+                            params: FactorizationParams) -> HolderReport:
     """Margin ||lam0||^{1-theta} ||lam1||^theta - ||lam|| after the domination check.
 
-    The pointwise precondition |lam| <= |lam0|^{1-theta} |lam1|^theta is
-    checked first and a violation aborts with the offending keys.
+    lam is measured in F^{alpha}_{p,q}, lam0 in F^{alpha0}_{p0,q0} and lam1
+    in F^{alpha1}_{p1,q1}, all read from params; for pq-infty the second
+    space is of sup type.  The pointwise precondition
+    |lam| <= |lam0|^{1-theta} |lam1|^theta is checked first and a violation
+    aborts with the offending keys.
     """
-    theta = _check_theta(theta)
-    alpha0, p0, q0 = _space_triple(space0)
-    alpha1, p1, q1 = _space_triple(space1)
-    grid = lam.grid
-    if lam0.grid != grid or lam1.grid != grid:
-        raise InvalidInput("coefficient families live on different grids")
+    theta = params.theta
+    if any(c.grid != params.grid for c in (lam, lam0, lam1)):
+        raise InvalidInput("coefficient families and params live on different grids")
 
     a, bound = _reconstructions(lam, lam0, lam1, 1.0, theta)
     bad = np.flatnonzero(a > bound * (1.0 + 1e-9))
@@ -249,20 +238,15 @@ def verify_holder_direction(lam: DyadicCoefficients, lam0: DyadicCoefficients,
         more = "" if bad.size <= 8 else f" (+{bad.size - 8} more)"
         raise PreconditionViolation(f"domination fails at {shown}{more}")
 
-    q0f = _as_q_field(grid, q0)
-    q1f = _as_q_field(grid, q1)
-    alpha = interpolate_exponents(alpha0, alpha1, theta, "affine")
-    q = interpolate_exponents(q0f, q1f, theta, "harmonic")
-    if p1 is None:
-        p = _p_infty(p0, theta)
-        norm1 = f_infty_subset_norm(lam1, alpha1, q1f, full_selection(lam1))
-        direct_args = (lam1, alpha1, q1f)
+    q0, q1 = _endpoint_q(params)
+    if params.kind == "pq-infty":
+        norm1 = f_infty_subset_norm(lam1, params.alpha1, q1, full_selection(lam1))
+        direct_args = (lam1, params.alpha1, q1)
     else:
-        p = interpolate_exponents(p0, p1, theta, "harmonic")
-        norm1 = f_norm(lam1, alpha1, p1, q1f).value
+        norm1 = f_norm(lam1, params.alpha1, params.p1, q1).value
         direct_args = None
-    lam_norm = f_norm(lam, alpha, p, q).value
-    norm0 = f_norm(lam0, alpha0, p0, q0f).value
+    lam_norm = f_norm(lam, params.alpha, params.p, params.q).value
+    norm0 = f_norm(lam0, params.alpha0, params.p0, q0).value
     product = norm0 ** (1.0 - theta) * norm1 ** theta
     return HolderReport(product - lam_norm, product, lam_norm, norm0, norm1, direct_args)
 
@@ -278,7 +262,8 @@ class FactorizationResult:
     construction.  The factor norms, the direct endpoint norm of lam1
     (None for pp) and the reconstruction error are computed on first read
     and kept: the upper anchor needs the factor norms, the reconstruction
-    and Hoelder checks need none of them.
+    and Hoelder checks need none of them.  The reconstruction error is
+    relative: the max over the support of |recon - |lam|| / |lam|.
     """
 
     lam: DyadicCoefficients = dc_field(repr=False)
@@ -292,18 +277,18 @@ class FactorizationResult:
 
     @property
     def reconstruction_error(self) -> float:
-        return _read_once(self._memo, "reconstruction_error", lambda: _reconstruction_error(
-            self.lam, self.lam0, self.lam1, self.lam_norm, self.params.theta))
+        def compute():
+            a, recon = _reconstructions(self.lam, self.lam0, self.lam1, self.lam_norm,
+                                        self.params.theta)
+            return float((np.abs(recon - a) / a).max(initial=0.0))
+        return _read_once(self._memo, "reconstruction_error", compute)
 
     @property
     def factor0_norm(self) -> float:
         """||lam0|| in F^{alpha0}_{p0,p0} for pp, F^{alpha0}_{p0,q0} for pq-infty."""
         par = self.params
-
-        def compute():
-            q0 = par.p0 if par.kind == "pp" else _const_field(self.lam.grid, par.q0)
-            return f_norm(self.lam0, par.alpha0, par.p0, q0).value
-        return _read_once(self._memo, "factor0_norm", compute)
+        return _read_once(self._memo, "factor0_norm", lambda: f_norm(
+            self.lam0, par.alpha0, par.p0, _endpoint_q(par)[0]).value)
 
     @property
     def factor1_norm(self) -> float:
@@ -336,12 +321,6 @@ def _reconstructions(lam: DyadicCoefficients, lam0: DyadicCoefficients,
     a, b0, b1 = (np.concatenate([c.moduli(j)[nz] for j, nz in enumerate(nzs)])
                  for c in (lam, lam0, lam1))
     return a, norm * _pow_each(b0, 1.0 - theta) * _pow_each(b1, theta)
-
-
-def _reconstruction_error(lam: DyadicCoefficients, lam0: DyadicCoefficients,
-                          lam1: DyadicCoefficients, norm: float, theta: float) -> float:
-    a, recon = _reconstructions(lam, lam0, lam1, norm, theta)
-    return float(np.abs(a - recon).max(initial=0.0))
 
 
 def _corner_factors(lam: DyadicCoefficients, norm: float, params: FactorizationParams,
@@ -421,10 +400,12 @@ def _stacked_majorant(lam: DyadicCoefficients, alpha: ExponentField, q: float) -
     return total ** (1.0 / q)
 
 
-def build_level_sets(lam: DyadicCoefficients, alpha: ExponentField, p: ExponentField,
-                     q, params: FactorizationParams) -> LevelSetDecomposition:
+def build_level_sets(lam: DyadicCoefficients,
+                     params: FactorizationParams) -> LevelSetDecomposition:
     """Assign each supported cube its level index by the majority rule.
 
+    g is the stacked majorant and ||lam|| the norm of lam in F^{alpha}_{p,q},
+    all three exponents read from params (q must be constant).
     A_l = {x : (g(x)/||lam||)^gamma > 2^l}; a cube belongs to class l when
     its majority lies in A_l but not in A_{l+1}.  The per-cube class is the
     dyadic position of the (K//2+1)-th largest cell value M (the majority
@@ -434,14 +415,14 @@ def build_level_sets(lam: DyadicCoefficients, alpha: ExponentField, p: ExponentF
     gamma = params.gamma
     if abs(gamma) <= IDENTITY_TOL:
         raise InvalidConfiguration("gamma vanishes; this decomposition needs the case-ii setting")
-    qv = _constant_exponent(q)
+    qv = _constant_exponent(params.q)
     grid = lam.grid
-    g_vals = _stacked_majorant(lam, alpha, qv)
+    g_vals = _stacked_majorant(lam, params.alpha, qv)
     g = GridFunction(grid, g_vals)
     if not lam:
         return LevelSetDecomposition(g, None, [np.full(a.shape, NO_CLASS) for a in lam.levels],
                                      0, -1, gamma, 0.0)
-    lam_norm = f_norm(lam, alpha, p, _as_q_field(grid, q)).value
+    lam_norm = f_norm(lam, params.alpha, params.p, params.q).value
     positive = g_vals > 0.0
     ratio = np.zeros(grid.shape)
     ratio[positive] = (g_vals[positive] / lam_norm) ** gamma
@@ -499,7 +480,7 @@ def factorize_pq_infty(lam: DyadicCoefficients,
         raise InvalidInput("coefficients and params live on different grids")
     if not lam:
         raise InvalidInput("factorization needs a nonzero norm")
-    decomp = build_level_sets(lam, params.alpha, params.p, params.q, params)
+    decomp = build_level_sets(lam, params)
     norm = decomp.lam_norm
     if norm == 0.0:
         raise InvalidInput("factorization needs a nonzero norm")
@@ -586,7 +567,6 @@ class EquivalenceRow:
     lower: float
     upper: float
     ratio: float
-    case_tag: str
 
 
 @dataclass(eq=False)
@@ -594,19 +574,6 @@ class EquivalenceReport:
     rows: list
     min_ratio: float
     max_ratio: float
-    construction: str
-
-    def csv_rows(self) -> list:
-        return [[r.corpus_id, repr(r.lower), repr(r.upper), repr(r.ratio), r.case_tag]
-                for r in self.rows]
-
-    def json_summary(self) -> dict:
-        return {
-            "construction": self.construction,
-            "items": len(self.rows),
-            "min_ratio": self.min_ratio,
-            "max_ratio": self.max_ratio,
-        }
 
 
 def equivalence_experiment(corpus, params: FactorizationParams) -> EquivalenceReport:
@@ -616,12 +583,11 @@ def equivalence_experiment(corpus, params: FactorizationParams) -> EquivalenceRe
     corpus = list(corpus)
     if not corpus:
         raise InvalidInput("corpus must be nonempty")
-    tag = "case-i" if params.kind == "pp" else "case-ii"
 
     rows = []
     for i, lam in enumerate(corpus):
         res = factorize(lam, params)
         upper = _upper_value(res, params.theta)
-        rows.append(EquivalenceRow(i, res.lam_norm, upper, upper / res.lam_norm, tag))
+        rows.append(EquivalenceRow(i, res.lam_norm, upper, upper / res.lam_norm))
     ratios = [r.ratio for r in rows]
-    return EquivalenceReport(rows, min(ratios), max(ratios), params.kind)
+    return EquivalenceReport(rows, min(ratios), max(ratios))

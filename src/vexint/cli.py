@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__, acceptance, corpus
 from .acceptance import ReportRow, _lower, _upper, rows_to_csv
-from .calderon import _reconstructions, factorization_params_pp, \
-    factorization_params_pq_infty, factorize, verify_holder_direction
+from .calderon import factorization_params_pp, factorization_params_pq_infty, factorize, \
+    verify_holder_direction
 from .errors import (
     AdmissibilityFailure,
     InvalidConfiguration,
@@ -312,21 +312,16 @@ def _over_corpus(items, one, thetas) -> list:
     return [(i, theta, r) for (i, theta), r in zip(jobs, results)]
 
 
-def _construction(exp: Experiment, construction: str):
-    """(params of theta, Hoelder space 0, Hoelder space 1) of the pp or p/infty factorization."""
+def _construction(exp: Experiment, construction: str) -> dict:
+    """{theta: params} of the pp or p/infty factorization."""
     f = exp.fields("factorize-" + construction)
     alpha0, alpha1, p0 = f["alpha0"], f["alpha1"], f["p0"]
     if construction == "pp":
-        return (lambda theta: factorization_params_pp(theta, alpha0, alpha1, p0, f["p1"]),
-                (alpha0, p0), (alpha1, f["p1"]))
+        return {theta: factorization_params_pp(theta, alpha0, alpha1, p0, f["p1"])
+                for theta in exp.thetas}
     q0, q1 = _constant(f["q0"], "q0"), _constant(f["q1"], "q1")
-    return (lambda theta: factorization_params_pq_infty(theta, alpha0, alpha1, p0, q0, q1),
-            (alpha0, p0, q0), (alpha1, None, q1))
-
-
-def _recon_deviation(lam, res, theta: float) -> float:
-    a, recon = _reconstructions(lam, res.lam0, res.lam1, res.lam_norm, theta)
-    return float(np.abs(recon / a - 1.0).max(initial=0.0))
+    return {theta: factorization_params_pq_infty(theta, alpha0, alpha1, p0, q0, q1)
+            for theta in exp.thetas}
 
 
 # ------------------------------------------------------------- experiments
@@ -334,12 +329,11 @@ def _recon_deviation(lam, res, theta: float) -> float:
 
 def run_factorize(exp: Experiment, construction: str):
     kind = "factorize-" + construction
-    params_of, _, _ = _construction(exp, construction)
-    params = {theta: params_of(theta) for theta in exp.thetas}
+    params = _construction(exp, construction)
 
     def one(lam, theta):
         res = factorize(lam, params[theta])
-        return _recon_deviation(lam, res, theta), res.factor0_norm, res.factor1_norm
+        return res.reconstruction_error, res.factor0_norm, res.factor1_norm
     rows, norms = [], []
     for i, theta, (dev, n0, n1) in _over_corpus(exp.coefficients(), one, exp.thetas):
         rows.append(_upper(kind, acceptance._digest(kind, exp.seed, i, theta),
@@ -350,16 +344,15 @@ def run_factorize(exp: Experiment, construction: str):
 
 
 def run_holder(exp: Experiment):
-    params_of, space0, space1 = _construction(exp, exp.construction)
     explicit = exp.cfg.get("coefficients")
     if explicit is None:
-        params = {theta: params_of(theta) for theta in exp.thetas}
+        params = _construction(exp, exp.construction)
         items = exp.coefficients()
 
         def one(lam, theta):
             res = factorize(lam, params[theta])
             return verify_holder_direction(lam.scaled(1.0 / res.lam_norm), res.lam0,
-                                           res.lam1, space0, space1, theta)
+                                           res.lam1, params[theta])
     else:
         for name in ("lam", "lam0", "lam1"):
             if name not in explicit:
@@ -369,9 +362,11 @@ def run_holder(exp: Experiment):
                                                f"$.coefficients.{name}")
                            for name in ("lam", "lam0", "lam1"))
         items = [lam]
+        # decoded first: a coefficient error is a config error before any params error
+        params = _construction(exp, exp.construction)
 
         def one(lam, theta):
-            return verify_holder_direction(lam, lam0, lam1, space0, space1, theta)
+            return verify_holder_direction(lam, lam0, lam1, params[theta])
     rows = []
     for i, theta, rep in _over_corpus(items, one, exp.thetas):
         # an explicit triple is keyed by theta alone

@@ -180,9 +180,6 @@ class GridFunction:
     def zeros(cls, grid: Grid, dtype=np.complex128) -> "GridFunction":
         return cls(grid, np.zeros(grid.shape, dtype=dtype))
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
-
 
 def make_grid(n: int, L: float, N: int) -> Grid:
     """Validated grid constructor.

@@ -57,10 +57,6 @@ class EtaKernel:
     c_limit: float | None = None
     tail_bound: float | None = None
 
-    @property
-    def function(self) -> GridFunction:
-        return GridFunction(self.grid, self.values)
-
 
 def _box_mass(n: int, L: float, v: int, m: float) -> float:
     """Radial quadrature of the kernel over the box, in scaled radius u = 2^v r."""

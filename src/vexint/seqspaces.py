@@ -212,6 +212,9 @@ def _pow_entries(mod: np.ndarray, q: float) -> np.ndarray:
     return out
 
 
+_INTEGRAND = "a level integrand 2^(v (alpha + n/2) q) |lam|^q"
+
+
 def _level_integrand(lam: DyadicCoefficients, alpha: ExponentField, v: int,
                      q: float = 1.0) -> np.ndarray:
     """2^{v(alpha(x)+n/2)q} sum_m |lam_{v,m}|^q chi_{v,m}(x); q = 1 gives F_v."""
@@ -264,8 +267,7 @@ def f_infty_norm(lam: DyadicCoefficients, alpha: ExponentField, q) -> float:
     _check_grid(lam, alpha)
     if not lam:
         return 0.0
-    with _within_float_range("a level integrand 2^(v (alpha + n/2) q) |lam|^q or its tail sum",
-                             q):
+    with _within_float_range(_INTEGRAND + " or its tail sum", q):
         levels = [_level_integrand(lam, alpha, v, q) for v in range(lam.V + 1)]
         return dyadic_tail_sup(lam.grid, levels, q)
 
@@ -344,7 +346,8 @@ def greedy_selection(lam: DyadicCoefficients, alpha: ExponentField, q) -> Subset
     grid = lam.grid
     levels = []
     for v in range(lam.V + 1):
-        blocks = cube_cells(grid, _level_integrand(lam, alpha, v, q), v)
+        with _within_float_range(_INTEGRAND, q):
+            blocks = cube_cells(grid, _level_integrand(lam, alpha, v, q), v)
         ranks = np.argsort(np.argsort(blocks, axis=-1, kind="stable"), axis=-1)
         levels.append((ranks <= blocks.shape[-1] // 2) & (lam.levels[v] != 0)[..., None])
     return SubsetSelection(grid, levels)
@@ -364,9 +367,10 @@ def f_infty_subset_norm(lam: DyadicCoefficients, alpha: ExponentField, q,
         return 0.0
     grid = lam.grid
     total = np.zeros(grid.shape)
-    for v in range(lam.V + 1):
-        keep = cells_to_grid(grid, sel.levels[v], v)
-        total += np.where(keep, _level_integrand(lam, alpha, v, q), 0.0)
+    with _within_float_range(_INTEGRAND + " or its sum", q):
+        for v in range(lam.V + 1):
+            keep = cells_to_grid(grid, sel.levels[v], v)
+            total += np.where(keep, _level_integrand(lam, alpha, v, q), 0.0)
     return float(total.max()) ** (1.0 / q)
 
 

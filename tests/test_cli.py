@@ -286,11 +286,11 @@ GOLDEN = {
     "norms": (0, "f114b05033a223474a36fda2e891fbcb61c57d7b4e5c0629fb1415f46ee87051",
               "64f8b4db7b20d81da659de1ff34629ccc13d35460dca375e2b803960ae286747",
               "f920509043742c829d605e57e74f8599274620058398186bcef1b5abf0e1dfb8"),
-    "factorize-pp": (0, "7064f20347b73dd374875ba3211caa6e2791d1092328f93ad69b28232cc8fd87",
-                     "3c2463a6885fae39712593872809a8ab36117836d13cf7417d3550ec8cbf5ea9",
+    "factorize-pp": (0, "e01157d9cf20238b6f28945482e4e6eef4aac3bfb630c8b8e8497f9776de0db6",
+                     "3a97d83adb41cd5a221dbaf1b09a57af751bde158961a9e255122cf3b86c6e52",
                      "9affaa2e2354edc6a283de04fa402d52ed6ba1561e0ed19694fe529009014c88"),
-    "factorize-pq-infty": (0, "ffc79fe77ef6e9554e8e289316e7cb438a5dfce82a5ab07d8af99d5920ed00d6",
-                           "897a795bef69a91f2e0d43416156873befb870a71a211efec88ef904d1873cfc",
+    "factorize-pq-infty": (0, "b82d46a1e3a9125fb0a0f03c1a4ef5970a04cc4112bdc73254e635e86b8bbcda",
+                           "b3056c3b9c6b42001a86b4b3de562e01c58ddad6a9ed86e77861093f4a2806fb",
                            "4a7843616a378bfea42ecea0408446eff19b2496c63856c86a1a2cdae3355c19"),
     "holder-pp": (1, "c850e53999df5f06292bb539271b9aa2760ee3c1246584f598f027cd55ee6459",
                   "5b882057ace097dfce45dd25855e1ea3bba69270879ff4c435a866302c6fb40d",

@@ -1,0 +1,202 @@
+"""The Hoelder check and the reconstruction measure read from FactorizationParams,
+against the code they replaced.
+
+`verify_holder_direction_oracle` with `_space_triple` and `_as_q_field` is the
+Hoelder check that took ad-hoc `(alpha, p[, q])` space tuples and
+interpolated alpha, p and q itself, and `max_relative_reconstruction_oracle`
+is the reconstruction measure of criterion A02; both are kept verbatim
+(bodies unchanged, the functions renamed).  The spaces are passed the way
+the command line and criterion A03 passed them.  Every compared quantity
+must be `==`, not close.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from vexint.calderon import (
+    HolderReport,
+    _const_field,
+    _p_infty,
+    _reconstructions,
+    factorization_params_pp,
+    factorization_params_pq_infty,
+    factorize,
+    verify_holder_direction,
+)
+from vexint.corpus import random_coefficients
+from vexint.errors import InvalidConfiguration, InvalidInput, PreconditionViolation
+from vexint.exponents import ExponentField, _check_theta, build_exponent, interpolate_exponents
+from vexint.grid import Grid, make_grid
+from vexint.seqspaces import DyadicCoefficients, f_infty_subset_norm, f_norm, full_selection
+
+# -- the replaced code -------------------------------------------------------------
+
+
+def _as_q_field(grid: Grid, q) -> ExponentField:
+    if isinstance(q, ExponentField):
+        return q
+    return _const_field(grid, float(q))
+
+
+def _space_triple(spec) -> tuple[ExponentField, ExponentField | None, object]:
+    if len(spec) == 2:
+        alpha, p = spec
+        q = p
+    elif len(spec) == 3:
+        alpha, p, q = spec
+    else:
+        raise InvalidInput("space spec must be (alpha, p) or (alpha, p, q)")
+    if p is None and q is None:
+        raise InvalidInput("sup-type space needs an explicit q")
+    return alpha, p, q
+
+
+def verify_holder_direction_oracle(lam: DyadicCoefficients, lam0: DyadicCoefficients,
+                                   lam1: DyadicCoefficients, space0, space1,
+                                   theta: float) -> HolderReport:
+    """Margin ||lam0||^{1-theta} ||lam1||^theta - ||lam|| after the domination check.
+
+    The pointwise precondition |lam| <= |lam0|^{1-theta} |lam1|^theta is
+    checked first and a violation aborts with the offending keys.
+    """
+    theta = _check_theta(theta)
+    alpha0, p0, q0 = _space_triple(space0)
+    alpha1, p1, q1 = _space_triple(space1)
+    grid = lam.grid
+    if lam0.grid != grid or lam1.grid != grid:
+        raise InvalidInput("coefficient families live on different grids")
+
+    a, bound = _reconstructions(lam, lam0, lam1, 1.0, theta)
+    bad = np.flatnonzero(a > bound * (1.0 + 1e-9))
+    if bad.size:
+        keys = lam.support()
+        shown = ", ".join(str(keys[i]) for i in bad[:8])
+        more = "" if bad.size <= 8 else f" (+{bad.size - 8} more)"
+        raise PreconditionViolation(f"domination fails at {shown}{more}")
+
+    q0f = _as_q_field(grid, q0)
+    q1f = _as_q_field(grid, q1)
+    alpha = interpolate_exponents(alpha0, alpha1, theta, "affine")
+    q = interpolate_exponents(q0f, q1f, theta, "harmonic")
+    if p1 is None:
+        p = _p_infty(p0, theta)
+        norm1 = f_infty_subset_norm(lam1, alpha1, q1f, full_selection(lam1))
+        direct_args = (lam1, alpha1, q1f)
+    else:
+        p = interpolate_exponents(p0, p1, theta, "harmonic")
+        norm1 = f_norm(lam1, alpha1, p1, q1f).value
+        direct_args = None
+    lam_norm = f_norm(lam, alpha, p, q).value
+    norm0 = f_norm(lam0, alpha0, p0, q0f).value
+    product = norm0 ** (1.0 - theta) * norm1 ** theta
+    return HolderReport(product - lam_norm, product, lam_norm, norm0, norm1, direct_args)
+
+
+def max_relative_reconstruction_oracle(lam, res, theta: float) -> float:
+    a, recon = _reconstructions(lam, res.lam0, res.lam1, res.lam_norm, theta)
+    return float((np.abs(recon - a) / a).max(initial=0.0))
+
+
+# -- inputs --------------------------------------------------------------------------
+
+GRIDS = {1: (make_grid(1, 4.0, 256), 3), 2: (make_grid(2, 1.0, 32), 2)}
+
+
+@st.composite
+def cases(draw):
+    n = draw(st.sampled_from([1, 2]))
+    grid, V = GRIDS[n]
+    kind = draw(st.sampled_from(["pp", "pq-infty"]))
+    variable = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+
+    def field(base, role="integrability"):
+        if not variable:
+            return build_exponent(grid, "constant", value=base, role=role)
+        return build_exponent(grid, "sine", base=base, role=role,
+                              amplitude=float(rng.uniform(0.05, 0.3)),
+                              frequency=int(rng.integers(1, 3)))
+
+    theta = draw(st.floats(min_value=0.1, max_value=0.9))
+    alpha0 = field(float(rng.uniform(-0.4, 0.4)), "smoothness")
+    alpha1 = field(float(rng.uniform(-0.4, 0.4)), "smoothness")
+    p0 = field(float(rng.uniform(1.6, 3.5)))
+    if kind == "pp":
+        p1 = field(float(rng.uniform(1.6, 3.5)))
+        params = factorization_params_pp(theta, alpha0, alpha1, p0, p1)
+        spaces = ((alpha0, p0), (alpha1, p1))
+    else:
+        q0, q1 = (float(x) for x in rng.uniform(1.2, 4.0, 2))
+        params = factorization_params_pq_infty(theta, alpha0, alpha1, p0, q0, q1)
+        spaces = ((alpha0, p0, q0), (alpha1, None, q1))
+    lam = random_coefficients(grid, V, int(rng.integers(1, 60)), rng)
+    # a share of lam0's entries halved: any share > 0 of the support breaks domination
+    shrink_share = draw(st.sampled_from([0.0, 0.0, 0.05, 1.0]))
+    return SimpleNamespace(grid=grid, V=V, rng=rng, lam=lam, theta=theta, params=params,
+                           spaces=spaces, shrink_share=shrink_share)
+
+
+def holder_fields(rep):
+    return (rep.margin, rep.product, rep.lam_norm, rep.factor0_norm, rep.factor1_norm,
+            rep.factor1_direct)
+
+
+def outcome(check, *args):
+    """The report fields of check(*args), or the PreconditionViolation message."""
+    try:
+        return holder_fields(check(*args))
+    except PreconditionViolation as exc:
+        return str(exc)
+
+
+# -- equivalence -------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases())
+def test_holder_check_from_params_equals_the_space_tuple_check(case):
+    lam, params = case.lam, case.params
+    res = factorize(lam, params)
+    assert res.reconstruction_error == max_relative_reconstruction_oracle(lam, res, case.theta)
+    shrink = [np.where(case.rng.random(a.shape) < case.shrink_share, 0.5, 1.0)
+              for a in res.lam0.levels]
+    lam0 = DyadicCoefficients(case.grid, case.V, [s * a for s, a in zip(shrink, res.lam0.levels)])
+    scaled = lam.scaled(1.0 / res.lam_norm)
+    got = outcome(verify_holder_direction, scaled, lam0, res.lam1, params)
+    want = outcome(verify_holder_direction_oracle, scaled, lam0, res.lam1, *case.spaces,
+                   case.theta)
+    assert got == want
+    if case.shrink_share == 1.0:
+        assert isinstance(got, str) and got.startswith("domination fails at")
+
+
+def test_holder_check_refuses_coefficients_on_another_grid():
+    grid, V = GRIDS[1]
+    params = factorization_params_pq_infty(
+        0.5, build_exponent(grid, "constant", value=0.0, role="smoothness"),
+        build_exponent(grid, "constant", value=0.0, role="smoothness"),
+        build_exponent(grid, "constant", value=3.0), 2.0, 3.0)
+    elsewhere = DyadicCoefficients(make_grid(1, 8.0, 512), V, {(0, (0,)): 1.0})
+    with pytest.raises(InvalidInput, match="different grids"):
+        verify_holder_direction(elsewhere, elsewhere, elsewhere, params)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.01, max_value=0.99), st.floats(min_value=1.0, max_value=50.0),
+       st.floats(min_value=1.0, max_value=50.0))
+def test_params_q_equals_the_interpolated_constant_q(theta, q0, q1):
+    grid, _ = GRIDS[1]
+    zero = build_exponent(grid, "constant", value=0.0, role="smoothness")
+    try:
+        params = factorization_params_pq_infty(theta, zero, zero,
+                                               build_exponent(grid, "constant", value=2.0),
+                                               q0, q1)
+    except InvalidConfiguration:
+        assume(False)  # an identity residual past tolerance: no params to compare
+    want = interpolate_exponents(_const_field(grid, q0), _const_field(grid, q1), theta,
+                                 "harmonic")
+    assert params.q.values.tobytes() == want.values.tobytes()

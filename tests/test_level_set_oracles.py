@@ -250,7 +250,7 @@ def assert_levels_equal(got, want):
 
 
 def check_against_oracles(lam, params):
-    decomp = build_level_sets(lam, params.alpha, params.p, params.q, params)
+    decomp = build_level_sets(lam, params)
     want = level_sets_oracle(lam, params.alpha, params.p, params.q, params)
     assert_levels_equal(decomp.class_levels, class_levels_of(lam.grid, lam.V, want.classes))
     # the unassigned cubes are the supported ones without a class
@@ -324,6 +324,6 @@ def test_unassigned_cube_is_left_out_as_in_oracles():
             0.5, zero, zero, build_exponent(grid, "constant", value=3.0), 2.0, 2.0)
         lam = DyadicCoefficients(grid, 2, {(0, (0,) * n): 1.0, far: 1e-200})
         check_against_oracles(lam, params)
-        decomp = build_level_sets(lam, params.alpha, params.p, params.q, params)
+        decomp = build_level_sets(lam, params)
         assert decomp.class_levels[far[0]][far[1]] == NO_CLASS
         assert factorize_pq_infty(lam, params).zero_count == 1

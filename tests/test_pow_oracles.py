@@ -1,10 +1,10 @@
 """Array reductions of the factorization checks against the per-cube code they
 replaced.
 
-The oracles below are the per-cube `_reconstructions` and its four readers
-(`_reconstruction_error`, the domination key list of
-`verify_holder_direction`, `cli._recon_deviation`,
-`acceptance._max_relative_reconstruction`), `coefficient_bound_check` and
+The oracles below are the per-cube `_reconstructions` and its two readers
+(`FactorizationResult.reconstruction_error`, whose relative measure is the
+former `acceptance._max_relative_reconstruction`, and the domination key
+list of `verify_holder_direction`), `coefficient_bound_check` and
 `_pow_entries`, kept verbatim (bodies unchanged, wrapped as functions where
 they were inline).  Each takes one Python float pow per entry; numpy's
 vectorised `np.power` differs from it by an ulp on a few percent of the
@@ -18,10 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vexint import acceptance, cli
 from vexint.calderon import (
+    FactorizationResult,
     HolderReport,
-    _reconstruction_error,
     _reconstructions,
     factorization_params_pp,
     factorize_pp,
@@ -52,17 +51,6 @@ def reconstructions_oracle(lam, lam0, lam1, norm, theta):
         out.extend((key, a, norm * b0 ** (1.0 - theta) * b1 ** theta)
                    for key, a, b0, b1 in zip(keys, *mods))
     return out
-
-
-def reconstruction_error_oracle(lam, lam0, lam1, norm, theta):
-    return max((abs(a - recon) for _key, a, recon in
-                reconstructions_oracle(lam, lam0, lam1, norm, theta)), default=0.0)
-
-
-def recon_deviation_oracle(lam, res, theta):
-    return max((abs(recon / a - 1.0) for _key, a, recon in
-                reconstructions_oracle(lam, res.lam0, res.lam1, res.lam_norm, theta)),
-               default=0.0)
 
 
 def max_relative_reconstruction_oracle(lam, res, theta):
@@ -170,12 +158,8 @@ def test_reconstruction_readers_match_per_cube_oracles(case):
         assert [key for key, _, _ in want] == lam.support()
         assert a.tolist() == [x for _, x, _ in want]
         assert recon.tolist() == [x for _, _, x in want]
-        assert _reconstruction_error(lam, lam0, lam1, norm, theta) \
-            == reconstruction_error_oracle(lam, lam0, lam1, norm, theta)
-        res = SimpleNamespace(lam0=lam0, lam1=lam1, lam_norm=norm)
-        assert cli._recon_deviation(lam, res, theta) == recon_deviation_oracle(lam, res, theta)
-        assert acceptance._max_relative_reconstruction(lam, res, theta) \
-            == max_relative_reconstruction_oracle(lam, res, theta)
+        res = FactorizationResult(lam, case.params, lam0, lam1, norm)
+        assert res.reconstruction_error == max_relative_reconstruction_oracle(lam, res, theta)
 
 
 @settings(max_examples=30, deadline=None)
@@ -189,14 +173,12 @@ def test_domination_keys_match_per_cube_oracle(case, shrink_share):
     scaled = lam.scaled(1.0 / res.lam_norm)
     shrink = [np.where(case.rng.random(a.shape) < shrink_share, 0.5, 1.0) for a in res.lam0.levels]
     lam0 = DyadicCoefficients(case.grid, case.V, [s * a for s, a in zip(shrink, res.lam0.levels)])
-    spaces = ((params.alpha0, params.p0), (params.alpha1, params.p1))
     want = domination_message_oracle(scaled, lam0, res.lam1, theta)
     if want is None:
-        assert isinstance(verify_holder_direction(scaled, lam0, res.lam1, *spaces, theta),
-                          HolderReport)
+        assert isinstance(verify_holder_direction(scaled, lam0, res.lam1, params), HolderReport)
         return
     with pytest.raises(PreconditionViolation) as info:
-        verify_holder_direction(scaled, lam0, res.lam1, *spaces, theta)
+        verify_holder_direction(scaled, lam0, res.lam1, params)
     assert str(info.value) == want
 
 

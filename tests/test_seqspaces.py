@@ -3,6 +3,7 @@ and lattice/homogeneity/scaling invariants."""
 
 import itertools
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -276,6 +277,18 @@ def test_coefficient_power_beyond_float_range_is_typed():
     a = build_exponent(G, "constant", value=0.2, role="smoothness")
     with pytest.raises(InvalidInput, match="exceeds the float range"):
         f_infty_norm(lam, a, 91.0)
+
+
+def test_subset_routes_beyond_float_range_are_typed():
+    # the same integrand on the subset routes: a typed error, never inf or a RuntimeWarning
+    lam = coefficient_corpus(G, 3, 3, 50, 11)[0]
+    a = build_exponent(G, "constant", value=0.2, role="smoothness")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidInput, match=r"exceeds the float range \(q=91.0\)"):
+            f_infty_subset_norm(lam, a, 91.0, full_selection(lam))
+        with pytest.raises(InvalidInput, match=r"exceeds the float range \(q=91.0\)"):
+            greedy_selection(lam, a, 91.0)
 
 
 def test_f_norm_level_function_beyond_float_range_is_typed():
