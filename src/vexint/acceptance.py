@@ -6,14 +6,16 @@ bound, non-negative exactly when the row passes, so pass/fail is
 recomputable from the row alone.  Runtime budgets are enforced on the
 result objects and never written into rows: a fixed seed therefore
 reproduces the CSV byte for byte, which the suite checks about itself by
-generating its rows twice.
+generating its rows a second time in a child process.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import multiprocessing
 import time
+import traceback
 import warnings
 from dataclasses import dataclass
 
@@ -702,6 +704,7 @@ class SuiteResult:
     csv: str
     elapsed_first: float
     deterministic: bool
+    elapsed_rerun: float | None  # None when the re-run sent no rows
 
     @property
     def passed(self) -> bool:
@@ -710,26 +713,71 @@ class SuiteResult:
                 and self.elapsed_first <= SUITE_BUDGET)
 
 
+def _regenerate(seed: int, conn) -> None:
+    """The determinism re-run, in a child process: send (rows, seconds) or the error.
+
+    numpy's global RNG is reseeded from OS entropy first, so rows that read
+    it differ from the parent's: a forked child would otherwise inherit the
+    parent's state and draw the same numbers.  (Python's `random` reseeds
+    itself in a forked child.)
+    """
+    np.random.seed()
+    try:
+        start = time.perf_counter()
+        rows = generate_rows(seed)
+        conn.send((rows, time.perf_counter() - start))
+    except Exception as exc:
+        conn.send((exc, traceback.format_exc()))
+    finally:
+        conn.close()
+
+
 def run_suite(seed: int) -> SuiteResult:
-    """Run criteria 1-16, then regenerate the rows to certify determinism.
+    """Run criteria 1-16 while a child process regenerates their rows.
 
     The determinism check is the suite's 17th criterion; its row carries
-    the mismatch count, and the 5-minute runtime budget is enforced on the
-    first full pass (timings never enter the CSV).
+    the number of rows that differ between the first pass and the re-run.
+    The 5-minute runtime budget is enforced on the first pass (timings
+    never enter the CSV).
+
+    The re-run is forked before the first pass, so it starts from the state
+    the first pass starts from and runs concurrently with it.  A17 thus
+    certifies that the rows of a seed depend on nothing else: not on the
+    global RNG state (the child reseeds it), the clock or the process.  It
+    does not see a pass that changes in-process state which a later pass
+    reads; two runs of the suite verb in one process are compared in
+    tier-1 for that.  An error raised in the re-run is raised here; a
+    re-run that ends without sending rows counts every row as a mismatch.
     """
-    t0 = time.perf_counter()
-    results = []
-    for cid in sorted(CRITERIA):
-        criterion, title = CRITERIA[cid]
-        start = time.perf_counter()
-        rows = criterion(seed)
-        results.append(CriterionResult(cid, title, rows, time.perf_counter() - start,
-                                       BUDGETS.get(cid)))
-    elapsed_first = time.perf_counter() - t0
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_regenerate, args=(seed, sender))
+    child.start()
+    sender.close()
+    try:
+        t0 = time.perf_counter()
+        results = []
+        for cid in sorted(CRITERIA):
+            criterion, title = CRITERIA[cid]
+            start = time.perf_counter()
+            rows = criterion(seed)
+            results.append(CriterionResult(cid, title, rows, time.perf_counter() - start,
+                                           BUDGETS.get(cid)))
+        elapsed_first = time.perf_counter() - t0
+        try:
+            second, elapsed_rerun = receiver.recv()
+        except EOFError:  # the child ended without sending
+            second, elapsed_rerun = [], None
+    finally:
+        receiver.close()
+        child.terminate()
+        child.join()
+    if isinstance(second, Exception):  # and elapsed_rerun is the child's traceback
+        raise second from RuntimeError(f"the determinism re-run raised:\n{elapsed_rerun}")
     first = [row for res in results for row in res.rows]
-    second = generate_rows(seed)
     mismatches = sum(a != b for a, b in zip(first, second)) + abs(len(first) - len(second))
     det_row = _upper("A17", _digest(17, seed), float(mismatches), 0.0)
     rows = [*first, det_row]
     return SuiteResult(seed, results, rows, rows_to_csv(rows), elapsed_first,
-                       mismatches == 0)
+                       mismatches == 0, elapsed_rerun)

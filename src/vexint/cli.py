@@ -296,8 +296,7 @@ class Experiment:
 def _map_ordered(fn, items):
     """Dispatch items to the worker pool; results come back in input order.
 
-    The threads overlap because numpy releases the GIL in a job's FFTs and array passes
-    (perfbench cli-2d, seed 7, 2 cores: wall_s 1.03-1.05 s pooled, 1.72-1.74 s serial).
+    The threads overlap because numpy releases the GIL in a job's FFTs and array passes.
     """
     if len(items) <= 1:
         return [fn(x) for x in items]
@@ -568,7 +567,9 @@ def cmd_suite(seed: int, csv_path=None, json_path=None, out_dir=None) -> int:
         print(f"A{res.cid:02d} {res.title}: {status} "
               f"({len(res.rows)} rows, {res.elapsed:.2f}s)")
     det = "pass" if suite.deterministic else "FAIL"
-    print(f"A17 regeneration determinism: {det}")
+    rerun = ("the re-run sent no rows" if suite.elapsed_rerun is None
+             else f"{suite.elapsed_rerun:.2f}s")
+    print(f"A17 regeneration determinism: {det} ({rerun})")
     if csv_path:
         Path(csv_path).write_text(suite.csv, encoding="utf-8")
         print(f"rows written to {csv_path}")
@@ -582,6 +583,7 @@ def cmd_suite(seed: int, csv_path=None, json_path=None, out_dir=None) -> int:
                 "passed": suite.passed,
                 "deterministic": suite.deterministic,
                 "runtime_seconds": suite.elapsed_first,
+                "rerun_seconds": suite.elapsed_rerun,
                 "criteria": [
                     {"id": res.cid, "title": res.title, "rows": len(res.rows),
                      "passed": res.passed, "elapsed": res.elapsed,

@@ -7,15 +7,20 @@ the suite's own determinism and runtime contract.
 """
 
 import hashlib
+import json
+import multiprocessing
+import os
+import random
 
 import numpy as np
 import pytest
 
-from vexint import acceptance
+from vexint import acceptance, cli
 from vexint.acceptance import CSV_HEADER, SCALE_1D, SCALE_2D, rows_to_csv, run_suite
 from vexint.calderon import NO_CLASS, build_level_sets, factorization_params_pq_infty, \
     factorize_pq_infty
 from vexint.corpus import random_coefficients
+from vexint.errors import InvalidInput
 from vexint.exponents import build_exponent
 from vexint.grid import Grid, make_grid
 
@@ -266,3 +271,74 @@ def test_row_margins_encode_pass(suite):
     # pass/fail must be recomputable from the row alone
     assert all((r.margin >= 0.0) == r.passed for r in suite.rows)
     assert acceptance.SUITE_BUDGET == 300.0
+
+
+# ------------------------------------------------- the forked determinism re-run
+#
+# Each test runs the suite on one cheap criterion (A13, a few ms) in place
+# of the sixteen, so only the re-run machinery is under test.
+
+
+def _only(monkeypatch, criterion):
+    monkeypatch.setattr(acceptance, "CRITERIA", {13: (criterion, "strip kernel quadrature")})
+
+
+def test_rerun_that_sends_no_rows_fails_a17(monkeypatch, tmp_path, capsys):
+    parent = os.getpid()
+
+    def exits_in_the_rerun(seed):
+        if os.getpid() != parent:
+            os._exit(3)
+        return acceptance.criterion_13(seed)
+
+    _only(monkeypatch, exits_in_the_rerun)
+    suite = run_suite(SEED)
+    assert suite.deterministic is False and not suite.passed
+    assert suite.rows[-1].criterion == "A17"
+    assert suite.rows[-1].value == len(suite.rows) - 1 == len(suite.results[0].rows) > 0
+    assert suite.elapsed_rerun is None
+    assert multiprocessing.active_children() == []
+    assert cli.main(["suite", "--seed", "7", "--out", str(tmp_path)]) == cli.EXIT_CONTRACT
+    out = capsys.readouterr()
+    assert "A17 regeneration determinism: FAIL (the re-run sent no rows)" in out.out
+    assert "failed criteria: A17" in out.err
+    summary = json.loads((tmp_path / "suite.json").read_text())["summary"]
+    assert summary["deterministic"] is False and summary["rerun_seconds"] is None
+
+
+@pytest.mark.parametrize("where, error", [
+    ("both", InvalidInput("raised in both passes")),
+    ("rerun", InvalidInput("raised in the re-run only")),
+    ("first", KeyboardInterrupt()),
+])
+def test_rerun_errors_are_raised_and_leave_no_child(monkeypatch, where, error):
+    parent = os.getpid()
+
+    def raises(seed):
+        in_parent = os.getpid() == parent
+        if where == "both" or (where == "rerun") != in_parent:
+            raise error
+        return acceptance.criterion_13(seed)
+
+    _only(monkeypatch, raises)
+    with pytest.raises(type(error)) as info:
+        run_suite(SEED)
+    assert multiprocessing.active_children() == []
+    if where == "rerun":
+        # sent back from the child, with the child's traceback as its cause
+        assert str(info.value) == "raised in the re-run only"
+        assert "in raises" in str(info.value.__cause__)
+
+
+@pytest.mark.parametrize("draw", [np.random.random, random.random], ids=["numpy", "python"])
+def test_rows_that_read_the_global_rng_fail_a17(monkeypatch, draw):
+    # the child reseeds numpy's global RNG and Python's reseeds itself after
+    # a fork; a child that inherited either state would draw what the first
+    # pass draws, and A17 would pass
+    def draws(seed):
+        return [*acceptance.criterion_13(seed), acceptance._upper("A13", "rng", draw(), 1.0)]
+
+    _only(monkeypatch, draws)
+    suite = run_suite(SEED)
+    assert suite.deterministic is False
+    assert suite.rows[-1].value == 1.0

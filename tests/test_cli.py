@@ -1,11 +1,13 @@
 """Exit-code contract, config validation, and report emission of the CLI."""
 
 import hashlib
+import itertools
 import json
 import re
 
 import pytest
 
+from vexint import acceptance
 from vexint.cli import CONFIG_SCHEMA, EXIT_CONFIG, EXIT_CONTRACT, EXIT_PASS, main
 
 
@@ -259,6 +261,28 @@ def test_suite_verb_is_bitwise_deterministic(tmp_path, capsys):
     assert report["summary"]["deterministic"] is True
     assert report["summary"]["passed"] is True
     assert len(report["summary"]["criteria"]) == 16
+    assert report["summary"]["rerun_seconds"] > 0.0
+
+
+_PASSES = itertools.count()
+
+
+def test_suite_verb_reruns_in_one_process_see_state_a_pass_leaves(tmp_path, monkeypatch,
+                                                                  capsys):
+    # A17's re-run is forked before the first pass, so it starts from the
+    # state that pass starts from and misses a criterion reading state an
+    # earlier pass changed; two runs of the verb in one process, compared
+    # as in the test above, catch it
+    def counts_passes(seed):
+        return [acceptance._upper("A13", "passes", float(next(_PASSES)), 1e9)]
+
+    monkeypatch.setattr(acceptance, "CRITERIA", {13: (counts_passes, "reads a counter")})
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["suite", "--seed", "9", "--out", str(out_a)]) == EXIT_PASS
+    assert main(["suite", "--seed", "9", "--out", str(out_b)]) == EXIT_PASS
+    assert re.search(r"^A17 regeneration determinism: pass \(\d+\.\d\ds\)$",
+                     capsys.readouterr().out, re.M)
+    assert (out_a / "suite.csv").read_bytes() != (out_b / "suite.csv").read_bytes()
 
 
 # ------------------------------------------------------------ golden outputs
