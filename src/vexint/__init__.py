@@ -2,6 +2,13 @@
 sequence spaces, Littlewood-Paley banks, factorizations, and interpolation
 checks, with a reproducible acceptance suite behind the `vexint` CLI."""
 
+# numpy 2 imports its submodules on first attribute access.  The library
+# calls np.fft, np.random and np.unique (which imports numpy.ma) on its
+# main paths, so they load with the package, not inside a first call.
+import numpy.fft  # noqa: F401
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .errors import (
     AdmissibilityFailure,
     ConjugateUndefined,

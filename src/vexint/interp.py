@@ -77,15 +77,30 @@ class PoissonPair:
                      + np.trapezoid(f1 * self.mu1_values, dx=QUAD_STEP))
 
 
+def _check_strip_theta(theta: float) -> float:
+    """theta in (0, 1) whose strip kernels are finite at t = 0.
+
+    Within about 3e-9 of 0 or 1, cos(pi theta) rounds to +-1 and a
+    denominator cosh(0) -+ cos(pi theta) of mu0 or mu1 is 0.0.
+    """
+    theta = _check_theta(theta)
+    c = np.cos(np.pi * theta)
+    if 1.0 - c == 0.0 or 1.0 + c == 0.0:
+        raise InvalidInput(f"theta={theta} is too close to {round(theta)} for the strip "
+                           "kernel: cos(pi theta) rounds to +-1")
+    return theta
+
+
 def strip_poisson(theta: float) -> PoissonPair:
     """Kernel pair for the unit strip at interior abscissa theta.
 
     mu0(t) = sin(pi theta) / (2 (cosh(pi t) - cos(pi theta))) and mu1 with
     + in the denominator.  Truncation T = 6 leaves tails below the mass
     tolerance; the masses and the Re z^k reproduction (k <= 2) are checked
-    before the pair is returned.
+    before the pair is returned.  A theta whose kernel is not representable
+    at t = 0 is an InvalidInput.
     """
-    theta = _check_theta(theta)
+    theta = _check_strip_theta(theta)
     t = np.arange(-QUAD_T, QUAD_T + QUAD_STEP / 2.0, QUAD_STEP)
     pair = PoissonPair(theta, t, np.empty(0), np.empty(0), 0.0, 0.0)
     pair.mu0_values = pair.mu0(t)
@@ -240,6 +255,7 @@ def scalar_interp_sandwich(f, p0: ExponentField, p1: ExponentField,
     L^{p(.)} norm of that field over 1 measures the reverse slack.  Both
     ratios should bracket 1.
     """
+    _check_strip_theta(theta)
     fam0 = competitor_family(f, p0, p1, theta)
     fv = np.abs(fam0.f_values())
     norm = luxemburg_norm(fv, fam0.p, tol=tol).value

@@ -2,9 +2,9 @@
 
 The kernel family is eta_v(x) = 2^{nv} (1 + 2^v |x|)^{-m} with |x| the
 periodic distance to 0.  Its truncated L^1 mass over the box is computed by
-radial quadrature; the discrete lattice mass (rectangle sum) is kept
-separately because it is the exact operator constant for the discrete
-convolution.
+radial quadrature (QUADPACK dqagse, ported in `_quadpack`); the discrete
+lattice mass (rectangle sum) is kept separately because it is the exact
+operator constant for the discrete convolution.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import quad
 
+from ._quadpack import qagse
 from .errors import InvalidInput, PreconditionViolation, PreconditionWarning
 from .exponents import ExponentField, _offset_profile, log_holder_constants
 from .grid import Grid, GridFunction, cube_broadcast, cube_sums
@@ -58,17 +58,26 @@ class EtaKernel:
     tail_bound: float | None = None
 
 
+def _quad(f, lo: float, hi: float) -> float:
+    """QUADPACK dqagse on [lo, hi]; an error code is a PreconditionWarning."""
+    val, _, _, ier = qagse(f, lo, hi, **_QUAD_OPTS)
+    if ier != 0:
+        warnings.warn(f"box-mass quadrature on [{lo}, {hi}] ended with QUADPACK "
+                      f"ier={ier}; the mass may miss the requested accuracy",
+                      PreconditionWarning, stacklevel=4)
+    return val
+
+
 def _box_mass(n: int, L: float, v: int, m: float) -> float:
     """Radial quadrature of the kernel over the box, in scaled radius u = 2^v r."""
     a = 2.0 ** v * L
     if n == 1:
-        val, _ = quad(lambda u: (1.0 + u) ** (-m), 0.0, a, **_QUAD_OPTS)
-        return 2.0 * val
-    inner, _ = quad(lambda u: 2.0 * math.pi * u * (1.0 + u) ** (-m), 0.0, a, **_QUAD_OPTS)
+        return 2.0 * _quad(lambda u: (1.0 + u) ** (-m), 0.0, a)
+    inner = _quad(lambda u: 2.0 * math.pi * u * (1.0 + u) ** (-m), 0.0, a)
     # past the inscribed circle only the arcs inside the square count
-    outer, _ = quad(
+    outer = _quad(
         lambda u: u * (2.0 * math.pi - 8.0 * math.acos(min(1.0, a / u))) * (1.0 + u) ** (-m),
-        a, math.sqrt(2.0) * a, **_QUAD_OPTS,
+        a, math.sqrt(2.0) * a,
     )
     return inner + outer
 

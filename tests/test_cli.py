@@ -175,6 +175,23 @@ def test_roundtrip_kind(tmp_path):
     assert all(float(r[2]) <= 1e-6 for r in rows)
 
 
+def test_roundtrip_zero_item_has_residual_zero(tmp_path):
+    # the single mode drawn lies outside the band radius: the item is the zero function
+    path = write_config(tmp_path, "zero.json", {
+        "kind": "roundtrip", "grid": {"n": 2, "L": 2.0, "N": 64}, "levels": 1,
+        "corpus": {"seed": 72, "items": 1, "count": 1},
+        "output": {"csv": str(tmp_path / "rows.csv"), "json": str(tmp_path / "report.json")}})
+    assert main(["run", path]) == EXIT_PASS
+    assert [float(r[2]) for r in read_rows(tmp_path)] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("theta", [1e-9, 1.0 - 1e-9])
+def test_lebesgue_interp_unrepresentable_theta_exits_two(tmp_path, capsys, theta):
+    path = base_config(tmp_path, "lebesgue-interp", theta=[0.5, theta])
+    assert main(["run", path]) == EXIT_CONFIG
+    assert "config error at $.theta[1]:" in capsys.readouterr().err
+
+
 def test_lebesgue_interp_kind(tmp_path):
     path = base_config(tmp_path, "lebesgue-interp")
     assert main(["run", path]) == EXIT_PASS

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vexint.errors import InvalidInput, UnsupportedParameters
+from vexint.errors import InvalidInput, SolverFailure, UnsupportedParameters
 from vexint.exponents import build_exponent
 from vexint.grid import GridFunction, make_grid
 from vexint.interp import (
@@ -85,6 +85,21 @@ def test_poisson_theta_guard():
     for theta in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(InvalidInput):
             strip_poisson(theta)
+
+
+@pytest.mark.parametrize("theta", [1e-9, 1.0 - 1e-9])
+def test_unrepresentable_strip_kernel_is_invalid_input(theta):
+    # cos(pi theta) rounds to +-1, so a t = 0 denominator of mu0 or mu1 is 0.0
+    with pytest.raises(InvalidInput, match="strip kernel"):
+        strip_poisson(theta)
+    with pytest.raises(InvalidInput, match="strip kernel"):
+        scalar_interp_sandwich(two_region_f(), const(G, 2.0), const(G, 3.0), theta)
+
+
+@pytest.mark.parametrize("theta", [1e-8, 0.999999])
+def test_nearly_degenerate_strip_kernel_stays_a_solver_failure(theta):
+    with pytest.raises(SolverFailure):
+        strip_poisson(theta)
 
 
 # ---------------------------------------------------------------- competitor

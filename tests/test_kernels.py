@@ -63,6 +63,16 @@ def test_mass_large_box_and_v_independence():
     assert all(b - a > 0 for a, b in zip(masses, masses[1:]))  # monotone in v
 
 
+def test_criterion_7_masses_are_pinned():
+    # the seven masses A07 reads, as literals, so that they do not follow the
+    # installed scipy: test_quadpack ties the port to quad, these pins hold alone
+    g = make_grid(1, 2048.0, 16384)
+    assert [eta(v, 2.0, g).mass for v in range(7)] == [
+        1.9990239141044415, 1.9995118379301933, 1.9997558891736853, 1.9998779371376263,
+        1.9999389667063385, 1.9999694828875294, 1.9999847413273522,
+    ]
+
+
 def test_mass_respects_tail_bound():
     for n, grid in [(1, G), (2, make_grid(2, 2, 64))]:
         for m in (n + 1.0, n + 2.0):
