@@ -276,8 +276,12 @@ class Experiment:
                                          self.seed, self.distribution)
 
     def functions(self) -> list:
-        return corpus.band_limited_corpus(self.grid, 2.0 ** self.V, self.items,
-                                          self.count, self.seed)
+        """The band-limited corpus as mode draws; `realize` builds one item."""
+        return corpus.mode_corpus(self.grid.n, self.grid.L, 2.0 ** self.V, self.items,
+                                  self.count, self.seed)
+
+    def realize(self, modes: dict):
+        return corpus.trig_polynomial(self.grid, modes)
 
     def tol(self, name: str) -> float:
         return self.tolerances[name]
@@ -298,6 +302,8 @@ def _map_ordered(fn, items):
     """Dispatch items to the worker pool; results come back in input order.
 
     The threads overlap because numpy releases the GIL in a job's FFTs and array passes.
+    A job that builds its own input from a small item (`_over_corpus`) keeps at most
+    one input per worker alive.  The first failing item in input order raises.
     """
     if len(items) <= 1:
         return [fn(x) for x in items]
@@ -305,11 +311,18 @@ def _map_ordered(fn, items):
         return list(pool.map(fn, items))
 
 
-def _over_corpus(items, one, thetas) -> list:
-    """[(i, theta, one(items[i], theta))] for every item and theta, through the pool."""
-    jobs = [(i, theta) for i in range(len(items)) for theta in thetas]
-    results = _map_ordered(lambda job: one(items[job[0]], job[1]), jobs)
-    return [(i, theta, r) for (i, theta), r in zip(jobs, results)]
+def _over_corpus(items, one, thetas, realize=None) -> list:
+    """[(i, theta, one(x_i, theta))] for every item and theta, through the pool.
+
+    One job per item: it builds x_i = realize(items[i]) (items[i] itself when
+    `realize` is None) and runs every theta on it, so each item is built once,
+    inside its job.  A failure is that of the lowest failing (i, theta).
+    """
+    def job(item):
+        x = item if realize is None else realize(item)
+        return [one(x, theta) for theta in thetas]
+    return [(i, theta, r) for i, results in enumerate(_map_ordered(job, items))
+            for theta, r in zip(thetas, results)]
 
 
 def _construction(exp: Experiment, construction: str) -> dict:
@@ -387,7 +400,8 @@ def run_roundtrip(exp: Experiment):
         transform = float(np.abs(back.values - f.values).max()) / sup if sup else 0.0
         return transform, retract_roundtrip(f, rou).residual
     rows = []
-    for i, _, (transform, retract) in _over_corpus(exp.functions(), one, [None]):
+    for i, _, (transform, retract) in _over_corpus(exp.functions(), one, [None],
+                                                   exp.realize):
         rows.append(_upper("roundtrip",
                            acceptance._digest("roundtrip", exp.seed, i, "T"),
                            transform, exp.tol("residual")))
@@ -433,7 +447,7 @@ def run_inter_rest(exp: Experiment):
     def one(g, theta):
         return inter_rest_check(g, f["alpha0"], f["alpha1"], f["p0"], f["p1"],
                                 f["q0"], f["q1"], theta, bank).ratio
-    for i, theta, ratio in _over_corpus(exp.functions(), one, exp.thetas):
+    for i, theta, ratio in _over_corpus(exp.functions(), one, exp.thetas, exp.realize):
         # folded two-sided bracket: pass iff 1/bracket <= ratio <= bracket
         folded = max(ratio, 1.0 / ratio) if ratio > 0.0 else float("inf")
         margin = bracket - folded
@@ -471,8 +485,12 @@ def run_norm_kind(exp: Experiment, which: str, kind: str | None = None):
     experiment `kind` that runs this norm under its own label and recipes."""
     label, key = (f"norm-{which}", ("norm", which)) if kind is None else (kind, (kind,))
     norm = _norm_of(exp, which, exp.fields(kind or which))
-    items = exp.coefficients() if which in ("f", "finfty") else exp.functions()
-    values = [v for _, _, v in _over_corpus(items, lambda x, _theta: norm(x), [None])]
+    if which in ("f", "finfty"):
+        items, realize = exp.coefficients(), None
+    else:
+        items, realize = exp.functions(), exp.realize
+    values = [v for _, _, v in _over_corpus(items, lambda x, _theta: norm(x), [None],
+                                            realize)]
     rows = [_upper(label, acceptance._digest(*key, exp.seed, i), v, exp.tol("finite"))
             for i, v in enumerate(values)]
     return rows, {"values": values}

@@ -60,11 +60,9 @@ def random_modes(n: int, L: float, radius: float, count: int, rng) -> dict:
     kmax = int(radius * L / np.pi)
     draws = rng.integers(-kmax, kmax + 1, size=(count, n))
     coeffs = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    modes: dict = {}
-    for row, c in zip(draws, coeffs):
-        if float(np.hypot.reduce(row * np.pi / L)) <= radius:
-            modes[tuple(int(k) for k in row)] = c
-    return modes
+    keep = np.hypot.reduce(draws * np.pi / L, axis=1) <= radius
+    # a repeated mode keeps its first position and its last coefficient
+    return dict(zip(map(tuple, draws[keep].tolist()), coeffs[keep]))
 
 
 def trig_polynomial(grid: Grid, modes: dict) -> GridFunction:

@@ -114,6 +114,10 @@ class ExponentField:
         )
 
 
+_RECIPE_PARAMS = {"constant": ("value",), "sine": ("base", "amplitude"),
+                  "plateau": ("left", "right", "width")}
+
+
 def build_exponent(grid: Grid, recipe: str, *, role: str = "integrability", **params) -> ExponentField:
     """Construct a field from a named recipe.
 
@@ -122,6 +126,9 @@ def build_exponent(grid: Grid, recipe: str, *, role: str = "integrability", **pa
     the boundary, `right` on the middle half, linear ramps of the given width.
     """
     name = recipe.replace("-perturbation", "").replace("-ramp", "")
+    missing = [key for key in _RECIPE_PARAMS.get(name, ()) if key not in params]
+    if missing:
+        raise InvalidExponent(f"recipe {recipe!r} needs {', '.join(missing)}")
     x1 = grid.coords()[0]
     if name == "constant":
         c = float(params["value"])

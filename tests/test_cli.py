@@ -3,11 +3,16 @@
 import hashlib
 import itertools
 import json
+import os
 import re
+import threading
+import time
+import weakref
 
 import pytest
 
-from vexint import acceptance
+from vexint import acceptance, cli, corpus
+from vexint.calderon import factorize
 from vexint.cli import CONFIG_SCHEMA, EXIT_CONFIG, EXIT_CONTRACT, EXIT_PASS, main
 
 
@@ -90,6 +95,17 @@ def test_invalid_recipe_value_exits_two(tmp_path, capsys):
     path = write_config(tmp_path, "bad-recipe.json", cfg)
     assert main(["run", path]) == EXIT_CONFIG
     assert "p0" in capsys.readouterr().err
+
+
+def test_recipe_missing_a_parameter_exits_two(tmp_path, capsys):
+    # the schema requires only "recipe"; a missing value used to end in a KeyError
+    path = base_config(tmp_path, "norms")
+    cfg = json.loads(open(path).read())
+    cfg["exponents"]["alpha0"] = {"recipe": "constant"}
+    path = write_config(tmp_path, "no-value.json", cfg)
+    assert main(["run", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error at $.exponents.alpha0: recipe 'constant' needs value\n")
 
 
 def test_levels_beyond_grid_exit_two(tmp_path, capsys):
@@ -300,6 +316,111 @@ def test_suite_verb_reruns_in_one_process_see_state_a_pass_leaves(tmp_path, monk
     assert re.search(r"^A17 regeneration determinism: pass \(\d+\.\d\ds\)$",
                      capsys.readouterr().out, re.M)
     assert (out_a / "suite.csv").read_bytes() != (out_b / "suite.csv").read_bytes()
+
+
+# ------------------------------------------------------------ pool dispatch
+
+
+def _count_realized(monkeypatch):
+    """Wrap the corpus realizer; record every draw it realizes and the most
+    realized items alive at once."""
+    realize = corpus.trig_polynomial
+    lock = threading.Lock()
+    seen = {"draws": [], "alive": 0, "most": 0}
+
+    def released():
+        with lock:
+            seen["alive"] -= 1
+
+    def counted(grid, modes):
+        f = realize(grid, modes)
+        with lock:
+            seen["draws"].append(modes)
+            seen["alive"] += 1
+            seen["most"] = max(seen["most"], seen["alive"])
+        weakref.finalize(f, released)
+        return f
+    monkeypatch.setattr(corpus, "trig_polynomial", counted)
+    return seen
+
+
+@pytest.mark.parametrize("verb, kind, thetas", [
+    (["run"], "roundtrip", [0.4]),
+    (["run"], "inter-rest", [0.3, 0.6]),
+    (["norm", "--kind", "lux"], "norms", [0.4]),
+    (["norm", "--kind", "F"], "norms", [0.4]),
+])
+def test_corpus_items_are_realized_once_inside_the_jobs(tmp_path, monkeypatch, verb,
+                                                        kind, thetas):
+    workers = os.cpu_count() or 1
+    items = workers + 2
+    seen = _count_realized(monkeypatch)
+    path = base_config(tmp_path, kind, theta=thetas,
+                       corpus={"seed": 11, "items": items, "count": 50})
+    assert main([*verb, path]) == EXIT_PASS
+    # every draw once, however many thetas run on it
+    want = corpus.mode_corpus(1, 4.0, 2.0 ** 3, items, 50, 11)
+    assert sorted(map(repr, seen["draws"])) == sorted(map(repr, want))
+    # one item per busy worker, none left behind
+    assert 1 <= seen["most"] <= min(workers, items)
+    assert seen["alive"] == 0
+
+
+def test_multi_theta_rows_keep_item_then_theta_order(tmp_path):
+    thetas = [0.3, 0.6]
+    path = base_config(tmp_path, "factorize-pq-infty", theta=thetas,
+                       corpus={"seed": 11, "items": 4, "count": 50})
+    assert main(["run", path]) == EXIT_PASS
+    keys = [(i, theta) for i in range(4) for theta in thetas]
+    assert [r[1] for r in read_rows(tmp_path)] == [
+        acceptance._digest("factorize-pq-infty", 11, i, theta) for i, theta in keys]
+    exp = cli.Experiment(json.loads(open(path).read()))
+    params = cli._construction(exp, "pq-infty")
+    serial = []
+    for lam, theta in itertools.product(exp.coefficients(), thetas):
+        res = factorize(lam, params[theta])
+        serial.append([res.factor0_norm, res.factor1_norm])
+    norms = json.loads((tmp_path / "report.json").read_text())["summary"]["factor_norms"]
+    assert [(r["item"], r["theta"]) for r in norms] == keys
+    assert [[r["factor0_norm"], r["factor1_norm"]] for r in norms] == serial
+
+
+def test_over_corpus_returns_in_input_order_whatever_finishes_first():
+    def one(x, theta):
+        time.sleep(0.01 * (5 - x))  # later items finish first
+        return x, theta
+    got = cli._over_corpus(list(range(5)), one, ["a", "b"], realize=lambda m: m)
+    assert got == [(i, t, (i, t)) for i in range(5) for t in ("a", "b")]
+
+
+def test_over_corpus_raises_the_lowest_failing_item():
+    failing = {(1, "b"), (3, "a"), (4, "a")}
+
+    def one(x, theta):
+        if x == 1:
+            time.sleep(0.05)  # items 3 and 4 fail first in time
+        if (x, theta) in failing:
+            raise ValueError(f"item {x} theta {theta}")
+        return x
+    with pytest.raises(ValueError, match=r"^item 1 theta b$"):
+        cli._over_corpus(list(range(6)), one, ["a", "b"])
+
+
+@pytest.mark.parametrize("verb, kind, label", [
+    (["run"], "roundtrip", "roundtrip"),
+    (["run"], "inter-rest", "inter-rest"),
+    (["norm", "--kind", "lux"], "norms", "norm-lux"),
+])
+def test_a_draw_past_nyquist_fails_the_run_at_the_lowest_item(tmp_path, monkeypatch,
+                                                              capsys, verb, kind, label):
+    # no schema-valid config draws one: |k| <= 2^V L / pi <= N / (8 pi) < N / 2,
+    # so the draws are patched in; N = 256 puts Nyquist at index 128
+    draws = [{(3,): 1.0 + 0j}, {(200,): 1.0 + 0j}, {(150,): 1.0 + 0j}, {(2,): 1.0 + 0j}]
+    monkeypatch.setattr(corpus, "mode_corpus", lambda *args: [dict(m) for m in draws])
+    path = base_config(tmp_path, kind, output={})
+    assert main([*verb, path]) == EXIT_CONTRACT
+    assert capsys.readouterr().err == (
+        f"contract failure [{label}]: mode (200,) is beyond the grid Nyquist index\n")
 
 
 # ------------------------------------------------------------ golden outputs

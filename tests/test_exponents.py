@@ -61,6 +61,17 @@ def test_recipe_ranges():
         build_exponent(g, "sine", base=1.2, amplitude=0.5, frequency=1.0)
 
 
+@pytest.mark.parametrize("recipe, params, missing", [
+    ("constant", {}, "value"),
+    ("sine", {"base": 2.0}, "amplitude"),
+    ("plateau-ramp", {"right": 3.0}, "left, width"),
+])
+def test_recipe_without_a_parameter_is_invalid_exponent(recipe, params, missing):
+    # it used to escape as a KeyError
+    with pytest.raises(InvalidExponent, match=f"^recipe '{recipe}' needs {missing}$"):
+        build_exponent(make_grid(1, 4, 256), recipe, **params)
+
+
 def test_plateau_shape():
     g = make_grid(1, 4, 256)
     f = build_exponent(g, "plateau-ramp", left=2.0, right=3.0, width=1.0)
