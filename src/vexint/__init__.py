@@ -47,6 +47,7 @@ from .lpf import (
     build_resolution_of_unity,
     retract_roundtrip,
     synthesize,
+    transform_roundtrip,
 )
 from .calderon import (
     build_level_sets,
@@ -103,6 +104,7 @@ __all__ = [
     "build_resolution_of_unity",
     "retract_roundtrip",
     "synthesize",
+    "transform_roundtrip",
     "build_level_sets",
     "case_classifier",
     "equivalence_experiment",

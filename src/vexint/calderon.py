@@ -20,7 +20,7 @@ from .errors import (
     InvalidInput,
     PreconditionViolation,
 )
-from .exponents import ExponentField, _check_theta, interpolate_exponents
+from .exponents import ExponentField, _check_theta, build_exponent, interpolate_exponents
 from .grid import Grid, GridFunction, cube_cells, cube_corners
 from .seqspaces import (
     DyadicCoefficients,
@@ -28,7 +28,6 @@ from .seqspaces import (
     _constant_exponent,
     _level_integrand,
     _pow_each,
-    f_infty_norm,
     f_infty_subset_norm,
     f_norm,
     full_selection,
@@ -54,11 +53,6 @@ __all__ = [
 ]
 
 IDENTITY_TOL = 1e-12
-
-
-def _const_field(grid: Grid, value: float, role: str = "integrability") -> ExponentField:
-    value = float(value)
-    return ExponentField(grid, np.full(grid.shape, value), value, value, role, g_inf=value)
 
 
 @dataclass(eq=False)
@@ -98,15 +92,15 @@ def _endpoint_q(params: FactorizationParams) -> tuple[ExponentField, ExponentFie
     for pq-infty."""
     if params.kind == "pp":
         return params.p0, params.p1
-    return _const_field(params.grid, params.q0), _const_field(params.grid, params.q1)
+    return tuple(build_exponent(params.grid, "constant", value=q) for q in (params.q0, params.q1))
 
 
 def factorization_params_pp(theta: float, alpha0: ExponentField, alpha1: ExponentField,
                             p0: ExponentField, p1: ExponentField) -> FactorizationParams:
     """Derived data for the p(.) = q(.) construction."""
     theta = _check_theta(theta)
-    alpha = interpolate_exponents(alpha0, alpha1, theta, "affine")
-    p = interpolate_exponents(p0, p1, theta, "harmonic")
+    alpha = interpolate_exponents(alpha0, alpha1, theta)
+    p = interpolate_exponents(p0, p1, theta)
     if alpha.grid != p.grid:
         raise InvalidConfiguration("exponent fields live on different grids")
     n = p.grid.n
@@ -134,14 +128,14 @@ def factorization_params_pq_infty(theta: float, alpha0: ExponentField, alpha1: E
     q1 = float(q1)
     if q0 < 1.0 or q1 < 1.0:
         raise InvalidInput(f"q0={q0}, q1={q1} must be constants >= 1")
-    alpha = interpolate_exponents(alpha0, alpha1, theta, "affine")
+    alpha = interpolate_exponents(alpha0, alpha1, theta)
     grid = p0.grid
     if alpha.grid != grid:
         raise InvalidConfiguration("exponent fields live on different grids")
     n = grid.n
     p = _p_infty(p0, theta)
     q_val = 1.0 / ((1.0 - theta) / q0 + theta / q1)
-    q = _const_field(grid, q_val)
+    q = build_exponent(grid, "constant", value=q_val)
     diff = alpha1.values / q0 - alpha0.values / q1
     u = q_val * theta * diff + 0.5 * n * (q_val / q0 - 1.0)
     v = q_val * (theta - 1.0) * diff + 0.5 * n * (q_val / q1 - 1.0)
@@ -191,9 +185,7 @@ class HolderReport:
     """Margin of the Hoelder (easy) direction and the norms behind it.
 
     factor1_norm is the stacked-sup functional when the second space is of
-    sup type (the route for which the discrete chain is exact); the direct
-    endpoint norm of lam1 is then factor1_direct, computed on first read
-    from _direct_args = (lam1, alpha1, q1); it is None otherwise.
+    sup type (the route for which the discrete chain is exact).
     """
 
     margin: float
@@ -201,18 +193,6 @@ class HolderReport:
     lam_norm: float
     factor0_norm: float
     factor1_norm: float
-    _direct_args: tuple | None = dc_field(default=None, repr=False, compare=False)
-    _memo: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def factor1_direct(self) -> float | None:
-        if self._direct_args is None:
-            return None
-        return _read_once(self._memo, "factor1_direct",
-                          lambda: f_infty_norm(*self._direct_args))
-
-    def __float__(self) -> float:
-        return self.margin
 
 
 def verify_holder_direction(lam: DyadicCoefficients, lam0: DyadicCoefficients,
@@ -241,14 +221,12 @@ def verify_holder_direction(lam: DyadicCoefficients, lam0: DyadicCoefficients,
     q0, q1 = _endpoint_q(params)
     if params.kind == "pq-infty":
         norm1 = f_infty_subset_norm(lam1, params.alpha1, q1, full_selection(lam1))
-        direct_args = (lam1, params.alpha1, q1)
     else:
         norm1 = f_norm(lam1, params.alpha1, params.p1, q1).value
-        direct_args = None
     lam_norm = f_norm(lam, params.alpha, params.p, params.q).value
     norm0 = f_norm(lam0, params.alpha0, params.p0, q0).value
     product = norm0 ** (1.0 - theta) * norm1 ** theta
-    return HolderReport(product - lam_norm, product, lam_norm, norm0, norm1, direct_args)
+    return HolderReport(product - lam_norm, product, lam_norm, norm0, norm1)
 
 
 # ------------------------------------------------------------ factorizations
@@ -259,11 +237,11 @@ class FactorizationResult:
     """Factors of lam = ||lam|| |lam0|^{1-theta} |lam1|^theta on the support of lam.
 
     lam0, lam1, lam_norm, level_sets and zero_count come from the
-    construction.  The factor norms, the direct endpoint norm of lam1
-    (None for pp) and the reconstruction error are computed on first read
-    and kept: the upper anchor needs the factor norms, the reconstruction
-    and Hoelder checks need none of them.  The reconstruction error is
-    relative: the max over the support of |recon - |lam|| / |lam|.
+    construction.  The factor norms and the reconstruction error are
+    computed on first read and kept: the upper anchor needs the factor
+    norms, the reconstruction and Hoelder checks need none of them.  The
+    reconstruction error is relative: the max over the support of
+    |recon - |lam|| / |lam|.
     """
 
     lam: DyadicCoefficients = dc_field(repr=False)
@@ -302,15 +280,6 @@ class FactorizationResult:
             sel = _subset_from_level_sets(self.lam1, self.level_sets)
             return f_infty_subset_norm(self.lam1, par.alpha1, par.q1, sel)
         return _read_once(self._memo, "factor1_norm", compute)
-
-    @property
-    def factor1_direct(self) -> float | None:
-        """The direct endpoint norm of lam1 for pq-infty, None for pp."""
-        par = self.params
-        if par.kind == "pp":
-            return None
-        return _read_once(self._memo, "factor1_direct",
-                          lambda: f_infty_norm(self.lam1, par.alpha1, par.q1))
 
 
 def _reconstructions(lam: DyadicCoefficients, lam0: DyadicCoefficients,
@@ -471,8 +440,7 @@ def factorize_pq_infty(lam: DyadicCoefficients,
     lam0_{j,m} = 2^{l + j u(x_{j,m})} (|lam|/||lam||)^{q/q0} and
     lam1_{j,m} = 2^{l delta/gamma + j v(x_{j,m})} (|lam|/||lam||)^{q/q1},
     with l the cube's level-set class.  The second factor norm is the
-    subset evaluation over E_Q = Q minus A_{l+1}; the direct endpoint norm
-    is there for comparison.  Both are computed on first read.
+    subset evaluation over E_Q = Q minus A_{l+1}, computed on first read.
     """
     if params.kind != "pq-infty":
         raise InvalidConfiguration(f"params describe a {params.kind} construction")
@@ -548,8 +516,8 @@ def case_classifier(p0: ExponentField, p1: ExponentField, q0: ExponentField,
     """case-i when gamma = p/p0 - q/q0 vanishes identically, case-ii when
     q0, q1 are constants and gamma vanishes nowhere, else unsupported."""
     theta = _check_theta(theta)
-    p = interpolate_exponents(p0, p1, theta, "harmonic")
-    q = interpolate_exponents(q0, q1, theta, "harmonic")
+    p = interpolate_exponents(p0, p1, theta)
+    q = interpolate_exponents(q0, q1, theta)
     gamma = p.values / p0.values - q.values / q0.values
     mags = np.abs(gamma)
     if float(mags.max()) <= IDENTITY_TOL:

@@ -18,8 +18,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, acceptance, corpus
 from .acceptance import ReportRow, _lower, _upper, rows_to_csv
 from .calderon import factorization_params_pp, factorization_params_pq_infty, factorize, \
@@ -42,12 +40,11 @@ from .lebesgue import luxemburg_norm
 from .lpf import (
     F_infty_norm,
     F_norm,
-    analyze,
     build_admissible_pair,
     build_dual_pair,
     build_resolution_of_unity,
     retract_roundtrip,
-    synthesize,
+    transform_roundtrip,
 )
 from .seqspaces import DyadicCoefficients, f_infty_norm, f_norm
 
@@ -273,7 +270,7 @@ class Experiment:
 
     def coefficients(self) -> list:
         return corpus.coefficient_corpus(self.grid, self.V, self.items, self.count,
-                                         self.seed, self.distribution)
+                                         self.seed)
 
     def functions(self) -> list:
         """The band-limited corpus as mode draws; `realize` builds one item."""
@@ -394,11 +391,7 @@ def run_roundtrip(exp: Experiment):
     rou = build_resolution_of_unity(exp.grid, exp.V)
 
     def one(f, _theta):
-        sup = float(np.abs(f.values).max())
-        back = synthesize(analyze(f, dual), dual)
-        # a zero item round-trips exactly, as retract_roundtrip reports
-        transform = float(np.abs(back.values - f.values).max()) / sup if sup else 0.0
-        return transform, retract_roundtrip(f, rou).residual
+        return transform_roundtrip(f, dual), retract_roundtrip(f, rou).residual
     rows = []
     for i, _, (transform, retract) in _over_corpus(exp.functions(), one, [None],
                                                    exp.realize):
@@ -536,12 +529,16 @@ def write_reports(cfg_echo: dict, kind: str, rows, extras: dict,
                                    encoding="utf-8")
 
 
-def _print_rows(rows, limit: int = 12) -> None:
-    for r in rows[:limit]:
+# failing rows printed by `vexint run`; the rest are counted
+PRINTED_ROWS = 12
+
+
+def _print_rows(rows) -> None:
+    for r in rows[:PRINTED_ROWS]:
         print(f"  {r.criterion} {r.digest} value={r.value:.12g} "
               f"bound={r.bound:.12g} pass={'yes' if r.passed else 'NO'}")
-    if len(rows) > limit:
-        print(f"  ... {len(rows) - limit} more rows")
+    if len(rows) > PRINTED_ROWS:
+        print(f"  ... {len(rows) - PRINTED_ROWS} more rows")
 
 
 # ----------------------------------------------------------------- verbs

@@ -19,18 +19,16 @@ from .seqspaces import DyadicCoefficients
 
 MAG_LOW = 1.0e-3
 MAG_HIGH = 1.0e3
+# the one coefficient distribution, named in configs
 DISTRIBUTIONS = ("log-uniform",)
 
 
-def random_coefficients(grid: Grid, V: int, count: int, rng,
-                        distribution: str = "log-uniform") -> DyadicCoefficients:
+def random_coefficients(grid: Grid, V: int, count: int, rng) -> DyadicCoefficients:
     """One coefficient set: `count` draws, later draws overwrite on collision.
 
     Each draw picks one of the cubes of levels 0..V, numbered level by level
     and in C order within a level.
     """
-    if distribution not in DISTRIBUTIONS:
-        raise InvalidInput(f"unknown coefficient distribution {distribution!r}")
     shapes = [(grid.cubes_per_axis(j),) * grid.n for j in range(int(V) + 1)]
     sizes = [math.prod(shape) for shape in shapes]
     idx = rng.integers(0, sum(sizes), size=count)
@@ -45,10 +43,10 @@ def random_coefficients(grid: Grid, V: int, count: int, rng,
     return DyadicCoefficients(grid, V, [a.reshape(shape) for a, shape in zip(levels, shapes)])
 
 
-def coefficient_corpus(grid: Grid, V: int, items: int, count: int, seed: int,
-                       distribution: str = "log-uniform") -> list[DyadicCoefficients]:
+def coefficient_corpus(grid: Grid, V: int, items: int, count: int,
+                       seed: int) -> list[DyadicCoefficients]:
     rng = np.random.default_rng(seed)
-    return [random_coefficients(grid, V, count, rng, distribution) for _ in range(items)]
+    return [random_coefficients(grid, V, count, rng) for _ in range(items)]
 
 
 def random_modes(n: int, L: float, radius: float, count: int, rng) -> dict:

@@ -129,7 +129,6 @@ def build_exponent(grid: Grid, recipe: str, *, role: str = "integrability", **pa
     missing = [key for key in _RECIPE_PARAMS.get(name, ()) if key not in params]
     if missing:
         raise InvalidExponent(f"recipe {recipe!r} needs {', '.join(missing)}")
-    x1 = grid.coords()[0]
     if name == "constant":
         c = float(params["value"])
         vals = np.full(grid.shape, c)
@@ -139,7 +138,7 @@ def build_exponent(grid: Grid, recipe: str, *, role: str = "integrability", **pa
         base = float(params["base"])
         amp = float(params["amplitude"])
         freq = float(params.get("frequency", 1.0))
-        vals = base + amp * np.sin(2.0 * math.pi * freq * x1 / (2.0 * grid.L))
+        vals = base + amp * np.sin(2.0 * math.pi * freq * grid.coords()[0] / (2.0 * grid.L))
         lo, hi = base - abs(amp), base + abs(amp)
         g_inf = base
     elif name == "plateau":
@@ -151,7 +150,7 @@ def build_exponent(grid: Grid, recipe: str, *, role: str = "integrability", **pa
         L = grid.L
         knots_x = [0.0, L / 2 - w / 2, L / 2 + w / 2, 3 * L / 2 - w / 2, 3 * L / 2 + w / 2, 2 * L]
         knots_y = [left, left, right, right, left, left]
-        vals = np.interp(x1, knots_x, knots_y)
+        vals = np.interp(grid.coords()[0], knots_x, knots_y)
         lo, hi = min(left, right), max(left, right)
         g_inf = left
     else:
@@ -367,30 +366,21 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
-def interpolate_exponents(e0: ExponentField, e1: ExponentField, theta: float,
-                          mode: str) -> ExponentField:
-    """Pointwise interpolation: 'harmonic' 1/p = (1-t)/p0 + t/p1, or 'affine'.
-
-    Harmonic mode serves integrability exponents, affine mode smoothness
-    fields; crossing them is rejected.
-    """
+def interpolate_exponents(e0: ExponentField, e1: ExponentField, theta: float) -> ExponentField:
+    """Pointwise interpolation by the fields' role, as in the paper's two theorems:
+    harmonic 1/p = (1-t)/p0 + t/p1 for integrability exponents, affine
+    (1-t) a0 + t a1 for smoothness fields."""
     if e0.grid != e1.grid:
         raise InvalidConfiguration("exponent fields live on different grids")
     if not (0.0 <= theta <= 1.0):
         raise InvalidInput(f"theta={theta} outside [0, 1]")
     if e0.role != e1.role:
         raise InvalidInput("cannot interpolate fields of different roles")
-    if mode == "harmonic" and e0.role != "integrability":
-        raise InvalidInput("harmonic interpolation expects integrability exponents")
-    if mode == "affine" and e0.role != "smoothness":
-        raise InvalidInput("affine interpolation expects smoothness fields")
-    if mode == "harmonic":
+    if e0.role == "integrability":
         vals = 1.0 / ((1.0 - theta) / e0.values + theta / e1.values)
         g_inf = 1.0 / ((1.0 - theta) / e0.g_inf + theta / e1.g_inf)
-    elif mode == "affine":
+    else:
         vals = (1.0 - theta) * e0.values + theta * e1.values
         g_inf = (1.0 - theta) * e0.g_inf + theta * e1.g_inf
-    else:
-        raise InvalidInput(f"unknown interpolation mode {mode!r}")
     return ExponentField(e0.grid, vals, float(vals.min()), float(vals.max()),
                          e0.role, g_inf=g_inf)

@@ -20,9 +20,9 @@ from .errors import (
     SolverFailure,
     UnsupportedParameters,
 )
-from .exponents import ExponentField, _check_theta, interpolate_exponents
+from .exponents import ExponentField, _check_theta, build_exponent, interpolate_exponents
 from .grid import Grid, GridFunction
-from .lebesgue import DEFAULT_TOL, luxemburg_norm, modular_at
+from .lebesgue import luxemburg_norm, modular_at
 
 __all__ = [
     "PoissonPair",
@@ -194,7 +194,7 @@ def competitor_family(f, p0: ExponentField, p1: ExponentField,
             masks.append(mask)
     if not values:
         raise InvalidInput("f must be nonzero on at least one region")
-    p = interpolate_exponents(p0, p1, theta, "harmonic")
+    p = interpolate_exponents(p0, p1, theta)
     w = p.values / p1.values - p.values / p0.values
     return CompetitorFamily(grid, values, masks, p0, p1, p, theta, w)
 
@@ -246,35 +246,36 @@ class SandwichReport:
 
 
 def scalar_interp_sandwich(f, p0: ExponentField, p1: ExponentField,
-                           theta: float, tol: float = DEFAULT_TOL) -> SandwichReport:
+                           theta: float) -> SandwichReport:
     """Certify the scalar interpolation identity from both directions.
 
     Upper route: normalize f, build the competitor, and take the boundary
     norms n0^{1-theta} n1^theta (= the interpolation-functional certificate
     over ||f||).  Lower route: the three-lines field dominates |f|, so the
     L^{p(.)} norm of that field over 1 measures the reverse slack.  Both
-    ratios should bracket 1.
+    ratios should bracket 1.  A region's slack is the field's minimum there,
+    as `three_lines_bound` computes it, less |f| on the region.
     """
     _check_strip_theta(theta)
     fam0 = competitor_family(f, p0, p1, theta)
     fv = np.abs(fam0.f_values())
-    norm = luxemburg_norm(fv, fam0.p, tol=tol).value
+    norm = luxemburg_norm(fv, fam0.p).value
     scaled = [(val / norm, mask) for val, mask in zip(fam0.values, fam0.masks)]
     fam = competitor_family(scaled, p0, p1, theta)
 
     rho0, rho1 = boundary_modulars(fam)
-    n0 = luxemburg_norm(fam.boundary_modulus(0), p0, tol=tol).value
-    n1 = luxemburg_norm(fam.boundary_modulus(1), p1, tol=tol).value
+    n0 = luxemburg_norm(fam.boundary_modulus(0), p0).value
+    n1 = luxemburg_norm(fam.boundary_modulus(1), p1).value
     upper = n0 ** (1.0 - theta) * n1 ** theta
 
     pair = strip_poisson(theta)
     b0 = fam.boundary_modulus(0) * pair.mass0 / (1.0 - theta)
     b1 = fam.boundary_modulus(1) * pair.mass1 / theta
     rhs_field = b0 ** (1.0 - theta) * b1 ** theta
-    lower = luxemburg_norm(rhs_field, fam.p, tol=tol).value
+    lower = luxemburg_norm(rhs_field, fam.p).value
 
-    slacks = [three_lines_bound(fam, j) - abs(val)
-              for j, val in enumerate(fam.values)]
+    slacks = [float(rhs_field[mask].min()) - abs(val)
+              for val, mask in zip(fam.values, fam.masks)]
     return SandwichReport(upper, lower, rho0, rho1, norm, slacks)
 
 
@@ -284,9 +285,6 @@ class InterRestReport:
     direct: float
     anchor: float
     theta: float
-
-    def __float__(self) -> float:
-        return self.ratio
 
 
 def _constant_value(x, name: str) -> float:
@@ -298,8 +296,7 @@ def _constant_value(x, name: str) -> float:
 
 
 def inter_rest_check(f: GridFunction, alpha0, alpha1, p0: ExponentField,
-                     p1: ExponentField, q0, q1, theta: float, bank,
-                     tol: float = DEFAULT_TOL) -> InterRestReport:
+                     p1: ExponentField, q0, q1, theta: float, bank) -> InterRestReport:
     """Retraction-route consistency for constant alpha and q.
 
     The direct side evaluates the interpolated-space norm through the
@@ -323,14 +320,12 @@ def inter_rest_check(f: GridFunction, alpha0, alpha1, p0: ExponentField,
         raise InvalidInput("function, fields, and bank must share one grid")
     alpha = (1.0 - theta) * a0 + theta * a1
     qv = 1.0 / ((1.0 - theta) / q0v + theta / q1v)
-    alpha_f = ExponentField(grid, np.full(grid.shape, alpha), alpha, alpha,
-                            "smoothness", g_inf=alpha)
-    q_f = ExponentField(grid, np.full(grid.shape, qv), qv, qv,
-                        "integrability", g_inf=qv)
-    p = interpolate_exponents(p0, p1, theta, "harmonic")
+    alpha_f = build_exponent(grid, "constant", value=alpha, role="smoothness")
+    q_f = build_exponent(grid, "constant", value=qv)
+    p = interpolate_exponents(p0, p1, theta)
 
-    direct = F_norm(f, alpha_f, p, q_f, build_admissible_pair(grid, bank.V), tol=tol).value
-    anchor = F_norm(f, alpha_f, p, q_f, bank, tol=tol).value
+    direct = F_norm(f, alpha_f, p, q_f, build_admissible_pair(grid, bank.V)).value
+    anchor = F_norm(f, alpha_f, p, q_f, bank).value
     if anchor == 0.0 and direct == 0.0:
         return InterRestReport(1.0, direct, anchor, theta)
     if anchor == 0.0 or direct == 0.0:

@@ -167,9 +167,6 @@ class AlphaShiftReport:
     exhaustive: bool
     offsets_evaluated: int
 
-    def __float__(self) -> float:
-        return self.c
-
 
 def verify_alpha_shift(alpha: ExponentField, h_exp: float, R: float,
                        v_list, samples: int = 4096) -> AlphaShiftReport:
@@ -228,9 +225,6 @@ class EtaMaximalReport:
     young_constant: float
     levels: list[int]
 
-    def __float__(self) -> float:
-        return self.ratio_max
-
 
 def verify_eta_maximal(p: ExponentField, q: ExponentField, m_exp: float,
                        families) -> EtaMaximalReport:
@@ -283,9 +277,6 @@ class JensenReport:
     per_level: dict[int, float]
     worst: tuple[int, tuple[int, ...]]
     norm_sum: float
-
-    def __float__(self) -> float:
-        return self.margin_min
 
 
 def verify_jensen_gamma(p: ExponentField, m_exp: float, f, v_list,

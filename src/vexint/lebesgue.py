@@ -80,9 +80,6 @@ class NormResult:
     method: str
     bracket: tuple[float, float] | None = None
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _values(f) -> np.ndarray:
     return f.values if isinstance(f, GridFunction) else np.asarray(f)
@@ -235,12 +232,11 @@ def stack(family, q: ExponentField) -> np.ndarray:
     return out
 
 
-def mixed_norm(family, p: ExponentField, q: ExponentField, tol: float = DEFAULT_TOL) -> NormResult:
+def mixed_norm(family, p: ExponentField, q: ExponentField) -> NormResult:
     """Luxemburg norm of the level stack: L^{p(.)} of the inner l^{q(.)} norm."""
     if p.grid != q.grid:
         raise InvalidInput("p and q live on different grids")
-    g = stack(family, q)
-    return luxemburg_norm(g, p, tol=tol)
+    return luxemburg_norm(stack(family, q), p)
 
 
 def unit_ball_check(f, p: ExponentField) -> tuple[bool, bool]:

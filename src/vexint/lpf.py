@@ -23,7 +23,7 @@ from .errors import (
 )
 from .exponents import ExponentField
 from .grid import Grid, GridFunction, cube_corners
-from .lebesgue import DEFAULT_TOL, NormResult, mixed_norm
+from .lebesgue import NormResult, mixed_norm
 from .seqspaces import DyadicCoefficients, _constant_exponent, _within_float_range, \
     dyadic_tail_sup
 
@@ -38,6 +38,7 @@ __all__ = [
     "analyze",
     "synthesize",
     "retract_roundtrip",
+    "transform_roundtrip",
     "F_norm",
     "F_infty_norm",
 ]
@@ -292,9 +293,6 @@ class RetractReport:
     band_limited: bool
     band_radius: float
 
-    def __float__(self) -> float:
-        return self.residual
-
 
 def retract_roundtrip(f: GridFunction, bank: FilterBank) -> RetractReport:
     """Residual sup|R(S(f)) - f| / sup|f| with R((f_v)) = sum omega_v * f_v.
@@ -322,8 +320,18 @@ def retract_roundtrip(f: GridFunction, bank: FilterBank) -> RetractReport:
     return RetractReport(residual, band_limited, 2.0 ** bank.V)
 
 
+def transform_roundtrip(f: GridFunction, bank: FilterBank) -> float:
+    """Residual sup|S(A f) - f| / sup|f| of analysis then synthesis on a dual-ready bank.
+
+    A zero f round-trips exactly and gives 0, as in `retract_roundtrip`.
+    """
+    back = synthesize(analyze(f, bank), bank)
+    sup = float(np.abs(f.values).max())
+    return float(np.abs(back.values - f.values).max()) / sup if sup else 0.0
+
+
 def F_norm(f: GridFunction, alpha: ExponentField, p: ExponentField,
-           q: ExponentField, bank: FilterBank, tol: float = DEFAULT_TOL) -> NormResult:
+           q: ExponentField, bank: FilterBank) -> NormResult:
     """Mixed (p, q) norm of the weighted decomposition (2^{v alpha(.)} phi_v * f)_v."""
     if f.grid != bank.grid or alpha.grid != bank.grid:
         raise InvalidInput("function, fields, and bank must share one grid")
@@ -332,7 +340,7 @@ def F_norm(f: GridFunction, alpha: ExponentField, p: ExponentField,
     for v in range(bank.V + 1):
         conv = _apply(bank.multiplier(v), spec)
         family.append(np.exp2(v * alpha.values) * np.abs(conv))
-    return mixed_norm(family, p, q, tol=tol)
+    return mixed_norm(family, p, q)
 
 
 def F_infty_norm(f: GridFunction, alpha: ExponentField, q, bank: FilterBank) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InvalidConfiguration, InvalidInput, InvalidSelection
 from .exponents import ExponentField
 from .grid import Grid, GridFunction, cells_to_grid, cube_broadcast, cube_cells, cube_sums
-from .lebesgue import DEFAULT_TOL, NormResult, mixed_norm
+from .lebesgue import NormResult, mixed_norm
 
 __all__ = [
     "DyadicCoefficients",
@@ -229,12 +229,12 @@ def level_function(lam: DyadicCoefficients, alpha: ExponentField, v: int) -> Gri
 
 
 def f_norm(lam: DyadicCoefficients, alpha: ExponentField, p: ExponentField,
-           q: ExponentField, tol: float = DEFAULT_TOL) -> NormResult:
+           q: ExponentField) -> NormResult:
     """Sequence-space norm: mixed (p, q) norm of the weighted level functions."""
     _check_grid(lam, alpha, p, q)
     with _within_float_range("a level function 2^(v (alpha + n/2)) |lam|"):
         family = [_level_integrand(lam, alpha, v) for v in range(lam.V + 1)]
-    return mixed_norm(family, p, q, tol=tol)
+    return mixed_norm(family, p, q)
 
 
 def dyadic_tail_sup(grid: Grid, integrands, q: float) -> float:

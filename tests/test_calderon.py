@@ -28,7 +28,8 @@ from vexint.errors import (
 )
 from vexint.exponents import build_exponent
 from vexint.grid import cube_mask, make_grid
-from vexint.seqspaces import DyadicCoefficients, f_infty_subset_norm, f_norm, full_selection
+from vexint.seqspaces import DyadicCoefficients, f_infty_norm, f_infty_subset_norm, f_norm, \
+    full_selection
 
 G = make_grid(1, 4.0, 256)
 V = 3
@@ -372,10 +373,10 @@ def test_pq_infty_random_corpus():
         res = factorize_pq_infty(lam, params)
         assert res.reconstruction_error <= 1e-9
         assert res.zero_count == 0
-        assert res.factor1_direct is not None
+        direct = f_infty_norm(res.lam1, params.alpha1, params.q1)
         full = f_infty_subset_norm(res.lam1, params.alpha1, params.q1, full_selection(res.lam1))
-        assert res.factor1_direct <= full * (1.0 + 1e-12)
-        assert res.factor1_direct <= 2.0 ** (1.0 / params.q1) * res.factor1_norm * (1.0 + 1e-12)
+        assert direct <= full * (1.0 + 1e-12)
+        assert direct <= 2.0 ** (1.0 / params.q1) * res.factor1_norm * (1.0 + 1e-12)
 
 
 def test_pq_infty_subset_value_below_direct_norm():
@@ -385,8 +386,9 @@ def test_pq_infty_subset_value_below_direct_norm():
     rng = np.random.default_rng(0xCA1)
     lam = [random_coeffs(G, V, 60, rng) for _ in range(4)][-1]
     res = factorize_pq_infty(lam, params)
-    assert res.factor1_direct > res.factor1_norm * (1.0 + 1e-3)
-    assert res.factor1_direct <= 2.0 ** (1.0 / params.q1) * res.factor1_norm
+    direct = f_infty_norm(res.lam1, params.alpha1, params.q1)
+    assert direct > res.factor1_norm * (1.0 + 1e-3)
+    assert direct <= 2.0 ** (1.0 / params.q1) * res.factor1_norm
 
 
 def test_pq_infty_factor_norms_bounded_and_stable():
@@ -452,7 +454,6 @@ def test_holder_on_pq_infty_triples():
         rep = verify_holder_direction(lam.scaled(1.0 / res.lam_norm), res.lam0, res.lam1,
                                       params)
         assert rep.margin >= -1e-9 * rep.product
-        assert rep.factor1_direct is not None
 
 
 def test_holder_domination_violation():

@@ -171,15 +171,19 @@ def test_interpolation_examples():
     g = make_grid(1, 4, 256)
     p0 = build_exponent(g, "constant", value=2.0)
     p1 = build_exponent(g, "constant", value=4.0)
-    mid = interpolate_exponents(p0, p1, 0.5, "harmonic")
+    mid = interpolate_exponents(p0, p1, 0.5)
     assert np.allclose(mid.values, 8.0 / 3.0, rtol=1e-14)
     p3 = build_exponent(g, "constant", value=3.0)
     for theta in (0.1, 0.5, 0.9):
-        same = interpolate_exponents(p3, p3, theta, "harmonic")
+        same = interpolate_exponents(p3, p3, theta)
         assert np.array_equal(same.values, p3.values)
     a = build_exponent(g, "sine", base=0.5, amplitude=0.25, frequency=1.0, role="smoothness")
-    same_a = interpolate_exponents(a, a, 0.3, "affine")
+    same_a = interpolate_exponents(a, a, 0.3)
     assert np.allclose(same_a.values, a.values, rtol=1e-15)
+    # the role picks the rule: the same endpoint values interpolate affinely as smoothness
+    a0, a1 = (build_exponent(g, "constant", value=v, role="smoothness") for v in (2.0, 4.0))
+    mid_a = interpolate_exponents(a0, a1, 0.5)
+    assert np.array_equal(mid_a.values, np.full(g.shape, 3.0)) and mid_a.role == "smoothness"
 
 
 def test_interpolation_rejects_mismatches():
@@ -187,12 +191,10 @@ def test_interpolation_rejects_mismatches():
     g2 = make_grid(1, 4, 512)
     p = build_exponent(g, "constant", value=2.0)
     with pytest.raises(InvalidConfiguration):
-        interpolate_exponents(p, build_exponent(g2, "constant", value=2.0), 0.5, "harmonic")
+        interpolate_exponents(p, build_exponent(g2, "constant", value=2.0), 0.5)
     a = build_exponent(g, "constant", value=0.5, role="smoothness")
     with pytest.raises(InvalidInput):
-        interpolate_exponents(a, a, 0.5, "harmonic")
-    with pytest.raises(InvalidInput):
-        interpolate_exponents(p, p, 0.5, "affine")
+        interpolate_exponents(p, a, 0.5)
     with pytest.raises(InvalidExponent):
         build_exponent(g, "constant", value=math.inf)
 

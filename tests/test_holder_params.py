@@ -5,7 +5,9 @@ against the code they replaced.
 Hoelder check that took ad-hoc `(alpha, p[, q])` space tuples and
 interpolated alpha, p and q itself, and `max_relative_reconstruction_oracle`
 is the reconstruction measure of criterion A02; both are kept verbatim
-(bodies unchanged, the functions renamed).  The spaces are passed the way
+(the functions renamed; the bodies changed only where the library calls
+they make lost an argument or a member: the interpolation mode, the
+constant-field helper and the report's direct endpoint norm).  The spaces are passed the way
 the command line and criterion A03 passed them.  Every compared quantity
 must be `==`, not close.
 """
@@ -19,7 +21,6 @@ from hypothesis import strategies as st
 
 from vexint.calderon import (
     HolderReport,
-    _const_field,
     _p_infty,
     _reconstructions,
     factorization_params_pp,
@@ -39,7 +40,7 @@ from vexint.seqspaces import DyadicCoefficients, f_infty_subset_norm, f_norm, fu
 def _as_q_field(grid: Grid, q) -> ExponentField:
     if isinstance(q, ExponentField):
         return q
-    return _const_field(grid, float(q))
+    return build_exponent(grid, "constant", value=float(q))
 
 
 def _space_triple(spec) -> tuple[ExponentField, ExponentField | None, object]:
@@ -80,20 +81,18 @@ def verify_holder_direction_oracle(lam: DyadicCoefficients, lam0: DyadicCoeffici
 
     q0f = _as_q_field(grid, q0)
     q1f = _as_q_field(grid, q1)
-    alpha = interpolate_exponents(alpha0, alpha1, theta, "affine")
-    q = interpolate_exponents(q0f, q1f, theta, "harmonic")
+    alpha = interpolate_exponents(alpha0, alpha1, theta)
+    q = interpolate_exponents(q0f, q1f, theta)
     if p1 is None:
         p = _p_infty(p0, theta)
         norm1 = f_infty_subset_norm(lam1, alpha1, q1f, full_selection(lam1))
-        direct_args = (lam1, alpha1, q1f)
     else:
-        p = interpolate_exponents(p0, p1, theta, "harmonic")
+        p = interpolate_exponents(p0, p1, theta)
         norm1 = f_norm(lam1, alpha1, p1, q1f).value
-        direct_args = None
     lam_norm = f_norm(lam, alpha, p, q).value
     norm0 = f_norm(lam0, alpha0, p0, q0f).value
     product = norm0 ** (1.0 - theta) * norm1 ** theta
-    return HolderReport(product - lam_norm, product, lam_norm, norm0, norm1, direct_args)
+    return HolderReport(product - lam_norm, product, lam_norm, norm0, norm1)
 
 
 def max_relative_reconstruction_oracle(lam, res, theta: float) -> float:
@@ -141,8 +140,7 @@ def cases(draw):
 
 
 def holder_fields(rep):
-    return (rep.margin, rep.product, rep.lam_norm, rep.factor0_norm, rep.factor1_norm,
-            rep.factor1_direct)
+    return (rep.margin, rep.product, rep.lam_norm, rep.factor0_norm, rep.factor1_norm)
 
 
 def outcome(check, *args):
@@ -197,6 +195,6 @@ def test_params_q_equals_the_interpolated_constant_q(theta, q0, q1):
                                                q0, q1)
     except InvalidConfiguration:
         assume(False)  # an identity residual past tolerance: no params to compare
-    want = interpolate_exponents(_const_field(grid, q0), _const_field(grid, q1), theta,
-                                 "harmonic")
+    want = interpolate_exponents(build_exponent(grid, "constant", value=q0),
+                                 build_exponent(grid, "constant", value=q1), theta)
     assert params.q.values.tobytes() == want.values.tobytes()

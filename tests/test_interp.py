@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from vexint.corpus import simple_function_corpus
 from vexint.errors import InvalidInput, SolverFailure, UnsupportedParameters
 from vexint.exponents import build_exponent
 from vexint.grid import GridFunction, make_grid
@@ -231,6 +232,26 @@ def test_sandwich_closed_form_case():
     assert abs(report.norm - 1.0) <= 1e-9
     assert abs(report.upper_ratio - 1.0) <= 1e-9
     assert report.rho0 <= 1.0 + 1e-9 and report.rho1 <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("grid", [make_grid(1, 4.0, 256), make_grid(2, 1.0, 64)],
+                         ids=["1d", "2d"])
+def test_sandwich_region_slacks_equal_the_three_lines_bound(grid):
+    # each slack is read off the sandwich's own three-lines field; it must be
+    # the per-region bound three_lines_bound rebuilds from scratch, bit for bit
+    p0 = build_exponent(grid, "sine", base=2.2, amplitude=0.3, frequency=1)
+    p1 = build_exponent(grid, "plateau", left=3.0, right=2.0, width=0.5)
+    for theta in (0.05, 0.35, 0.9):
+        for seed in range(5):
+            for f in simple_function_corpus(grid, 5, 4, seed):
+                report = scalar_interp_sandwich(f, p0, p1, theta)
+                # normalized as the sandwich does it, from the family's own values
+                fam = competitor_family(f, p0, p1, theta)
+                fam = competitor_family([(val / report.norm, mask)
+                                         for val, mask in zip(fam.values, fam.masks)],
+                                        p0, p1, theta)
+                want = [three_lines_bound(fam, j) - abs(val) for j, val in enumerate(fam.values)]
+                assert report.region_slacks == want
 
 
 def test_sandwich_degenerate_exponents():

@@ -11,7 +11,6 @@ from vexint import _accel
 from vexint.errors import InvalidInput, SolverFailure
 from vexint.exponents import ExponentField, build_exponent
 from vexint.grid import GridFunction, cube_mask, make_grid
-from vexint.seqspaces import DyadicCoefficients, f_norm
 from vexint.lebesgue import (
     luxemburg_norm,
     mixed_norm,
@@ -276,12 +275,6 @@ def test_tolerance_outside_unit_interval_is_rejected_before_any_pass(tol, monkey
         luxemburg_norm(f, p, tol=tol)
     with pytest.raises(InvalidInput, match="tolerance"):
         luxemburg_norm(f, P2, tol=tol)
-    with pytest.raises(InvalidInput, match="tolerance"):
-        mixed_norm([f, f], p, p, tol=tol)
-    lam = DyadicCoefficients(G, 2, {(1, (1,)): 2.0})
-    alpha = build_exponent(G, "constant", value=0.5, role="smoothness")
-    with pytest.raises(InvalidInput, match="tolerance"):
-        f_norm(lam, alpha, p, p, tol=tol)
 
 
 def test_finite_norm_near_the_float_ceiling_is_returned():

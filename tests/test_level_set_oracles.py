@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from vexint.calderon import (
     NO_CLASS,
-    _const_field,
     _stacked_majorant,
     _subset_from_level_sets,
     build_level_sets,
@@ -61,7 +60,7 @@ def level_sets_oracle(lam, alpha, p, q, params):
     if not lam:
         return decomposition({}, {}, [], 0, -1, 0.0)
     lam_norm = f_norm(lam, alpha, p, q if isinstance(q, ExponentField) else
-                      _const_field(grid, qv)).value
+                      build_exponent(grid, "constant", value=qv)).value
     positive = g_vals > 0.0
     ratio = np.zeros(grid.shape)
     ratio[positive] = (g_vals[positive] / lam_norm) ** gamma

@@ -26,6 +26,7 @@ from vexint.lpf import (
     kernel,
     retract_roundtrip,
     synthesize,
+    transform_roundtrip,
     vanishing_moments,
 )
 from vexint.seqspaces import DyadicCoefficients
@@ -208,6 +209,16 @@ def test_roundtrip_band_limited():
         back = synthesize(analyze(f, DUAL), DUAL)
         sup = float(np.abs(f.values).max())
         assert float(np.abs(back.values - f.values).max()) <= 1e-6 * sup
+        assert transform_roundtrip(f, DUAL) == float(np.abs(back.values - f.values).max()) / sup
+
+
+def test_transform_roundtrip_zero_and_guards():
+    # a zero function round-trips exactly, as in retract_roundtrip, instead of dividing by 0
+    assert transform_roundtrip(GridFunction.zeros(G), DUAL) == 0.0
+    with pytest.raises(InvalidConfiguration):
+        transform_roundtrip(GridFunction.zeros(G), BANK)
+    with pytest.raises(InvalidInput):
+        transform_roundtrip(GridFunction.zeros(make_grid(1, 4.0, 512)), DUAL)
 
 
 def test_synthesize_single_coefficient_is_shifted_kernel():
@@ -260,7 +271,7 @@ def test_retract_flags_out_of_band():
 
 def test_retract_zero_and_kind_guard():
     rep = retract_roundtrip(GridFunction.zeros(G), ROU)
-    assert float(rep) == 0.0 and rep.band_limited
+    assert rep.residual == 0.0 and rep.band_limited
     with pytest.raises(InvalidConfiguration):
         retract_roundtrip(GridFunction.zeros(G), DUAL)
 
