@@ -12,7 +12,6 @@ generating its rows a second time in a child process.
 from __future__ import annotations
 
 import hashlib
-import math
 import multiprocessing
 import time
 import traceback

@@ -21,6 +21,20 @@ bound U[k] >= M[k] read off block extrema:
   every skipped offset, so the result is the full-table maximum bit for
   bit, with no margin.
 
+The same cutoff serves any score fl(lift(M) w) with w >= 0 and lift
+nondecreasing up to a known relative error: the bound is
+fl(fl(lift(U) s) w) with a slack s that covers that error.  The
+alpha-shift check of `kernels` scores offset k at level v by
+fl(2.0 ** fl(v M) c) with c = (1 + 2^v |k|)^(-R) (`_shift_maxima`); its
+slack is 1 + 2^-40 (proof at `_POW_SLACK`).  The log-Hoelder score takes
+the identity with slack 1.
+
+Each field keeps the maxima M[k] it has scanned in a private memo, keyed
+by the offset's canonical index, so a later scan of the same field (the
+alpha-shift check after `log_holder_constants`, or another level) reads
+them instead of passing over the grid again.  The memo lives on the
+field, never in the module: equal offsets of different fields differ.
+
 The block edge is b = 8 for every grid: N is a power of two >= 16, so 8
 divides N and each axis holds at least 2 blocks.  Halving b doubles the
 cost of the bounds; doubling it leaves them too coarse to prune.
@@ -74,6 +88,8 @@ class ExponentField:
     role: str
     g_inf: float | None = None
     _lh_report: LogHolderReport | None = dc_field(default=None, repr=False, compare=False)
+    # scanned offset maxima M[k] by canonical offset index (`_memo_scan`)
+    _scanned: dict[int, float] = dc_field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -179,6 +195,7 @@ def _offsets(grid: Grid, budget: int | None) -> tuple[np.ndarray, np.ndarray]:
         k1f = np.minimum(k1, N - k1).astype(np.float64)
         d = grid.h * np.sqrt(k0f * k0f + k1f * k1f)
         return np.stack([k0[keep], k1[keep]], axis=1), d[keep]
+    h = grid.h
     rng = np.random.default_rng(SAMPLE_SEED)
     bands = max(1, int(math.log2(N // 2)))
     per_band = max(1, budget // bands)
@@ -194,7 +211,7 @@ def _offsets(grid: Grid, budget: int | None) -> tuple[np.ndarray, np.ndarray]:
         if grid.n == 1:
             for k in radii:
                 ks.append((k,))
-                ds.append(k * grid.h)
+                ds.append(k * h)
         else:
             angles = rng.uniform(0.0, 2.0 * math.pi, size=per_band).tolist()
             for r, t in zip(radii, angles):
@@ -203,9 +220,7 @@ def _offsets(grid: Grid, budget: int | None) -> tuple[np.ndarray, np.ndarray]:
                 if k0 == 0 and k1 == 0:
                     continue
                 ks.append((k0, k1))
-                d0 = min(k0, N - k0) * grid.h
-                d1 = min(k1, N - k1) * grid.h
-                ds.append(math.hypot(d0, d1))
+                ds.append(math.hypot(min(k0, N - k0) * h, min(k1, N - k1) * h))
     return np.array(ks), np.asarray(ds)
 
 
@@ -229,13 +244,6 @@ def _scan(field: ExponentField, k: np.ndarray) -> np.ndarray:
     return _accel.offset_abs_max_2d(field.values, k)
 
 
-def _offset_profile(field: ExponentField, budget: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """(max_x |g(x) - g(x+k)|, periodic |k|) per offset row of `_offsets`."""
-    k, d = _offsets(field.grid, budget)
-    distinct, where = _distinct_offsets(k, field.grid.N)
-    return _scan(field, distinct)[where], d
-
-
 # block edge of the offset bounds (module docstring): 8 divides every
 # admissible N and leaves at least 2 blocks per axis
 _BLOCK = 8
@@ -245,6 +253,16 @@ _BOUND_CHUNK = 2 ** 16
 # offsets handed to one kernel call by the bound-ordered scan; a chunk may
 # scan past the cutoff, never short of it
 _SCAN_CHUNK = 32
+# relative slack of a bound whose lift is the pow 2.0 ** x.  Let pow err
+# by at most e = 2^-45 relative, and let u = fl(v U) >= fl(v M) = m, by
+# monotone rounding since v >= 0 and U >= M.  If u = m the two pows are
+# equal.  Otherwise 2^m <= 2^u, so
+#   pow(m) <= 2^u (1 + e) <= pow(u) (1 + e) / (1 - e) < pow(u) (1 + 2^-43),
+# while fl(pow(u) (1 + 2^-40)) >= pow(u) (1 + 2^-40) (1 - 2^-53), which
+# exceeds pow(u) (1 + 2^-43).  So fl(pow(u) s) >= pow(m), and multiplying
+# both by the same c >= 0 keeps the order under monotone rounding.  (pow is
+# taken elementwise, so equal arguments give equal values wherever they sit.)
+_POW_SLACK = 1.0 + 2.0 ** -40
 
 
 def _offset_bounds(g: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -286,16 +304,29 @@ def _offset_bounds(g: np.ndarray, k: np.ndarray) -> np.ndarray:
     return U[where.reshape(-1)]
 
 
-def _weighted_max(field: ExponentField, k: np.ndarray, w: np.ndarray) -> float:
-    """max over the rows of k of M[k] * w, scanning only offsets that can raise it.
+def _memo_scan(field: ExponentField, k: np.ndarray) -> np.ndarray:
+    """`_scan` of the canonical offset rows k, each offset at most once per field."""
+    memo = field._scanned
+    keys = np.ravel_multi_index(k.T, (field.grid.N,) * field.grid.n).tolist()
+    todo = [i for i, key in enumerate(keys) if key not in memo]
+    if todo:
+        memo.update(zip([keys[i] for i in todo], _scan(field, k[todo]).tolist()))
+    return np.array([memo[key] for key in keys])
 
-    Offsets are visited by decreasing fl(U[k] * w) with the block bound U of
-    `_offset_bounds`, and the scan stops at the first one with
-    fl(U[k] * w) <= best.  That is exact with no margin: rounding is
-    monotone, so M[k] <= U[k] and every skipped product
-    fl(M[k] * w) <= fl(U[k] * w) <= best.
+
+def _bounded_max(field: ExponentField, k: np.ndarray, w: np.ndarray, U: np.ndarray,
+                 lift=None, slack: float = 1.0) -> float:
+    """max of fl(lift(M[k]) * w) over canonical offset rows k, scanning only rows that can raise it.
+
+    lift is the identity unless given.  Offsets are visited by decreasing
+    reach fl(fl(lift(U) * slack) * w), with U >= M the block bound of
+    `_offset_bounds`, and the scan stops at the first with reach <= best.
+    That is exact when w >= 0 and the slack covers lift's rounding (module
+    docstring): every skipped score is at most its reach.
     """
-    reach = _offset_bounds(field.values, k) * w
+    lift = lift or (lambda M: M)
+    reach = lift(U) * slack * w
+    reach[np.isnan(reach)] = np.inf  # inf * 0: no bound, so scan it
     order = np.argsort(-reach, kind="stable")
     best = 0.0
     for start in range(0, order.size, _SCAN_CHUNK):
@@ -303,8 +334,31 @@ def _weighted_max(field: ExponentField, k: np.ndarray, w: np.ndarray) -> float:
         idx = idx[reach[idx] > best]  # a prefix: reach decreases along idx
         if idx.size == 0:
             break
-        best = max(best, float(np.max(_scan(field, k[idx]) * w[idx])))
+        M = _memo_scan(field, k[idx])
+        # chunk first: a nan score (inf * 0) is kept and ends the scan, as
+        # it would make np.max over the whole table nan
+        best = max(float(np.max(lift(M) * w[idx])), best)
     return best
+
+
+def _shift_maxima(field: ExponentField, budget: int | None, R: float,
+                  levels: list[int]) -> tuple[dict[int, float], int]:
+    """Per level v, the max over the offset rows k of `_offsets(grid, budget)` of
+    fl(2.0 ** fl(v M[k]) * (1 + 2^v |k|)^(-R)), and the number of rows.
+
+    The factor c = (1 + 2^v |k|)^(-R) is computed over every row, as the
+    full profile would; rows that repeat an offset keep their largest c.
+    """
+    k, d = _offsets(field.grid, budget)
+    distinct, where = _distinct_offsets(k, field.grid.N)
+    U = _offset_bounds(field.values, distinct)
+    per_level: dict[int, float] = {}
+    for v in levels:
+        s = 2.0 ** v
+        c = np.zeros(len(distinct))
+        np.maximum.at(c, where, (1.0 + s * d) ** (-R))
+        per_level[v] = _bounded_max(field, distinct, c, U, lambda M: 2.0 ** (v * M), _POW_SLACK)
+    return per_level, int(d.size)
 
 
 def log_holder_constants(field: ExponentField) -> LogHolderReport:
@@ -313,12 +367,13 @@ def log_holder_constants(field: ExponentField) -> LogHolderReport:
     c_loc = max over point pairs of |g(x)-g(y)| log(e + 1/dist(x,y)) with the
     periodic distance; exact all-pairs maximum whenever the grid has at most
     2^16 points, seeded stratified sampling otherwise.  Each distinct offset
-    is scanned at most once, by decreasing fl(U * w) with w = log(e + 1/|k|)
-    and U >= M[k] the 8 x 8 block-extremum bound of the module docstring,
-    stopping at the first with fl(U * w) <= best: the result equals the
-    full-table maximum bit for bit, since monotone rounding gives
-    fl(M[k] * w) <= fl(U * w) for every skipped offset.  c_dec weights the
-    deviation from g_inf by log(e + distance-to-center).  Memoized per field.
+    is scanned at most once per field (the memo of the module docstring),
+    by decreasing fl(U * w) with w = log(e + 1/|k|) and U >= M[k] the
+    8 x 8 block-extremum bound, stopping at the first with
+    fl(U * w) <= best: the result equals the full-table maximum bit for
+    bit, since monotone rounding gives fl(M[k] * w) <= fl(U * w) for every
+    skipped offset.  c_dec weights the deviation from g_inf by
+    log(e + distance-to-center).  The report is memoized per field.
     """
     if field._lh_report is not None:
         return field._lh_report
@@ -337,7 +392,7 @@ def log_holder_constants(field: ExponentField) -> LogHolderReport:
     # largest weight the one that counts in any case
     w_distinct = np.zeros(len(distinct))
     np.maximum.at(w_distinct, where, w)
-    c_loc = _weighted_max(field, distinct, w_distinct)
+    c_loc = _bounded_max(field, distinct, w_distinct, _offset_bounds(field.values, distinct))
     dec_weight = np.log(math.e + grid.center_radius())
     c_dec = float(np.max(np.abs(field.values - field.g_inf) * dec_weight))
     report = LogHolderReport(c_loc=c_loc, c_dec=c_dec, g_inf=field.g_inf,

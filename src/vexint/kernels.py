@@ -17,7 +17,7 @@ import numpy as np
 
 from ._quadpack import qagse
 from .errors import InvalidInput, PreconditionViolation, PreconditionWarning
-from .exponents import ExponentField, _offset_profile, log_holder_constants
+from .exponents import ExponentField, _shift_maxima, log_holder_constants
 from .grid import Grid, GridFunction, cube_broadcast, cube_sums
 from .lebesgue import luxemburg_norm, mixed_norm
 
@@ -176,6 +176,15 @@ def verify_alpha_shift(alpha: ExponentField, h_exp: float, R: float,
     2^{v(a(x)-a(y))} (1 + 2^v |x-y|)^{-R}; the maximum over x at a fixed
     lattice offset is taken exactly, so the scan over offsets is an exact
     all-pairs maximum whenever the offset count fits the budget.
+
+    Per level v the offsets are visited by decreasing bound
+    fl(fl(2.0 ** fl(v U) * (1 + 2^-40)) * c), with U >= M the block bound
+    of the offset maxima and c = (1 + 2^v |k|)^{-R}, and the scan stops at
+    the first offset whose bound is at most the best ratio so far.  The
+    slack covers any pow error up to 2^-45 relative (`exponents`), so each
+    level's value equals the maximum over every offset bit for bit.  Offset
+    maxima already scanned for this field, by `log_holder_constants` or an
+    earlier level, are read from the field's memo.
     """
     if not (h_exp > 0.0):
         raise InvalidInput(f"base decay exponent must be positive, got {h_exp}")
@@ -188,8 +197,8 @@ def verify_alpha_shift(alpha: ExponentField, h_exp: float, R: float,
     grid = alpha.grid
     n_offsets = grid.N // 2 + 1 if grid.n == 1 else (grid.N // 2 + 1) * grid.N
     exhaustive = n_offsets <= max(1, int(samples))
-    M, d = _offset_profile(alpha, None if exhaustive else int(samples))
 
+    # first, so that its scans fill the memo the levels below read
     c_loc = log_holder_constants(alpha).c_loc
     flagged = R < c_loc - 1e-12
     if flagged:
@@ -199,10 +208,7 @@ def verify_alpha_shift(alpha: ExponentField, h_exp: float, R: float,
             PreconditionWarning,
         )
 
-    per_level: dict[int, float] = {}
-    for v in v_list:
-        s = 2.0 ** v
-        per_level[v] = float(np.max(2.0 ** (v * M) * (1.0 + s * d) ** (-R)))
+    per_level, count = _shift_maxima(alpha, None if exhaustive else int(samples), R, v_list)
     return AlphaShiftReport(
         c=max(per_level.values()),
         per_level=per_level,
@@ -211,7 +217,7 @@ def verify_alpha_shift(alpha: ExponentField, h_exp: float, R: float,
         c_loc_estimate=c_loc,
         flagged=flagged,
         exhaustive=exhaustive,
-        offsets_evaluated=int(M.size),
+        offsets_evaluated=count,
     )
 
 

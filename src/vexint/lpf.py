@@ -10,7 +10,6 @@ ifft(m) / h^n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np

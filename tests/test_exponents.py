@@ -18,7 +18,7 @@ from vexint.exponents import (
     interpolate_exponents,
     log_holder_constants,
 )
-from vexint.exponents import SAMPLE_OFFSETS, _offset_profile
+from vexint.exponents import SAMPLE_OFFSETS, _distinct_offsets, _offsets, _scan
 from vexint.grid import enumerate_cubes, cube_mask, make_grid
 from vexint.lebesgue import luxemburg_norm
 
@@ -138,7 +138,9 @@ def test_sampled_estimator_stays_below_exhaustive():
     g = make_grid(1, 4, 512)
     f = build_exponent(g, "sine", base=3.0, amplitude=0.5, frequency=2.0)
     exact = log_holder_constants(f).c_loc
-    M, d = _offset_profile(f, SAMPLE_OFFSETS)
+    k, d = _offsets(g, SAMPLE_OFFSETS)
+    distinct, where = _distinct_offsets(k, g.N)
+    M = _scan(f, distinct)[where]
     count = M.size - 1
     sampled = max(m * math.log(math.e + 1.0 / dist) for m, dist in zip(M[1:], d[1:]))
     assert count > 0

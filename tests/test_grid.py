@@ -1,7 +1,5 @@
 """Grid geometry: construction rules, cube alignment, exact quadrature."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings

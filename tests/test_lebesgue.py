@@ -8,9 +8,9 @@ import pytest
 from scipy.optimize import brentq
 
 from vexint import _accel
-from vexint.errors import InvalidInput, SolverFailure
+from vexint.errors import InvalidInput
 from vexint.exponents import ExponentField, build_exponent
-from vexint.grid import GridFunction, cube_mask, make_grid
+from vexint.grid import cube_mask, make_grid
 from vexint.lebesgue import (
     luxemburg_norm,
     mixed_norm,

@@ -14,7 +14,7 @@ from vexint.errors import (
     ResolutionExceeded,
 )
 from vexint.exponents import build_exponent
-from vexint.grid import GridFunction, cube_mask, cube_sums, enumerate_cubes, make_grid
+from vexint.grid import GridFunction, cube_mask, enumerate_cubes, make_grid
 from vexint.kernels import convolve
 from vexint.lpf import (
     F_infty_norm,

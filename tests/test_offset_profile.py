@@ -3,10 +3,11 @@
 `log_holder_constants` and `verify_alpha_shift` used to enumerate lattice
 offsets separately, with one `np.roll` copy per offset and a full table of
 per-offset maxima.  The functions below are those former kernels and
-enumerations, kept verbatim as oracles.  The shared `exponents._offset_profile`
-(slice kernel, each distinct offset scanned once) and the weight-ordered
-cutoff of `log_holder_constants` must equal them under `==` on the exhaustive
-and on the sampled route, in 1D and in 2D.  The cutoff orders offsets by a
+enumerations, kept verbatim as oracles.  The offset profile built from
+`_offsets`, `_distinct_offsets` and `_scan` (slice kernel, each distinct
+offset scanned once) and the bound-ordered cutoffs of `log_holder_constants`
+and `verify_alpha_shift` must equal them under `==` on the exhaustive and on
+the sampled route, in 1D and in 2D.  The cutoffs order offsets by a
 block-extremum bound, which must never fall below the offset's true maximum.
 """
 
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vexint import exponents
+from vexint import _accel, exponents
 from vexint.errors import PreconditionWarning
 from vexint.exponents import (
     SAMPLE_OFFSETS,
@@ -258,6 +259,13 @@ def old_alpha_shift(alpha, R, v_list, samples):
     return max(per_level.values()), per_level, int(M.size), exhaustive
 
 
+def _profile(field, budget):
+    """(max_x |g(x) - g(x+k)|, periodic |k|) per offset row of `_offsets`."""
+    k, d = exponents._offsets(field.grid, budget)
+    distinct, where = exponents._distinct_offsets(k, field.grid.N)
+    return exponents._scan(field, distinct)[where], d
+
+
 # -- fields ----------------------------------------------------------------
 
 
@@ -334,7 +342,7 @@ def test_exhaustive_offsets_are_the_former_table_cells(n, N):
         assert np.array_equal(k, np.argwhere(table >= 0.0))
     field = ExponentField(grid, g, 1.5, 4.0, "integrability")
     M_old, d_old = _offset_profile_exhaustive(field)
-    M, d_new = exponents._offset_profile(field, None)
+    M, d_new = _profile(field, None)
     assert np.array_equal(d, d_old) and np.array_equal(d_new, d_old)
     assert np.array_equal(M, M_old)
 
@@ -425,7 +433,7 @@ def test_block_bound_covers_every_offset(grid, kind, a, b, seed):
     field = _field(grid, kind, a, b, seed)
     g = field.values
     k, _ = exponents._offsets(grid, None)
-    M, _ = exponents._offset_profile(field, None)
+    M, _ = _profile(field, None)
     for lattice in (k, -k % grid.N):
         U = exponents._offset_bounds(g, lattice)
         assert np.all(U >= M)
@@ -470,6 +478,127 @@ def test_deduplicated_sampled_profile_equals_per_draw_rolls(field, budget):
     assert len(np.unique(distinct, axis=0)) == len(distinct)
     if budget == SAMPLE_OFFSETS:
         assert len(distinct) < len(k)
-    M, d = exponents._offset_profile(field, budget)
+    M, d = _profile(field, budget)
     M_old, d_old = _offset_profile_sampled(field, budget)
     assert np.array_equal(M, M_old) and np.array_equal(d, d_old)
+
+
+# -- bound-ordered alpha-shift maxima and the per-field scan memo -----------
+
+
+def _full_profile_shift(field, R, v_list, budget):
+    """per_level of the alpha-shift check over the whole profile, no cutoff, no memo."""
+    M, d = _profile(field, budget)
+    return {v: float(np.max(2.0 ** (v * M) * (1.0 + 2.0 ** v * d) ** (-R))) for v in v_list}, d.size
+
+
+def _shift(field, R, v_list, samples):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PreconditionWarning)
+        return verify_alpha_shift(field, 2.0, R, v_list, samples=samples)
+
+
+shift_grids = st.one_of(
+    st.sampled_from([16, 64, 256, 1024]).map(lambda N: make_grid(1, 2, N)),
+    st.sampled_from([16, 32, 64]).map(lambda N: make_grid(2, 2, N)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shift_grids, kinds, st.floats(0.0, 1.0), st.floats(0.01, 1.0), st.integers(0, 2 ** 16),
+       st.sampled_from([None, 32, 256]), st.one_of(st.just(0.0), st.floats(0.01, 8.0)),
+       st.integers(0, 6))
+# a spike pair far apart: with R = 0 its offset wins every level v >= 1,
+# but a bound built from half of U lets the scan stop before reaching it
+@example(make_grid(2, 2, 64), "spikes", 0.9, 0.9, 77, None, 0.0, 6)
+@example(make_grid(1, 2, 1024), "spikes", 0.9, 0.5, 77, 256, 0.0, 6)
+@example(make_grid(2, 2, 64), "wave", 0.7, 0.9, 9, 256, 0.5, 6)
+@example(make_grid(1, 2, 256), "plateau", 1.0, 0.5, 0, None, 1.5, 6)
+@example(make_grid(2, 2, 32), "constant", 0.5, 1.0, 0, None, 0.0, 6)
+def test_alpha_shift_cutoff_equals_full_profile(grid, kind, a, b, seed, budget, R, top):
+    # the route follows the offset count against `samples`; small grids
+    # stay exhaustive even with a small budget
+    field = _field(grid, kind, a, b, seed)
+    v_list = list(range(top + 1))
+    rep = _shift(field, R, v_list, 2 ** 30 if budget is None else budget)
+    want, count = _full_profile_shift(field, R, v_list, None if rep.exhaustive else budget)
+    assert rep.per_level == want
+    assert rep.c == max(want.values()) and rep.offsets_evaluated == count
+
+
+@pytest.mark.parametrize("R", [0.0, 2.0])
+def test_alpha_shift_overflowing_level_equals_full_profile(R):
+    # at v = 600 the pow overflows to inf for the larger differences, and
+    # with R = 2 the factor underflows to 0 there, so some scores are
+    # inf * 0 = nan: the full profile's maximum is then nan, and so is the
+    # cutoff's
+    field = build_exponent(make_grid(1, 4, 256), "sine", base=0.0, amplitude=1.0,
+                           frequency=1.0, role="smoothness")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = _shift(field, R, [600], 2 ** 30)
+        want, _ = _full_profile_shift(field, R, [600], None)
+    assert repr(rep.per_level) == repr(want) == ("{600: nan}" if R else "{600: inf}")
+
+
+def _memo_is_sound(field):
+    # every remembered maximum is the scan of its own offset on this field
+    keys = list(field._scanned)
+    k = np.stack(np.unravel_index(keys, (field.grid.N,) * field.grid.n), axis=1)
+    assert [field._scanned[key] for key in keys] == exponents._scan(field, k).tolist()
+
+
+@pytest.mark.parametrize("n,N", [(1, 1024), (2, 64)])
+def test_scan_memo_is_per_field_and_order_free(n, N):
+    # fields on one grid share offsets but not maxima; each order of the two
+    # checks, and a sampled check before an exhaustive one, must give the
+    # reports of fresh fields and the memo-free full-profile values
+    grid = make_grid(n, 2, N)
+    fields = [_field(grid, kind, 0.6, 0.8, 11) for kind in ("wave", "spikes", "uniform")]
+    R, v_list = 0.5, list(range(5))
+    for field in fields:
+        assert _fresh(field)._scanned == {}
+        want = {budget: _full_profile_shift(field, R, v_list, budget)[0] for budget in (None, 64)}
+        lh_want = old_c_loc(field, True)[0]
+
+        first = _fresh(field)
+        assert _shift(first, R, v_list, 2 ** 30).per_level == want[None]
+        assert log_holder_constants(first).c_loc == lh_want
+
+        second = _fresh(field)
+        assert log_holder_constants(second).c_loc == lh_want
+        assert _shift(second, R, v_list, 64).per_level == want[64]
+        assert _shift(second, R, v_list, 2 ** 30).per_level == want[None]
+        for used in (first, second):
+            _memo_is_sound(used)
+
+
+def test_alpha_shift_scan_count_is_pinned(monkeypatch):
+    # regularity-2d in small: an exhaustive log-Hoelder scan at N = 128, then
+    # the sampled alpha-shift check reusing its memo; counts are offsets
+    # handed to the 2D kernel
+    scanned = []
+    kernel = _accel.offset_abs_max_2d
+
+    def counting(g, offsets):
+        scanned.append(len(offsets))
+        return kernel(g, offsets)
+
+    monkeypatch.setattr(_accel, "offset_abs_max_2d", counting)
+    field = _field(make_grid(2, 2, 128), "wave", 0.7, 0.9, 9)
+    lh = log_holder_constants(field)
+    lh_scans = sum(scanned)
+    rep = _shift(field, 0.5 * lh.c_loc, range(5), SAMPLE_OFFSETS)
+    assert not rep.exhaustive and rep.offsets_evaluated == 4093
+    distinct = len(exponents._distinct_offsets(exponents._offsets(field.grid, 4096)[0], 128)[0])
+    assert (lh_scans, sum(scanned) - lh_scans, distinct) == (469, 39, 1480)
+
+
+def test_pow_error_is_within_the_bound_slack():
+    # the alpha-shift bound's slack assumes numpy's pow errs by at most
+    # 2^-45 relative; the reference ldexp(pow(2, x - e), e) with e = round(x)
+    # rounds once, in libm's pow (x - e and ldexp are exact)
+    x = np.random.default_rng(0).uniform(0.0, 60.0, size=4096)
+    got = 2.0 ** x
+    e = np.round(x)
+    ref = np.array([math.ldexp(math.pow(2.0, xi - ei), int(ei)) for xi, ei in zip(x, e)])
+    assert np.all(np.abs(got - ref) <= 2.0 ** -47 * ref)
