@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .grid import Grid, GridFunction
+from .lpf import _fft
 from .seqspaces import DyadicCoefficients
 
 MAG_LOW = 1.0e-3
@@ -72,7 +73,7 @@ def trig_polynomial(grid: Grid, modes: dict) -> GridFunction:
         if any(abs(ki) >= grid.N // 2 for ki in k):
             raise InvalidInput(f"mode {k} is beyond the grid Nyquist index")
         spec[tuple(ki % grid.N for ki in k)] += c
-    return GridFunction(grid, np.fft.ifftn(spec) * grid.size)
+    return GridFunction(grid, _fft(spec, True) * grid.size)
 
 
 def mode_corpus(n: int, L: float, radius: float, items: int, count: int,

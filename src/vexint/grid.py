@@ -173,7 +173,12 @@ class GridFunction:
             raise InvalidInput(
                 f"values of shape {self.values.shape} do not match grid shape {self.grid.shape}"
             )
-        if not np.all(np.isfinite(self.values.view(np.float64) if np.iscomplexobj(self.values) else self.values)):
+        values = self.values
+        if np.iscomplexobj(values) and values.flags.c_contiguous:
+            # one pass over the real and imaginary parts; any other layout
+            # takes numpy's complex isfinite
+            values = values.view(values.real.dtype)
+        if not np.all(np.isfinite(values)):
             raise InvalidInput("grid function contains non-finite values")
 
     @classmethod

@@ -10,6 +10,7 @@ operator constant for the discrete convolution.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field as dc_field
 
@@ -193,6 +194,9 @@ def verify_alpha_shift(alpha: ExponentField, h_exp: float, R: float,
     v_list = [int(v) for v in v_list]
     if not v_list or any(v < 0 for v in v_list):
         raise InvalidInput("need a non-empty list of non-negative levels")
+    for v in v_list:
+        if v >= sys.float_info.max_exp:
+            raise InvalidInput(f"level {v} is out of float range: 2^{v} overflows")
 
     grid = alpha.grid
     n_offsets = grid.N // 2 + 1 if grid.n == 1 else (grid.N // 2 + 1) * grid.N
@@ -208,7 +212,15 @@ def verify_alpha_shift(alpha: ExponentField, h_exp: float, R: float,
             PreconditionWarning,
         )
 
-    per_level, count = _shift_maxima(alpha, None if exhaustive else int(samples), R, v_list)
+    # an overflow shows as an inf or nan level value, which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_level, count = _shift_maxima(alpha, None if exhaustive else int(samples), R, v_list)
+    for v, c in per_level.items():
+        if not math.isfinite(c):
+            raise InvalidInput(
+                f"level {v}: the ratio 2^(v (a(x) - a(y))) (1 + 2^v |x - y|)^(-R) "
+                f"is out of float range ({c})"
+            )
     return AlphaShiftReport(
         c=max(per_level.values()),
         per_level=per_level,

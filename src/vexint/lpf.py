@@ -6,6 +6,31 @@ which is identically 1 (resp. 0) outside the transition window, so the
 support and lower-bound statements hold exactly on the lattice.  A
 multiplier m acts by g = ifft(m * fft(f)); its spatial kernel is
 ifft(m) / h^n.
+
+Band-limited products, impulse trains and mode spectra are zero on most
+rows, so their 2-D transforms go through `_fft`, which transforms only
+the lines that carry data or are read:
+
+- the last-axis pass runs on the rows where `x.any(axis=1)` holds, decided
+  from the data and never from a multiplier's support, so a row holding
+  inf or NaN is transformed;
+- the first-axis pass runs in place on the result, as numpy's own second
+  pass does, and only on every `step`-th column (`analyze` reads the
+  level-v cube corners alone, so it passes the cube edge in cells).
+
+The result equals `np.fft.fftn`/`ifftn` bit for bit.  numpy's pocketfft
+transforms each line on its own, so a transformed row is the same in
+both, as long as it takes the same SIMD route (`_GROUP`; a shape that is
+not a multiple of 8 takes the full transform).  A skipped row is all zeros, and its transform is all zeros too,
+of either sign; the helper writes +0 there.  IEEE addition and
+multiplication map inputs that differ only in the signs of zeros to
+results that differ only in the signs of zeros, so the two first-axis
+passes can differ only at outputs that are exactly zero.  So the helper
+falls back to the full transform when it has such an output and a -0
+may be involved: a skipped row holds a -0, or the transform of a +0 line
+of this length is not +0 throughout (pocketfft's Bluestein lengths, such
+as 89, give -0; powers of two do not).  Dense input (`fft(f)` of a
+sampled function) stays `np.fft.fftn`: the pruned path was slower there.
 """
 
 from __future__ import annotations
@@ -207,8 +232,53 @@ def build_resolution_of_unity(grid: Grid, V: int) -> FilterBank:
     )
 
 
-def _apply(mult: np.ndarray, spec: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(mult * spec)
+# pocketfft transforms the lines of one call in SIMD groups (2 doubles
+# wide with SSE2) and a leftover line on its own; a NaN that a line makes
+# takes its sign and payload from the route it took, so every pruned pass
+# transforms whole groups of 8 lines, as the full passes over N = 8k do
+_GROUP = 8
+
+
+def _fft(x: np.ndarray, inverse: bool, step: int = 1) -> np.ndarray:
+    """`np.fft.fftn(x)` (`ifftn` if inverse) at the indices [::step] of every
+    axis, bit for bit, for 1-D or 2-D x (module docstring)."""
+    one = np.fft.ifft if inverse else np.fft.fft
+    full = np.fft.ifftn if inverse else np.fft.fftn
+    if x.ndim == 1:
+        return one(x)[::step]
+    if x.shape[0] % _GROUP or x.shape[1] % _GROUP:
+        return full(x)[::step, ::step]
+    rows = _whole_groups(x.any(axis=1))
+    part = one(x[rows], axis=1)
+    out = np.zeros(x.shape, dtype=part.dtype)
+    out[rows] = part
+    if step == 1:
+        one(out, axis=0, out=out)
+    else:
+        read = np.zeros(x.shape[1], dtype=bool)
+        read[::step] = True
+        taken = _whole_groups(read)
+        out = np.ascontiguousarray(one(out[:, taken], axis=0)[::step, read[taken]])
+    if (not rows.all() and (out.view(out.real.dtype) == 0).any()
+            and (_has_negative_zero(x[~rows]) or _has_negative_zero(one(np.zeros_like(x[0]))))):
+        return full(x)[::step, ::step]
+    return out
+
+
+def _whole_groups(mask: np.ndarray) -> np.ndarray:
+    """mask with its first unset entries set until it counts whole groups."""
+    mask = mask.copy()
+    mask[np.flatnonzero(~mask)[:-int(mask.sum()) % _GROUP]] = True
+    return mask
+
+
+def _has_negative_zero(a: np.ndarray) -> bool:
+    # on the all-zero rows `_fft` skips, any set sign bit is a -0
+    return bool(np.signbit(a.real).any() or np.signbit(a.imag).any())
+
+
+def _apply(mult: np.ndarray, spec: np.ndarray, step: int = 1) -> np.ndarray:
+    return _fft(mult * spec, True, step)
 
 
 def kernel(bank: FilterBank, v: int) -> GridFunction:
@@ -254,8 +324,9 @@ def analyze(f: GridFunction, bank: FilterBank) -> DyadicCoefficients:
     spec = np.fft.fftn(f.values)
     levels = []
     for v in range(bank.V + 1):
-        conv = _apply(np.conjugate(bank.multiplier(v)), spec)
-        levels.append(2.0 ** (-v * grid.n / 2.0) * cube_corners(grid, conv, v))
+        grid.check_level(v)
+        corners = _apply(np.conjugate(bank.multiplier(v)), spec, grid.cells_per_axis(v))
+        levels.append(2.0 ** (-v * grid.n / 2.0) * corners)
     return DyadicCoefficients(grid, bank.V, levels)
 
 
@@ -280,7 +351,7 @@ def synthesize(lam: DyadicCoefficients, bank: FilterBank) -> GridFunction:
         cube_corners(grid, impulses, v)[...] = lam.levels[v]
         # lam psi_{v,m} sums to the impulse train convolved with the dual kernel
         impulses *= 2.0 ** (-v * n / 2.0) / hn
-        out += np.fft.ifftn(np.fft.fftn(impulses) * bank.dual_multiplier(v))
+        out += _fft(_fft(impulses, False) * bank.dual_multiplier(v), True)
     return GridFunction(grid, out)
 
 

@@ -129,6 +129,29 @@ def test_grid_function_validation():
     assert gf.values.shape == (64,)
 
 
+def _layouts(a):
+    """The values of a in C order, Fortran order, as a strided view and transposed."""
+    wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],), dtype=a.dtype)
+    wide[..., ::2] = a
+    return [a, np.asfortranarray(a), wide[..., ::2], np.ascontiguousarray(a.T).T]
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128, np.clongdouble])
+@pytest.mark.parametrize("n", [1, 2])
+def test_grid_function_finiteness_in_every_layout(dtype, n):
+    g = make_grid(n, 1, 16)
+    a = (np.arange(g.size).reshape(g.shape) * (1.0 - 0.5j)).astype(dtype)
+    for values in _layouts(a):
+        assert np.array_equal(GridFunction(g, values).values, a)
+    for bad in (complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 1.0),
+                complex(1.0, -np.inf)):
+        b = a.copy()
+        b.flat[5] = bad
+        for values in _layouts(b):
+            with pytest.raises(InvalidInput):
+                GridFunction(g, values)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=63))
 def test_cube_corners_land_on_lattice(v, m):

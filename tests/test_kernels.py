@@ -1,6 +1,7 @@
 """Kernel masses, convolution oracle, and the three estimate verifiers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,26 @@ def test_alpha_shift_input_validation():
         verify_alpha_shift(a, 2.0, -0.5, [0])
     with pytest.raises(InvalidInput):
         verify_alpha_shift(a, 2.0, 1.0, [])
+
+
+@pytest.mark.parametrize("v, R", [(1100, 0.0), (600, 0.0), (600, 2.0), (1023, 2.0)])
+def test_alpha_shift_level_beyond_float_range_is_a_typed_error(v, R):
+    # 2.0 ** 1100 overflows a Python float; at v = 600 the ratio itself
+    # overflows (inf at R = 0, inf * 0 = nan at R = 2)
+    a = build_exponent(G, "sine", base=0.0, amplitude=1.0, frequency=1.0, role="smoothness")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PreconditionWarning)
+        with pytest.raises(InvalidInput, match=f"level {v}"):
+            verify_alpha_shift(a, 2.0, R, [3, v])
+
+
+def test_alpha_shift_large_finite_level_keeps_its_value():
+    a = build_exponent(G, "sine", base=0.0, amplitude=1.0, frequency=1.0, role="smoothness")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PreconditionWarning)
+        assert verify_alpha_shift(a, 2.0, 0.0, [3, 500]).per_level == \
+            {3: 64.0, 500: 1.0715086071862673e+301}
+        assert verify_alpha_shift(a, 2.0, 2.0, [3, 500]).per_level == {3: 1.0, 500: 1.0}
 
 
 # -- convolution boundedness ------------------------------------------------

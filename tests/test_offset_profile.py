@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vexint import _accel, exponents
-from vexint.errors import PreconditionWarning
+from vexint.errors import InvalidInput, PreconditionWarning
 from vexint.exponents import (
     SAMPLE_OFFSETS,
     SAMPLE_SEED,
@@ -531,13 +531,15 @@ def test_alpha_shift_overflowing_level_equals_full_profile(R):
     # at v = 600 the pow overflows to inf for the larger differences, and
     # with R = 2 the factor underflows to 0 there, so some scores are
     # inf * 0 = nan: the full profile's maximum is then nan, and so is the
-    # cutoff's
+    # cutoff's; verify_alpha_shift refuses that level with a typed error
     field = build_exponent(make_grid(1, 4, 256), "sine", base=0.0, amplitude=1.0,
                            frequency=1.0, role="smoothness")
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = _shift(field, R, [600], 2 ** 30)
+        got, _ = exponents._shift_maxima(field, None, R, [600])
         want, _ = _full_profile_shift(field, R, [600], None)
-    assert repr(rep.per_level) == repr(want) == ("{600: nan}" if R else "{600: inf}")
+    assert repr(got) == repr(want) == ("{600: nan}" if R else "{600: inf}")
+    with pytest.raises(InvalidInput, match="level 600"):
+        _shift(field, R, [600], 2 ** 30)
 
 
 def _memo_is_sound(field):
