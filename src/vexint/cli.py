@@ -11,8 +11,10 @@ or schema violation.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
+import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -638,7 +640,31 @@ def cmd_norm(which: str, path: str) -> int:
                     cfg.get("output"), show)
 
 
+# glibc mallopt (param, value): M_ARENA_MAX, M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+_HEAP_SETTINGS = ((-8, 1), (-3, 32 << 20), (-1, 64 << 20))
+
+
+def _keep_heap_resident() -> None:
+    """Keep freed numpy temporaries in the heap for the rest of this process.
+
+    The filter-bank FFTs and Luxemburg solves allocate and free arrays of
+    0.5-2 MB per call.  With glibc's defaults each one is returned to the OS
+    (munmap, or a trim of the heap top) and the next call faults its pages
+    in again.  An mmap threshold of 32 MiB and a trim threshold of 64 MiB
+    keep them in the heap; one arena keeps the pool threads from each
+    holding freed memory of their own, which would raise the peak RSS
+    instead.  glibc only, a no-op elsewhere.  Only `main` calls it, so
+    importing vexint leaves the host process's allocator alone.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    libc = ctypes.CDLL(None)
+    for param, value in _HEAP_SETTINGS:
+        libc.mallopt(param, value)
+
+
 def main(argv=None) -> int:
+    _keep_heap_resident()
     parser = argparse.ArgumentParser(
         prog="vexint",
         description="variable-exponent interpolation experiments")

@@ -30,6 +30,7 @@ def random_coefficients(grid: Grid, V: int, count: int, rng) -> DyadicCoefficien
     Each draw picks one of the cubes of levels 0..V, numbered level by level
     and in C order within a level.
     """
+    grid.check_level(V)
     shapes = [(grid.cubes_per_axis(j),) * grid.n for j in range(int(V) + 1)]
     sizes = [math.prod(shape) for shape in shapes]
     idx = rng.integers(0, sum(sizes), size=count)

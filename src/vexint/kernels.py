@@ -110,6 +110,13 @@ def eta(v: int, m_exp: float, grid: Grid) -> EtaKernel:
     if not (m_exp > 0.0):
         raise InvalidInput(f"decay exponent must be positive, got {m_exp}")
     v = int(v)
+    # the peak 2^(vn), the grid sum (at most N^n peaks) and the scaled
+    # radii 2^v |x| (|x| <= L sqrt(n)) must all be floats
+    top = sys.float_info.max_exp
+    if v >= top or grid.n * (v + math.log2(grid.N)) >= top \
+            or v + math.log2(grid.L * math.sqrt(grid.n)) >= top:
+        raise InvalidInput(f"kernel level {v} is out of float range on a grid with "
+                           f"n={grid.n}, N={grid.N}, L={grid.L}")
     scale = 2.0 ** v
     values = scale ** grid.n * (1.0 + scale * grid.periodic_radius()) ** (-m_exp)
     return EtaKernel(

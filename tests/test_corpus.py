@@ -1,11 +1,15 @@
-"""The band-limited corpus draws: the vectorized radius filter of
-`random_modes` against the per-row loop it replaced."""
+"""The corpus draws: the vectorized radius filter of `random_modes`
+against the per-row loop it replaced, and the level check of the
+coefficient draws."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vexint import corpus
+from vexint.errors import ResolutionExceeded
+from vexint.grid import make_grid
 
 
 def random_modes_by_row(n, L, radius, count, rng):
@@ -44,3 +48,23 @@ def test_mode_corpus_keeps_its_draw_order():
     want = [random_modes_by_row(2, 2.0, 8.0, 200, rng) for _ in range(5)]
     got = corpus.mode_corpus(2, 2.0, 8.0, 5, 200, 7)
     assert [list(m.items()) for m in got] == [list(m.items()) for m in want]
+
+
+class _UntouchedRng:
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} used before the level check")
+
+
+@pytest.mark.parametrize("V", [-1, 6, 8, 22, 25, 29, 30, 40])
+def test_coefficient_level_is_checked_before_any_draw(V):
+    # levels 22-29 would size arrays of 1-256 GiB, so a missing check must
+    # fail at the first draw, before any allocation
+    with pytest.raises(ResolutionExceeded):
+        corpus.random_coefficients(make_grid(1, 4.0, 256), V, 5, _UntouchedRng())
+
+
+@pytest.mark.parametrize("V", [30, 40])
+def test_coefficient_corpus_past_the_finest_level_is_typed(V):
+    # 256 GiB and 256 TiB of coefficients at V = 30 and 40
+    with pytest.raises(ResolutionExceeded, match=f"level {V}"):
+        corpus.coefficient_corpus(make_grid(1, 4.0, 256), V, 1, 5, 11)

@@ -132,6 +132,25 @@ def test_eta_rejects_bad_parameters():
         eta(0, 0.0, G)
 
 
+@pytest.mark.parametrize("n, L, N, edge", [(1, 4.0, 256, 1016), (1, 0.25, 16, 1020),
+                                           (2, 4.0, 64, 506), (2, 2.0, 256, 504)])
+@pytest.mark.parametrize("m", [1e-3, 0.5, 3.0])
+def test_eta_near_the_float_range_is_finite_or_typed(n, L, N, edge, m):
+    # below `edge` the peak 2^(vn), the grid sum and the scaled radii are
+    # floats; from it on the level is refused before any work (the parent
+    # raised a bare OverflowError at 2.0 ** 1024)
+    grid = make_grid(n, L, N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", PreconditionWarning)
+        for v in [edge - 2, edge - 1]:
+            k = eta(v, m, grid)
+            assert all(math.isfinite(x) for x in (k.mass, k.grid_mass, k.values.max()))
+        for v in [edge, edge + 1, 1023, 1024, 2000, 10 ** 400]:
+            with pytest.raises(InvalidInput, match=f"level {v}"):
+                eta(v, m, grid)
+
+
 def test_convolution_identity_with_unit_mass_cell():
     f = GridFunction(G, np.sin(2 * np.pi * G.axis / 8.0) + 2.0)
     delta = np.zeros(G.shape)
