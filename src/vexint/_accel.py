@@ -30,13 +30,22 @@ __all__ = ["offset_abs_max_1d", "offset_abs_max_2d", "modular_pow_sum", "log_mod
 def _offset_abs_max(g: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     g = np.ascontiguousarray(g, dtype=np.float64)
     tiled = np.tile(g, (2,) * g.ndim)
-    buf = np.empty_like(g)
+    buf = _cache_aligned_like(g)
     out = np.empty(len(offsets))
     for i, k in enumerate((np.asarray(offsets) % g.shape).tolist()):
         np.subtract(g, tiled[tuple(slice(a, a + s) for a, s in zip(k, g.shape))], out=buf)
         np.abs(buf, out=buf)
         out[i] = buf.max()
     return out
+
+
+def _cache_aligned_like(g: np.ndarray) -> np.ndarray:
+    """`np.empty_like(g)` for a float64 g, with its data on a 64-byte boundary: every offset
+    stores the whole buffer, and off a cache line (malloc maps a large block 16 bytes past a
+    page boundary) a 256 x 256 scan takes about a quarter longer."""
+    raw = np.empty(g.size + 8)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip:skip + g.size].reshape(g.shape)
 
 
 def offset_abs_max_1d(g: np.ndarray, offsets: np.ndarray) -> np.ndarray:

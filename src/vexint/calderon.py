@@ -59,10 +59,10 @@ IDENTITY_TOL = 1e-12
 class FactorizationParams:
     """Endpoint data plus every derived exponent the constructions need.
 
-    kind is "pp" (q = p in all three spaces) or "pq-infty" (second space of
-    sup type with constant q0, q1).  u and v are the corner-evaluated level
-    weights; gamma and delta drive the level-set construction and are zero
-    in the pp case.
+    kind is "pp" (q = p in all three spaces, so q0 and q1 are p0 and p1) or
+    "pq-infty" (second space of sup type with constant q0, q1).  u and v are
+    the corner-evaluated level weights; gamma and delta drive the level-set
+    construction and are zero in the pp case.
     """
 
     kind: str
@@ -71,8 +71,8 @@ class FactorizationParams:
     alpha1: ExponentField
     p0: ExponentField
     p1: ExponentField | None
-    q0: float | None
-    q1: float | None
+    q0: ExponentField
+    q1: ExponentField
     alpha: ExponentField
     p: ExponentField
     q: ExponentField
@@ -87,12 +87,20 @@ class FactorizationParams:
         return self.p0.grid
 
 
-def _endpoint_q(params: FactorizationParams) -> tuple[ExponentField, ExponentField]:
-    """The q fields of the two endpoint spaces: p0 and p1 for pp, the constants q0 and q1
-    for pq-infty."""
-    if params.kind == "pp":
-        return params.p0, params.p1
-    return tuple(build_exponent(params.grid, "constant", value=q) for q in (params.q0, params.q1))
+def _level_weights(theta: float, alpha0: ExponentField, alpha1: ExponentField,
+                   q0: ExponentField, q1: ExponentField, q: ExponentField):
+    """Level weights u = q theta diff + n/2 (q/q0 - 1) and v = q (theta-1) diff + n/2 (q/q1 - 1),
+    diff = alpha1/q0 - alpha0/q1, and the grid maxima of the identity residuals
+    |(1-theta) u + theta v| and |(1-theta) q/q0 + theta q/q1 - 1|, for both constructions."""
+    if alpha0.grid != q.grid:
+        raise InvalidConfiguration("exponent fields live on different grids")
+    n = q.grid.n
+    q, q0, q1 = q.values, q0.values, q1.values
+    diff = alpha1.values / q0 - alpha0.values / q1
+    u = q * theta * diff + 0.5 * n * (q / q0 - 1.0)
+    v = q * (theta - 1.0) * diff + 0.5 * n * (q / q1 - 1.0)
+    return (u, v, float(np.abs((1.0 - theta) * u + theta * v).max()),
+            float(np.abs((1.0 - theta) * q / q0 + theta * q / q1 - 1.0).max()))
 
 
 def factorization_params_pp(theta: float, alpha0: ExponentField, alpha1: ExponentField,
@@ -101,21 +109,12 @@ def factorization_params_pp(theta: float, alpha0: ExponentField, alpha1: Exponen
     theta = _check_theta(theta)
     alpha = interpolate_exponents(alpha0, alpha1, theta)
     p = interpolate_exponents(p0, p1, theta)
-    if alpha.grid != p.grid:
-        raise InvalidConfiguration("exponent fields live on different grids")
-    n = p.grid.n
-    diff = alpha1.values / p0.values - alpha0.values / p1.values
-    u = p.values * theta * diff + 0.5 * n * (p.values / p0.values - 1.0)
-    v = p.values * (theta - 1.0) * diff + 0.5 * n * (p.values / p1.values - 1.0)
-    residual = max(
-        float(np.abs((1.0 - theta) * u + theta * v).max()),
-        float(np.abs((1.0 - theta) * p.values / p0.values
-                     + theta * p.values / p1.values - 1.0).max()),
-    )
+    u, v, r_uv, r_q = _level_weights(theta, alpha0, alpha1, p0, p1, p)
+    residual = max(r_uv, r_q)
     if residual > IDENTITY_TOL:
         raise InvalidConfiguration(f"exponent identity residual {residual} exceeds {IDENTITY_TOL}")
     return FactorizationParams(
-        "pp", theta, alpha0, alpha1, p0, p1, None, None, alpha, p, p,
+        "pp", theta, alpha0, alpha1, p0, p1, p0, p1, alpha, p, p,
         u, v, 0.0, 0.0, residual,
     )
 
@@ -130,28 +129,23 @@ def factorization_params_pq_infty(theta: float, alpha0: ExponentField, alpha1: E
         raise InvalidInput(f"q0={q0}, q1={q1} must be constants >= 1")
     alpha = interpolate_exponents(alpha0, alpha1, theta)
     grid = p0.grid
-    if alpha.grid != grid:
-        raise InvalidConfiguration("exponent fields live on different grids")
-    n = grid.n
+    q0f, q1f = (build_exponent(grid, "constant", value=c) for c in (q0, q1))
+    q = interpolate_exponents(q0f, q1f, theta)
     p = _p_infty(p0, theta)
-    q_val = 1.0 / ((1.0 - theta) / q0 + theta / q1)
-    q = build_exponent(grid, "constant", value=q_val)
-    diff = alpha1.values / q0 - alpha0.values / q1
-    u = q_val * theta * diff + 0.5 * n * (q_val / q0 - 1.0)
-    v = q_val * (theta - 1.0) * diff + 0.5 * n * (q_val / q1 - 1.0)
-    gamma_field = p.values / p0.values - q_val / q0
+    u, v, r_uv, r_q = _level_weights(theta, alpha0, alpha1, q0f, q1f, q)
+    gamma_field = p.values / p0.values - q.values / q0f.values
     gamma = float(gamma_field.ravel()[0])
-    delta = -q_val / q1
+    delta = -float(q.values.ravel()[0]) / q1
     residual = max(
-        float(np.abs((1.0 - theta) * u + theta * v).max()),
+        r_uv,
         float(np.abs(gamma_field - gamma).max()),
         abs((1.0 - theta) + (delta / gamma) * theta),
-        abs((1.0 - theta) * q_val / q0 + theta * q_val / q1 - 1.0),
+        r_q,
     )
     if residual > IDENTITY_TOL:
         raise InvalidConfiguration(f"exponent identity residual {residual} exceeds {IDENTITY_TOL}")
     return FactorizationParams(
-        "pq-infty", theta, alpha0, alpha1, p0, None, q0, q1, alpha, p, q,
+        "pq-infty", theta, alpha0, alpha1, p0, None, q0f, q1f, alpha, p, q,
         u, v, gamma, delta, residual,
     )
 
@@ -218,13 +212,12 @@ def verify_holder_direction(lam: DyadicCoefficients, lam0: DyadicCoefficients,
         more = "" if bad.size <= 8 else f" (+{bad.size - 8} more)"
         raise PreconditionViolation(f"domination fails at {shown}{more}")
 
-    q0, q1 = _endpoint_q(params)
     if params.kind == "pq-infty":
-        norm1 = f_infty_subset_norm(lam1, params.alpha1, q1, full_selection(lam1))
+        norm1 = f_infty_subset_norm(lam1, params.alpha1, params.q1, full_selection(lam1))
     else:
-        norm1 = f_norm(lam1, params.alpha1, params.p1, q1).value
+        norm1 = f_norm(lam1, params.alpha1, params.p1, params.q1).value
     lam_norm = f_norm(lam, params.alpha, params.p, params.q).value
-    norm0 = f_norm(lam0, params.alpha0, params.p0, q0).value
+    norm0 = f_norm(lam0, params.alpha0, params.p0, params.q0).value
     product = norm0 ** (1.0 - theta) * norm1 ** theta
     return HolderReport(product - lam_norm, product, lam_norm, norm0, norm1)
 
@@ -266,7 +259,7 @@ class FactorizationResult:
         """||lam0|| in F^{alpha0}_{p0,p0} for pp, F^{alpha0}_{p0,q0} for pq-infty."""
         par = self.params
         return _read_once(self._memo, "factor0_norm", lambda: f_norm(
-            self.lam0, par.alpha0, par.p0, _endpoint_q(par)[0]).value)
+            self.lam0, par.alpha0, par.p0, par.q0).value)
 
     @property
     def factor1_norm(self) -> float:
@@ -276,7 +269,7 @@ class FactorizationResult:
 
         def compute():
             if par.kind == "pp":
-                return f_norm(self.lam1, par.alpha1, par.p1, par.p1).value
+                return f_norm(self.lam1, par.alpha1, par.p1, par.q1).value
             sel = _subset_from_level_sets(self.lam1, self.level_sets)
             return f_infty_subset_norm(self.lam1, par.alpha1, par.q1, sel)
         return _read_once(self._memo, "factor1_norm", compute)
@@ -327,9 +320,9 @@ def factorize_pp(lam: DyadicCoefficients, params: FactorizationParams) -> Factor
     norm = f_norm(lam, params.alpha, params.p, params.q).value
     if norm == 0.0:
         raise InvalidInput("factorization needs a nonzero norm")
-    p = params.p.values
-    lam0, lam1, _ = _corner_factors(lam, norm, params, p / params.p0.values,
-                                    p / params.p1.values,
+    q = params.q.values
+    lam0, lam1, _ = _corner_factors(lam, norm, params, q / params.q0.values,
+                                    q / params.q1.values,
                                     [np.zeros(a.shape, dtype=np.int64) for a in lam.levels])
     return FactorizationResult(lam, params, lam0, lam1, norm)
 
@@ -453,8 +446,9 @@ def factorize_pq_infty(lam: DyadicCoefficients,
     if norm == 0.0:
         raise InvalidInput("factorization needs a nonzero norm")
     q = params.q.values
-    lam0, lam1, zero_count = _corner_factors(lam, norm, params, q / params.q0, q / params.q1,
-                                             decomp.class_levels, params.delta / params.gamma)
+    lam0, lam1, zero_count = _corner_factors(lam, norm, params, q / params.q0.values,
+                                             q / params.q1.values, decomp.class_levels,
+                                             params.delta / params.gamma)
     return FactorizationResult(lam, params, lam0, lam1, norm, level_sets=decomp,
                                zero_count=zero_count)
 

@@ -72,7 +72,6 @@ SAMPLE_OFFSETS = 4096
 class LogHolderReport:
     c_loc: float
     c_dec: float
-    g_inf: float
     exhaustive: bool
     offsets_evaluated: int
 
@@ -141,23 +140,22 @@ def build_exponent(grid: Grid, recipe: str, *, role: str = "integrability", **pa
     first-axis sine per `frequency`; plateau(left, right, width): `left` near
     the boundary, `right` on the middle half, linear ramps of the given width.
     """
-    name = recipe.replace("-perturbation", "").replace("-ramp", "")
-    missing = [key for key in _RECIPE_PARAMS.get(name, ()) if key not in params]
+    missing = [key for key in _RECIPE_PARAMS.get(recipe, ()) if key not in params]
     if missing:
         raise InvalidExponent(f"recipe {recipe!r} needs {', '.join(missing)}")
-    if name == "constant":
+    if recipe == "constant":
         c = float(params["value"])
         vals = np.full(grid.shape, c)
         lo = hi = c
         g_inf = c
-    elif name == "sine":
+    elif recipe == "sine":
         base = float(params["base"])
         amp = float(params["amplitude"])
         freq = float(params.get("frequency", 1.0))
         vals = base + amp * np.sin(2.0 * math.pi * freq * grid.coords()[0] / (2.0 * grid.L))
         lo, hi = base - abs(amp), base + abs(amp)
         g_inf = base
-    elif name == "plateau":
+    elif recipe == "plateau":
         left = float(params["left"])
         right = float(params["right"])
         w = float(params["width"])
@@ -395,8 +393,8 @@ def log_holder_constants(field: ExponentField) -> LogHolderReport:
     c_loc = _bounded_max(field, distinct, w_distinct, _offset_bounds(field.values, distinct))
     dec_weight = np.log(math.e + grid.center_radius())
     c_dec = float(np.max(np.abs(field.values - field.g_inf) * dec_weight))
-    report = LogHolderReport(c_loc=c_loc, c_dec=c_dec, g_inf=field.g_inf,
-                             exhaustive=exhaustive, offsets_evaluated=d.size - 1)
+    report = LogHolderReport(c_loc=c_loc, c_dec=c_dec, exhaustive=exhaustive,
+                             offsets_evaluated=d.size - 1)
     field._lh_report = report
     return report
 

@@ -208,10 +208,7 @@ def make_grid(n: int, L: float, N: int) -> Grid:
 def enumerate_cubes(grid: Grid, v: int) -> list[DyadicCube]:
     """All dyadic cubes of level v inside the box, in index order."""
     grid.check_level(v)
-    top = grid.cubes_per_axis(v)
-    if grid.n == 1:
-        return [DyadicCube(v, (m,)) for m in range(top)]
-    return [DyadicCube(v, (m0, m1)) for m0 in range(top) for m1 in range(top)]
+    return [DyadicCube(v, m) for m in np.ndindex((grid.cubes_per_axis(v),) * grid.n)]
 
 
 def cube_mask(grid: Grid, cube: DyadicCube) -> np.ndarray:
@@ -222,32 +219,43 @@ def cube_mask(grid: Grid, cube: DyadicCube) -> np.ndarray:
     return mask
 
 
+def _blocks(grid: Grid, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The level-v block shape (C, c) * n of a grid array, and the axis order
+    that moves its cube axes first.
+
+    In the block shape, axis 2k runs over the C cubes along grid axis k and
+    axis 2k + 1 over the c cells of a cube along that axis.  For n <= 2 the
+    order is its own inverse.
+    """
+    grid.check_level(v)
+    n = grid.n
+    return ((grid.cubes_per_axis(v), grid.cells_per_axis(v)) * n,
+            (*range(0, 2 * n, 2), *range(1, 2 * n, 2)))
+
+
 def cube_sums(grid: Grid, values: np.ndarray, v: int) -> np.ndarray:
     """Per-cube cell sums at level v, shape (cubes_per_axis,)*n.
 
     Multiply by h^n for the per-cube integral; cube (m0, m1) lands at
     index [m0, m1].
     """
-    grid.check_level(v)
+    blocks, order = _blocks(grid, v)
     if values.shape != grid.shape:
         raise InvalidInput(f"expected array of shape {grid.shape}, got {values.shape}")
-    C = grid.cubes_per_axis(v)
-    c = grid.cells_per_axis(v)
-    if grid.n == 1:
-        return values.reshape(C, c).sum(axis=1)
-    return values.reshape(C, c, C, c).sum(axis=(1, 3))
+    return values.reshape(blocks).sum(axis=order[grid.n:])
 
 
 def cube_broadcast(grid: Grid, per_cube: np.ndarray, v: int) -> np.ndarray:
     """Expand one value per level-v cube back to full grid shape."""
-    grid.check_level(v)
-    c = grid.cells_per_axis(v)
-    out = np.repeat(np.asarray(per_cube), c, axis=0)
-    if grid.n == 2:
-        out = np.repeat(out, c, axis=1)
-    if out.shape != grid.shape:
-        raise InvalidInput(f"per-cube array of shape {np.shape(per_cube)} does not tile level {v}")
-    return out
+    blocks, order = _blocks(grid, v)
+    per_cube = np.asarray(per_cube)
+    if per_cube.shape != blocks[::2]:
+        raise InvalidInput(f"per-cube array of shape {per_cube.shape} does not tile level {v}")
+    # a cell axis of length 1 after each cube axis, repeated to its c cells
+    out = per_cube.reshape((blocks[0], 1) * grid.n)
+    for axis in order[grid.n:]:
+        out = np.repeat(out, blocks[axis], axis=axis)
+    return out.reshape(grid.shape)
 
 
 def cube_cells(grid: Grid, values: np.ndarray, v: int) -> np.ndarray:
@@ -255,22 +263,14 @@ def cube_cells(grid: Grid, values: np.ndarray, v: int) -> np.ndarray:
 
     Cube (m0, m1) lands at index [m0, m1], its cells in C order along the last axis.
     """
-    grid.check_level(v)
-    C = grid.cubes_per_axis(v)
-    c = grid.cells_per_axis(v)
-    if grid.n == 1:
-        return values.reshape(C, c)
-    return values.reshape(C, c, C, c).transpose(0, 2, 1, 3).reshape(C, C, c * c)
+    blocks, order = _blocks(grid, v)
+    return values.reshape(blocks).transpose(order).reshape(blocks[::2] + (-1,))
 
 
 def cells_to_grid(grid: Grid, cells: np.ndarray, v: int) -> np.ndarray:
     """Grid-shaped array of a level-v `cube_cells` layout; the inverse of cube_cells."""
-    grid.check_level(v)
-    C = grid.cubes_per_axis(v)
-    c = grid.cells_per_axis(v)
-    if grid.n == 1:
-        return cells.reshape(grid.shape)
-    return cells.reshape(C, C, c, c).transpose(0, 2, 1, 3).reshape(grid.shape)
+    blocks, order = _blocks(grid, v)
+    return cells.reshape(blocks[::2] + blocks[1::2]).transpose(order).reshape(grid.shape)
 
 
 def cube_corners(grid: Grid, values: np.ndarray, v: int) -> np.ndarray:

@@ -283,8 +283,6 @@ def scalar_interp_sandwich(f, p0: ExponentField, p1: ExponentField,
 class InterRestReport:
     ratio: float
     direct: float
-    anchor: float
-    theta: float
 
 
 def _constant_value(x, name: str) -> float:
@@ -318,16 +316,17 @@ def inter_rest_check(f: GridFunction, alpha0, alpha1, p0: ExponentField,
     grid = bank.grid
     if f.grid != grid or p0.grid != grid:
         raise InvalidInput("function, fields, and bank must share one grid")
-    alpha = (1.0 - theta) * a0 + theta * a1
-    qv = 1.0 / ((1.0 - theta) / q0v + theta / q1v)
-    alpha_f = build_exponent(grid, "constant", value=alpha, role="smoothness")
-    q_f = build_exponent(grid, "constant", value=qv)
+
+    def constants(c0, c1, role):
+        return [build_exponent(grid, "constant", value=c, role=role) for c in (c0, c1)]
+    alpha_f = interpolate_exponents(*constants(a0, a1, "smoothness"), theta)
+    q_f = interpolate_exponents(*constants(q0v, q1v, "integrability"), theta)
     p = interpolate_exponents(p0, p1, theta)
 
     direct = F_norm(f, alpha_f, p, q_f, build_admissible_pair(grid, bank.V)).value
     anchor = F_norm(f, alpha_f, p, q_f, bank).value
     if anchor == 0.0 and direct == 0.0:
-        return InterRestReport(1.0, direct, anchor, theta)
+        return InterRestReport(1.0, direct)
     if anchor == 0.0 or direct == 0.0:
         raise SolverFailure("one route vanished while the other did not")
-    return InterRestReport(direct / anchor, direct, anchor, theta)
+    return InterRestReport(direct / anchor, direct)

@@ -103,12 +103,17 @@ def _tail_bound(n: int, L: float, v: int, m: float) -> float | None:
     )
 
 
+def _check_decay(m_exp: float) -> None:
+    # an infinite decay passes m > 0 and integrates to mass 0
+    if not (0.0 < m_exp < math.inf):
+        raise InvalidInput(f"decay exponent must be positive and finite, got {m_exp}")
+
+
 def eta(v: int, m_exp: float, grid: Grid) -> EtaKernel:
     """Sample the level-v kernel and report its quadrature mass."""
     if not (isinstance(v, (int, np.integer)) and v >= 0):
         raise InvalidInput(f"kernel level must be a non-negative integer, got {v!r}")
-    if not (m_exp > 0.0):
-        raise InvalidInput(f"decay exponent must be positive, got {m_exp}")
+    _check_decay(m_exp)
     v = int(v)
     # the peak 2^(vn), the grid sum (at most N^n peaks) and the scaled
     # radii 2^v |x| (|x| <= L sqrt(n)) must all be floats
@@ -168,9 +173,6 @@ def convolve(f, k) -> GridFunction:
 class AlphaShiftReport:
     c: float
     per_level: dict[int, float]
-    r: float
-    h_exp: float
-    c_loc_estimate: float
     flagged: bool
     exhaustive: bool
     offsets_evaluated: int
@@ -231,9 +233,6 @@ def verify_alpha_shift(alpha: ExponentField, h_exp: float, R: float,
     return AlphaShiftReport(
         c=max(per_level.values()),
         per_level=per_level,
-        r=float(R),
-        h_exp=float(h_exp),
-        c_loc_estimate=c_loc,
         flagged=flagged,
         exhaustive=exhaustive,
         offsets_evaluated=count,
@@ -260,6 +259,8 @@ def verify_eta_maximal(p: ExponentField, q: ExponentField, m_exp: float,
     bounds every ratio exactly when p and q are constant.
     """
     grid = p.grid
+    if not math.isfinite(m_exp):
+        raise InvalidInput(f"decay exponent must be finite, got {m_exp}")
     if not (p.min > 1.0 and q.min > 1.0):
         raise PreconditionViolation(
             f"exponent bounds must stay strictly inside (1, inf): p- = {p.min}, q- = {q.min}"
@@ -298,10 +299,8 @@ def verify_eta_maximal(p: ExponentField, q: ExponentField, m_exp: float,
 class JensenReport:
     margin_min: float
     gamma: float
-    c_loc_reciprocal: float
     per_level: dict[int, float]
     worst: tuple[int, tuple[int, ...]]
-    norm_sum: float
 
 
 def verify_jensen_gamma(p: ExponentField, m_exp: float, f, v_list,
@@ -315,8 +314,7 @@ def verify_jensen_gamma(p: ExponentField, m_exp: float, f, v_list,
     estimate is then plain convexity of t^p).
     """
     grid = p.grid
-    if not (m_exp > 0.0):
-        raise InvalidInput(f"decay exponent must be positive, got {m_exp}")
+    _check_decay(m_exp)
     fv = np.abs(_values(f))
     if fv.shape != grid.shape:
         raise InvalidInput("function shape does not match the exponent grid")
@@ -361,8 +359,6 @@ def verify_jensen_gamma(p: ExponentField, m_exp: float, f, v_list,
     return JensenReport(
         margin_min=margin_min,
         gamma=gamma,
-        c_loc_reciprocal=c_rec,
         per_level=per_level,
         worst=worst,
-        norm_sum=norm_sum,
     )

@@ -111,21 +111,18 @@ def _rou_phi_profile(r):
 class FilterBank:
     """Fourier-side multipliers of one dyadic decomposition on a grid.
 
-    `phi0` is the level-0 multiplier, `phis[v-1]` the level-v annulus
-    multiplier.  Duals, omegas, and the diagnostics are filled in by the
-    corresponding builders and stay None until then.
+    `phis[v]` is the level-v multiplier for v = 0..V: the level-0 ball
+    filter, then the annulus filters.  `duals` has the same layout; it,
+    the omegas, and the diagnostics are filled in by the corresponding
+    builders and stay None until then.  `profile` is the annulus profile.
     """
 
     grid: Grid
     V: int
     kind: str  # "admissible" or "rou"
-    phi0: np.ndarray = dc_field(repr=False)
     phis: list = dc_field(repr=False)
-    profile0: object = dc_field(repr=False)
     profile: object = dc_field(repr=False)
-    lower_bound_c: float = 1.0
-    psi0: np.ndarray | None = dc_field(default=None, repr=False)
-    psis: list | None = dc_field(default=None, repr=False)
+    duals: list | None = dc_field(default=None, repr=False)
     omegas: list | None = dc_field(default=None, repr=False)
     min_D: float | None = None
     ass4_residual: float | None = None
@@ -139,19 +136,19 @@ class FilterBank:
 
     @property
     def has_duals(self) -> bool:
-        return self.psi0 is not None
+        return self.duals is not None
 
     def multiplier(self, v: int) -> np.ndarray:
         if not 0 <= v <= self.V:
             raise InvalidConfiguration(f"level {v} outside bank range 0..{self.V}")
-        return self.phi0 if v == 0 else self.phis[v - 1]
+        return self.phis[v]
 
     def dual_multiplier(self, v: int) -> np.ndarray:
         if not self.has_duals:
             raise InvalidConfiguration("bank has no dual multipliers; run build_dual_pair")
         if not 0 <= v <= self.V:
             raise InvalidConfiguration(f"level {v} outside bank range 0..{self.V}")
-        return self.psi0 if v == 0 else self.psis[v - 1]
+        return self.duals[v]
 
 
 def _check_resolution(grid: Grid, V: int) -> None:
@@ -173,9 +170,8 @@ def build_admissible_pair(grid: Grid, V: int) -> FilterBank:
     """
     _check_resolution(grid, V)
     rho = grid.freq_radius
-    phi0 = _phi0_profile(rho)
-    phis = [_phi_profile(rho / 2.0 ** v) for v in range(1, V + 1)]
-    return FilterBank(grid, V, "admissible", phi0, phis, _phi0_profile, _phi_profile)
+    phis = [_phi0_profile(rho)] + [_phi_profile(rho / 2.0 ** v) for v in range(1, V + 1)]
+    return FilterBank(grid, V, "admissible", phis, _phi_profile)
 
 
 def build_dual_pair(bank: FilterBank) -> FilterBank:
@@ -186,7 +182,8 @@ def build_dual_pair(bank: FilterBank) -> FilterBank:
     recorded.
     """
     grid = bank.grid
-    D = np.abs(bank.phi0) ** 2 + sum(np.abs(p) ** 2 for p in bank.phis)
+    phis = bank.phis
+    D = np.abs(phis[0]) ** 2 + sum(np.abs(p) ** 2 for p in phis[1:])
     band = grid.freq_radius <= bank.band_radius
     min_D = float(D[band].min())
     if min_D < 0.25:
@@ -196,13 +193,12 @@ def build_dual_pair(bank: FilterBank) -> FilterBank:
     inv = np.zeros_like(D)
     safe = D >= D_FLOOR
     inv[safe] = 1.0 / D[safe]
-    psi0 = np.conjugate(bank.phi0) * inv
-    psis = [np.conjugate(p) * inv for p in bank.phis]
-    ident = bank.phi0 * psi0 + sum(p * d for p, d in zip(bank.phis, psis))
+    duals = [np.conjugate(p) * inv for p in phis]
+    ident = phis[0] * duals[0] + sum(p * d for p, d in zip(phis[1:], duals[1:]))
     residual = float(np.abs(ident - 1.0)[band].max())
     if residual > 1e-10:
         raise AdmissibilityFailure(f"duality identity residual {residual} exceeds 1e-10")
-    return replace(bank, psi0=psi0, psis=psis, min_D=min_D, ass4_residual=residual)
+    return replace(bank, duals=duals, min_D=min_D, ass4_residual=residual)
 
 
 def build_resolution_of_unity(grid: Grid, V: int) -> FilterBank:
@@ -215,21 +211,18 @@ def build_resolution_of_unity(grid: Grid, V: int) -> FilterBank:
     _check_resolution(grid, V)
     rho = grid.freq_radius
     scaled = [_rou_phi0_profile(rho / 2.0 ** v) for v in range(V + 2)]
-    phi0 = scaled[0]
-    phis = [scaled[v] - scaled[v - 1] for v in range(1, V + 1)]
+    phis = [scaled[0]] + [scaled[v] - scaled[v - 1] for v in range(1, V + 1)]
     phi_next = scaled[V + 1] - scaled[V]
     # ext[i] holds phi_{i-1}, with phi_{-1} = 0 and the level V+1 extension
-    ext = [np.zeros(grid.shape), phi0, *phis, phi_next]
+    ext = [np.zeros(grid.shape), *phis, phi_next]
     omegas = [ext[v] + ext[v + 1] + ext[v + 2] for v in range(V + 1)]
     band = rho <= 2.0 ** V
-    total = phi0 + sum(phis) if phis else phi0
+    total = phis[0] + sum(phis[1:])
     residual = float(np.abs(total - 1.0)[band].max())
     if residual > 1e-12:
         raise AdmissibilityFailure(f"partition residual {residual} exceeds 1e-12")
-    return FilterBank(
-        grid, V, "rou", phi0, phis, _rou_phi0_profile, _rou_phi_profile,
-        omegas=omegas, rou_residual=residual,
-    )
+    return FilterBank(grid, V, "rou", phis, _rou_phi_profile, omegas=omegas,
+                      rou_residual=residual)
 
 
 # pocketfft transforms the lines of one call in SIMD groups (2 doubles
@@ -407,9 +400,12 @@ def F_norm(f: GridFunction, alpha: ExponentField, p: ExponentField,
         raise InvalidInput("function, fields, and bank must share one grid")
     spec = np.fft.fftn(f.values)
     family = []
-    for v in range(bank.V + 1):
-        conv = _apply(bank.multiplier(v), spec)
-        family.append(np.exp2(v * alpha.values) * np.abs(conv))
+    # a weight or level past the float range shows as a non-finite value,
+    # which mixed_norm refuses with InvalidInput
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v in range(bank.V + 1):
+            conv = _apply(bank.multiplier(v), spec)
+            family.append(np.exp2(v * alpha.values) * np.abs(conv))
     return mixed_norm(family, p, q)
 
 

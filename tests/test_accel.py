@@ -136,3 +136,12 @@ def test_log_modular_step_matches_term_loop(case):
     assert abs(g - want_g) <= 16 * EPS * (abs(top) + max(abs(e) for e in exps) + len(w))
     assert abs(slope - want_slope) <= 1e-9 * abs(want_slope)
     assert -max(p) * (1 + 4 * EPS) <= slope <= -min(p) * (1 - 4 * EPS)
+
+
+def test_scan_buffer_starts_on_a_cache_line():
+    # np.empty_like follows malloc's alignment, 16 bytes past a page for a
+    # mapped block, which slows every store of the scan
+    for shape in [(16,), (1000,), (32, 32), (256, 256)]:
+        buf = _accel._cache_aligned_like(np.zeros(shape))
+        assert buf.ctypes.data % 64 == 0
+        assert buf.shape == shape and buf.dtype == np.float64 and buf.flags.c_contiguous

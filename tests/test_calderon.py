@@ -107,6 +107,45 @@ def test_pq_infty_identities_hand_case():
     assert float(np.abs(1.0 / params.p.values - (1 - t) / params.p0.values).max()) <= 1e-15
 
 
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("theta, q0, q1", [(0.3, 2.0, 3.0), (0.5, 2.0, 4.0), (0.6, 2.0, 2.0),
+                                           (1.0 / 3.0, 1.5, 7.0)])
+def test_pq_infty_endpoint_q_are_fields_with_the_scalar_bits(theta, q0, q1):
+    # q0 and q1 are constant fields; every derived value has the bits of the
+    # scalar rules q = 1 / ((1-theta)/q0 + theta/q1), u, v, gamma and delta
+    a0 = build_exponent(G, "sine", role="smoothness", base=0.3, amplitude=0.2, frequency=1)
+    a1 = const(G, -0.1, "smoothness")
+    p0 = build_exponent(G, "sine", base=2.2, amplitude=0.4, frequency=1)
+    params = factorization_params_pq_infty(theta, a0, a1, p0, q0, q1)
+    for field, value in ((params.q0, q0), (params.q1, q1)):
+        assert field.role == "integrability" and field.is_constant
+        assert field.lo == field.hi == field.g_inf == field.min == value
+    q = 1.0 / ((1.0 - theta) / q0 + theta / q1)
+    assert _bits(params.q.values) == _bits(np.full(G.shape, q))
+    assert params.q.lo == params.q.hi == params.q.g_inf == q
+    diff = a1.values / q0 - a0.values / q1
+    u = q * theta * diff + 0.5 * (q / q0 - 1.0)
+    v = q * (theta - 1.0) * diff + 0.5 * (q / q1 - 1.0)
+    assert _bits(params.u) == _bits(u) and _bits(params.v) == _bits(v)
+    gamma_field = params.p.values / p0.values - q / q0
+    gamma = float(gamma_field.ravel()[0])
+    assert params.gamma == gamma and params.delta == -q / q1
+    assert params.identity_residual == max(
+        float(np.abs((1.0 - theta) * u + theta * v).max()),
+        float(np.abs(gamma_field - gamma).max()),
+        abs((1.0 - theta) + (-q / q1 / gamma) * theta),
+        abs((1.0 - theta) * q / q0 + theta * q / q1 - 1.0),
+    )
+
+
+def test_pp_endpoint_q_are_the_endpoint_p():
+    params = pp_params_variable(0.7)
+    assert params.q0 is params.p0 and params.q1 is params.p1 and params.q is params.p
+
+
 def test_params_validation():
     a = const(G, 0.0, "smoothness")
     with pytest.raises(InvalidInput):
@@ -376,7 +415,7 @@ def test_pq_infty_random_corpus():
         direct = f_infty_norm(res.lam1, params.alpha1, params.q1)
         full = f_infty_subset_norm(res.lam1, params.alpha1, params.q1, full_selection(res.lam1))
         assert direct <= full * (1.0 + 1e-12)
-        assert direct <= 2.0 ** (1.0 / params.q1) * res.factor1_norm * (1.0 + 1e-12)
+        assert direct <= 2.0 ** (1.0 / params.q1.min) * res.factor1_norm * (1.0 + 1e-12)
 
 
 def test_pq_infty_subset_value_below_direct_norm():
@@ -388,7 +427,7 @@ def test_pq_infty_subset_value_below_direct_norm():
     res = factorize_pq_infty(lam, params)
     direct = f_infty_norm(res.lam1, params.alpha1, params.q1)
     assert direct > res.factor1_norm * (1.0 + 1e-3)
-    assert direct <= 2.0 ** (1.0 / params.q1) * res.factor1_norm
+    assert direct <= 2.0 ** (1.0 / params.q1.min) * res.factor1_norm
 
 
 def test_pq_infty_factor_norms_bounded_and_stable():

@@ -54,7 +54,7 @@ def test_recipe_ranges():
     g = make_grid(1, 4, 256)
     c = build_exponent(g, "constant", value=2.0)
     assert c.min == c.max == 2.0
-    s = build_exponent(g, "sine-perturbation", base=3.0, amplitude=0.5, frequency=1.0)
+    s = build_exponent(g, "sine", base=3.0, amplitude=0.5, frequency=1.0)
     assert s.min == pytest.approx(2.5, abs=1e-12)
     assert s.max == pytest.approx(3.5, abs=1e-12)
     with pytest.raises(InvalidExponent):
@@ -64,7 +64,8 @@ def test_recipe_ranges():
 @pytest.mark.parametrize("recipe, params, missing", [
     ("constant", {}, "value"),
     ("sine", {"base": 2.0}, "amplitude"),
-    ("plateau-ramp", {"right": 3.0}, "left, width"),
+    # the id names the recipe's shape, a plateau with linear ramps
+    pytest.param("plateau", {"right": 3.0}, "left, width", id="plateau-ramp-params2-left, width"),
 ])
 def test_recipe_without_a_parameter_is_invalid_exponent(recipe, params, missing):
     # it used to escape as a KeyError
@@ -72,9 +73,17 @@ def test_recipe_without_a_parameter_is_invalid_exponent(recipe, params, missing)
         build_exponent(make_grid(1, 4, 256), recipe, **params)
 
 
+@pytest.mark.parametrize("recipe", ["sine-perturbation", "plateau-ramp", "constant-ramp"])
+def test_recipe_names_are_exact(recipe):
+    # one spelling per recipe: a suffixed name is an unknown recipe
+    with pytest.raises(InvalidExponent, match=f"^unknown recipe '{recipe}'$"):
+        build_exponent(make_grid(1, 4, 256), recipe, value=2.0, base=3.0, amplitude=0.5,
+                       left=2.0, right=3.0, width=1.0)
+
+
 def test_plateau_shape():
     g = make_grid(1, 4, 256)
-    f = build_exponent(g, "plateau-ramp", left=2.0, right=3.0, width=1.0)
+    f = build_exponent(g, "plateau", left=2.0, right=3.0, width=1.0)
     x = g.axis
     assert np.all(f.values[x <= 1.5] == 2.0)       # boundary belt
     mid = (x >= 2.5) & (x <= 5.5)

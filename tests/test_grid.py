@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from vexint.errors import InvalidConfiguration, InvalidInput, ResolutionExceeded
 from vexint.grid import (
     GridFunction,
+    cells_to_grid,
     cube_broadcast,
+    cube_cells,
     cube_mask,
     cube_sums,
     enumerate_cubes,
@@ -108,6 +110,37 @@ def test_cube_sums_and_broadcast_roundtrip():
         cube = enumerate_cubes(g, v)[5]
         sl = g.cube_slices(cube)
         assert np.all(back[sl] == s[cube.m])
+
+
+@st.composite
+def grids(draw):
+    n = draw(st.sampled_from([1, 2]))
+    # L >= 1/2: the box holds at least one level-0 cube
+    L = 2.0 ** draw(st.integers(min_value=-1, max_value=3))
+    top = 10 if n == 1 else 7  # N up to 1024 points, or 128 per axis
+    N = 2 ** draw(st.integers(min_value=max(4, int(np.log2(8 * L))), max_value=top))
+    return make_grid(n, L, N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grids(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_cube_layout_matches_per_cube_slices(g, seed):
+    # integer values, so every sum is exact in any order
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-1000, 1001, size=g.shape).astype(np.float64)
+    for v in range(g.v_max + 1):
+        cells = cube_cells(g, x, v)
+        sums = cube_sums(g, x, v)
+        per_cube = rng.integers(-1000, 1001, size=(g.cubes_per_axis(v),) * g.n)
+        spread = cube_broadcast(g, per_cube, v)
+        assert cells.shape == (g.cubes_per_axis(v),) * g.n + (g.cells_per_axis(v) ** g.n,)
+        assert sums.shape == per_cube.shape and spread.shape == g.shape
+        for cube in enumerate_cubes(g, v):
+            block = g.cube_slices(cube)
+            assert np.array_equal(cells[cube.m], x[block].ravel())
+            assert sums[cube.m] == x[block].sum()
+            assert np.all(spread[block] == per_cube[cube.m])
+        assert np.array_equal(cells_to_grid(g, cells, v), x)
 
 
 def test_periodic_radius_symmetry():

@@ -132,6 +132,19 @@ def test_eta_rejects_bad_parameters():
         eta(0, 0.0, G)
 
 
+@pytest.mark.parametrize("m", [math.inf, -math.inf, math.nan])
+def test_non_finite_decay_is_a_typed_error(m):
+    # an infinite decay passes a bare m > 0 check, and then eta gives mass
+    # 0.0 and c_limit 0.0 and both verifiers return a report
+    p = build_exponent(G, "constant", value=2.0)
+    with pytest.raises(InvalidInput, match="decay exponent"):
+        eta(0, m, G)
+    with pytest.raises(InvalidInput, match="decay exponent"):
+        verify_eta_maximal(p, p, m, [[np.ones(G.shape)]])
+    with pytest.raises(InvalidInput, match="decay exponent"):
+        verify_jensen_gamma(p, m, normalized(np.ones(G.shape), p), [0])
+
+
 @pytest.mark.parametrize("n, L, N, edge", [(1, 4.0, 256, 1016), (1, 0.25, 16, 1020),
                                            (2, 4.0, 64, 506), (2, 2.0, 256, 504)])
 @pytest.mark.parametrize("m", [1e-3, 0.5, 3.0])

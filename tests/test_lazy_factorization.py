@@ -92,14 +92,15 @@ def factorize_pq_infty_oracle(lam, params):
         raise InvalidInput("factorization needs a nonzero norm")
     theta = params.theta
     q = params.q.values
-    lam0, lam1, zero_count = _corner_factors(lam, norm, params, q / params.q0, q / params.q1,
+    q0, q1 = params.q0.min, params.q1.min  # the endpoint constants, as floats
+    lam0, lam1, zero_count = _corner_factors(lam, norm, params, q / q0, q / q1,
                                              decomp.class_levels, params.delta / params.gamma)
     err = relative_reconstruction_error(lam, lam0, lam1, norm, theta)
-    q0f = build_exponent(lam.grid, "constant", value=params.q0)
+    q0f = build_exponent(lam.grid, "constant", value=q0)
     norm0 = f_norm(lam0, params.alpha0, params.p0, q0f).value
     sel = _subset_from_level_sets(lam1, decomp)
-    norm1 = f_infty_subset_norm(lam1, params.alpha1, params.q1, sel)
-    direct1 = f_infty_norm(lam1, params.alpha1, params.q1)
+    norm1 = f_infty_subset_norm(lam1, params.alpha1, q1, sel)
+    direct1 = f_infty_norm(lam1, params.alpha1, q1)
     return EagerResult(lam0, lam1, norm, err, norm0, norm1,
                        factor1_direct=direct1, level_sets=decomp,
                        zero_count=zero_count)

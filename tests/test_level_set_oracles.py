@@ -176,12 +176,13 @@ def subset_norm_oracle(lam, alpha, q, masks):
 def factorize_pq_infty_oracle(lam, params):
     decomp = level_sets_oracle(lam, params.alpha, params.p, params.q, params)
     q_val = float(params.q.values.ravel()[0])
+    q0, q1 = params.q0.min, params.q1.min  # the endpoint constants, as floats
     lam0, lam1, zero_count = corner_factors_oracle(lam, decomp.lam_norm, params,
-                                                   q_val / params.q0, q_val / params.q1,
+                                                   q_val / q0, q_val / q1,
                                                    decomp.class_of, params.delta / params.gamma)
     masks = subset_from_level_sets_oracle(lam1, decomp)
     return decomp, lam0, lam1, zero_count, masks, subset_norm_oracle(lam1, params.alpha1,
-                                                                     params.q1, masks)
+                                                                     q1, masks)
 
 
 # -- inputs ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ from vexint.lpf import (
     transform_roundtrip,
     vanishing_moments,
 )
+from vexint.lpf import _phi0_profile
 from vexint.seqspaces import DyadicCoefficients
 
 G = make_grid(1, 4.0, 1024)
@@ -58,15 +59,14 @@ def band_limited(grid, V, rng, width=None):
 def test_admissible_supports_and_lower_bounds():
     rho = G.freq_radius
     # ball filter: exactly 1 inside 5/3, exactly 0 outside 2
-    assert np.all(BANK.phi0[rho <= 5.0 / 3.0] == 1.0)
-    assert np.all(BANK.phi0[rho >= 2.0] == 0.0)
+    assert np.all(BANK.multiplier(0)[rho <= 5.0 / 3.0] == 1.0)
+    assert np.all(BANK.multiplier(0)[rho >= 2.0] == 0.0)
     for v in range(1, V + 1):
         phi = BANK.multiplier(v)
         inner = (rho >= 2.0 ** v * 0.6) & (rho <= 2.0 ** v * 5.0 / 3.0)
         assert np.all(phi[inner] == 1.0)
         outside = (rho <= 2.0 ** v * 0.5) | (rho >= 2.0 ** v * 2.0)
         assert np.all(phi[outside] == 0.0)
-    assert BANK.lower_bound_c == 1.0
 
 
 def test_multiplier_values_between_zero_and_one():
@@ -89,6 +89,17 @@ def test_level_out_of_range():
         BANK.multiplier(-1)
 
 
+def test_levels_are_one_list():
+    # level 0 sits in the same list as the annuli, and the duals follow it
+    for bank in (BANK, DUAL, ROU):
+        assert len(bank.phis) == V + 1
+        assert all(bank.multiplier(v) is bank.phis[v] for v in range(V + 1))
+    assert np.array_equal(BANK.phis[0], _phi0_profile(G.freq_radius))
+    assert len(DUAL.duals) == V + 1
+    assert all(DUAL.dual_multiplier(v) is DUAL.duals[v] for v in range(V + 1))
+    assert not BANK.has_duals
+
+
 # ---------------------------------------------------------- vanishing moments
 
 
@@ -103,7 +114,7 @@ def test_annulus_moments_vanish():
 
 def test_moment_stencil_not_vacuous():
     # same stencil applied to the ball profile detects its unit mass
-    probe = dataclasses.replace(BANK, profile=BANK.profile0)
+    probe = dataclasses.replace(BANK, profile=_phi0_profile)
     assert vanishing_moments(probe, gammas=(0,))[0] == 1.0
 
 
@@ -127,12 +138,12 @@ def test_denominator_floor_on_band():
 def test_dual_ball_matches_primal_near_zero():
     # D = 1 where only phi0 is active, so psi0 = phi0 there
     low = G.freq_radius <= 0.5
-    assert np.allclose(DUAL.psi0[low], DUAL.phi0[low], rtol=0, atol=1e-14)
+    assert np.allclose(DUAL.dual_multiplier(0)[low], DUAL.multiplier(0)[low], rtol=0, atol=1e-14)
 
 
 def test_duals_fail_when_levels_removed():
     crippled = dataclasses.replace(
-        BANK, phis=[np.zeros(G.shape) for _ in BANK.phis]
+        BANK, phis=[BANK.phis[0]] + [np.zeros(G.shape) for _ in BANK.phis[1:]]
     )
     with pytest.raises(AdmissibilityFailure):
         build_dual_pair(crippled)
@@ -143,7 +154,7 @@ def test_duals_fail_when_levels_removed():
 
 def test_partition_residual():
     assert ROU.rou_residual == 0.0
-    total = ROU.phi0 + sum(ROU.phis)
+    total = ROU.phis[0] + sum(ROU.phis[1:])
     band = G.freq_radius <= 2.0 ** V
     assert float(np.abs(total - 1.0)[band].max()) == 0.0
 
@@ -158,7 +169,7 @@ def test_omega_reproduces_levels():
 def test_rou_single_level():
     bank = build_resolution_of_unity(G, 0)
     band = G.freq_radius <= 1.0
-    assert np.all(bank.phi0[band] == 1.0)
+    assert np.all(bank.multiplier(0)[band] == 1.0)
     assert bank.omegas[0][band].min() == 1.0
 
 
@@ -319,14 +330,24 @@ def test_F_norm_homogeneity():
     assert abs(scaled - 3.5 * base) <= 1e-9 * scaled
 
 
+def test_F_norm_weight_overflow_raises_invalid_input():
+    # 2^(V alpha) leaves the float range at alpha = 1000; it used to escape
+    # as numpy's overflow RuntimeWarning
+    alpha = const(G, 1000.0, role="smoothness")
+    p = const(G, 2.0)
+    f = band_limited(G, V, RNG)
+    with pytest.raises(InvalidInput, match="family has a non-finite value"):
+        F_norm(f, alpha, p, p, BANK)
+
+
 def test_F_infty_single_level_matches_cube_scan():
     # zero out every level but w so the tail sums collapse to one term
     w = 2
     alpha = const(G, 0.25, role="smoothness")
     q = 1.7
     f = band_limited(G, V, RNG)
-    phis = [p if v + 1 == w else np.zeros(G.shape) for v, p in enumerate(BANK.phis)]
-    solo = dataclasses.replace(BANK, phi0=np.zeros(G.shape), phis=phis)
+    phis = [p if v == w else np.zeros(G.shape) for v, p in enumerate(BANK.phis)]
+    solo = dataclasses.replace(BANK, phis=phis)
     got = F_infty_norm(f, alpha, q, solo)
 
     conv = np.fft.ifftn(BANK.multiplier(w) * np.fft.fftn(f.values))
