@@ -21,7 +21,7 @@ from .errors import (
     PreconditionViolation,
 )
 from .exponents import ExponentField, _check_theta, build_exponent, interpolate_exponents
-from .grid import Grid, GridFunction, cube_cells, cube_corners
+from .grid import Grid, GridFunction, common_grid, cube_cells, cube_corners
 from .seqspaces import (
     DyadicCoefficients,
     SubsetSelection,
@@ -92,8 +92,6 @@ def _level_weights(theta: float, alpha0: ExponentField, alpha1: ExponentField,
     """Level weights u = q theta diff + n/2 (q/q0 - 1) and v = q (theta-1) diff + n/2 (q/q1 - 1),
     diff = alpha1/q0 - alpha0/q1, and the grid maxima of the identity residuals
     |(1-theta) u + theta v| and |(1-theta) q/q0 + theta q/q1 - 1|, for both constructions."""
-    if alpha0.grid != q.grid:
-        raise InvalidConfiguration("exponent fields live on different grids")
     n = q.grid.n
     q, q0, q1 = q.values, q0.values, q1.values
     diff = alpha1.values / q0 - alpha0.values / q1
@@ -107,6 +105,7 @@ def factorization_params_pp(theta: float, alpha0: ExponentField, alpha1: Exponen
                             p0: ExponentField, p1: ExponentField) -> FactorizationParams:
     """Derived data for the p(.) = q(.) construction."""
     theta = _check_theta(theta)
+    common_grid(alpha0, alpha1, p0, p1)
     alpha = interpolate_exponents(alpha0, alpha1, theta)
     p = interpolate_exponents(p0, p1, theta)
     u, v, r_uv, r_q = _level_weights(theta, alpha0, alpha1, p0, p1, p)
@@ -127,8 +126,8 @@ def factorization_params_pq_infty(theta: float, alpha0: ExponentField, alpha1: E
     q1 = float(q1)
     if q0 < 1.0 or q1 < 1.0:
         raise InvalidInput(f"q0={q0}, q1={q1} must be constants >= 1")
+    grid = common_grid(alpha0, alpha1, p0)
     alpha = interpolate_exponents(alpha0, alpha1, theta)
-    grid = p0.grid
     q0f, q1f = (build_exponent(grid, "constant", value=c) for c in (q0, q1))
     q = interpolate_exponents(q0f, q1f, theta)
     p = _p_infty(p0, theta)
@@ -201,8 +200,7 @@ def verify_holder_direction(lam: DyadicCoefficients, lam0: DyadicCoefficients,
     aborts with the offending keys.
     """
     theta = params.theta
-    if any(c.grid != params.grid for c in (lam, lam0, lam1)):
-        raise InvalidInput("coefficient families and params live on different grids")
+    common_grid(params, lam, lam0, lam1)
 
     a, bound = _reconstructions(lam, lam0, lam1, 1.0, theta)
     bad = np.flatnonzero(a > bound * (1.0 + 1e-9))
@@ -315,8 +313,7 @@ def factorize_pp(lam: DyadicCoefficients, params: FactorizationParams) -> Factor
     """
     if params.kind != "pp":
         raise InvalidConfiguration(f"params describe a {params.kind} construction")
-    if lam.grid != params.grid:
-        raise InvalidInput("coefficients and params live on different grids")
+    common_grid(params, lam)
     norm = f_norm(lam, params.alpha, params.p, params.q).value
     if norm == 0.0:
         raise InvalidInput("factorization needs a nonzero norm")
@@ -378,7 +375,7 @@ def build_level_sets(lam: DyadicCoefficients,
     if abs(gamma) <= IDENTITY_TOL:
         raise InvalidConfiguration("gamma vanishes; this decomposition needs the case-ii setting")
     qv = _constant_exponent(params.q)
-    grid = lam.grid
+    grid = common_grid(params, lam)
     g_vals = _stacked_majorant(lam, params.alpha, qv)
     g = GridFunction(grid, g_vals)
     if not lam:
@@ -437,8 +434,7 @@ def factorize_pq_infty(lam: DyadicCoefficients,
     """
     if params.kind != "pq-infty":
         raise InvalidConfiguration(f"params describe a {params.kind} construction")
-    if lam.grid != params.grid:
-        raise InvalidInput("coefficients and params live on different grids")
+    common_grid(params, lam)
     if not lam:
         raise InvalidInput("factorization needs a nonzero norm")
     decomp = build_level_sets(lam, params)
@@ -485,9 +481,8 @@ def lattice_property_check(truncations, lam: DyadicCoefficients, alpha: Exponent
     match ||lam|| within 1e-9 relative, and the sequence must be monotone
     non-decreasing up to the same slack.
     """
+    common_grid(lam, alpha, p, q, *truncations)
     for i, trunc in enumerate(truncations):
-        if trunc.grid != lam.grid:
-            raise InvalidInput(f"truncation {i} lives on a different grid")
         for v in range(trunc.V + 1):
             over = np.argwhere(trunc.moduli(v) > lam.moduli(v) * (1.0 + 1e-12))
             if len(over):
@@ -510,6 +505,7 @@ def case_classifier(p0: ExponentField, p1: ExponentField, q0: ExponentField,
     """case-i when gamma = p/p0 - q/q0 vanishes identically, case-ii when
     q0, q1 are constants and gamma vanishes nowhere, else unsupported."""
     theta = _check_theta(theta)
+    common_grid(p0, p1, q0, q1)
     p = interpolate_exponents(p0, p1, theta)
     q = interpolate_exponents(q0, q1, theta)
     gamma = p.values / p0.values - q.values / q0.values

@@ -91,6 +91,15 @@ _COEFF_RECORDS = {
     },
 }
 
+DEFAULT_TOLERANCES = {
+    "reconstruction": 1e-9,
+    "holder": 1e-9,
+    "residual": 1e-6,
+    "upper": 1e-6,
+    "bracket": 4.0,
+    "finite": 1e12,
+}
+
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "vexint experiment configuration",
@@ -105,7 +114,7 @@ CONFIG_SCHEMA = {
             "required": ["n", "L", "N"],
             "properties": {
                 "n": {"type": "integer", "minimum": 1, "maximum": 2},
-                "L": {"type": "number", "exclusiveMinimum": 0},
+                "L": {"type": "number", "minimum": 0.5},
                 "N": {"type": "integer", "minimum": 16},
             },
         },
@@ -143,7 +152,9 @@ CONFIG_SCHEMA = {
         "construction": {"enum": ["pp", "pq-infty"]},
         "tolerances": {
             "type": "object",
-            "additionalProperties": {"type": "number", "exclusiveMinimum": 0},
+            "additionalProperties": False,
+            "properties": {name: {"type": "number", "exclusiveMinimum": 0}
+                           for name in DEFAULT_TOLERANCES},
         },
         "output": {
             "type": "object",
@@ -167,15 +178,6 @@ REQUIRED_RECIPES = {
     "finfty": ("alpha0", "q0"),
     "F": ("alpha0", "p0", "q0"),
     "Finfty": ("alpha0", "q0"),
-}
-
-DEFAULT_TOLERANCES = {
-    "reconstruction": 1e-9,
-    "holder": 1e-9,
-    "residual": 1e-6,
-    "upper": 1e-6,
-    "bracket": 4.0,
-    "finite": 1e12,
 }
 
 _CONFIG_ERRORS = (InvalidInput, InvalidExponent, InvalidConfiguration,

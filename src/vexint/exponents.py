@@ -49,8 +49,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _accel
-from .errors import ConjugateUndefined, InvalidConfiguration, InvalidExponent, InvalidInput
-from .grid import Grid
+from .errors import ConjugateUndefined, InvalidExponent, InvalidInput
+from .grid import Grid, common_grid
 
 __all__ = [
     "ExponentField",
@@ -423,8 +423,7 @@ def interpolate_exponents(e0: ExponentField, e1: ExponentField, theta: float) ->
     """Pointwise interpolation by the fields' role, as in the paper's two theorems:
     harmonic 1/p = (1-t)/p0 + t/p1 for integrability exponents, affine
     (1-t) a0 + t a1 for smoothness fields."""
-    if e0.grid != e1.grid:
-        raise InvalidConfiguration("exponent fields live on different grids")
+    common_grid(e0, e1)
     if not (0.0 <= theta <= 1.0):
         raise InvalidInput(f"theta={theta} outside [0, 1]")
     if e0.role != e1.role:

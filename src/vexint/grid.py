@@ -20,6 +20,7 @@ __all__ = [
     "Grid",
     "DyadicCube",
     "GridFunction",
+    "common_grid",
     "make_grid",
     "enumerate_cubes",
     "cube_mask",
@@ -186,16 +187,40 @@ class GridFunction:
         return cls(grid, np.zeros(grid.shape, dtype=dtype))
 
 
+def common_grid(*args) -> Grid:
+    """The one grid of the arguments: every `.grid` they carry must be equal and
+    every ndarray among them must have its shape; anything else, such as a
+    float q, is passed over.  A mismatch, or no grid at all, is an InvalidInput."""
+    grid = None
+    for a in args:
+        g = getattr(a, "grid", None)
+        if grid is None:
+            grid = g
+        elif g is not None and g != grid:
+            raise InvalidInput(f"arguments live on different grids: {grid} and {g}")
+    if grid is None:
+        raise InvalidInput("no argument carries a grid")
+    for a in args:
+        if isinstance(a, np.ndarray) and a.shape != grid.shape:
+            raise InvalidInput(f"arguments live on different grids: an array of shape "
+                               f"{a.shape} and {grid}")
+    return grid
+
+
 def make_grid(n: int, L: float, N: int) -> Grid:
     """Validated grid constructor.
 
-    Requires n in {1, 2}, L and N powers of two, N >= 16, and enough points
-    that level-0 cubes hold at least 4 grid points per axis (v_max >= 0).
+    Requires n in {1, 2}, L and N powers of two, L >= 1/2 so that a level-0
+    cube fits in the box, N >= 16, and enough points that level-0 cubes hold
+    at least 4 grid points per axis (v_max >= 0).
     """
     if n not in (1, 2):
         raise InvalidConfiguration(f"dimension n={n} not supported (use 1 or 2)")
     if not _is_power_of_two(L):
         raise InvalidConfiguration(f"box half-length L={L} must be a power of two")
+    if L < 0.5:
+        raise InvalidConfiguration(f"box half-length L={L} is below 1/2: no level-0 cube "
+                                   "fits in the box")
     if not (isinstance(N, (int, np.integer)) and N >= 16 and _is_power_of_two(N)):
         raise InvalidConfiguration(f"N={N} must be a power-of-two integer >= 16")
     if N < 8 * L:

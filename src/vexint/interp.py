@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedParameters,
 )
 from .exponents import ExponentField, _check_theta, build_exponent, interpolate_exponents
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, common_grid
 from .lebesgue import luxemburg_norm, modular_at
 
 __all__ = [
@@ -178,12 +178,10 @@ def competitor_family(f, p0: ExponentField, p1: ExponentField,
         pairs = [(complex(v), np.asarray(m, dtype=bool)) for v, m in f]
     except (TypeError, ValueError) as exc:
         raise InvalidInput("f must be simple: a list of (value, region mask) pairs") from exc
-    grid = p0.grid
+    grid = common_grid(p0, p1, *(mask for _, mask in pairs))
     seen = np.zeros(grid.shape, dtype=bool)
     values, masks = [], []
     for val, mask in pairs:
-        if mask.shape != grid.shape:
-            raise InvalidInput("region mask shape does not match the grid")
         if not np.isfinite(val.real) or not np.isfinite(val.imag):
             raise InvalidInput("region values must be finite")
         if np.any(seen & mask):
@@ -313,9 +311,7 @@ def inter_rest_check(f: GridFunction, alpha0, alpha1, p0: ExponentField,
     q0v = _constant_value(q0, "q0")
     q1v = _constant_value(q1, "q1")
     theta = _check_theta(theta)
-    grid = bank.grid
-    if f.grid != grid or p0.grid != grid:
-        raise InvalidInput("function, fields, and bank must share one grid")
+    grid = common_grid(bank, f, alpha0, alpha1, p0, p1, q0, q1)
 
     def constants(c0, c1, role):
         return [build_exponent(grid, "constant", value=c, role=role) for c in (c0, c1)]

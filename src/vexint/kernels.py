@@ -17,9 +17,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ._quadpack import qagse
-from .errors import InvalidInput, PreconditionViolation, PreconditionWarning
+from .errors import InvalidInput, PreconditionViolation, PreconditionWarning, SolverFailure
 from .exponents import ExponentField, _shift_maxima, log_holder_constants
-from .grid import Grid, GridFunction, cube_broadcast, cube_sums
+from .grid import Grid, GridFunction, common_grid, cube_broadcast, cube_sums
 from .lebesgue import luxemburg_norm, mixed_norm
 
 __all__ = [
@@ -69,18 +69,42 @@ def _quad(f, lo: float, hi: float) -> float:
     return val
 
 
-def _box_mass(n: int, L: float, v: int, m: float) -> float:
-    """Radial quadrature of the kernel over the box, in scaled radius u = 2^v r."""
+def _closed_mass(n: int, a: float, m: float) -> float:
+    """The n = 1 box mass 2 int_0^a (1+u)^-m du, or for n = 2 the inner-disc term
+    2 pi int_0^a u (1+u)^-m du, in closed form.
+
+    With l = log1p(a) and E(x) = expm1(x)/x, int_0^a (1+u)^-k du = l E((1-k) l),
+    which stays accurate near k = 1.  For n = 2 and m < 2 the inner term is
+    the difference of the k = m - 1 and k = m integrals; from m = 2 on, where
+    that difference cancels, it is (l E((2-m) l) - a (1+a)^(1-m)) / (m-1), by
+    parts.  Both forms lose at most a few bits for a >= 1/2.
+    """
+    l = math.log1p(a)
+
+    def e(x: float) -> float:
+        return math.expm1(x) / x if x else 1.0
+    if n == 1:
+        return 2.0 * l * e((1.0 - m) * l)
+    if m < 2.0:
+        return 2.0 * math.pi * l * (e((2.0 - m) * l) - e((1.0 - m) * l))
+    return 2.0 * math.pi * (l * e((2.0 - m) * l) - a * math.exp((1.0 - m) * l)) / (m - 1.0)
+
+
+def _box_mass(n: int, L: float, v: int, m: float) -> tuple[float, float]:
+    """Radial quadrature of the kernel over the box, in scaled radius u = 2^v r,
+    and the part of it that has a closed form: all of it for n = 1, the inner
+    disc for n = 2."""
     a = 2.0 ** v * L
     if n == 1:
-        return 2.0 * _quad(lambda u: (1.0 + u) ** (-m), 0.0, a)
+        mass = 2.0 * _quad(lambda u: (1.0 + u) ** (-m), 0.0, a)
+        return mass, mass
     inner = _quad(lambda u: 2.0 * math.pi * u * (1.0 + u) ** (-m), 0.0, a)
     # past the inscribed circle only the arcs inside the square count
     outer = _quad(
         lambda u: u * (2.0 * math.pi - 8.0 * math.acos(min(1.0, a / u))) * (1.0 + u) ** (-m),
         a, math.sqrt(2.0) * a,
     )
-    return inner + outer
+    return inner + outer, inner
 
 
 def _full_mass(n: int, m: float) -> float | None:
@@ -124,12 +148,18 @@ def eta(v: int, m_exp: float, grid: Grid) -> EtaKernel:
                            f"n={grid.n}, N={grid.N}, L={grid.L}")
     scale = 2.0 ** v
     values = scale ** grid.n * (1.0 + scale * grid.periodic_radius()) ** (-m_exp)
+    mass, part = _box_mass(grid.n, grid.L, v, m_exp)
+    # QUADPACK can miss a kernel that is narrow against the box, even with ier = 0
+    closed = _closed_mass(grid.n, scale * grid.L, m_exp)
+    if not abs(part - closed) <= 1e-6 * closed:
+        raise SolverFailure(f"box-mass quadrature at level v={v}, decay m={m_exp} gives "
+                            f"{part!r}, not its closed form {closed!r}")
     return EtaKernel(
         level=v,
         m_exp=float(m_exp),
         grid=grid,
         values=values,
-        mass=_box_mass(grid.n, grid.L, v, m_exp),
+        mass=mass,
         grid_mass=float(grid.integrate(values)),
         integrable=m_exp > grid.n,
         c_limit=_full_mass(grid.n, m_exp),
@@ -145,21 +175,10 @@ def _values(f) -> np.ndarray:
     return np.asarray(f)
 
 
-def _grid_of(f) -> Grid | None:
-    return getattr(f, "grid", None)
-
-
 def convolve(f, k) -> GridFunction:
     """Periodic convolution (f * k)(x) = h^n sum_y f(y) k(x - y), via FFT."""
-    gf, gk = _grid_of(f), _grid_of(k)
-    grid = gf or gk
-    if grid is None:
-        raise InvalidInput("convolve needs at least one grid-carrying argument")
-    if gf is not None and gk is not None and gf != gk:
-        raise InvalidInput("convolution arguments live on different grids")
     fv, kv = _values(f), _values(k)
-    if fv.shape != grid.shape or kv.shape != grid.shape:
-        raise InvalidInput("convolution arguments do not match the grid shape")
+    grid = common_grid(f, k, fv, kv)
     out = np.fft.ifftn(np.fft.fftn(fv) * np.fft.fftn(kv)) * grid.h ** grid.n
     if not (np.iscomplexobj(fv) or np.iscomplexobj(kv)):
         out = out.real
@@ -258,7 +277,7 @@ def verify_eta_maximal(p: ExponentField, q: ExponentField, m_exp: float,
     report's young_constant is the largest discrete kernel mass used, which
     bounds every ratio exactly when p and q are constant.
     """
-    grid = p.grid
+    grid = common_grid(p, q)
     if not math.isfinite(m_exp):
         raise InvalidInput(f"decay exponent must be finite, got {m_exp}")
     if not (p.min > 1.0 and q.min > 1.0):
@@ -313,11 +332,9 @@ def verify_jensen_gamma(p: ExponentField, m_exp: float, f, v_list,
     regularity constant of 1/p, and gamma = 1 when p is constant (the
     estimate is then plain convexity of t^p).
     """
-    grid = p.grid
     _check_decay(m_exp)
     fv = np.abs(_values(f))
-    if fv.shape != grid.shape:
-        raise InvalidInput("function shape does not match the exponent grid")
+    grid = common_grid(p, f, fv)
     sup = float(fv.max())
     norm_sum = luxemburg_norm(fv, p).value + sup
     if norm_sum > 1.0 + 1e-9:

@@ -58,7 +58,7 @@ import numpy as np
 from . import _accel
 from .errors import InvalidInput, SolverFailure
 from .exponents import ExponentField
-from .grid import GridFunction
+from .grid import GridFunction, common_grid
 
 __all__ = ["NormResult", "modular", "luxemburg_norm", "mixed_norm", "unit_ball_check"]
 
@@ -85,11 +85,10 @@ def _values(f) -> np.ndarray:
     return f.values if isinstance(f, GridFunction) else np.asarray(f)
 
 
-def _check_shapes(fv: np.ndarray, p: ExponentField) -> None:
-    if fv.shape != p.grid.shape:
-        raise InvalidInput("function and exponent field shapes differ")
+def _check_role(p: ExponentField) -> None:
     if p.role != "integrability":
-        raise InvalidInput("modular requires an integrability exponent")
+        raise InvalidInput(f"the modular and the level stack need an integrability "
+                           f"exponent, not a {p.role} one")
 
 
 def modular_at(f, p: ExponentField, lam: float) -> float:
@@ -99,7 +98,8 @@ def modular_at(f, p: ExponentField, lam: float) -> float:
     outside (0, inf) raises InvalidInput.
     """
     fv = _values(f)
-    _check_shapes(fv, p)
+    common_grid(f, p, fv)
+    _check_role(p)
     if not 0.0 < lam < np.inf:  # also false for a nan lam
         raise InvalidInput(f"modular scale must be positive and finite, got {lam}")
     absf = np.abs(fv)
@@ -138,7 +138,8 @@ def luxemburg_norm(f, p: ExponentField, tol: float = DEFAULT_TOL) -> NormResult:
     if not 0.0 < tol < 1.0:  # also false for a nan tol
         raise InvalidInput(f"Luxemburg tolerance must lie in (0, 1), got {tol}")
     fv = _values(f)
-    _check_shapes(fv, p)
+    common_grid(f, p, fv)
+    _check_role(p)
     absf = np.abs(fv)
     fmax = float(absf.max())
     if not np.isfinite(fmax):
@@ -213,7 +214,9 @@ def luxemburg_norm(f, p: ExponentField, tol: float = DEFAULT_TOL) -> NormResult:
 
 def stack(family, q: ExponentField) -> np.ndarray:
     """Pointwise inner norm (sum_v |f_v(x)|^{q(x)})^{1/q(x)}, overflow-safe."""
+    _check_role(q)
     vals = [_values(f) for f in family]
+    common_grid(q, *family)
     if not vals:
         return np.zeros(q.grid.shape)
     vals = np.abs(vals).astype(np.float64, copy=False)
@@ -234,8 +237,7 @@ def stack(family, q: ExponentField) -> np.ndarray:
 
 def mixed_norm(family, p: ExponentField, q: ExponentField) -> NormResult:
     """Luxemburg norm of the level stack: L^{p(.)} of the inner l^{q(.)} norm."""
-    if p.grid != q.grid:
-        raise InvalidInput("p and q live on different grids")
+    common_grid(p, q)
     return luxemburg_norm(stack(family, q), p)
 
 

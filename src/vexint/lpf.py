@@ -46,7 +46,7 @@ from .errors import (
     ResolutionExceeded,
 )
 from .exponents import ExponentField
-from .grid import Grid, GridFunction, cube_corners
+from .grid import Grid, GridFunction, common_grid, cube_corners
 from .lebesgue import NormResult, mixed_norm
 from .seqspaces import DyadicCoefficients, _constant_exponent, _within_float_range, \
     dyadic_tail_sup
@@ -309,11 +309,9 @@ def vanishing_moments(bank: FilterBank, gammas=(0, 1, 2), step: float = 1.0 / 64
 
 def analyze(f: GridFunction, bank: FilterBank) -> DyadicCoefficients:
     """Coefficients lam_{v,m} = 2^{-vn/2} (phi~_v * f)(2^{-v} m) at cube corners."""
-    if f.grid != bank.grid:
-        raise InvalidInput("function and bank live on different grids")
+    grid = common_grid(bank, f)
     if not bank.has_duals:
         raise InvalidConfiguration("analysis requires a dual-ready bank")
-    grid = bank.grid
     spec = np.fft.fftn(f.values)
     levels = []
     for v in range(bank.V + 1):
@@ -325,15 +323,13 @@ def analyze(f: GridFunction, bank: FilterBank) -> DyadicCoefficients:
 
 def synthesize(lam: DyadicCoefficients, bank: FilterBank) -> GridFunction:
     """Sum of lam_{v,m} psi_{v,m}, evaluated spectrally level by level."""
-    if lam.grid != bank.grid:
-        raise InvalidInput("coefficients and bank live on different grids")
+    grid = common_grid(bank, lam)
     if not bank.has_duals:
         raise InvalidConfiguration("synthesis requires a dual-ready bank")
     if lam.V > bank.V:
         raise InvalidConfiguration(
             f"coefficients reach level {lam.V} but the bank stops at {bank.V}"
         )
-    grid = bank.grid
     n = grid.n
     hn = grid.h ** n
     out = np.zeros(grid.shape, dtype=np.complex128)
@@ -363,11 +359,9 @@ def retract_roundtrip(f: GridFunction, bank: FilterBank) -> RetractReport:
     The reconstruction contract (<= 1e-6) applies to band-limited f only;
     out-of-band energy is measured and flagged instead.
     """
-    if f.grid != bank.grid:
-        raise InvalidInput("function and bank live on different grids")
+    grid = common_grid(bank, f)
     if bank.kind != "rou" or bank.omegas is None:
         raise InvalidConfiguration("retraction requires a resolution-of-unity bank")
-    grid = bank.grid
     spec = np.fft.fftn(f.values)
     peak = float(np.abs(spec).max())
     outside = grid.freq_radius > 2.0 ** bank.V
@@ -396,8 +390,7 @@ def transform_roundtrip(f: GridFunction, bank: FilterBank) -> float:
 def F_norm(f: GridFunction, alpha: ExponentField, p: ExponentField,
            q: ExponentField, bank: FilterBank) -> NormResult:
     """Mixed (p, q) norm of the weighted decomposition (2^{v alpha(.)} phi_v * f)_v."""
-    if f.grid != bank.grid or alpha.grid != bank.grid:
-        raise InvalidInput("function, fields, and bank must share one grid")
+    common_grid(bank, f, alpha, p, q)
     spec = np.fft.fftn(f.values)
     family = []
     # a weight or level past the float range shows as a non-finite value,
@@ -411,8 +404,7 @@ def F_norm(f: GridFunction, alpha: ExponentField, p: ExponentField,
 
 def F_infty_norm(f: GridFunction, alpha: ExponentField, q, bank: FilterBank) -> float:
     """Endpoint norm: dyadic-cube sup of averaged tails of 2^{v alpha q} |phi_v * f|^q."""
-    if f.grid != bank.grid or alpha.grid != bank.grid:
-        raise InvalidInput("function, fields, and bank must share one grid")
+    grid = common_grid(bank, f, alpha, q)
     q = _constant_exponent(q)
     spec = np.fft.fftn(f.values)
     levels = []
@@ -420,4 +412,4 @@ def F_infty_norm(f: GridFunction, alpha: ExponentField, q, bank: FilterBank) -> 
         for v in range(bank.V + 1):
             conv = _apply(bank.multiplier(v), spec)
             levels.append(np.exp2(v * q * alpha.values) * np.abs(conv) ** q)
-        return dyadic_tail_sup(bank.grid, levels, q)
+        return dyadic_tail_sup(grid, levels, q)

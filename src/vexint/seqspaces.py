@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import InvalidConfiguration, InvalidInput, InvalidSelection
 from .exponents import ExponentField
-from .grid import Grid, GridFunction, cells_to_grid, cube_broadcast, cube_cells, cube_sums
+from .grid import (Grid, GridFunction, cells_to_grid, common_grid, cube_broadcast, cube_cells,
+                   cube_sums)
 from .lebesgue import NormResult, mixed_norm
 
 __all__ = [
@@ -174,12 +175,6 @@ def _constant_exponent(q) -> float:
     return q
 
 
-def _check_grid(lam: DyadicCoefficients, *fields: ExponentField) -> None:
-    for f in fields:
-        if f.grid != lam.grid:
-            raise InvalidInput("coefficients and exponent fields live on different grids")
-
-
 @contextmanager
 def _within_float_range(what: str, q: float | None = None):
     """Raise InvalidInput for a numpy overflow in the block: `what` has no norm to report."""
@@ -225,13 +220,13 @@ def _level_integrand(lam: DyadicCoefficients, alpha: ExponentField, v: int,
 
 def level_function(lam: DyadicCoefficients, alpha: ExponentField, v: int) -> GridFunction:
     """F_v(x) = sum_m 2^{v(alpha(x)+n/2)} |lam_{v,m}| chi_{v,m}(x)."""
-    return GridFunction(lam.grid, _level_integrand(lam, alpha, v))
+    return GridFunction(common_grid(lam, alpha), _level_integrand(lam, alpha, v))
 
 
 def f_norm(lam: DyadicCoefficients, alpha: ExponentField, p: ExponentField,
            q: ExponentField) -> NormResult:
     """Sequence-space norm: mixed (p, q) norm of the weighted level functions."""
-    _check_grid(lam, alpha, p, q)
+    common_grid(lam, alpha, p, q)
     with _within_float_range("a level function 2^(v (alpha + n/2)) |lam|"):
         family = [_level_integrand(lam, alpha, v) for v in range(lam.V + 1)]
     return mixed_norm(family, p, q)
@@ -263,8 +258,8 @@ def f_infty_norm(lam: DyadicCoefficients, alpha: ExponentField, q) -> float:
     |Q|^{-1/q} (sum_{v >= level(Q)} int_Q 2^{v(alpha(x)+n/2)q} |lam|^q chi)^{1/q},
     the tail cut exactly at the coefficient max level.
     """
+    common_grid(lam, alpha, q)
     q = _constant_exponent(q)
-    _check_grid(lam, alpha)
     if not lam:
         return 0.0
     with _within_float_range(_INTEGRAND + " or its tail sum", q):
@@ -275,11 +270,10 @@ def f_infty_norm(lam: DyadicCoefficients, alpha: ExponentField, q) -> float:
 def coefficient_bound_check(lam: DyadicCoefficients, alpha: ExponentField,
                             p: ExponentField, q: ExponentField) -> float:
     """Worst ratio |lam_{j,m}| 2^{j(alpha(x)-n/p(x)+n/2)} / f_norm over support and x in Q."""
-    _check_grid(lam, alpha, p, q)
+    grid = common_grid(lam, alpha, p, q)
     norm = f_norm(lam, alpha, p, q).value
     if norm == 0.0:
         raise InvalidInput("coefficient bound is undefined for zero norm")
-    grid = lam.grid
     n = grid.n
     expo = alpha.values - n / p.values + 0.5 * n
     worst = 0.0
@@ -341,9 +335,8 @@ def greedy_selection(lam: DyadicCoefficients, alpha: ExponentField, q) -> Subset
     Ties are broken by cell index (stable sort on the C-order flattening of
     the cube's block).
     """
+    grid = common_grid(lam, alpha, q)
     q = _constant_exponent(q)
-    _check_grid(lam, alpha)
-    grid = lam.grid
     levels = []
     for v in range(lam.V + 1):
         with _within_float_range(_INTEGRAND, q):
@@ -356,16 +349,13 @@ def greedy_selection(lam: DyadicCoefficients, alpha: ExponentField, q) -> Subset
 def f_infty_subset_norm(lam: DyadicCoefficients, alpha: ExponentField, q,
                         sel: SubsetSelection) -> float:
     """Grid max of (sum_{v,m} 2^{v(alpha(x)+n/2)q} |lam_{v,m}|^q chi_{E_{v,m}}(x))^{1/q}."""
+    grid = common_grid(lam, alpha, q, sel)
     q = _constant_exponent(q)
-    _check_grid(lam, alpha)
-    if sel.grid != lam.grid:
-        raise InvalidSelection("selection built on a different grid")
     if any(not np.array_equal(keep.any(axis=-1), lam.moduli(v) != 0)
            for v, keep in enumerate(sel.levels)):
         raise InvalidSelection("selection must cover exactly the coefficient support")
     if not lam:
         return 0.0
-    grid = lam.grid
     total = np.zeros(grid.shape)
     with _within_float_range(_INTEGRAND + " or its sum", q):
         for v in range(lam.V + 1):
@@ -387,8 +377,8 @@ def prop1_equivalence_check(lam: DyadicCoefficients, alpha: ExponentField,
     The subset route tries the greedy rule and the trivial E = Q selection
     and keeps the smaller value.
     """
+    common_grid(lam, alpha, q)
     q = _constant_exponent(q)
-    _check_grid(lam, alpha)
     if not lam:
         return 0.0, 0.0
     if _support_cells(lam) > GREEDY_CELL_LIMIT:

@@ -153,7 +153,7 @@ def test_params_validation():
     with pytest.raises(InvalidInput):
         factorization_params_pq_infty(0.5, a, a, const(G, 2.0), 0.5, 2.0)
     other = make_grid(1, 4.0, 512)
-    with pytest.raises(InvalidConfiguration):
+    with pytest.raises(InvalidInput, match="different grids"):
         factorization_params_pp(
             0.5, a, build_exponent(other, "constant", value=0.0, role="smoothness"),
             const(G, 2.0), const(G, 3.0),

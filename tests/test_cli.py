@@ -58,13 +58,23 @@ def test_describe_schema_round_trips(capsys):
 
 
 @pytest.mark.parametrize("where, grid", [("$.grid.n", {"n": 3, "L": 1.0, "N": 64}),
-                                         ("$.grid.N", {"n": 1, "L": 1.0, "N": 8})])
+                                         ("$.grid.N", {"n": 1, "L": 1.0, "N": 8}),
+                                         ("$.grid.L", {"n": 1, "L": 0.25, "N": 16})])
 def test_schema_bounds_the_grid_as_make_grid_does(tmp_path, capsys, where, grid):
     props = CONFIG_SCHEMA["properties"]["grid"]["properties"]
     assert props["n"]["maximum"] == 2 and props["N"]["minimum"] == 16
+    assert props["L"]["minimum"] == 0.5
     path = base_config(tmp_path, "norms", grid=grid)
     assert main(["run", path]) == EXIT_CONFIG
     assert f"config error at {where}:" in capsys.readouterr().err
+
+
+def test_unknown_tolerance_exits_two(tmp_path, capsys):
+    # an unknown name used to run with exit 0, apply nothing and echo the typo
+    path = base_config(tmp_path, "norms", tolerances={"finte": 1e-30})
+    assert main(["run", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error at $.tolerances:" in err and "finte" in err
 
 
 def test_missing_seed_exits_two(tmp_path, capsys):

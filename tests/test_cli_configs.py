@@ -73,8 +73,9 @@ def grids(draw):
     usual = st.fixed_dictionaries({
         "n": st.just(n), "L": st.sampled_from([0.5, 1.0, 2.0]),
         "N": st.sampled_from([16, 32, 64] if n == 1 else [16, 32])})
-    # a box make_grid refuses: L not a power of two, N not one, or N < 8L
-    edge = st.fixed_dictionaries({"n": st.just(n), "L": st.sampled_from([3.0, 4.0]),
+    # a box make_grid refuses: L not a power of two or below 1/2, N not a
+    # power of two, or N < 8L
+    edge = st.fixed_dictionaries({"n": st.just(n), "L": st.sampled_from([0.25, 3.0, 4.0]),
                                   "N": st.sampled_from([16, 48])})
     return draw(_mostly(usual, edge))
 

@@ -201,7 +201,7 @@ def test_interpolation_rejects_mismatches():
     g = make_grid(1, 4, 256)
     g2 = make_grid(1, 4, 512)
     p = build_exponent(g, "constant", value=2.0)
-    with pytest.raises(InvalidConfiguration):
+    with pytest.raises(InvalidInput, match="different grids"):
         interpolate_exponents(p, build_exponent(g2, "constant", value=2.0), 0.5)
     a = build_exponent(g, "constant", value=0.5, role="smoothness")
     with pytest.raises(InvalidInput):

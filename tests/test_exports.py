@@ -1,14 +1,27 @@
-"""Every name a vexint module exports through `__all__` resolves, and every
-defaulted parameter of the public API is one that a caller turns."""
+"""Every name a vexint module exports through `__all__` resolves, every
+defaulted parameter of the public API is one that a caller turns, and every
+public entry that takes two grid-carrying arguments checks them with
+`grid.common_grid`."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vexint
+from vexint.calderon import case_classifier
+from vexint.errors import InvalidInput
+from vexint.exponents import build_exponent
+from vexint.grid import GridFunction, make_grid
+from vexint.kernels import verify_jensen_gamma
+from vexint.lebesgue import luxemburg_norm, modular, modular_at, unit_ball_check
+from vexint.lpf import F_norm, build_resolution_of_unity
+from vexint.seqspaces import DyadicCoefficients, f_infty_subset_norm, full_selection, \
+    level_function
 
 MODULES = ["vexint"] + [f"vexint.{m.name}" for m in pkgutil.iter_modules(vexint.__path__)]
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,3 +94,73 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
     unset = {q for q, fn, i in params if not is_set(q, fn, i)} - set(KNOB_ALLOWLIST)
     assert unset == set(), "settings that no caller turns"
     assert set(KNOB_ALLOWLIST) <= {q for q, _, _ in params}, "allowlist names a stale parameter"
+
+
+# types whose instances carry a grid, as the public signatures annotate them
+GRID_TYPES = {"GridFunction", "ExponentField", "DyadicCoefficients", "FilterBank",
+              "FactorizationParams", "SubsetSelection"}
+
+# public entries with two grid-carrying parameters that call no common_grid themselves
+GRID_ALLOWLIST = {
+    "calderon.factorize": "dispatches to factorize_pp or factorize_pq_infty, which check",
+    "calderon.calderon_upper": "runs factorize, whose constructions check",
+    "interp.scalar_interp_sandwich": "competitor_family checks p0, p1 and the masks first",
+    "lpf.transform_roundtrip": "analyze checks f and the bank first",
+}
+
+
+def _grid_params(f: ast.FunctionDef) -> int:
+    args = f.args.posonlyargs + f.args.args + f.args.kwonlyargs
+    return sum(1 for a in args if a.annotation is not None
+               and GRID_TYPES & set(re.findall(r"\w+", ast.unparse(a.annotation))))
+
+
+def _calls_common_grid(f: ast.FunctionDef) -> bool:
+    return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "common_grid"
+               for n in ast.walk(f))
+
+
+def test_every_public_entry_on_two_grids_checks_them():
+    entries = {}
+    for path in sorted((ROOT / "src" / "vexint").glob("*.py")):
+        for f in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_") \
+                    and _grid_params(f) >= 2:
+                entries[f"{path.stem}.{f.name}"] = _calls_common_grid(f)
+    unchecked = {name for name, checks in entries.items() if not checks}
+    assert unchecked - set(GRID_ALLOWLIST) == set(), "entries that skip common_grid"
+    assert set(GRID_ALLOWLIST) <= unchecked, "allowlist names an entry that checks or is gone"
+
+
+def _mismatched_calls():
+    """One call per public entry that computed with a second grid's spacing:
+    g and g2 have the same N and a different L."""
+    g, g2 = make_grid(1, 4.0, 256), make_grid(1, 2.0, 256)
+
+    def p(grid, value=2.0):
+        return build_exponent(grid, "constant", value=value)
+
+    def alpha(grid):
+        return build_exponent(grid, "constant", value=0.3, role="smoothness")
+    f = GridFunction(g, np.cos(g.axis))
+    lam = DyadicCoefficients(g, 2, {(0, (1,)): 3.0, (2, (5,)): -1.0})
+    return {
+        "F_norm": lambda: F_norm(f, alpha(g), p(g2), p(g2, 3.0),
+                                 build_resolution_of_unity(g, 3)),
+        "luxemburg_norm": lambda: luxemburg_norm(f, p(g2)),
+        "modular_at": lambda: modular_at(f, p(g2), 2.0),
+        "modular": lambda: modular(f, p(g2)),
+        "unit_ball_check": lambda: unit_ball_check(f, p(g2)),
+        "verify_jensen_gamma": lambda: verify_jensen_gamma(
+            p(g), 2.0, GridFunction(g2, np.full(g2.shape, 0.01)), [0, 1]),
+        "case_classifier": lambda: case_classifier(p(g), p(g, 3.0), p(g2), p(g2, 3.0), 0.5),
+        "level_function": lambda: level_function(lam, alpha(g2), 1),
+        "f_infty_subset_norm": lambda: f_infty_subset_norm(
+            lam, alpha(g), 2.0, full_selection(DyadicCoefficients(g2, 2, {(0, (1,)): 1.0}))),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_mismatched_calls()))
+def test_entries_refuse_arguments_on_different_grids(entry):
+    with pytest.raises(InvalidInput, match="different grids"):
+        _mismatched_calls()[entry]()

@@ -36,6 +36,10 @@ def test_make_grid_rejects_bad_parameters():
         make_grid(1, 3, 64)
     with pytest.raises(InvalidConfiguration):
         make_grid(1, 4, 16)  # N < 8L under-resolves level 0
+    for L in (0.25, 2.0 ** -10):
+        # no level-0 cube fits in [0, 2L): the CLI ended in a ValueError traceback
+        with pytest.raises(InvalidConfiguration, match="below 1/2"):
+            make_grid(1, L, 16)
 
 
 def test_cell_measure_covers_box():

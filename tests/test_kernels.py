@@ -5,11 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from vexint.errors import InvalidInput, PreconditionViolation, PreconditionWarning
+from vexint.errors import InvalidInput, PreconditionViolation, PreconditionWarning, SolverFailure
 from vexint.exponents import build_exponent, log_holder_constants
 from vexint.grid import GridFunction, cube_mask, make_grid
 from vexint.kernels import (
+    _closed_mass,
     convolve,
     eta,
     verify_alpha_shift,
@@ -145,7 +147,7 @@ def test_non_finite_decay_is_a_typed_error(m):
         verify_jensen_gamma(p, m, normalized(np.ones(G.shape), p), [0])
 
 
-@pytest.mark.parametrize("n, L, N, edge", [(1, 4.0, 256, 1016), (1, 0.25, 16, 1020),
+@pytest.mark.parametrize("n, L, N, edge", [(1, 4.0, 256, 1016), (1, 0.5, 16, 1020),
                                            (2, 4.0, 64, 506), (2, 2.0, 256, 504)])
 @pytest.mark.parametrize("m", [1e-3, 0.5, 3.0])
 def test_eta_near_the_float_range_is_finite_or_typed(n, L, N, edge, m):
@@ -157,6 +159,12 @@ def test_eta_near_the_float_range_is_finite_or_typed(n, L, N, edge, m):
         warnings.simplefilter("error")
         warnings.simplefilter("ignore", PreconditionWarning)
         for v in [edge - 2, edge - 1]:
+            if m > n:
+                # an integrable kernel this narrow escapes QUADPACK, which
+                # returns 0.0 where the closed form is c_limit
+                with pytest.raises(SolverFailure, match="closed form"):
+                    eta(v, m, grid)
+                continue
             k = eta(v, m, grid)
             assert all(math.isfinite(x) for x in (k.mass, k.grid_mass, k.values.max()))
         for v in [edge, edge + 1, 1023, 1024, 2000, 10 ** 400]:
@@ -401,3 +409,27 @@ def test_jensen_deterministic():
     a = verify_jensen_gamma(p, 2.0, f, [0, 1, 2])
     b = verify_jensen_gamma(p, 2.0, f, [0, 1, 2])
     assert a.margin_min == b.margin_min and a.gamma == b.gamma
+
+
+@pytest.mark.parametrize("n, L, v, m", [(1, 4.0, 2, 1e4), (1, 4.0, 3, 1e3), (2, 2.0, 2, 1e4)])
+def test_box_mass_that_misses_its_closed_form_is_a_solver_failure(n, L, v, m):
+    # QUADPACK ends with ier = 0 at masses 1.5e-76, 2.8e-16 and 3.5e-41 (the
+    # 2D inner disc), where the closed forms are 2.0002e-4, 2.002e-3 and 6.29e-8
+    with pytest.raises(SolverFailure, match=f"v={v}, decay m={m}.*closed form"):
+        eta(v, m, make_grid(n, L, 256))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5, 2.0 - 1e-9, 2.0,
+                               2.0 + 1e-9, 3.0, 60.0])
+@pytest.mark.parametrize("a", [0.5, 8.0, 1e3])
+def test_closed_mass_matches_quadrature_in_log_radius(n, m, a):
+    # in t = log1p(u) the integrands are smooth exponentials, which scipy
+    # integrates to full accuracy, also next to m = 1 and m = 2
+    if n == 1:
+        want = 2.0 * quad(lambda t: math.exp((1.0 - m) * t), 0.0, math.log1p(a),
+                          epsabs=0.0, epsrel=1e-13)[0]
+    else:
+        want = 2.0 * math.pi * quad(lambda t: math.exp((2.0 - m) * t) - math.exp((1.0 - m) * t),
+                                    0.0, math.log1p(a), epsabs=0.0, epsrel=1e-13)[0]
+    assert _closed_mass(n, a, m) == pytest.approx(want, rel=1e-11)

@@ -16,8 +16,10 @@ from vexint.lebesgue import (
     mixed_norm,
     modular,
     modular_at,
+    stack,
     unit_ball_check,
 )
+from vexint.seqspaces import DyadicCoefficients, f_norm
 
 G = make_grid(1, 4, 256)
 P2 = build_exponent(G, "constant", value=2.0)
@@ -304,3 +306,18 @@ def test_norm_beyond_the_float_range_is_rejected(recipe, params):
     assert modular_at(f, p, sys.float_info.max) > 1.0
     with pytest.raises(InvalidInput, match="exceeds the float range"):
         luxemburg_norm(f, p)
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.5])
+def test_inner_exponent_must_be_an_integrability_exponent(value):
+    # a smoothness-role q = -1 stopped on numpy's divide-by-zero warning, and
+    # q = 0.5 gave a number
+    q = build_exponent(G, "constant", value=value, role="smoothness")
+    alpha = build_exponent(G, "constant", value=0.0, role="smoothness")
+    lam = DyadicCoefficients(G, 2, {(0, (1,)): 3.0, (2, (5,)): -1.0})
+    with pytest.raises(InvalidInput, match="integrability"):
+        stack([np.ones(G.shape)], q)
+    with pytest.raises(InvalidInput, match="integrability"):
+        mixed_norm([np.ones(G.shape)], P2, q)
+    with pytest.raises(InvalidInput, match="integrability"):
+        f_norm(lam, alpha, P2, q)

@@ -27,11 +27,10 @@ from vexint.calderon import (
 )
 from vexint.errors import InvalidSelection
 from vexint.exponents import ExponentField, build_exponent
-from vexint.grid import DyadicCube, GridFunction, cube_cells, cube_corners, make_grid
+from vexint.grid import DyadicCube, GridFunction, common_grid, cube_cells, cube_corners, make_grid
 from vexint.seqspaces import (
     DyadicCoefficients,
     _constant_exponent,
-    _check_grid,
     _level_integrand,
     _normalize_key,
     f_norm,
@@ -158,7 +157,7 @@ def subset_from_level_sets_oracle(lam, decomp):
 
 def subset_norm_oracle(lam, alpha, q, masks):
     q = _constant_exponent(q)
-    _check_grid(lam, alpha)
+    common_grid(lam, alpha)
     if set(masks) != set(lam.support()):
         raise InvalidSelection("selection must cover exactly the coefficient support")
     if not lam:

@@ -19,15 +19,16 @@ from hypothesis import strategies as st
 from vexint import _accel, lebesgue
 from vexint.errors import InvalidInput, SolverFailure
 from vexint.exponents import ExponentField
-from vexint.grid import GridFunction, make_grid
-from vexint.lebesgue import DEFAULT_TOL, NormResult, _check_shapes, _values, luxemburg_norm, stack
+from vexint.grid import GridFunction, common_grid, make_grid
+from vexint.lebesgue import DEFAULT_TOL, NormResult, _check_role, _values, luxemburg_norm, stack
 
 MAX_ITER = lebesgue.MAX_ITER
 
 
 def oracle_luxemburg_norm(f, p: ExponentField, tol: float = DEFAULT_TOL) -> NormResult:
     fv = _values(f)
-    _check_shapes(fv, p)
+    common_grid(f, p, fv)
+    _check_role(p)
     absf = np.abs(fv)
     fmax = float(absf.max())
     if not np.isfinite(fmax):

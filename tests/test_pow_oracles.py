@@ -28,10 +28,9 @@ from vexint.calderon import (
 )
 from vexint.errors import InvalidInput, PreconditionViolation
 from vexint.exponents import build_exponent
-from vexint.grid import cube_cells, make_grid
+from vexint.grid import common_grid, cube_cells, make_grid
 from vexint.seqspaces import (
     DyadicCoefficients,
-    _check_grid,
     _pow_entries,
     coefficient_bound_check,
     f_norm,
@@ -71,7 +70,7 @@ def domination_message_oracle(lam, lam0, lam1, theta):
 
 
 def coefficient_bound_check_oracle(lam, alpha, p, q):
-    _check_grid(lam, alpha, p, q)
+    common_grid(lam, alpha, p, q)
     norm = f_norm(lam, alpha, p, q).value
     if norm == 0.0:
         raise InvalidInput("coefficient bound is undefined for zero norm")
