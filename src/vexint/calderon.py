@@ -152,7 +152,8 @@ def factorization_params_pq_infty(theta: float, alpha0: ExponentField, alpha1: E
 def _p_infty(p0: ExponentField, theta: float) -> ExponentField:
     """p with 1/p = (1-theta)/p0: the second integrability endpoint is infinite."""
     scale = 1.0 / (1.0 - theta)
-    vals = p0.values * scale
+    with np.errstate(over="ignore"):  # an overflow is ExponentField's InvalidExponent
+        vals = p0.values * scale
     g_inf = None if p0.g_inf is None else p0.g_inf * scale
     return ExponentField(p0.grid, vals, float(vals.min()), float(vals.max()),
                          "integrability", g_inf=g_inf)
@@ -435,8 +436,6 @@ def factorize_pq_infty(lam: DyadicCoefficients,
     if params.kind != "pq-infty":
         raise InvalidConfiguration(f"params describe a {params.kind} construction")
     common_grid(params, lam)
-    if not lam:
-        raise InvalidInput("factorization needs a nonzero norm")
     decomp = build_level_sets(lam, params)
     norm = decomp.lam_norm
     if norm == 0.0:
@@ -481,6 +480,7 @@ def lattice_property_check(truncations, lam: DyadicCoefficients, alpha: Exponent
     match ||lam|| within 1e-9 relative, and the sequence must be monotone
     non-decreasing up to the same slack.
     """
+    truncations = list(truncations)
     common_grid(lam, alpha, p, q, *truncations)
     for i, trunc in enumerate(truncations):
         for v in range(trunc.V + 1):
@@ -512,9 +512,7 @@ def case_classifier(p0: ExponentField, p1: ExponentField, q0: ExponentField,
     mags = np.abs(gamma)
     if float(mags.max()) <= IDENTITY_TOL:
         return "case-i"
-    constant = (float(np.ptp(q0.values)) <= IDENTITY_TOL
-                and float(np.ptp(q1.values)) <= IDENTITY_TOL)
-    if constant and float(mags.min()) > IDENTITY_TOL:
+    if q0.is_constant and q1.is_constant and float(mags.min()) > IDENTITY_TOL:
         return "case-ii"
     return "unsupported"
 

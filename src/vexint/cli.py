@@ -5,7 +5,9 @@ Configs are single JSON documents validated against CONFIG_SCHEMA
 the config, report rows share the suite's fixed CSV columns, and runtimes
 live only in the JSON summary so a fixed seed reproduces the CSV byte for
 byte.  Exit codes: 0 all contracts passed, 1 contract failure, 2 config
-or schema violation.
+or schema violation.  A VexintError raised while the config is read
+(`make_grid`, `build_field`, `decode_coefficients`) is a config violation;
+one raised by a run is a contract failure.
 """
 
 from __future__ import annotations
@@ -24,18 +26,8 @@ from . import __version__, acceptance, corpus
 from .acceptance import ReportRow, _lower, _upper, rows_to_csv
 from .calderon import factorization_params_pp, factorization_params_pq_infty, factorize, \
     verify_holder_direction
-from .errors import (
-    AdmissibilityFailure,
-    InvalidConfiguration,
-    InvalidExponent,
-    InvalidInput,
-    InvalidSelection,
-    PreconditionViolation,
-    ResolutionExceeded,
-    SolverFailure,
-    UnsupportedParameters,
-)
-from .exponents import ExponentField, build_exponent
+from .errors import InvalidInput, VexintError
+from .exponents import ExponentField, _constant_value, build_exponent
 from .grid import Grid, make_grid
 from .interp import _check_strip_theta, inter_rest_check, scalar_interp_sandwich
 from .lebesgue import luxemburg_norm
@@ -180,14 +172,10 @@ REQUIRED_RECIPES = {
     "Finfty": ("alpha0", "q0"),
 }
 
-_CONFIG_ERRORS = (InvalidInput, InvalidExponent, InvalidConfiguration,
-                  ResolutionExceeded, InvalidSelection)
-_CONTRACT_ERRORS = (PreconditionViolation, SolverFailure, AdmissibilityFailure,
-                    UnsupportedParameters, InvalidConfiguration, InvalidInput)
-
 
 class ConfigError(Exception):
-    """Schema or semantic config violation; carries the offending location."""
+    """Schema or semantic config violation; carries the offending location.
+    It is no VexintError, so one raised inside a run still exits 2."""
 
     def __init__(self, where: str, message: str):
         super().__init__(f"{where}: {message}")
@@ -219,21 +207,21 @@ def build_field(grid: Grid, name: str, spec: dict) -> ExponentField:
     kwargs = {k: v for k, v in spec.items() if k != "recipe"}
     try:
         return build_exponent(grid, spec["recipe"], role=role, **kwargs)
-    except (*_CONFIG_ERRORS, TypeError) as exc:
+    except VexintError as exc:
         raise ConfigError(f"$.exponents.{name}", str(exc)) from exc
 
 
 def _constant(field: ExponentField, name: str) -> float:
-    lo = float(field.values.min())
-    if lo != float(field.values.max()):
-        raise ConfigError(f"$.exponents.{name}", "a constant recipe is required here")
-    return lo
+    try:
+        return _constant_value(field, name)
+    except VexintError as exc:
+        raise ConfigError(f"$.exponents.{name}", str(exc)) from exc
 
 
 def decode_coefficients(grid: Grid, V: int, records, where: str) -> DyadicCoefficients:
     try:
         return DyadicCoefficients.from_records(grid, V, records)
-    except _CONFIG_ERRORS as exc:
+    except VexintError as exc:
         raise ConfigError(where, str(exc)) from exc
 
 
@@ -246,7 +234,7 @@ class Experiment:
         g = cfg["grid"]
         try:
             self.grid = make_grid(g["n"], g["L"], g["N"])
-        except _CONFIG_ERRORS as exc:
+        except VexintError as exc:
             raise ConfigError("$.grid", str(exc)) from exc
         self.V = cfg.get("levels", min(4, self.grid.v_max))
         if self.V > self.grid.v_max:
@@ -550,11 +538,11 @@ def _print_rows(rows) -> None:
 
 def _execute(exp: Experiment, label: str, run, out: dict | None, show) -> int:
     """Time run(), print it by show(rows, extras, runtime), write the reports;
-    a contract error is reported under `label` instead."""
+    any VexintError of the run is a contract failure, reported under `label`."""
     t0 = time.perf_counter()
     try:
         rows, extras = run()
-    except _CONTRACT_ERRORS as exc:
+    except VexintError as exc:
         print(f"contract failure [{label}]: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
     runtime = time.perf_counter() - t0

@@ -129,20 +129,40 @@ class ExponentField:
         )
 
 
-_RECIPE_PARAMS = {"constant": ("value",), "sine": ("base", "amplitude"),
+def _constant_value(e, name: str) -> float:
+    """The value of a constant exponent: a number as given, or the value of a
+    field whose `is_constant` holds; any other field is an InvalidInput."""
+    if not isinstance(e, ExponentField):
+        return float(e)
+    if not e.is_constant:
+        raise InvalidInput(f"a constant {name} is required here")
+    return e.min
+
+
+# every parameter of each recipe; sine's frequency may be left out (one period)
+_RECIPE_PARAMS = {"constant": ("value",), "sine": ("base", "amplitude", "frequency"),
                   "plateau": ("left", "right", "width")}
+_OPTIONAL_PARAMS = ("frequency",)
 
 
 def build_exponent(grid: Grid, recipe: str, *, role: str = "integrability", **params) -> ExponentField:
     """Construct a field from a named recipe.
 
     constant(value); sine(base, amplitude, frequency): one full period of a
-    first-axis sine per `frequency`; plateau(left, right, width): `left` near
-    the boundary, `right` on the middle half, linear ramps of the given width.
+    first-axis sine per `frequency` (default 1); plateau(left, right, width):
+    `left` near the boundary, `right` on the middle half, linear ramps of the
+    given width.  A missing parameter, or one the recipe does not read, is an
+    InvalidExponent.
     """
-    missing = [key for key in _RECIPE_PARAMS.get(recipe, ()) if key not in params]
+    if recipe not in _RECIPE_PARAMS:
+        raise InvalidExponent(f"unknown recipe {recipe!r}")
+    missing = [key for key in _RECIPE_PARAMS[recipe]
+               if key not in params and key not in _OPTIONAL_PARAMS]
     if missing:
         raise InvalidExponent(f"recipe {recipe!r} needs {', '.join(missing)}")
+    unread = [key for key in params if key not in _RECIPE_PARAMS[recipe]]
+    if unread:
+        raise InvalidExponent(f"recipe {recipe!r} does not read {', '.join(unread)}")
     if recipe == "constant":
         c = float(params["value"])
         vals = np.full(grid.shape, c)
@@ -155,7 +175,7 @@ def build_exponent(grid: Grid, recipe: str, *, role: str = "integrability", **pa
         vals = base + amp * np.sin(2.0 * math.pi * freq * grid.coords()[0] / (2.0 * grid.L))
         lo, hi = base - abs(amp), base + abs(amp)
         g_inf = base
-    elif recipe == "plateau":
+    else:
         left = float(params["left"])
         right = float(params["right"])
         w = float(params["width"])
@@ -167,8 +187,6 @@ def build_exponent(grid: Grid, recipe: str, *, role: str = "integrability", **pa
         vals = np.interp(grid.coords()[0], knots_x, knots_y)
         lo, hi = min(left, right), max(left, right)
         g_inf = left
-    else:
-        raise InvalidExponent(f"unknown recipe {recipe!r}")
     return ExponentField(grid, vals, lo, hi, role, g_inf=g_inf)
 
 

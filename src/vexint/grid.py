@@ -83,11 +83,6 @@ class Grid:
         # finest level whose cubes still contain >= 4 grid points per axis
         return int(round(math.log2(self.N / (8.0 * self.L))))
 
-    @property
-    def nyquist(self) -> float:
-        # largest resolved angular frequency, pi/h
-        return math.pi / self.h
-
     @cached_property
     def axis(self) -> np.ndarray:
         return np.arange(self.N) * self.h

@@ -20,7 +20,8 @@ from .errors import (
     SolverFailure,
     UnsupportedParameters,
 )
-from .exponents import ExponentField, _check_theta, build_exponent, interpolate_exponents
+from .exponents import ExponentField, _check_theta, _constant_value, build_exponent, \
+    interpolate_exponents
 from .grid import Grid, GridFunction, common_grid
 from .lebesgue import luxemburg_norm, modular_at
 
@@ -281,14 +282,6 @@ def scalar_interp_sandwich(f, p0: ExponentField, p1: ExponentField,
 class InterRestReport:
     ratio: float
     direct: float
-
-
-def _constant_value(x, name: str) -> float:
-    if isinstance(x, ExponentField):
-        if float(np.ptp(x.values)) > 1e-12:
-            raise UnsupportedParameters(f"{name} must be constant for this check")
-        return float(x.values.ravel()[0])
-    return float(x)
 
 
 def inter_rest_check(f: GridFunction, alpha0, alpha1, p0: ExponentField,

@@ -4,8 +4,11 @@ The Luxemburg norm is the unique positive lambda with rho(lambda) = 1, where
 rho(lambda) = h^n sum_i (|f_i|/lambda)^{p_i} is the modular of f/lambda (for
 nonzero f with finite exponent).  rho is strictly decreasing in lambda, and
 the value reported is the upper end of a fixed geometric bisection: the
-bracket [lo, hi] opens at [||f||_{p+}/2, 2 ||f||_{p-} + max|f|], is doubled
-up and halved down until rho(hi) <= 1 < rho(lo), and is then halved at the
+bracket [lo, hi] opens at [||f||_{p+}/2, 2 ||f||_{p-} + max|f|].  Below the
+float maximum that hi has hi >= max|f| and hi >= 2 ||f||_{p-}, so
+rho(hi) <= 2^{-p-} <= 1/2 and hi is never moved; a hi clamped to the float
+maximum with rho(hi) > 1 means the norm exceeds the float range.  Only lo is
+halved down, until 1 < rho(lo), and the bracket is then halved at the
 geometric midpoint until hi - lo <= tol * hi.  Every step is a decision
 rho(lam) > 1, and the reported NormResult is a function of those decisions.
 
@@ -182,14 +185,10 @@ def luxemburg_norm(f, p: ExponentField, tol: float = DEFAULT_TOL) -> NormResult:
                 return t < t_star
         return rho(lam) > 1.0
 
+    # rho(hi) <= 1/2 unless hi is clamped to FLOAT_MAX (module docstring)
+    if above(hi):
+        raise InvalidInput("Luxemburg norm exceeds the float range")
     iterations = 0
-    while above(hi):
-        if hi == FLOAT_MAX:
-            raise InvalidInput("Luxemburg norm exceeds the float range")
-        hi = min(2.0 * hi, FLOAT_MAX)
-        iterations += 1
-        if iterations >= MAX_ITER:
-            raise SolverFailure("upper bracket for the Luxemburg norm did not close")
     while not above(lo):
         lo /= 2.0
         iterations += 1

@@ -31,6 +31,11 @@ may be involved: a skipped row holds a -0, or the transform of a +0 line
 of this length is not +0 throughout (pocketfft's Bluestein lengths, such
 as 89, give -0; powers of two do not).  Dense input (`fft(f)` of a
 sampled function) stays `np.fft.fftn`: the pruned path was slower there.
+
+A bank of levels 0..V needs V to be a usable level of its grid
+(`Grid.check_level`, a `ResolutionExceeded` otherwise).  That also resolves
+every filter: V <= v_max gives 2^(V+1) <= sqrt(2) N/(4L), below the largest
+resolved frequency pi/h = pi N/(2L).
 """
 
 from __future__ import annotations
@@ -39,12 +44,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .errors import (
-    AdmissibilityFailure,
-    InvalidConfiguration,
-    InvalidInput,
-    ResolutionExceeded,
-)
+from .errors import AdmissibilityFailure, InvalidConfiguration, InvalidInput
 from .exponents import ExponentField
 from .grid import Grid, GridFunction, common_grid, cube_corners
 from .lebesgue import NormResult, mixed_norm
@@ -151,16 +151,6 @@ class FilterBank:
         return self.duals[v]
 
 
-def _check_resolution(grid: Grid, V: int) -> None:
-    if V < 0 or V > grid.v_max:
-        raise ResolutionExceeded(f"V={V} outside the grid's usable levels 0..{grid.v_max}")
-    if grid.nyquist < 2.0 ** (V + 1):
-        raise ResolutionExceeded(
-            f"Nyquist {grid.nyquist:.4g} does not resolve level {V} "
-            f"(need >= {2.0 ** (V + 1)})"
-        )
-
-
 def build_admissible_pair(grid: Grid, V: int) -> FilterBank:
     """Bank with the level-0 ball filter and dyadic annulus filters.
 
@@ -168,7 +158,7 @@ def build_admissible_pair(grid: Grid, V: int) -> FilterBank:
     the annulus base is 1 on 3/5 <= |xi| <= 5/3, supported in [1/2, 2], and
     scaled by 2^v per level.  Both lower bounds are attained with c = 1.
     """
-    _check_resolution(grid, V)
+    grid.check_level(V)
     rho = grid.freq_radius
     phis = [_phi0_profile(rho)] + [_phi_profile(rho / 2.0 ** v) for v in range(1, V + 1)]
     return FilterBank(grid, V, "admissible", phis, _phi_profile)
@@ -208,7 +198,7 @@ def build_resolution_of_unity(grid: Grid, V: int) -> FilterBank:
     the sum of the three neighboring levels (with the one-past-V extension),
     so omega_v = 1 on the support of phi_v.
     """
-    _check_resolution(grid, V)
+    grid.check_level(V)
     rho = grid.freq_radius
     scaled = [_rou_phi0_profile(rho / 2.0 ** v) for v in range(V + 2)]
     phis = [scaled[0]] + [scaled[v] - scaled[v - 1] for v in range(1, V + 1)]

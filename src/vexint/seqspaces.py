@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import InvalidConfiguration, InvalidInput, InvalidSelection
-from .exponents import ExponentField
+from .exponents import ExponentField, _constant_value
 from .grid import (Grid, GridFunction, cells_to_grid, common_grid, cube_broadcast, cube_cells,
                    cube_sums)
 from .lebesgue import NormResult, mixed_norm
@@ -165,11 +165,7 @@ class DyadicCoefficients:
 
 
 def _constant_exponent(q) -> float:
-    if isinstance(q, ExponentField):
-        if not q.is_constant:
-            raise InvalidInput("this norm is defined for constant q only")
-        q = q.min
-    q = float(q)
+    q = _constant_value(q, "q")
     if not (0.0 < q < math.inf):
         raise InvalidInput(f"exponent q={q} must lie in (0, inf)")
     return q

@@ -544,6 +544,15 @@ def test_lattice_magnitude_ramp():
     assert abs(half - 0.5 * full) <= 1e-9 * full
 
 
+def test_lattice_truncations_may_be_an_iterator():
+    # the grid check used to consume a generator, and the call returned False
+    alpha = const(G, 0.0, "smoothness")
+    p = const(G, 2.0)
+    lam = DyadicCoefficients(G, 2, {(0, (1,)): 3.0, (2, (5,)): -1.0})
+    assert lattice_property_check([lam], lam, alpha, p, p)
+    assert lattice_property_check(iter([lam]), lam, alpha, p, p)
+
+
 def test_lattice_violations():
     alpha = const(G, 0.0, "smoothness")
     p = const(G, 2.0)

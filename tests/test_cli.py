@@ -118,6 +118,32 @@ def test_recipe_missing_a_parameter_exits_two(tmp_path, capsys):
         "config error at $.exponents.alpha0: recipe 'constant' needs value\n")
 
 
+def test_recipe_parameter_it_does_not_read_exits_two(tmp_path, capsys):
+    # an unread amplitude used to be dropped, run with exit 0 and echoed in the report
+    path = base_config(tmp_path, "norms")
+    cfg = json.loads(open(path).read())
+    cfg["exponents"]["p0"] = {"recipe": "constant", "value": 2.0, "amplitude": 0.7}
+    path = write_config(tmp_path, "unread.json", cfg)
+    assert main(["run", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error at $.exponents.p0: recipe 'constant' does not read amplitude\n")
+
+
+@pytest.mark.parametrize("kind, overrides", [("factorize-pq-infty", {}),
+                                             ("holder", {"construction": "pq-infty"})])
+def test_any_package_error_of_a_run_is_a_contract_failure(tmp_path, capsys, kind, overrides):
+    # p = p0 / (1 - theta) overflows for p0 = 1e308; the schema-valid config used
+    # to end in an InvalidExponent traceback, a class the CLI did not map
+    path = base_config(tmp_path, kind, theta=[0.5], **overrides)
+    cfg = json.loads(open(path).read())
+    cfg["exponents"]["p0"] = {"recipe": "constant", "value": 1e308}
+    path = write_config(tmp_path, "p0-huge.json", cfg)
+    assert main(["run", path]) == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert f"contract failure [{kind}]: exponent field contains non-finite values" in err
+    assert "Traceback" not in err
+
+
 def test_levels_beyond_grid_exit_two(tmp_path, capsys):
     path = base_config(tmp_path, "norms", levels=9)
     assert main(["run", path]) == EXIT_CONFIG

@@ -73,6 +73,24 @@ def test_recipe_without_a_parameter_is_invalid_exponent(recipe, params, missing)
         build_exponent(make_grid(1, 4, 256), recipe, **params)
 
 
+@pytest.mark.parametrize("recipe, params, unread", [
+    ("constant", {"value": 2.0, "amplitude": 0.5, "width": 9.0}, "amplitude, width"),
+    ("sine", {"base": 2.0, "amplitude": 0.5, "value": 3.0}, "value"),
+    ("plateau", {"left": 2.0, "right": 3.0, "width": 1.0, "frequency": 2}, "frequency"),
+])
+def test_recipe_refuses_a_parameter_it_does_not_read(recipe, params, unread):
+    # it used to be dropped: the constant case returned the constant 2.0
+    with pytest.raises(InvalidExponent, match=f"^recipe '{recipe}' does not read {unread}$"):
+        build_exponent(make_grid(1, 4, 256), recipe, **params)
+
+
+def test_sine_frequency_defaults_to_one_period():
+    g = make_grid(1, 4, 256)
+    default = build_exponent(g, "sine", base=2.0, amplitude=0.5)
+    assert np.array_equal(default.values,
+                          build_exponent(g, "sine", base=2.0, amplitude=0.5, frequency=1).values)
+
+
 @pytest.mark.parametrize("recipe", ["sine-perturbation", "plateau-ramp", "constant-ramp"])
 def test_recipe_names_are_exact(recipe):
     # one spelling per recipe: a suffixed name is an unknown recipe

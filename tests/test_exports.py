@@ -4,6 +4,7 @@ public entry that takes two grid-carrying arguments checks them with
 `grid.common_grid`."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -13,15 +14,16 @@ import numpy as np
 import pytest
 
 import vexint
-from vexint.calderon import case_classifier
+from vexint.calderon import build_level_sets, case_classifier, factorization_params_pq_infty
 from vexint.errors import InvalidInput
-from vexint.exponents import build_exponent
+from vexint.exponents import ExponentField, build_exponent
 from vexint.grid import GridFunction, make_grid
+from vexint.interp import inter_rest_check
 from vexint.kernels import verify_jensen_gamma
 from vexint.lebesgue import luxemburg_norm, modular, modular_at, unit_ball_check
-from vexint.lpf import F_norm, build_resolution_of_unity
-from vexint.seqspaces import DyadicCoefficients, f_infty_subset_norm, full_selection, \
-    level_function
+from vexint.lpf import F_infty_norm, F_norm, build_admissible_pair, build_resolution_of_unity
+from vexint.seqspaces import DyadicCoefficients, f_infty_norm, f_infty_subset_norm, \
+    full_selection, level_function
 
 MODULES = ["vexint"] + [f"vexint.{m.name}" for m in pkgutil.iter_modules(vexint.__path__)]
 ROOT = Path(__file__).resolve().parents[1]
@@ -148,6 +150,8 @@ def _mismatched_calls():
         "F_norm": lambda: F_norm(f, alpha(g), p(g2), p(g2, 3.0),
                                  build_resolution_of_unity(g, 3)),
         "luxemburg_norm": lambda: luxemburg_norm(f, p(g2)),
+        # an array carries no grid, only a shape to check
+        "luxemburg_norm-array": lambda: luxemburg_norm(np.ones(128), p(g)),
         "modular_at": lambda: modular_at(f, p(g2), 2.0),
         "modular": lambda: modular(f, p(g2)),
         "unit_ball_check": lambda: unit_ball_check(f, p(g2)),
@@ -164,3 +168,51 @@ def _mismatched_calls():
 def test_entries_refuse_arguments_on_different_grids(entry):
     with pytest.raises(InvalidInput, match="different grids"):
         _mismatched_calls()[entry]()
+
+
+def _constant_q_calls(q):
+    """One call per entry that reads a constant q, given the field q."""
+    g = q.grid
+    p = build_exponent(g, "constant", value=2.0)
+    alpha = build_exponent(g, "constant", value=0.3, role="smoothness")
+    f = GridFunction(g, np.cos(g.axis))
+    lam = DyadicCoefficients(g, 2, {(0, (1,)): 3.0, (2, (5,)): -1.0})
+    params = dataclasses.replace(factorization_params_pq_infty(0.5, alpha, alpha, p, 2.0, 3.0),
+                                 q=q)
+    return {
+        "f_infty_norm": lambda: f_infty_norm(lam, alpha, q),
+        "F_infty_norm": lambda: F_infty_norm(f, alpha, q, build_admissible_pair(g, 2)),
+        "build_level_sets": lambda: build_level_sets(lam, params),
+        "inter_rest_check": lambda: inter_rest_check(f, 0.0, 0.0, p, p, q, 2.0, 0.5,
+                                                     build_resolution_of_unity(g, 2)),
+    }
+
+
+def _near_constant_q(g):
+    """q = 2 but one entry 2e-13 above it."""
+    values = np.full(g.shape, 2.0)
+    values[3] += 2e-13
+    return ExponentField(g, values, 2.0, float(values.max()), "integrability")
+
+
+@pytest.mark.parametrize("entry", ["F_infty_norm", "build_level_sets", "f_infty_norm",
+                                   "inter_rest_check"])
+@pytest.mark.parametrize("spread", ["sine", "2e-13"])
+def test_entries_refuse_a_variable_q_alike(entry, spread):
+    # a spread up to 1e-12 used to pass inter_rest_check, with UnsupportedParameters
+    # beyond it, while the norms refused any spread with InvalidInput
+    g = make_grid(1, 4.0, 256)
+    q = (build_exponent(g, "sine", base=2.0, amplitude=0.3) if spread == "sine"
+         else _near_constant_q(g))
+    with pytest.raises(InvalidInput, match="a constant q0? is required here"):
+        _constant_q_calls(q)[entry]()
+
+
+def test_case_ii_needs_exactly_constant_q():
+    # case_classifier used to count a spread up to 1e-12 as constant
+    g = make_grid(1, 4.0, 256)
+    p0, p1 = (build_exponent(g, "constant", value=v) for v in (2.0, 4.0))
+    q1 = build_exponent(g, "constant", value=3.0)
+    assert case_classifier(p0, p1, build_exponent(g, "constant", value=2.0), q1, 0.5) \
+        == "case-ii"
+    assert case_classifier(p0, p1, _near_constant_q(g), q1, 0.5) == "unsupported"

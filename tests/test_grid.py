@@ -9,6 +9,7 @@ from vexint.errors import InvalidConfiguration, InvalidInput, ResolutionExceeded
 from vexint.grid import (
     GridFunction,
     cells_to_grid,
+    common_grid,
     cube_broadcast,
     cube_cells,
     cube_mask,
@@ -114,6 +115,19 @@ def test_cube_sums_and_broadcast_roundtrip():
         cube = enumerate_cubes(g, v)[5]
         sl = g.cube_slices(cube)
         assert np.all(back[sl] == s[cube.m])
+
+
+def test_common_grid_needs_a_grid():
+    with pytest.raises(InvalidInput, match="no argument carries a grid"):
+        common_grid(np.ones(16), 2.0)
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (4,), (4, 4, 1)])
+def test_cube_broadcast_refuses_a_shape_that_does_not_tile(shape):
+    # level 1 on [0, 4)^2 has 4 x 4 cubes
+    g = make_grid(2, 2, 64)
+    with pytest.raises(InvalidInput, match="does not tile level 1"):
+        cube_broadcast(g, np.ones(shape), 1)
 
 
 @st.composite

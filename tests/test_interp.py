@@ -335,7 +335,8 @@ def test_inter_rest_guards():
     p = const(G, 2.0)
     f = band_limited(G, 2.0, RNG)
     sine_q = build_exponent(G, "sine", base=2.0, amplitude=0.3, frequency=1)
-    with pytest.raises(UnsupportedParameters):
+    # a variable q is refused as by every entry that reads a constant one
+    with pytest.raises(InvalidInput, match="constant q0"):
         inter_rest_check(f, 0.0, 0.0, p, p, sine_q, 2.0, 0.5, bank)
     with pytest.raises(UnsupportedParameters):
         inter_rest_check(f, 0.0, 0.0, p, p, 2.0, 2.0, 0.5,
