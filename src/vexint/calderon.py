@@ -21,16 +21,15 @@ from .errors import (
     PreconditionViolation,
 )
 from .exponents import ExponentField, _check_theta, build_exponent, interpolate_exponents
-from .grid import Grid, GridFunction, common_grid, cube_cells, cube_corners
+from .grid import Grid, GridFunction, _within_float_range, common_grid, cube_cells, cube_corners
 from .seqspaces import (
     DyadicCoefficients,
     SubsetSelection,
     _constant_exponent,
-    _level_integrand,
+    _level_sum,
     _pow_each,
     f_infty_subset_norm,
     f_norm,
-    full_selection,
 )
 
 __all__ = [
@@ -212,7 +211,8 @@ def verify_holder_direction(lam: DyadicCoefficients, lam0: DyadicCoefficients,
         raise PreconditionViolation(f"domination fails at {shown}{more}")
 
     if params.kind == "pq-infty":
-        norm1 = f_infty_subset_norm(lam1, params.alpha1, params.q1, full_selection(lam1))
+        # the stacked sup, which is the subset evaluation over E_Q = Q
+        norm1 = _level_sum(lam1, params.alpha1, _constant_exponent(params.q1))[1]
     else:
         norm1 = f_norm(lam1, params.alpha1, params.p1, params.q1).value
     lam_norm = f_norm(lam, params.alpha, params.p, params.q).value
@@ -250,7 +250,8 @@ class FactorizationResult:
         def compute():
             a, recon = _reconstructions(self.lam, self.lam0, self.lam1, self.lam_norm,
                                         self.params.theta)
-            return float((np.abs(recon - a) / a).max(initial=0.0))
+            with _within_float_range("a relative reconstruction error"):
+                return float((np.abs(recon - a) / a).max(initial=0.0))
         return _read_once(self._memo, "reconstruction_error", compute)
 
     @property
@@ -281,7 +282,8 @@ def _reconstructions(lam: DyadicCoefficients, lam0: DyadicCoefficients,
     nzs = [np.nonzero(a) for a in lam.levels]
     a, b0, b1 = (np.concatenate([c.moduli(j)[nz] for j, nz in enumerate(nzs)])
                  for c in (lam, lam0, lam1))
-    return a, norm * _pow_each(b0, 1.0 - theta) * _pow_each(b1, theta)
+    with _within_float_range("a reconstruction norm |lam0|^(1-theta) |lam1|^theta"):
+        return a, norm * _pow_each(b0, 1.0 - theta) * _pow_each(b1, theta)
 
 
 def _corner_factors(lam: DyadicCoefficients, norm: float, params: FactorizationParams,
@@ -353,13 +355,6 @@ class LevelSetDecomposition:
     lam_norm: float
 
 
-def _stacked_majorant(lam: DyadicCoefficients, alpha: ExponentField, q: float) -> np.ndarray:
-    total = np.zeros(lam.grid.shape)
-    for v in range(lam.V + 1):
-        total += _level_integrand(lam, alpha, v, q)
-    return total ** (1.0 / q)
-
-
 def build_level_sets(lam: DyadicCoefficients,
                      params: FactorizationParams) -> LevelSetDecomposition:
     """Assign each supported cube its level index by the majority rule.
@@ -377,7 +372,7 @@ def build_level_sets(lam: DyadicCoefficients,
         raise InvalidConfiguration("gamma vanishes; this decomposition needs the case-ii setting")
     qv = _constant_exponent(params.q)
     grid = common_grid(params, lam)
-    g_vals = _stacked_majorant(lam, params.alpha, qv)
+    g_vals = _level_sum(lam, params.alpha, qv)[0] ** (1.0 / qv)
     g = GridFunction(grid, g_vals)
     if not lam:
         return LevelSetDecomposition(g, None, [np.full(a.shape, NO_CLASS) for a in lam.levels],

@@ -145,6 +145,17 @@ _RECIPE_PARAMS = {"constant": ("value",), "sine": ("base", "amplitude", "frequen
 _OPTIONAL_PARAMS = ("frequency",)
 
 
+def _recipe_number(recipe: str, key: str, x) -> float:
+    """float(x), where a number beyond the float range is an InvalidExponent naming `key`."""
+    try:
+        x = float(x)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise InvalidExponent(f"recipe {recipe!r} parameter {key} lies outside the float range")
+    return x
+
+
 def build_exponent(grid: Grid, recipe: str, *, role: str = "integrability", **params) -> ExponentField:
     """Construct a field from a named recipe.
 
@@ -163,22 +174,23 @@ def build_exponent(grid: Grid, recipe: str, *, role: str = "integrability", **pa
     unread = [key for key in params if key not in _RECIPE_PARAMS[recipe]]
     if unread:
         raise InvalidExponent(f"recipe {recipe!r} does not read {', '.join(unread)}")
+    params = {key: _recipe_number(recipe, key, x) for key, x in params.items()}
     if recipe == "constant":
-        c = float(params["value"])
+        c = params["value"]
         vals = np.full(grid.shape, c)
         lo = hi = c
         g_inf = c
     elif recipe == "sine":
-        base = float(params["base"])
-        amp = float(params["amplitude"])
-        freq = float(params.get("frequency", 1.0))
+        base = params["base"]
+        amp = params["amplitude"]
+        freq = params.get("frequency", 1.0)
         vals = base + amp * np.sin(2.0 * math.pi * freq * grid.coords()[0] / (2.0 * grid.L))
         lo, hi = base - abs(amp), base + abs(amp)
         g_inf = base
     else:
-        left = float(params["left"])
-        right = float(params["right"])
-        w = float(params["width"])
+        left = params["left"]
+        right = params["right"]
+        w = params["width"]
         if not (0.0 < w <= grid.L):
             raise InvalidExponent(f"plateau transition width {w} must lie in (0, L={grid.L}]")
         L = grid.L

@@ -9,6 +9,7 @@ coincides with the trapezoid rule.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -200,6 +201,19 @@ def common_grid(*args) -> Grid:
             raise InvalidInput(f"arguments live on different grids: an array of shape "
                                f"{a.shape} and {grid}")
     return grid
+
+
+@contextmanager
+def _within_float_range(what: str, q: float | None = None):
+    """The one float-range rule: a numpy overflow or invalid operation, or a
+    Python float overflow, in the block is an InvalidInput saying that `what`
+    exceeds the float range."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, OverflowError):
+        at = "" if q is None else f" (q={q})"
+        raise InvalidInput(f"{what} exceeds the float range{at}") from None
 
 
 def make_grid(n: int, L: float, N: int) -> Grid:

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .exponents import ExponentField, _check_theta, _constant_value, build_exponent, \
     interpolate_exponents
-from .grid import Grid, GridFunction, common_grid
+from .grid import Grid, GridFunction, _within_float_range, common_grid
 from .lebesgue import luxemburg_norm, modular_at
 
 __all__ = [
@@ -158,16 +158,18 @@ class CompetitorFamily:
         """g(., z) on the grid; exactly f at z = theta."""
         z = complex(z)
         out = np.zeros(self.grid.shape, dtype=np.complex128)
-        for val, mask in zip(self.values, self.masks):
-            out[mask] = val * np.exp(self.w[mask] * (z - self.theta) * math.log(abs(val)))
+        with _within_float_range(f"g(x, z) = f |f|^(w (z - theta)) at z = {z}"):
+            for val, mask in zip(self.values, self.masks):
+                out[mask] = val * np.exp(self.w[mask] * (z - self.theta) * math.log(abs(val)))
         return out
 
     def boundary_modulus(self, line: int) -> np.ndarray:
         """|g(x, it)| (line 0) or |g(x, 1 + it)| (line 1); t drops out."""
         expo = 1.0 - self.theta * self.w if line == 0 else 1.0 + (1.0 - self.theta) * self.w
         out = np.zeros(self.grid.shape)
-        for val, mask in zip(self.values, self.masks):
-            out[mask] = abs(val) ** expo[mask]
+        with _within_float_range(f"a boundary modulus |f|^(1 + (Re z - theta) w) on line {line}"):
+            for val, mask in zip(self.values, self.masks):
+                out[mask] = abs(val) ** expo[mask]
         return out
 
 

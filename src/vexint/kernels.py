@@ -19,7 +19,7 @@ import numpy as np
 from ._quadpack import qagse
 from .errors import InvalidInput, PreconditionViolation, PreconditionWarning, SolverFailure
 from .exponents import ExponentField, _shift_maxima, log_holder_constants
-from .grid import Grid, GridFunction, common_grid, cube_broadcast, cube_sums
+from .grid import Grid, GridFunction, _within_float_range, common_grid, cube_broadcast, cube_sums
 from .lebesgue import luxemburg_norm, mixed_norm
 
 __all__ = [
@@ -179,7 +179,8 @@ def convolve(f, k) -> GridFunction:
     """Periodic convolution (f * k)(x) = h^n sum_y f(y) k(x - y), via FFT."""
     fv, kv = _values(f), _values(k)
     grid = common_grid(f, k, fv, kv)
-    out = np.fft.ifftn(np.fft.fftn(fv) * np.fft.fftn(kv)) * grid.h ** grid.n
+    with _within_float_range("a convolution spectrum fft(f) fft(k)"):
+        out = np.fft.ifftn(np.fft.fftn(fv) * np.fft.fftn(kv)) * grid.h ** grid.n
     if not (np.iscomplexobj(fv) or np.iscomplexobj(kv)):
         out = out.real
     return GridFunction(grid, out)

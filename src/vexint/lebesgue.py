@@ -61,7 +61,7 @@ import numpy as np
 from . import _accel
 from .errors import InvalidInput, SolverFailure
 from .exponents import ExponentField
-from .grid import GridFunction, common_grid
+from .grid import GridFunction, _within_float_range, common_grid
 
 __all__ = ["NormResult", "modular", "luxemburg_norm", "mixed_norm", "unit_ball_check"]
 
@@ -230,7 +230,8 @@ def stack(family, q: ExponentField) -> np.ndarray:
     np.power(vals, q.values, out=vals, where=pos)
     acc = vals.sum(axis=0)
     np.power(acc, 1.0 / q.values, out=acc, where=pos)
-    np.multiply(big, acc, out=out, where=pos)
+    with _within_float_range("a level stack (sum_v |f_v|^q)^(1/q)"):
+        np.multiply(big, acc, out=out, where=pos)
     return out
 
 

@@ -46,10 +46,9 @@ import numpy as np
 
 from .errors import AdmissibilityFailure, InvalidConfiguration, InvalidInput
 from .exponents import ExponentField
-from .grid import Grid, GridFunction, common_grid, cube_corners
+from .grid import Grid, GridFunction, _within_float_range, common_grid, cube_corners
 from .lebesgue import NormResult, mixed_norm
-from .seqspaces import DyadicCoefficients, _constant_exponent, _within_float_range, \
-    dyadic_tail_sup
+from .seqspaces import DyadicCoefficients, _constant_exponent, dyadic_tail_sup
 
 __all__ = [
     "FilterBank",
@@ -323,14 +322,15 @@ def synthesize(lam: DyadicCoefficients, bank: FilterBank) -> GridFunction:
     n = grid.n
     hn = grid.h ** n
     out = np.zeros(grid.shape, dtype=np.complex128)
-    for v in range(lam.V + 1):
-        if not lam.levels[v].any():
-            continue
-        impulses = np.zeros(grid.shape, dtype=np.complex128)
-        cube_corners(grid, impulses, v)[...] = lam.levels[v]
-        # lam psi_{v,m} sums to the impulse train convolved with the dual kernel
-        impulses *= 2.0 ** (-v * n / 2.0) / hn
-        out += _fft(_fft(impulses, False) * bank.dual_multiplier(v), True)
+    with _within_float_range("a synthesized level sum_m lam_{v,m} psi_{v,m} or their sum"):
+        for v in range(lam.V + 1):
+            if not lam.levels[v].any():
+                continue
+            impulses = np.zeros(grid.shape, dtype=np.complex128)
+            cube_corners(grid, impulses, v)[...] = lam.levels[v]
+            # lam psi_{v,m} sums to the impulse train convolved with the dual kernel
+            impulses *= 2.0 ** (-v * n / 2.0) / hn
+            out += _fft(_fft(impulses, False) * bank.dual_multiplier(v), True)
     return GridFunction(grid, out)
 
 
@@ -377,29 +377,24 @@ def transform_roundtrip(f: GridFunction, bank: FilterBank) -> float:
     return float(np.abs(back.values - f.values).max()) / sup if sup else 0.0
 
 
+def _filtered_levels(f: GridFunction, alpha: ExponentField, bank: FilterBank,
+                     q: float = 1.0) -> list[np.ndarray]:
+    """[2^{v alpha q} |phi_v * f|^q for v = 0..V] under one float-range guard."""
+    with _within_float_range("a level integrand 2^(v alpha q) |phi_v * f|^q", q):
+        spec = np.fft.fftn(f.values)
+        return [np.exp2(v * q * alpha.values) * np.abs(_apply(bank.multiplier(v), spec)) ** q
+                for v in range(bank.V + 1)]
+
+
 def F_norm(f: GridFunction, alpha: ExponentField, p: ExponentField,
            q: ExponentField, bank: FilterBank) -> NormResult:
     """Mixed (p, q) norm of the weighted decomposition (2^{v alpha(.)} phi_v * f)_v."""
     common_grid(bank, f, alpha, p, q)
-    spec = np.fft.fftn(f.values)
-    family = []
-    # a weight or level past the float range shows as a non-finite value,
-    # which mixed_norm refuses with InvalidInput
-    with np.errstate(over="ignore", invalid="ignore"):
-        for v in range(bank.V + 1):
-            conv = _apply(bank.multiplier(v), spec)
-            family.append(np.exp2(v * alpha.values) * np.abs(conv))
-    return mixed_norm(family, p, q)
+    return mixed_norm(_filtered_levels(f, alpha, bank), p, q)
 
 
 def F_infty_norm(f: GridFunction, alpha: ExponentField, q, bank: FilterBank) -> float:
     """Endpoint norm: dyadic-cube sup of averaged tails of 2^{v alpha q} |phi_v * f|^q."""
     grid = common_grid(bank, f, alpha, q)
     q = _constant_exponent(q)
-    spec = np.fft.fftn(f.values)
-    levels = []
-    with _within_float_range("a level integrand 2^(v alpha q) |phi_v * f|^q or its tail sum", q):
-        for v in range(bank.V + 1):
-            conv = _apply(bank.multiplier(v), spec)
-            levels.append(np.exp2(v * q * alpha.values) * np.abs(conv) ** q)
-        return dyadic_tail_sup(grid, levels, q)
+    return dyadic_tail_sup(grid, _filtered_levels(f, alpha, bank, q), q)

@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import InvalidConfiguration, InvalidInput, InvalidSelection
 from .exponents import ExponentField, _constant_value
-from .grid import (Grid, GridFunction, cells_to_grid, common_grid, cube_broadcast, cube_cells,
-                   cube_sums)
+from .grid import (Grid, GridFunction, _within_float_range, cells_to_grid, common_grid,
+                   cube_broadcast, cube_cells, cube_sums)
 from .lebesgue import NormResult, mixed_norm
 
 __all__ = [
@@ -171,17 +170,6 @@ def _constant_exponent(q) -> float:
     return q
 
 
-@contextmanager
-def _within_float_range(what: str, q: float | None = None):
-    """Raise InvalidInput for a numpy overflow in the block: `what` has no norm to report."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError:
-        at = "" if q is None else f" (q={q})"
-        raise InvalidInput(f"{what} exceeds the float range{at}") from None
-
-
 _scalar_pow = np.frompyfunc(pow, 2, 1)
 
 
@@ -203,29 +191,42 @@ def _pow_entries(mod: np.ndarray, q: float) -> np.ndarray:
     return out
 
 
-_INTEGRAND = "a level integrand 2^(v (alpha + n/2) q) |lam|^q"
-
-
-def _level_integrand(lam: DyadicCoefficients, alpha: ExponentField, v: int,
-                     q: float = 1.0) -> np.ndarray:
-    """2^{v(alpha(x)+n/2)q} sum_m |lam_{v,m}|^q chi_{v,m}(x); q = 1 gives F_v."""
+def _coefficient_levels(lam: DyadicCoefficients, alpha: ExponentField, q: float = 1.0,
+                        take=lambda v, level: level, vs=None) -> list:
+    """[take(v, G_v) for v in vs], vs = 0..V by default, under one float-range guard:
+    G_v(x) = 2^{v(alpha(x)+n/2)q} sum_m |lam_{v,m}|^q chi_{v,m}(x), and q = 1 gives F_v."""
     grid = lam.grid
-    amp = cube_broadcast(grid, _pow_entries(lam.moduli(v), q), v)
-    return amp * np.exp2(v * q * (alpha.values + 0.5 * grid.n))
+    with _within_float_range("a level integrand 2^(v (alpha + n/2) q) |lam|^q or its sum", q):
+        return [take(v, cube_broadcast(grid, _pow_entries(lam.moduli(v), q), v)
+                     * np.exp2(v * q * (alpha.values + 0.5 * grid.n)))
+                for v in (range(lam.V + 1) if vs is None else vs)]
+
+
+def _level_sum(lam: DyadicCoefficients, alpha: ExponentField, q: float,
+               keep=None) -> tuple[np.ndarray, float]:
+    """(S, (max S)^{1/q}) for S = sum_v G_v, added level by level; with `keep`, G_v
+    only on the cells keep[v] marks (the `cube_cells` layout of `SubsetSelection.levels`)."""
+    total = np.zeros(lam.grid.shape)
+
+    def add(v, level):
+        if keep is not None:
+            level = np.where(cells_to_grid(lam.grid, keep[v], v), level, 0.0)
+        np.add(total, level, out=total)
+    _coefficient_levels(lam, alpha, q, add)
+    with _within_float_range("the q-th root of a level sum", q):
+        return total, float(total.max()) ** (1.0 / q)
 
 
 def level_function(lam: DyadicCoefficients, alpha: ExponentField, v: int) -> GridFunction:
     """F_v(x) = sum_m 2^{v(alpha(x)+n/2)} |lam_{v,m}| chi_{v,m}(x)."""
-    return GridFunction(common_grid(lam, alpha), _level_integrand(lam, alpha, v))
+    return GridFunction(common_grid(lam, alpha), _coefficient_levels(lam, alpha, vs=[v])[0])
 
 
 def f_norm(lam: DyadicCoefficients, alpha: ExponentField, p: ExponentField,
            q: ExponentField) -> NormResult:
     """Sequence-space norm: mixed (p, q) norm of the weighted level functions."""
     common_grid(lam, alpha, p, q)
-    with _within_float_range("a level function 2^(v (alpha + n/2)) |lam|"):
-        family = [_level_integrand(lam, alpha, v) for v in range(lam.V + 1)]
-    return mixed_norm(family, p, q)
+    return mixed_norm(_coefficient_levels(lam, alpha), p, q)
 
 
 def dyadic_tail_sup(grid: Grid, integrands, q: float) -> float:
@@ -239,12 +240,14 @@ def dyadic_tail_sup(grid: Grid, integrands, q: float) -> float:
     tail = np.zeros(grid.shape)
     best = 0.0
     # suffix-accumulate the level integrands so level-w cubes see sum_{v>=w}
-    for w in range(len(integrands) - 1, -1, -1):
-        tail = tail + integrands[w]
-        per_cube = cube_sums(grid, tail, w) * hn
-        top = float(per_cube.max())
-        if top > 0.0:
-            best = max(best, 2.0 ** (w * n / q) * top ** (1.0 / q))
+    with _within_float_range("a tail sum of level integrands", q):
+        for w in range(len(integrands) - 1, -1, -1):
+            tail = tail + integrands[w]
+            per_cube = cube_sums(grid, tail, w) * hn
+            top = float(per_cube.max())
+            if top > 0.0:
+                # numpy's multiply, so that an overflow raises in the guard
+                best = max(best, float(np.multiply(2.0 ** (w * n / q), top ** (1.0 / q))))
     return best
 
 
@@ -258,9 +261,7 @@ def f_infty_norm(lam: DyadicCoefficients, alpha: ExponentField, q) -> float:
     q = _constant_exponent(q)
     if not lam:
         return 0.0
-    with _within_float_range(_INTEGRAND + " or its tail sum", q):
-        levels = [_level_integrand(lam, alpha, v, q) for v in range(lam.V + 1)]
-        return dyadic_tail_sup(lam.grid, levels, q)
+    return dyadic_tail_sup(lam.grid, _coefficient_levels(lam, alpha, q), q)
 
 
 def coefficient_bound_check(lam: DyadicCoefficients, alpha: ExponentField,
@@ -332,32 +333,26 @@ def greedy_selection(lam: DyadicCoefficients, alpha: ExponentField, q) -> Subset
     the cube's block).
     """
     grid = common_grid(lam, alpha, q)
-    q = _constant_exponent(q)
-    levels = []
-    for v in range(lam.V + 1):
-        with _within_float_range(_INTEGRAND, q):
-            blocks = cube_cells(grid, _level_integrand(lam, alpha, v, q), v)
+
+    def smallest_half(v, level):
+        blocks = cube_cells(grid, level, v)
         ranks = np.argsort(np.argsort(blocks, axis=-1, kind="stable"), axis=-1)
-        levels.append((ranks <= blocks.shape[-1] // 2) & (lam.levels[v] != 0)[..., None])
-    return SubsetSelection(grid, levels)
+        return (ranks <= blocks.shape[-1] // 2) & (lam.levels[v] != 0)[..., None]
+    return SubsetSelection(grid, _coefficient_levels(lam, alpha, _constant_exponent(q),
+                                                     smallest_half))
 
 
 def f_infty_subset_norm(lam: DyadicCoefficients, alpha: ExponentField, q,
                         sel: SubsetSelection) -> float:
     """Grid max of (sum_{v,m} 2^{v(alpha(x)+n/2)q} |lam_{v,m}|^q chi_{E_{v,m}}(x))^{1/q}."""
-    grid = common_grid(lam, alpha, q, sel)
+    common_grid(lam, alpha, q, sel)
     q = _constant_exponent(q)
     if any(not np.array_equal(keep.any(axis=-1), lam.moduli(v) != 0)
            for v, keep in enumerate(sel.levels)):
         raise InvalidSelection("selection must cover exactly the coefficient support")
     if not lam:
         return 0.0
-    total = np.zeros(grid.shape)
-    with _within_float_range(_INTEGRAND + " or its sum", q):
-        for v in range(lam.V + 1):
-            keep = cells_to_grid(grid, sel.levels[v], v)
-            total += np.where(keep, _level_integrand(lam, alpha, v, q), 0.0)
-    return float(total.max()) ** (1.0 / q)
+    return _level_sum(lam, alpha, q, sel.levels)[1]
 
 
 def _support_cells(lam: DyadicCoefficients) -> int:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -629,3 +630,17 @@ def test_equivalence_experiment_stability():
 def test_equivalence_experiment_guards():
     with pytest.raises(InvalidInput):
         equivalence_experiment([], pp_params_const())
+
+
+@pytest.mark.parametrize("build", [build_level_sets, factorize_pq_infty])
+def test_level_set_majorant_beyond_float_range_is_typed(build):
+    # alpha0 = 400 puts the weights 2^{v (alpha + n/2) q} of the stacked
+    # majorant past the float range; it used to escape as numpy's overflow
+    # RuntimeWarning and then fail on the non-finite grid function
+    params = factorization_params_pq_infty(0.5, const(G, 400.0, "smoothness"),
+                                           const(G, -0.1, "smoothness"), const(G, 2.0), 2.0, 3.0)
+    lam = DyadicCoefficients(G, V, {(0, (1,)): 1.0, (3, (5,)): 2.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidInput, match="exceeds the float range"):
+            build(lam, params)

@@ -7,6 +7,7 @@ import os
 import re
 import threading
 import time
+import warnings
 import weakref
 
 import pytest
@@ -142,6 +143,35 @@ def test_any_package_error_of_a_run_is_a_contract_failure(tmp_path, capsys, kind
     err = capsys.readouterr().err
     assert f"contract failure [{kind}]: exponent field contains non-finite values" in err
     assert "Traceback" not in err
+
+
+def test_level_weight_beyond_float_range_is_a_contract_failure(tmp_path, capsys):
+    # alpha0 = 400 puts the level weights of the stacked majorant past the float
+    # range; the run used to print two RuntimeWarnings and then fail on
+    # "grid function contains non-finite values"
+    path = base_config(tmp_path, "factorize-pq-infty")
+    cfg = json.loads(open(path).read())
+    cfg["exponents"]["alpha0"] = {"recipe": "constant", "value": 400}
+    path = write_config(tmp_path, "alpha0-400.json", cfg)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always", RuntimeWarning)
+        assert main(["run", path]) == EXIT_CONTRACT
+    assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err.startswith("contract failure [factorize-pq-infty]: ")
+    assert "exceeds the float range (q=" in err and "Traceback" not in err
+
+
+def test_recipe_number_beyond_float_range_exits_two(tmp_path, capsys):
+    # a 401-digit JSON integer passes the schema; it used to end the run in an
+    # OverflowError traceback from float()
+    path = base_config(tmp_path, "norms")
+    cfg = json.loads(open(path).read())
+    cfg["exponents"]["p0"] = {"recipe": "constant", "value": 10 ** 400}
+    path = write_config(tmp_path, "p0-401-digits.json", cfg)
+    assert main(["run", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error at $.exponents.p0: recipe 'constant' "
+                                       "parameter value lies outside the float range\n")
 
 
 def test_levels_beyond_grid_exit_two(tmp_path, capsys):

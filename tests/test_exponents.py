@@ -84,6 +84,18 @@ def test_recipe_refuses_a_parameter_it_does_not_read(recipe, params, unread):
         build_exponent(make_grid(1, 4, 256), recipe, **params)
 
 
+@pytest.mark.parametrize("recipe, params, key", [
+    ("constant", {"value": 10 ** 400}, "value"),
+    ("sine", {"base": 2.0, "amplitude": -10 ** 400}, "amplitude"),
+    ("plateau", {"left": 2.0, "right": 3.0, "width": 1e400}, "width"),
+])
+def test_recipe_number_beyond_float_range_is_invalid_exponent(recipe, params, key):
+    # a JSON integer of 401 digits used to escape float() as an OverflowError
+    with pytest.raises(InvalidExponent,
+                       match=f"^recipe '{recipe}' parameter {key} lies outside the float range$"):
+        build_exponent(make_grid(1, 4, 256), recipe, **params)
+
+
 def test_sine_frequency_defaults_to_one_period():
     g = make_grid(1, 4, 256)
     default = build_exponent(g, "sine", base=2.0, amplitude=0.5)

@@ -1,7 +1,8 @@
 """Every name a vexint module exports through `__all__` resolves, every
 defaulted parameter of the public API is one that a caller turns, and every
 public entry that takes two grid-carrying arguments checks them with
-`grid.common_grid`."""
+`grid.common_grid`, and no function but the float-range guard
+`grid._within_float_range` and a listed few sets numpy's error handling."""
 
 import ast
 import dataclasses
@@ -168,6 +169,52 @@ def _mismatched_calls():
 def test_entries_refuse_arguments_on_different_grids(entry):
     with pytest.raises(InvalidInput, match="different grids"):
         _mismatched_calls()[entry]()
+
+
+# functions that set numpy's error handling themselves, besides the one
+# float-range guard, grid._within_float_range
+ERRSTATE_ALLOWLIST = {
+    "_accel.modular_pow_sum": "an overflowed sum reads as > 1, which its callers expect",
+    "interp.PoissonPair.mu0": "a cosh overflow divides out to the correct limit 0",
+    "interp.PoissonPair.mu1": "a cosh overflow divides out to the correct limit 0",
+    "calderon._p_infty": "ExponentField refuses the overflowed inf as InvalidExponent",
+    "kernels.verify_alpha_shift": "an overflowed bound only widens the scan, and a non-finite "
+                                  "result is refused",
+    "exponents.log_holder_constants": "1/0 at the zero offset, whose weight is then set to 0",
+}
+
+
+def _errstate_callers(node: ast.AST, scope: str, found: set) -> set:
+    """Qualified names of the functions whose own body, nested functions and
+    classes aside, calls errstate."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            _errstate_callers(child, scope, found)
+            continue
+        name = f"{scope}.{child.name}"
+        own, stack = [], list(ast.iter_child_nodes(child))
+        while stack:
+            n = stack.pop()
+            if not isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+                own.append(n)
+                stack.extend(ast.iter_child_nodes(n))
+        if isinstance(child, ast.FunctionDef) and any(
+                isinstance(n, ast.Call) and "errstate" in (getattr(n.func, "attr", None),
+                                                           getattr(n.func, "id", None))
+                for n in own):
+            found.add(name)
+        _errstate_callers(child, name, found)
+    return found
+
+
+def test_only_the_float_range_guard_sets_numpy_error_handling():
+    found: set = set()
+    for path in sorted((ROOT / "src" / "vexint").glob("*.py")):
+        _errstate_callers(ast.parse(path.read_text(encoding="utf-8")), path.stem, found)
+    assert "grid._within_float_range" in found
+    assert found - {"grid._within_float_range"} - set(ERRSTATE_ALLOWLIST) == set(), \
+        "functions that set numpy's error handling outside the float-range guard"
+    assert set(ERRSTATE_ALLOWLIST) <= found, "allowlist names a site that is gone"
 
 
 def _constant_q_calls(q):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from vexint import corpus
 from vexint.errors import InvalidConfiguration, InvalidInput, VexintError
 from vexint.exponents import build_exponent
-from vexint.grid import GridFunction, cube_corners, make_grid
+from vexint.grid import GridFunction, _within_float_range, cube_corners, make_grid
 from vexint.lebesgue import mixed_norm
 from vexint.lpf import (
     F_infty_norm,
@@ -32,8 +32,7 @@ from vexint.lpf import (
     retract_roundtrip,
     synthesize,
 )
-from vexint.seqspaces import DyadicCoefficients, _constant_exponent, _within_float_range, \
-    dyadic_tail_sup
+from vexint.seqspaces import DyadicCoefficients, _constant_exponent, dyadic_tail_sup
 
 
 def _bits(obj):
@@ -216,11 +215,12 @@ def oracle_retract_roundtrip(f, bank):
 def oracle_F_norm(f, alpha, p, q, bank):
     if f.grid != bank.grid or alpha.grid != bank.grid:
         raise InvalidInput("function, fields, and bank must share one grid")
-    spec = np.fft.fftn(f.values)
     family = []
-    for v in range(bank.V + 1):
-        conv = np.fft.ifftn(bank.multiplier(v) * spec)
-        family.append(np.exp2(v * alpha.values) * np.abs(conv))
+    with _within_float_range("a level integrand 2^(v alpha q) |phi_v * f|^q", 1.0):
+        spec = np.fft.fftn(f.values)
+        for v in range(bank.V + 1):
+            conv = np.fft.ifftn(bank.multiplier(v) * spec)
+            family.append(np.exp2(v * alpha.values) * np.abs(conv))
     return mixed_norm(family, p, q)
 
 
@@ -228,13 +228,13 @@ def oracle_F_infty_norm(f, alpha, q, bank):
     if f.grid != bank.grid or alpha.grid != bank.grid:
         raise InvalidInput("function, fields, and bank must share one grid")
     q = _constant_exponent(q)
-    spec = np.fft.fftn(f.values)
     levels = []
-    with _within_float_range("a level integrand 2^(v alpha q) |phi_v * f|^q or its tail sum", q):
+    with _within_float_range("a level integrand 2^(v alpha q) |phi_v * f|^q", q):
+        spec = np.fft.fftn(f.values)
         for v in range(bank.V + 1):
             conv = np.fft.ifftn(bank.multiplier(v) * spec)
             levels.append(np.exp2(v * q * alpha.values) * np.abs(conv) ** q)
-        return dyadic_tail_sup(bank.grid, levels, q)
+    return dyadic_tail_sup(bank.grid, levels, q)
 
 
 def oracle_trig_polynomial(grid, modes):

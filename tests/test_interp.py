@@ -1,5 +1,7 @@
 """Strip kernels, competitor families, and the interpolation sandwiches."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -343,3 +345,18 @@ def test_inter_rest_guards():
                          build_dual_pair(build_admissible_pair(G, 3)))
     rep = inter_rest_check(GridFunction.zeros(G), 0.0, 0.0, p, p, 2.0, 2.0, 0.5, bank)
     assert rep.ratio == 1.0 and rep.direct == 0.0
+
+
+def test_competitor_family_beyond_float_range_is_typed():
+    # |g(x, it)| = (1e300)^(1 - theta w) with w = p/p1 - p/p0 < 0 overflows;
+    # three_lines_bound used to return the inf, and evaluate an inf g
+    f = [(1e300, (X >= 0.0) & (X < 1.0)), (1e-300, (X >= 1.0) & (X < 2.0))]
+    fam = competitor_family(f, const(G, 1.01), const(G, 60.0), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidInput, match="exceeds the float range"):
+            fam.boundary_modulus(0)
+        with pytest.raises(InvalidInput, match="exceeds the float range"):
+            three_lines_bound(fam, 0)
+        with pytest.raises(InvalidInput, match="exceeds the float range"):
+            fam.evaluate(0.0)

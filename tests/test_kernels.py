@@ -433,3 +433,13 @@ def test_closed_mass_matches_quadrature_in_log_radius(n, m, a):
         want = 2.0 * math.pi * quad(lambda t: math.exp((2.0 - m) * t) - math.exp((1.0 - m) * t),
                                     0.0, math.log1p(a), epsabs=0.0, epsrel=1e-13)[0]
     assert _closed_mass(n, a, m) == pytest.approx(want, rel=1e-11)
+
+
+def test_convolve_spectrum_beyond_float_range_is_typed():
+    # the spectral product of two 1e300-sized spectra overflows; it used to
+    # escape as numpy's overflow RuntimeWarning
+    f = GridFunction(G, 1e300 * np.cos(G.axis))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidInput, match="exceeds the float range"):
+            convolve(f, f)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from vexint.calderon import (
     NO_CLASS,
-    _stacked_majorant,
     _subset_from_level_sets,
     build_level_sets,
     factorization_params_pp,
@@ -30,8 +29,9 @@ from vexint.exponents import ExponentField, build_exponent
 from vexint.grid import DyadicCube, GridFunction, common_grid, cube_cells, cube_corners, make_grid
 from vexint.seqspaces import (
     DyadicCoefficients,
+    _coefficient_levels,
     _constant_exponent,
-    _level_integrand,
+    _level_sum,
     _normalize_key,
     f_norm,
 )
@@ -47,7 +47,7 @@ def level_sets_oracle(lam, alpha, p, q, params):
     gamma = params.gamma
     qv = float(np.asarray(q.values if isinstance(q, ExponentField) else q).ravel()[0])
     grid = lam.grid
-    g_vals = _stacked_majorant(lam, alpha, qv)
+    g_vals = _level_sum(lam, alpha, qv)[0] ** (1.0 / qv)
     g = GridFunction(grid, g_vals)
 
     def decomposition(masks, classes, unassigned, l_min, l_max, lam_norm):
@@ -168,7 +168,7 @@ def subset_norm_oracle(lam, alpha, q, masks):
         keep[v][grid.cube_slices(DyadicCube(v, m))] = mask
     total = np.zeros(grid.shape)
     for v in range(lam.V + 1):
-        total += np.where(keep[v], _level_integrand(lam, alpha, v, q), 0.0)
+        total += np.where(keep[v], _coefficient_levels(lam, alpha, q, vs=[v])[0], 0.0)
     return float(total.max()) ** (1.0 / q)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -336,7 +337,7 @@ def test_F_norm_weight_overflow_raises_invalid_input():
     alpha = const(G, 1000.0, role="smoothness")
     p = const(G, 2.0)
     f = band_limited(G, V, RNG)
-    with pytest.raises(InvalidInput, match="family has a non-finite value"):
+    with pytest.raises(InvalidInput, match="exceeds the float range"):
         F_norm(f, alpha, p, p, BANK)
 
 
@@ -432,3 +433,13 @@ def test_two_dimensional_roundtrip_and_norms():
     assert F_norm(f, alpha, p, p, bank).value > 0.0
     rou = build_resolution_of_unity(g2, 2)
     assert retract_roundtrip(f, rou).residual <= 1e-6
+
+
+def test_synthesize_beyond_float_range_is_typed():
+    # the impulse scaling 2^(-v n/2) / h^n takes 1e308 past the float range;
+    # it used to escape as numpy's overflow RuntimeWarning
+    lam = DyadicCoefficients(G, 3, {(2, (1,)): 1e308, (3, (5,)): -1e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidInput, match="exceeds the float range"):
+            synthesize(lam, DUAL)

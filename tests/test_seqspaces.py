@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vexint.calderon import _stacked_majorant
 from vexint.corpus import coefficient_corpus
 from vexint.errors import (
     InvalidConfiguration,
@@ -24,7 +23,8 @@ from vexint.grid import cube_mask, enumerate_cubes, make_grid
 from vexint.seqspaces import (
     DyadicCoefficients,
     SubsetSelection,
-    _level_integrand,
+    _coefficient_levels,
+    _level_sum,
     coefficient_bound_check,
     f_infty_norm,
     f_infty_subset_norm,
@@ -301,6 +301,17 @@ def test_f_norm_level_function_beyond_float_range_is_typed():
         for pf in (p, sine_p):
             with pytest.raises(InvalidInput, match="exceeds the float range"):
                 f_norm(lam, a, pf, q)
+
+
+def test_level_function_weight_beyond_float_range_is_typed():
+    # 2^{3 (400 + 1/2)} leaves the float range; it used to escape as numpy's
+    # overflow RuntimeWarning and then fail on the non-finite grid function
+    lam = DyadicCoefficients(G, 3, {(0, (1,)): 1.0, (3, (5,)): 2.0})
+    a = build_exponent(G, "constant", value=400.0, role="smoothness")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidInput, match="exceeds the float range"):
+            level_function(lam, a, 3)
 
 
 # -- coefficient bound --------------------------------------------------------
@@ -664,9 +675,9 @@ def test_level_arrays_match_per_cube_oracles_exactly(lam, base, amplitude, q):
     for v in range(lam.V + 1):
         assert np.array_equal(level_function(lam, alpha, v).values,
                               level_function_oracle(lam, alpha, v))
-        assert np.array_equal(_level_integrand(lam, alpha, v, q),
+        assert np.array_equal(_coefficient_levels(lam, alpha, q, vs=[v])[0],
                               level_integrand_oracle(lam, alpha, v, q))
-    assert np.array_equal(_stacked_majorant(lam, alpha, q),
+    assert np.array_equal(_level_sum(lam, alpha, q)[0] ** (1.0 / q),
                           stacked_majorant_oracle(lam, alpha, q))
     sel = greedy_selection(lam, alpha, q)
     want = greedy_masks_oracle(lam, alpha, q)
