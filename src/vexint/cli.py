@@ -5,9 +5,9 @@ Configs are single JSON documents validated against CONFIG_SCHEMA
 the config, report rows share the suite's fixed CSV columns, and runtimes
 live only in the JSON summary so a fixed seed reproduces the CSV byte for
 byte.  Exit codes: 0 all contracts passed, 1 contract failure, 2 config
-or schema violation.  A VexintError raised while the config is read
-(`make_grid`, `build_field`, `decode_coefficients`) is a config violation;
-one raised by a run is a contract failure.
+or schema violation.  Every config value is read inside `_reading`, which
+makes a VexintError raised there a config violation; one raised by a run
+is a contract failure.
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__, acceptance, corpus
 from .acceptance import ReportRow, _lower, _upper, rows_to_csv
 from .calderon import factorization_params_pp, factorization_params_pq_infty, factorize, \
     verify_holder_direction
-from .errors import InvalidInput, VexintError
+from .errors import VexintError
 from .exponents import ExponentField, _constant_value, build_exponent
 from .grid import Grid, make_grid
 from .interp import _check_strip_theta, inter_rest_check, scalar_interp_sandwich
@@ -138,6 +139,7 @@ CONFIG_SCHEMA = {
         "coefficients": {
             "type": "object",
             "additionalProperties": False,
+            "required": ["lam", "lam0", "lam1"],
             "properties": {"lam": _COEFF_RECORDS, "lam0": _COEFF_RECORDS,
                            "lam1": _COEFF_RECORDS},
         },
@@ -202,27 +204,25 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+@contextmanager
+def _reading(where: str):
+    """Read one config value: a VexintError raised in the block is a ConfigError at `where`."""
+    try:
+        yield
+    except VexintError as exc:
+        raise ConfigError(where, str(exc)) from exc
+
+
 def build_field(grid: Grid, name: str, spec: dict) -> ExponentField:
     role = "smoothness" if name.startswith("alpha") else "integrability"
     kwargs = {k: v for k, v in spec.items() if k != "recipe"}
-    try:
+    with _reading(f"$.exponents.{name}"):
         return build_exponent(grid, spec["recipe"], role=role, **kwargs)
-    except VexintError as exc:
-        raise ConfigError(f"$.exponents.{name}", str(exc)) from exc
 
 
 def _constant(field: ExponentField, name: str) -> float:
-    try:
+    with _reading(f"$.exponents.{name}"):
         return _constant_value(field, name)
-    except VexintError as exc:
-        raise ConfigError(f"$.exponents.{name}", str(exc)) from exc
-
-
-def decode_coefficients(grid: Grid, V: int, records, where: str) -> DyadicCoefficients:
-    try:
-        return DyadicCoefficients.from_records(grid, V, records)
-    except VexintError as exc:
-        raise ConfigError(where, str(exc)) from exc
 
 
 class Experiment:
@@ -232,15 +232,11 @@ class Experiment:
         self.cfg = cfg
         self.kind = cfg["kind"]
         g = cfg["grid"]
-        try:
+        with _reading("$.grid"):
             self.grid = make_grid(g["n"], g["L"], g["N"])
-        except VexintError as exc:
-            raise ConfigError("$.grid", str(exc)) from exc
         self.V = cfg.get("levels", min(4, self.grid.v_max))
-        if self.V > self.grid.v_max:
-            raise ConfigError("$.levels",
-                              f"level {self.V} exceeds finest usable level "
-                              f"{self.grid.v_max}")
+        with _reading("$.levels"):
+            self.grid.check_level(self.V)
         self.seed = cfg["corpus"]["seed"]
         self.items = cfg["corpus"].get("items", 8)
         self.count = cfg["corpus"].get("count", 200)
@@ -271,9 +267,6 @@ class Experiment:
 
     def realize(self, modes: dict):
         return corpus.trig_polynomial(self.grid, modes)
-
-    def tol(self, name: str) -> float:
-        return self.tolerances[name]
 
     def echo(self) -> dict:
         return {
@@ -339,7 +332,7 @@ def run_factorize(exp: Experiment, construction: str):
     rows, norms = [], []
     for i, theta, (dev, n0, n1) in _over_corpus(exp.coefficients(), one, exp.thetas):
         rows.append(_upper(kind, acceptance._digest(kind, exp.seed, i, theta),
-                           dev, exp.tol("reconstruction")))
+                           dev, exp.tolerances["reconstruction"]))
         norms.append({"item": i, "theta": theta, "factor0_norm": n0,
                       "factor1_norm": n1})
     return rows, {"factor_norms": norms}
@@ -356,13 +349,11 @@ def run_holder(exp: Experiment):
             return verify_holder_direction(lam.scaled(1.0 / res.lam_norm), res.lam0,
                                            res.lam1, params[theta])
     else:
+        triple = []
         for name in ("lam", "lam0", "lam1"):
-            if name not in explicit:
-                raise ConfigError(f"$.coefficients.{name}",
-                                  "holder kind needs lam, lam0 and lam1")
-        lam, lam0, lam1 = (decode_coefficients(exp.grid, exp.V, explicit[name],
-                                               f"$.coefficients.{name}")
-                           for name in ("lam", "lam0", "lam1"))
+            with _reading(f"$.coefficients.{name}"):
+                triple.append(DyadicCoefficients.from_records(exp.grid, exp.V, explicit[name]))
+        lam, lam0, lam1 = triple
         items = [lam]
         # decoded first: a coefficient error is a config error before any params error
         params = _construction(exp, exp.construction)
@@ -374,7 +365,7 @@ def run_holder(exp: Experiment):
         # an explicit triple is keyed by theta alone
         key = (i, theta) if explicit is None else (theta,)
         rows.append(_lower("holder", acceptance._digest("holder", exp.seed, *key),
-                           rep.margin, -exp.tol("holder") * rep.product))
+                           rep.margin, -exp.tolerances["holder"] * rep.product))
     return rows, {}
 
 
@@ -389,19 +380,17 @@ def run_roundtrip(exp: Experiment):
                                                    exp.realize):
         rows.append(_upper("roundtrip",
                            acceptance._digest("roundtrip", exp.seed, i, "T"),
-                           transform, exp.tol("residual")))
+                           transform, exp.tolerances["residual"]))
         rows.append(_upper("roundtrip",
                            acceptance._digest("roundtrip", exp.seed, i, "R"),
-                           retract, exp.tol("residual")))
+                           retract, exp.tolerances["residual"]))
     return rows, {"band_radius": 2.0 ** exp.V}
 
 
 def run_lebesgue_interp(exp: Experiment):
     for i, theta in enumerate(exp.thetas):
-        try:
+        with _reading(f"$.theta[{i}]"):
             _check_strip_theta(theta)
-        except InvalidInput as exc:
-            raise ConfigError(f"$.theta[{i}]", str(exc)) from exc
     f = exp.fields("lebesgue-interp")
     simples = corpus.simple_function_corpus(exp.grid, exp.items, exp.regions,
                                             exp.seed)
@@ -413,7 +402,7 @@ def run_lebesgue_interp(exp: Experiment):
         rows.append(_upper("lebesgue-interp",
                            acceptance._digest("lebesgue-interp", exp.seed,
                                               i, theta),
-                           rep.upper_ratio, 1.0 + exp.tol("upper")))
+                           rep.upper_ratio, 1.0 + exp.tolerances["upper"]))
         lower.append({"item": i, "theta": theta, "lower_ratio": rep.lower_ratio,
                       "rho0": rep.rho0, "rho1": rep.rho1})
     return rows, {"lower_ratios": lower}
@@ -423,15 +412,14 @@ def run_inter_rest(exp: Experiment):
     f = exp.fields("inter-rest")
     # the retraction route needs constant smoothness and inner exponents;
     # the integrability pair may vary
-    for name in ("alpha0", "alpha1", "q0", "q1"):
-        _constant(f[name], name)
+    c = {name: _constant(f[name], name) for name in ("alpha0", "alpha1", "q0", "q1")}
     bank = build_resolution_of_unity(exp.grid, exp.V)
-    bracket = exp.tol("bracket")
+    bracket = exp.tolerances["bracket"]
     rows = []
 
     def one(g, theta):
-        return inter_rest_check(g, f["alpha0"], f["alpha1"], f["p0"], f["p1"],
-                                f["q0"], f["q1"], theta, bank).ratio
+        return inter_rest_check(g, c["alpha0"], c["alpha1"], f["p0"], f["p1"],
+                                c["q0"], c["q1"], theta, bank).ratio
     for i, theta, ratio in _over_corpus(exp.functions(), one, exp.thetas, exp.realize):
         # folded two-sided bracket: pass iff 1/bracket <= ratio <= bracket
         folded = max(ratio, 1.0 / ratio) if ratio > 0.0 else float("inf")
@@ -476,7 +464,7 @@ def run_norm_kind(exp: Experiment, which: str, kind: str | None = None):
         items, realize = exp.functions(), exp.realize
     values = [v for _, _, v in _over_corpus(items, lambda x, _theta: norm(x), [None],
                                             realize)]
-    rows = [_upper(label, acceptance._digest(*key, exp.seed, i), v, exp.tol("finite"))
+    rows = [_upper(label, acceptance._digest(*key, exp.seed, i), v, exp.tolerances["finite"])
             for i, v in enumerate(values)]
     return rows, {"values": values}
 
@@ -495,30 +483,12 @@ EXPERIMENTS = {
 # --------------------------------------------------------------- reports
 
 
-def write_reports(cfg_echo: dict, kind: str, rows, extras: dict,
-                  runtime: float, out: dict | None) -> None:
-    out = out or {}
-    csv_path = out.get("csv")
-    json_path = out.get("json")
+def _write(csv_path, csv: str, json_path, doc: dict) -> None:
+    """Write the CSV text and the JSON report; an unset or empty path writes nothing."""
     if csv_path:
-        Path(csv_path).write_text(rows_to_csv(rows), encoding="utf-8")
+        Path(csv_path).write_text(csv, encoding="utf-8")
     if json_path:
-        worst = min((r.margin for r in rows), default=0.0)
-        doc = {
-            "kind": kind,
-            "version": __version__,
-            "config": cfg_echo,
-            "rows": [r.__dict__ for r in rows],
-            "summary": {
-                "rows": len(rows),
-                "passed": all(r.passed for r in rows),
-                "worst_margin": worst,
-                "runtime_seconds": runtime,
-                **extras,
-            },
-        }
-        Path(json_path).write_text(json.dumps(doc, indent=2) + "\n",
-                                   encoding="utf-8")
+        Path(json_path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 # failing rows printed by `vexint run`; the rest are counted
@@ -547,7 +517,20 @@ def _execute(exp: Experiment, label: str, run, out: dict | None, show) -> int:
         return EXIT_CONTRACT
     runtime = time.perf_counter() - t0
     show(rows, extras, runtime)
-    write_reports(exp.echo(), label, rows, extras, runtime, out)
+    out = out or {}
+    _write(out.get("csv"), rows_to_csv(rows), out.get("json"), {
+        "kind": label,
+        "version": __version__,
+        "config": exp.echo(),
+        "rows": [r.__dict__ for r in rows],
+        "summary": {
+            "rows": len(rows),
+            "passed": all(r.passed for r in rows),
+            "worst_margin": min((r.margin for r in rows), default=0.0),
+            "runtime_seconds": runtime,
+            **extras,
+        },
+    })
     return EXIT_PASS if all(r.passed for r in rows) else EXIT_CONTRACT
 
 
@@ -569,12 +552,7 @@ def cmd_run(path: str) -> int:
     return _execute(exp, exp.kind, lambda: EXPERIMENTS[exp.kind](exp), out, show)
 
 
-def cmd_suite(seed: int, csv_path=None, json_path=None, out_dir=None) -> int:
-    if out_dir is not None:
-        directory = Path(out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        csv_path = csv_path or str(directory / "suite.csv")
-        json_path = json_path or str(directory / "suite.json")
+def cmd_suite(seed: int, csv_path: str, json_path: str) -> int:
     suite = acceptance.run_suite(seed)
     for res in suite.results:
         status = "pass" if res.passed else "FAIL"
@@ -584,30 +562,25 @@ def cmd_suite(seed: int, csv_path=None, json_path=None, out_dir=None) -> int:
     rerun = ("the re-run sent no rows" if suite.elapsed_rerun is None
              else f"{suite.elapsed_rerun:.2f}s")
     print(f"A17 regeneration determinism: {det} ({rerun})")
+    _write(csv_path, suite.csv, json_path, {
+        "kind": "suite",
+        "version": __version__,
+        "seed": seed,
+        "rows": [r.__dict__ for r in suite.rows],
+        "summary": {
+            "passed": suite.passed,
+            "deterministic": suite.deterministic,
+            "runtime_seconds": suite.elapsed_first,
+            "rerun_seconds": suite.elapsed_rerun,
+            "criteria": [
+                {"id": res.cid, "title": res.title, "rows": len(res.rows),
+                 "passed": res.passed, "elapsed": res.elapsed, "budget": res.budget}
+                for res in suite.results
+            ],
+        },
+    })
     if csv_path:
-        Path(csv_path).write_text(suite.csv, encoding="utf-8")
         print(f"rows written to {csv_path}")
-    if json_path:
-        doc = {
-            "kind": "suite",
-            "version": __version__,
-            "seed": seed,
-            "rows": [r.__dict__ for r in suite.rows],
-            "summary": {
-                "passed": suite.passed,
-                "deterministic": suite.deterministic,
-                "runtime_seconds": suite.elapsed_first,
-                "rerun_seconds": suite.elapsed_rerun,
-                "criteria": [
-                    {"id": res.cid, "title": res.title, "rows": len(res.rows),
-                     "passed": res.passed, "elapsed": res.elapsed,
-                     "budget": res.budget}
-                    for res in suite.results
-                ],
-            },
-        }
-        Path(json_path).write_text(json.dumps(doc, indent=2) + "\n",
-                                   encoding="utf-8")
     if not suite.passed:
         failed = [f"A{res.cid:02d}" for res in suite.results if not res.passed]
         if not suite.deterministic:
@@ -667,7 +640,7 @@ def main(argv=None) -> int:
 
     p_suite = sub.add_parser("suite", help="run the acceptance matrix")
     p_suite.add_argument("--seed", type=int, required=True)
-    p_suite.add_argument("--out", default=None,
+    p_suite.add_argument("--out", default=".",
                          help="directory for suite.csv and suite.json")
 
     p_norm = sub.add_parser("norm", help="evaluate one norm over a corpus")
@@ -681,7 +654,9 @@ def main(argv=None) -> int:
         if args.verb == "run":
             return cmd_run(args.config)
         if args.verb == "suite":
-            return cmd_suite(args.seed, out_dir=args.out or ".")
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            return cmd_suite(args.seed, str(out / "suite.csv"), str(out / "suite.json"))
         if args.verb == "norm":
             return cmd_norm(args.kind, args.config)
         print(json.dumps(CONFIG_SCHEMA, indent=2))

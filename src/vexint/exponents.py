@@ -50,7 +50,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _accel
 from .errors import ConjugateUndefined, InvalidExponent, InvalidInput
-from .grid import Grid, common_grid
+from .grid import Grid, _within_float_range, common_grid
 
 __all__ = [
     "ExponentField",
@@ -163,7 +163,7 @@ def build_exponent(grid: Grid, recipe: str, *, role: str = "integrability", **pa
     first-axis sine per `frequency` (default 1); plateau(left, right, width):
     `left` near the boundary, `right` on the middle half, linear ramps of the
     given width.  A missing parameter, or one the recipe does not read, is an
-    InvalidExponent.
+    InvalidExponent, and so is a sine whose values leave the float range.
     """
     if recipe not in _RECIPE_PARAMS:
         raise InvalidExponent(f"unknown recipe {recipe!r}")
@@ -184,7 +184,9 @@ def build_exponent(grid: Grid, recipe: str, *, role: str = "integrability", **pa
         base = params["base"]
         amp = params["amplitude"]
         freq = params.get("frequency", 1.0)
-        vals = base + amp * np.sin(2.0 * math.pi * freq * grid.coords()[0] / (2.0 * grid.L))
+        with _within_float_range("recipe 'sine' field base + amplitude sin(pi frequency x / L)",
+                                 error=InvalidExponent):
+            vals = base + amp * np.sin(2.0 * math.pi * freq * grid.coords()[0] / (2.0 * grid.L))
         lo, hi = base - abs(amp), base + abs(amp)
         g_inf = base
     else:
@@ -401,7 +403,9 @@ def log_holder_constants(field: ExponentField) -> LogHolderReport:
     fl(U * w) <= best: the result equals the full-table maximum bit for
     bit, since monotone rounding gives fl(M[k] * w) <= fl(U * w) for every
     skipped offset.  c_dec weights the deviation from g_inf by
-    log(e + distance-to-center).  The report is memoized per field.
+    log(e + distance-to-center).  A field whose oscillation, times its
+    weights, leaves the float range is an InvalidInput.  The report is
+    memoized per field.
     """
     if field._lh_report is not None:
         return field._lh_report
@@ -420,9 +424,10 @@ def log_holder_constants(field: ExponentField) -> LogHolderReport:
     # largest weight the one that counts in any case
     w_distinct = np.zeros(len(distinct))
     np.maximum.at(w_distinct, where, w)
-    c_loc = _bounded_max(field, distinct, w_distinct, _offset_bounds(field.values, distinct))
     dec_weight = np.log(math.e + grid.center_radius())
-    c_dec = float(np.max(np.abs(field.values - field.g_inf) * dec_weight))
+    with _within_float_range("the field's oscillation max - min, times a log weight,"):
+        c_loc = _bounded_max(field, distinct, w_distinct, _offset_bounds(field.values, distinct))
+        c_dec = float(np.max(np.abs(field.values - field.g_inf) * dec_weight))
     report = LogHolderReport(c_loc=c_loc, c_dec=c_dec, exhaustive=exhaustive,
                              offsets_evaluated=d.size - 1)
     field._lh_report = report

@@ -204,16 +204,16 @@ def common_grid(*args) -> Grid:
 
 
 @contextmanager
-def _within_float_range(what: str, q: float | None = None):
+def _within_float_range(what: str, q: float | None = None, error=InvalidInput):
     """The one float-range rule: a numpy overflow or invalid operation, or a
-    Python float overflow, in the block is an InvalidInput saying that `what`
-    exceeds the float range."""
+    Python float overflow, in the block is an `error`, InvalidInput unless
+    given, saying that `what` exceeds the float range."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except (FloatingPointError, OverflowError):
         at = "" if q is None else f" (q={q})"
-        raise InvalidInput(f"{what} exceeds the float range{at}") from None
+        raise error(f"{what} exceeds the float range{at}") from None
 
 
 def make_grid(n: int, L: float, N: int) -> Grid:

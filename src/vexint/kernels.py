@@ -331,9 +331,16 @@ def verify_jensen_gamma(p: ExponentField, m_exp: float, f, v_list,
     (gamma * avg_Q |f|)^{p(x)} against avg_Q |f|^{p(.)} plus the damped
     perturbation min(|Q|^m, 1) g(x); gamma = exp(-2 m / c) with c the
     regularity constant of 1/p, and gamma = 1 when p is constant (the
-    estimate is then plain convexity of t^p).
+    estimate is then plain convexity of t^p).  An empty level list, or a
+    gamma_override outside (0, 1], is an InvalidInput.
     """
     _check_decay(m_exp)
+    v_list = [int(v) for v in v_list]
+    if not v_list:
+        raise InvalidInput("need a non-empty list of levels")
+    # like the damped gamma, which keeps (gamma avg_Q |f|)^p(x) <= 1
+    if gamma_override is not None and not 0.0 < gamma_override <= 1.0:
+        raise InvalidInput(f"gamma_override must lie in (0, 1], got {gamma_override}")
     fv = np.abs(_values(f))
     grid = common_grid(p, f, fv)
     sup = float(fv.max())
@@ -356,9 +363,9 @@ def verify_jensen_gamma(p: ExponentField, m_exp: float, f, v_list,
     hn = grid.h ** grid.n
 
     per_level: dict[int, float] = {}
-    worst = (v_list[0] if v_list else 0, (0,) * grid.n)
+    worst = (v_list[0], (0,) * grid.n)
     margin_min = math.inf
-    for v in [int(v) for v in v_list]:
+    for v in v_list:
         measure = 2.0 ** (-v * grid.n)
         avg_f = cube_broadcast(grid, cube_sums(grid, fv, v) * hn / measure, v)
         avg_fp = cube_broadcast(grid, cube_sums(grid, fp, v) * hn / measure, v)

@@ -180,6 +180,31 @@ def test_levels_beyond_grid_exit_two(tmp_path, capsys):
     assert "levels" in capsys.readouterr().err
 
 
+def test_levels_beyond_grid_take_the_grid_level_rule(tmp_path, capsys):
+    # the CLI's own "level 9 exceeds finest usable level 3" is Grid.check_level's text
+    path = base_config(tmp_path, "norms", levels=9)
+    assert main(["run", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error at $.levels: level 9 cube side 0.001953125 is below 4 grid cells "
+        "(h=0.03125); finest usable level is 3\n")
+
+
+def test_sine_frequency_beyond_float_range_exits_two_quietly(tmp_path, capsys):
+    # the 309-digit frequency 10^308 passes the schema; two RuntimeWarnings used to
+    # come before "exponent field contains non-finite values"
+    path = base_config(tmp_path, "norms")
+    cfg = json.loads(open(path).read())
+    cfg["exponents"]["p0"] = {"recipe": "sine", "base": 2.0, "amplitude": 0.1,
+                              "frequency": 10 ** 308}
+    path = write_config(tmp_path, "p0-frequency.json", cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error at $.exponents.p0: recipe 'sine' field base + amplitude "
+        "sin(pi frequency x / L) exceeds the float range\n")
+
+
 def test_missing_required_recipe_exits_two(tmp_path, capsys):
     path = base_config(tmp_path, "factorize-pp")
     cfg = json.loads(open(path).read())
@@ -238,6 +263,17 @@ def test_coefficient_record_outside_box_is_config_error(tmp_path, capsys):
     })
     assert main(["run", path]) == EXIT_CONFIG
     assert "$.coefficients.lam1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["holder", "norms"])
+def test_a_partial_coefficient_triple_is_a_schema_error(tmp_path, capsys, kind):
+    # the schema requires all three records; a holder config used to be refused by a
+    # hand check at $.coefficients.lam1, and a norms config ran with the block ignored
+    good = [[0, [1], 1.0, 0.0]]
+    path = base_config(tmp_path, kind, coefficients={"lam": good, "lam0": good})
+    assert main(["run", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error at $.coefficients: 'lam1' is a required property\n")
 
 
 def test_explicit_holder_triple_passes(tmp_path):

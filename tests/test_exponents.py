@@ -289,3 +289,27 @@ def test_char_function_pointwise_scaling_bracket():
             lo = min(lo, float(ratios.min()))
             hi = max(hi, float(ratios.max()))
     assert 0.5 <= lo <= hi <= 2.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("role, params", [
+    # 2 pi frequency overflows: two RuntimeWarnings used to come first
+    ("integrability", dict(base=2.0, amplitude=0.1, frequency=1e308)),
+    # the add base + amplitude sin overflows
+    ("smoothness", dict(base=1e308, amplitude=1e308)),
+])
+def test_sine_beyond_float_range_is_invalid_exponent(role, params):
+    g = make_grid(1, 4.0, 256)
+    with pytest.raises(InvalidExponent, match="recipe 'sine' field .* exceeds the float range"):
+        build_exponent(g, "sine", role=role, **params)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n, L, N", [(1, 4.0, 256), (2, 1.0, 32)])
+def test_oscillation_beyond_float_range_is_typed(n, L, N):
+    # max - min = 2e308: c_loc used to be inf, after a RuntimeWarning of the offset scan
+    field = build_exponent(make_grid(n, L, N), "sine", base=0.0, amplitude=1e308,
+                           role="smoothness")
+    with pytest.raises(InvalidInput, match="oscillation max - min, times a log weight, "
+                                           "exceeds the float range"):
+        log_holder_constants(field)

@@ -1,8 +1,9 @@
 """Every name a vexint module exports through `__all__` resolves, every
 defaulted parameter of the public API is one that a caller turns, and every
 public entry that takes two grid-carrying arguments checks them with
-`grid.common_grid`, and no function but the float-range guard
-`grid._within_float_range` and a listed few sets numpy's error handling."""
+`grid.common_grid`, no function but the float-range guard
+`grid._within_float_range` and a listed few sets numpy's error handling, and
+the CLI maps config errors in `_reading` and writes reports in `_write` only."""
 
 import ast
 import dataclasses
@@ -184,27 +185,32 @@ ERRSTATE_ALLOWLIST = {
 }
 
 
-def _errstate_callers(node: ast.AST, scope: str, found: set) -> set:
+def _sites(node: ast.AST, is_site, scope: str = "", found=None) -> set:
     """Qualified names of the functions whose own body, nested functions and
-    classes aside, calls errstate."""
+    classes aside, holds a node for which is_site is true."""
+    found = set() if found is None else found
     for child in ast.iter_child_nodes(node):
         if not isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-            _errstate_callers(child, scope, found)
+            _sites(child, is_site, scope, found)
             continue
-        name = f"{scope}.{child.name}"
+        name = f"{scope}.{child.name}" if scope else child.name
         own, stack = [], list(ast.iter_child_nodes(child))
         while stack:
             n = stack.pop()
             if not isinstance(n, (ast.FunctionDef, ast.ClassDef)):
                 own.append(n)
                 stack.extend(ast.iter_child_nodes(n))
-        if isinstance(child, ast.FunctionDef) and any(
-                isinstance(n, ast.Call) and "errstate" in (getattr(n.func, "attr", None),
-                                                           getattr(n.func, "id", None))
-                for n in own):
+        if isinstance(child, ast.FunctionDef) and any(map(is_site, own)):
             found.add(name)
-        _errstate_callers(child, name, found)
+        _sites(child, is_site, name, found)
     return found
+
+
+def _errstate_callers(node: ast.AST, scope: str, found: set) -> set:
+    """Qualified names of the functions whose own body, nested functions and
+    classes aside, calls errstate."""
+    return _sites(node, lambda n: isinstance(n, ast.Call) and "errstate" in (
+        getattr(n.func, "attr", None), getattr(n.func, "id", None)), scope, found)
 
 
 def test_only_the_float_range_guard_sets_numpy_error_handling():
@@ -215,6 +221,34 @@ def test_only_the_float_range_guard_sets_numpy_error_handling():
     assert found - {"grid._within_float_range"} - set(ERRSTATE_ALLOWLIST) == set(), \
         "functions that set numpy's error handling outside the float-range guard"
     assert set(ERRSTATE_ALLOWLIST) <= found, "allowlist names a site that is gone"
+
+
+def _names(node) -> set:
+    return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+
+
+# the CLI's one config-error mapper and one report writer: the functions of cli.py
+# that hold each kind of site, exactly
+CLI_SITES = {
+    "except VexintError": (
+        lambda n: isinstance(n, ast.ExceptHandler) and n.type is not None
+        and "VexintError" in _names(n.type),
+        {"_reading", "_execute"}),
+    "ConfigError(...)": (
+        lambda n: isinstance(n, ast.Call) and getattr(n.func, "id", None) == "ConfigError",
+        # the missing-recipe message is built where the recipes are looked up
+        {"load_config", "_reading", "Experiment.fields"}),
+    "write_text": (
+        lambda n: isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "write_text",
+        {"_write"}),
+}
+
+
+@pytest.mark.parametrize("site", sorted(CLI_SITES))
+def test_cli_maps_config_errors_and_writes_reports_in_one_place(site):
+    is_site, allowed = CLI_SITES[site]
+    tree = ast.parse((ROOT / "src" / "vexint" / "cli.py").read_text(encoding="utf-8"))
+    assert _sites(tree, is_site) == allowed
 
 
 def _constant_q_calls(q):

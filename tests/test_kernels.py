@@ -443,3 +443,20 @@ def test_convolve_spectrum_beyond_float_range_is_typed():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(InvalidInput, match="exceeds the float range"):
             convolve(f, f)
+
+
+def test_jensen_refuses_an_empty_level_list():
+    # margin_min used to come back as inf
+    p = build_exponent(G, "constant", value=2.0)
+    f = normalized(np.ones(G.shape), p)
+    with pytest.raises(InvalidInput, match="non-empty list of levels"):
+        verify_jensen_gamma(p, 2.0, f, [])
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0, -1.0, 1.5])
+def test_jensen_refuses_a_gamma_override_outside_the_unit_interval(gamma):
+    # nan used to give margin_min inf, and inf gave -inf
+    p = build_exponent(G, "constant", value=2.0)
+    f = normalized(np.ones(G.shape), p)
+    with pytest.raises(InvalidInput, match=r"gamma_override must lie in \(0, 1\]"):
+        verify_jensen_gamma(p, 2.0, f, [0, 1], gamma_override=gamma)
