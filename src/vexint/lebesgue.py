@@ -16,38 +16,50 @@ Most decisions are known without a pass over f.  Safeguarded Newton first
 finds t* = log lambda* as the root of g(t) = log rho(e^t), in the log domain
 (`_accel.log_modular_step`); g is convex and decreasing with slope in
 [-p+, -p-], so Newton started below the root climbs to it monotonically.
-A decision at lam with |log lam - t*| > MARGIN is then read off t*; only the
-few midpoints within MARGIN of t*, and the residual rho(hi), are real
+A decision at lam with |log lam - t*| > margin is then read off t*; only the
+few midpoints within the margin of t*, and the residual rho(hi), are real
 passes, so the result is bit for bit the one real passes everywhere give.
 Passes are kept by scale within one solve: the residual reuses the pass
 that last decided at hi, if one did.
 
-Why MARGIN = 1e-9 is safe.  Let u = 2^-53, N the number of entries, and
-assume numpy's log, exp and pow within 4 ulps (8 u).  rho~ below is the exact
-modular of the float data, with the float h^n; both the real passes and g
-approximate it, and its root is the true t*.
+Why the margin is safe.  Each solve takes its own margin from its p-, p+
+and number of entries N (`_margin`).  Let u = 2^-53 and assume numpy's
+log, exp and pow within 4 ulps (8 u).  rho~ below is the exact modular of
+the float data, with the float h^n; both the real passes and g approximate
+it, and its root is the true t*.
   * A real pass fl(rho) is rho~ times 1 +- d_rho.  The quotient |f|/lam
     rounds by u, which the power raises to p u; the power adds 8 u, the
     pairwise sum (log2 N + 25) u and the factor h^n u, so
-    d_rho <= (p+ + log2 N + 34) u < 2e-14.  An underflowing term errs by at
-    most 2^-1022, and all of them together by (2L)^n 2^-1022, nothing
-    beside 1; a term or a sum that overflows does so only where rho~ > 1.
+    d_rho <= (p+ + log2 N + 34) u.  A zero entry is exactly +0 in both.
+    An underflowing term errs by at most 2^-1022, and all of them together
+    by (2L)^n 2^-1022, nothing beside d_rho; a term or a sum that overflows
+    does so only where rho~ > 1.
   * The computed g errs by at most E.  On the float range |log x| <= 745,
     and t stays in the opening bracket, so log|f_i| errs by 5960 u, the
     exponent p_i (log|f_i| - t) by 8940 p+ u, its shift by the maximum by
     2980 p+ u, and the sum, the logs and the additions by
-    (log2 N + 7200) u: E <= (13410 p+ + log2 N + 7200) u <= 1e-10 for
-    p+ <= REPLAY_P_MAX = 64.  Newton accepts t* only with a computed
-    |g(t*)| <= NEWTON_RESIDUAL = 1e-11, and |g'| >= p- >= 1, so t* lies
-    within 1.1e-10 of the true root.
-  * log lam errs by 8 u 745 < 7e-13.  A decision replayed at
-    |log lam - t*| > MARGIN therefore sits more than 8.8e-10 from the true
-    root in log, where rho~ differs from 1 by a factor of at least
-    e^{8.8e-10}, far beyond d_rho: fl(rho) > 1 holds exactly when
-    log lam < t*, as the replay answers.
-Newton that has not converged after NEWTON_STEPS, or leaves the opening
-bracket, gives no t*, and so does p+ > REPLAY_P_MAX; every decision is then
-a real pass.
+    (log2 N + 7200) u: E <= (13410 p+ + log2 N + 7200) u.  Newton accepts
+    t* only with a computed |g(t*)| <= NEWTON_RESIDUAL = 1e-11, and
+    |g'| >= p- >= 1, so t* lies within R = (NEWTON_RESIDUAL + E) / p- of
+    the true root (`_root_error`).
+  * log lam errs by 8 u 745.  The margin is
+    2 (R + d_rho / p- + 8 u 745), so a decision replayed at
+    |log lam - t*| > margin sits more than R + 2 d_rho / p- + 8 u 745 from
+    the true root in log, and rho~ differs from 1 by a factor of more than
+    e^{2 d_rho}, since |g'| >= p-.  Then rho~ > 1 gives
+    fl(rho) >= e^{2 d_rho} (1 - d_rho) > 1, and rho~ < 1 gives
+    fl(rho) <= e^{-2 d_rho} (1 + d_rho) < 1: fl(rho) > 1 holds exactly
+    when log lam < t*, as the replay answers.
+The margin grows with p+ and shrinks with p-: at p+ = 3.3, p- = 1.5 and
+N = 65,536 it is 2.2e-11, and at p+ = REPLAY_P_MAX = 64, p- = 1 and
+N = 2^30 it is 2.1e-10.  Newton that has not converged after NEWTON_STEPS,
+or leaves the opening bracket, gives no t*, and so does p+ > REPLAY_P_MAX;
+every decision is then a real pass.
+
+The level stack raises only the nonzero entries of its levels: a level is
+zero on every cube that no coefficient touches, a zero stays +0 as 0^q
+would, and numpy's power is about twice as slow on vectors with runs of
+zeros in them.
 """
 
 from __future__ import annotations
@@ -68,11 +80,11 @@ __all__ = ["NormResult", "modular", "luxemburg_norm", "mixed_norm", "unit_ball_c
 DEFAULT_TOL = 1e-10
 MAX_ITER = 200
 # replayed decisions: see the module docstring for why these values are safe
-MARGIN = 1e-9
 NEWTON_STEPS = 30
 NEWTON_RESIDUAL = 1e-11
 REPLAY_P_MAX = 64.0
 FLOAT_MAX = sys.float_info.max
+U = 2.0 ** -53  # unit roundoff
 
 
 @dataclass
@@ -114,6 +126,18 @@ def modular_at(f, p: ExponentField, lam: float) -> float:
 
 def modular(f, p: ExponentField) -> float:
     return modular_at(f, p, 1.0)
+
+
+def _root_error(p: ExponentField, size: int) -> float:
+    """R: how far a Newton t* may lie from the true root (module docstring)."""
+    e = (13410.0 * p.max + math.log2(size) + 7200.0) * U
+    return (NEWTON_RESIDUAL + e) / p.min
+
+
+def _margin(p: ExponentField, size: int) -> float:
+    """The distance from t* beyond which a decision is read off t* (module docstring)."""
+    d_rho = (p.max + math.log2(size) + 34.0) * U
+    return 2.0 * (_root_error(p, size) + d_rho / p.min + 8.0 * U * 745.0)
 
 
 def _log_root(absf: np.ndarray, p: ExponentField, hn: float, lo: float, hi: float) -> float | None:
@@ -176,12 +200,13 @@ def luxemburg_norm(f, p: ExponentField, tol: float = DEFAULT_TOL) -> NormResult:
     lo = max(min(norm_hi, FLOAT_MAX) / 2.0, 1e-300)
     hi = min(2.0 * norm_lo + fmax, FLOAT_MAX)
     t_star = _log_root(absf, p, hn, lo, hi)
+    margin = _margin(p, absf.size)
 
     def above(lam: float) -> bool:
         """rho(lam) > 1: read off t* outside the margin, else a real pass."""
         if t_star is not None:
             t = math.log(lam)
-            if abs(t - t_star) > MARGIN:
+            if abs(t - t_star) > margin:
                 return t < t_star
         return rho(lam) > 1.0
 
@@ -224,10 +249,11 @@ def stack(family, q: ExponentField) -> np.ndarray:
         raise InvalidInput("family has a non-finite value; its level stack is undefined")
     out = np.zeros(q.grid.shape)
     pos = big > 0.0
-    # factor out the pointwise max so the q-powers stay in [0, 1]; levels add
-    # up in order, as a running sum over the levels would
+    # factor out the pointwise max so the q-powers stay in [0, 1], and raise
+    # only the nonzero entries; levels add up in order, as a running sum over
+    # the levels would
     np.divide(vals, big, out=vals, where=pos)
-    np.power(vals, q.values, out=vals, where=pos)
+    np.power(vals, q.values, out=vals, where=vals > 0.0)
     acc = vals.sum(axis=0)
     np.power(acc, 1.0 / q.values, out=acc, where=pos)
     with _within_float_range("a level stack (sum_v |f_v|^q)^(1/q)"):

@@ -116,6 +116,37 @@ def test_modular_pow_sum_zero_entries_and_overflow():
     assert _accel.modular_pow_sum(big, np.ones(2), 1.0) == math.inf
 
 
+def zeroed(absf, kind, rng):
+    """absf with zeros in runs (as a level stack has them), scattered, everywhere or nowhere."""
+    n = absf.size
+    if kind == "runs":
+        for start in rng.integers(0, n, size=1 + n // 64):
+            absf[start:start + rng.integers(1, 129)] = 0.0
+    elif kind == "scattered":
+        absf[rng.random(n) < 0.3] = 0.0
+    elif kind == "all":
+        absf[:] = 0.0
+    return absf
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3000), st.sampled_from(["runs", "scattered", "all", "none"]),
+       st.floats(-300.0, 300.0), st.floats(0.0, 20.0), st.floats(1.0, 64.0),
+       st.integers(0, 2**32 - 1))
+def test_modular_pow_sum_equals_the_plain_power_bit_for_bit(n, kind, log_lam, spread, p_max,
+                                                           seed):
+    # the kernel skips zero bases; every other power, and the sum, must be
+    # the bits of numpy's unmasked expression, overflow to inf included
+    rng = np.random.default_rng(seed)
+    log_f = np.clip(log_lam + rng.uniform(-spread, spread, n), -300.0, 300.0)
+    absf = zeroed(10.0 ** log_f, kind, rng)
+    p = rng.uniform(1.0, p_max, n)
+    lam = 10.0 ** log_lam
+    with np.errstate(over="ignore"):
+        want = float(np.sum((absf / lam) ** p))
+    got = _accel.modular_pow_sum(absf, p, lam)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 64).flatmap(lambda n: st.tuples(

@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vexint import _accel, lebesgue
+from vexint.corpus import band_limited_corpus
 from vexint.errors import InvalidInput, SolverFailure
-from vexint.exponents import ExponentField
+from vexint.exponents import ExponentField, build_exponent
 from vexint.grid import GridFunction, common_grid, make_grid
 from vexint.lebesgue import DEFAULT_TOL, NormResult, _check_role, _values, luxemburg_norm, stack
 
@@ -205,9 +206,42 @@ def test_replay_makes_fewer_passes_than_the_oracle(monkeypatch):
         assert got == want
         saved.append(oracle_passes - passes)
     # the bisection takes about 35 steps; the replay makes the two bracket
-    # passes, the few midpoints within MARGIN of the root and the residual,
-    # which is no new pass when such a midpoint was the last to test hi
-    assert sum(saved) >= 20 * len(saved)
+    # passes, the few midpoints within the solve's margin of the root (about
+    # 1e-11 to 2e-10, by p-, p+ and the size) and the residual, which is no
+    # new pass when such a midpoint was the last to test hi
+    assert sum(saved) >= 30 * len(saved)
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_replay_holds_with_the_root_off_by_its_error_bound(monkeypatch, sign):
+    # the margin must absorb a Newton root anywhere within the docstring's
+    # bound R of the true root: shift each t* by 0.99 R
+    log_root = lebesgue._log_root
+    shifted = []
+
+    def off(absf, p, hn, lo, hi):
+        t = log_root(absf, p, hn, lo, hi)
+        if t is None:
+            return None
+        shifted.append(t)
+        return t + sign * 0.99 * lebesgue._root_error(p, absf.size)
+
+    monkeypatch.setattr(lebesgue, "_log_root", off)
+    for f, p, tol in fixed_cases(40):
+        assert outcome(luxemburg_norm, f, p, tol) == outcome(oracle_luxemburg_norm, f, p, tol)
+    assert len(shifted) >= 20
+
+
+def test_desk_grid_solves_make_at_most_four_passes(monkeypatch):
+    # the 2-D desk grid of the CLI batches: a sine exponent in [1.5, 3.3] and
+    # band-limited functions; two of the passes open the bracket
+    grid = make_grid(2, 2.0, 256)
+    p = build_exponent(grid, "sine", base=2.4, amplitude=0.9, frequency=2)
+    counter = PassCounter(monkeypatch)
+    for f in band_limited_corpus(grid, 2.0 ** 3, 8, 200, 29):
+        result, passes = counter.passes(luxemburg_norm, f, p, DEFAULT_TOL)
+        assert result[3] == "bisection"
+        assert passes <= 4
 
 
 def test_newton_fallback_makes_every_pass(monkeypatch):
@@ -242,14 +276,22 @@ def test_solver_failure_at_max_iter_counts_replayed_steps(monkeypatch):
 levels = st.tuples(
     st.sampled_from(GRIDS), st.sampled_from([1, 2, 3, 8, 12]), st.sampled_from(P_BASES[:7]),
     st.sampled_from(P_SPREADS), st.sampled_from(F_KINDS), st.integers(0, 2**32 - 1),
-    st.booleans(),
+    st.booleans(), st.booleans(),
 )
+
+
+def zero_runs(f, rng):
+    """f zeroed on runs of the flattened grid, as a coefficient level is off its cubes."""
+    flat = f.reshape(-1)
+    for start in rng.integers(0, flat.size, size=1 + flat.size // 32):
+        flat[start:start + rng.integers(1, 65)] = 0.0
+    return f
 
 
 @settings(max_examples=200, deadline=None)
 @given(levels)
 def test_stack_equals_masked_loop_oracle(case):
-    grid, count, base, spread, kind, seed, wrap = case
+    grid, count, base, spread, kind, seed, wrap, runs = case
     rng = np.random.default_rng(seed)
     q = exponent(grid, base, spread, seed % 2 == 0, rng)
     base = function(grid, kind, rng)
@@ -258,6 +300,8 @@ def test_stack_equals_masked_loop_oracle(case):
     for _ in range(count):
         # comparable levels, so that the order of the level sum shows in the bits
         f = base * rng.uniform(0.25, 1.0, grid.shape)
+        if runs:  # and each level zero where the others need not be
+            f = zero_runs(f, rng)
         family.append(GridFunction(grid, f) if wrap else f)
     want = oracle_stack(family, q)
     got = stack(family, q)
