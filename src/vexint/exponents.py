@@ -204,6 +204,12 @@ def build_exponent(grid: Grid, recipe: str, *, role: str = "integrability", **pa
     return ExponentField(grid, vals, lo, hi, role, g_inf=g_inf)
 
 
+def _offset_count(grid: Grid) -> int:
+    """The number of rows of `_offsets(grid, None)`: N/2 + 1 in 1D, N^2/2 + 2 in 2D."""
+    N = grid.N
+    return N // 2 + 1 if grid.n == 1 else N * N // 2 + 2
+
+
 def _offsets(grid: Grid, budget: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Integer lattice offsets k, one per row with the zero offset first, and periodic |k|.
 
@@ -215,43 +221,35 @@ def _offsets(grid: Grid, budget: int | None) -> tuple[np.ndarray, np.ndarray]:
     N = grid.N
     if budget is None:
         if grid.n == 1:
-            k = np.arange(N // 2 + 1)
-            return k[:, None], grid.h * k.astype(np.float64)
-        # half plane k0 in [0, N/2]; on the rows k0 = 0 and k0 = N/2 the
-        # mirror of k1 is N - k1 in the same row, so only k1 <= N/2 is kept
-        k0, k1 = np.meshgrid(np.arange(N // 2 + 1), np.arange(N), indexing="ij")
-        keep = ((k0 != 0) & (k0 != N // 2)) | (k1 <= N // 2)
-        k0f = k0.astype(np.float64)
-        k1f = np.minimum(k1, N - k1).astype(np.float64)
-        d = grid.h * np.sqrt(k0f * k0f + k1f * k1f)
-        return np.stack([k0[keep], k1[keep]], axis=1), d[keep]
-    h = grid.h
-    rng = np.random.default_rng(SAMPLE_SEED)
-    bands = max(1, int(math.log2(N // 2)))
-    per_band = max(1, budget // bands)
-    ks = [(0,) * grid.n]
-    ds = [0.0]
-    for b in range(bands):
-        lo, hi = 2 ** b, min(2 ** (b + 1), N // 2 + 1)
-        if lo >= hi:
-            continue
-        # a loop over Python scalars; math.cos/sin, not numpy's, which differ
-        # by an ulp, because recorded references pin the drawn offsets
-        radii = rng.integers(lo, hi, size=per_band).tolist()
-        if grid.n == 1:
-            for k in radii:
-                ks.append((k,))
-                ds.append(k * h)
+            k = np.arange(_offset_count(grid))[:, None]
         else:
-            angles = rng.uniform(0.0, 2.0 * math.pi, size=per_band).tolist()
-            for r, t in zip(radii, angles):
-                k0 = int(round(r * math.cos(t))) % N
-                k1 = int(round(r * math.sin(t))) % N
-                if k0 == 0 and k1 == 0:
-                    continue
-                ks.append((k0, k1))
-                ds.append(math.hypot(min(k0, N - k0) * h, min(k1, N - k1) * h))
-    return np.array(ks), np.asarray(ds)
+            # half plane k0 in [0, N/2]; on the rows k0 = 0 and k0 = N/2 the
+            # mirror of k1 is N - k1 in the same row, so only k1 <= N/2 is kept
+            k0, k1 = np.meshgrid(np.arange(N // 2 + 1), np.arange(N), indexing="ij")
+            keep = ((k0 != 0) & (k0 != N // 2)) | (k1 <= N // 2)
+            k = np.stack([k0[keep], k1[keep]], axis=1)
+    else:
+        # radius bands [2^b, 2^(b+1)) up to N/2, N a power of two >= 16
+        rng = np.random.default_rng(SAMPLE_SEED)
+        bands = int(math.log2(N // 2))
+        per_band = max(1, budget // bands)
+        rows = [np.zeros((1, grid.n), dtype=np.int64)]
+        for b in range(bands):
+            radii = rng.integers(2 ** b, 2 ** (b + 1), size=per_band)
+            if grid.n == 1:
+                rows.append(radii[:, None])
+                continue
+            # recorded references pin these draws: numpy's cos and sin return
+            # the math module's bits on them, and np.rint rounds half to even
+            # as round() does
+            angles = rng.uniform(0.0, 2.0 * math.pi, size=per_band)
+            drawn = np.stack([np.rint(radii * np.cos(angles)), np.rint(radii * np.sin(angles))],
+                             axis=1).astype(np.int64) % N
+            rows.append(drawn[drawn.any(axis=1)])
+        k = np.concatenate(rows)
+    # per axis the periodic distance min(k, N - k), exact in float64
+    f = np.minimum(k, N - k).astype(np.float64)
+    return k, grid.h * np.sqrt((f * f).sum(axis=1))
 
 
 def _distinct_offsets(k: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:

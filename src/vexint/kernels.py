@@ -18,7 +18,7 @@ import numpy as np
 
 from ._quadpack import qagse
 from .errors import InvalidInput, PreconditionViolation, PreconditionWarning, SolverFailure
-from .exponents import ExponentField, _shift_maxima, log_holder_constants
+from .exponents import ExponentField, _offset_count, _shift_maxima, log_holder_constants
 from .grid import Grid, GridFunction, _within_float_range, common_grid, cube_broadcast, cube_sums
 from .lebesgue import luxemburg_norm, mixed_norm
 
@@ -227,9 +227,7 @@ def verify_alpha_shift(alpha: ExponentField, h_exp: float, R: float,
         if v >= sys.float_info.max_exp:
             raise InvalidInput(f"level {v} is out of float range: 2^{v} overflows")
 
-    grid = alpha.grid
-    n_offsets = grid.N // 2 + 1 if grid.n == 1 else (grid.N // 2 + 1) * grid.N
-    exhaustive = n_offsets <= max(1, int(samples))
+    exhaustive = _offset_count(alpha.grid) <= max(1, int(samples))
 
     # first, so that its scans fill the memo the levels below read
     c_loc = log_holder_constants(alpha).c_loc

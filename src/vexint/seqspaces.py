@@ -6,11 +6,12 @@ Norms work level by level: F_v(x) = sum_m 2^{v(alpha(x)+n/2)} |lam_{v,m}| chi_{v
 is the level array broadcast over its cubes times the weight, the family
 goes to the mixed Lebesgue norm, and the endpoint space replaces the outer
 norm by a supremum of cube-averaged tail sums.  Moduli come from `np.hypot`
-(equal to `abs(complex)`) and powers of single coefficients from scalar
-float pow, so every value matches a cube-by-cube evaluation bit for bit.
-`_pow_each` is the one place that takes that scalar pow, here and in the
-factorizations of `calderon`: numpy's vectorised `np.power` can differ from
-it by an ulp.
+(equal to `abs(complex)`) and powers of single coefficients from
+`np.float_power`, whose float64 loop calls libm `pow` as Python's float pow
+does, so every value matches a cube-by-cube evaluation bit for bit.
+`_pow_each` is the one place that takes that pow, here and in the
+factorizations of `calderon`: `np.power` has SIMD loops that can differ
+from it by an ulp.
 """
 
 from __future__ import annotations
@@ -170,25 +171,10 @@ def _constant_exponent(q) -> float:
     return q
 
 
-_scalar_pow = np.frompyfunc(pow, 2, 1)
-
-
 def _pow_each(base, expo) -> np.ndarray:
-    """base ** expo elementwise by one Python float pow per element; the arguments broadcast."""
-    try:
-        return np.asarray(_scalar_pow(base, expo), dtype=np.float64)
-    except OverflowError:
-        raise InvalidInput("a coefficient power exceeds the float range") from None
-
-
-def _pow_entries(mod: np.ndarray, q: float) -> np.ndarray:
-    """mod**q with one scalar pow per nonzero entry."""
-    if q == 1.0:
-        return mod
-    out = np.zeros_like(mod)
-    nz = np.nonzero(mod)
-    out[nz] = _pow_each(mod[nz], q)
-    return out
+    """base ** expo elementwise, each value Python's float pow of its pair; the arguments broadcast."""
+    with _within_float_range("a coefficient power"):
+        return np.float_power(base, expo)
 
 
 def _coefficient_levels(lam: DyadicCoefficients, alpha: ExponentField, q: float = 1.0,
@@ -197,7 +183,7 @@ def _coefficient_levels(lam: DyadicCoefficients, alpha: ExponentField, q: float 
     G_v(x) = 2^{v(alpha(x)+n/2)q} sum_m |lam_{v,m}|^q chi_{v,m}(x), and q = 1 gives F_v."""
     grid = lam.grid
     with _within_float_range("a level integrand 2^(v (alpha + n/2) q) |lam|^q or its sum", q):
-        return [take(v, cube_broadcast(grid, _pow_entries(lam.moduli(v), q), v)
+        return [take(v, cube_broadcast(grid, _pow_each(lam.moduli(v), q), v)
                      * np.exp2(v * q * (alpha.values + 0.5 * grid.n)))
                 for v in (range(lam.V + 1) if vs is None else vs)]
 

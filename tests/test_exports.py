@@ -3,7 +3,8 @@ defaulted parameter of the public API is one that a caller turns, and every
 public entry that takes two grid-carrying arguments checks them with
 `grid.common_grid`, no function but the float-range guard
 `grid._within_float_range` and a listed few sets numpy's error handling, and
-the CLI maps config errors in `_reading` and writes reports in `_write` only."""
+the CLI maps config errors in `_reading` and writes reports in `_write` only, and
+no function takes a Python call per array element where one numpy call does."""
 
 import ast
 import dataclasses
@@ -221,6 +222,29 @@ def test_only_the_float_range_guard_sets_numpy_error_handling():
     assert found - {"grid._within_float_range"} - set(ERRSTATE_ALLOWLIST) == set(), \
         "functions that set numpy's error handling outside the float-range guard"
     assert set(ERRSTATE_ALLOWLIST) <= found, "allowlist names a site that is gone"
+
+
+# calls that take one Python scalar per element, each replaced by one numpy call
+PER_ELEMENT = {"np.frompyfunc", "np.vectorize", "math.cos", "math.sin", "math.hypot"}
+
+
+def _dotted(node) -> str | None:
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return f"{node.value.id}.{node.attr}"
+    return None
+
+
+def test_no_per_element_python_calls_and_one_coefficient_pow_site():
+    # np.float_power is the libm pow of Python's floats; the one place that
+    # takes it is the coefficient pow of seqspaces
+    used, pow_sites, pow_nodes = set(), set(), 0
+    for path in sorted((ROOT / "src" / "vexint").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used |= {f"{path.stem}: {_dotted(n)}" for n in ast.walk(tree) if _dotted(n) in PER_ELEMENT}
+        _sites(tree, lambda n: _dotted(n) == "np.float_power", path.stem, pow_sites)
+        pow_nodes += sum(_dotted(n) == "np.float_power" for n in ast.walk(tree))
+    assert used == set()
+    assert pow_sites == {"seqspaces._pow_each"} and pow_nodes == 1
 
 
 def _names(node) -> set:

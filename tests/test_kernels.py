@@ -296,6 +296,19 @@ def test_alpha_shift_large_finite_level_keeps_its_value():
         assert verify_alpha_shift(a, 2.0, 2.0, [3, 500]).per_level == {3: 1.0, 500: 1.0}
 
 
+@pytest.mark.parametrize("N, table", [(16, 130), (32, 514)])
+def test_alpha_shift_budget_of_the_whole_table_is_exhaustive(N, table):
+    # the 2-D half-plane table holds N^2/2 + 2 offsets up to k -> -k: a
+    # budget that large scans it whole, one offset fewer draws samples
+    a = build_exponent(make_grid(2, 1, N), "sine", base=0.0, amplitude=1.0, frequency=2.0,
+                       role="smoothness")
+    R, v_list = 2.0 * log_holder_constants(a).c_loc, list(range(5))
+    whole = verify_alpha_shift(a, 2.0, R, v_list, samples=table)
+    assert whole.exhaustive and whole.offsets_evaluated == table
+    assert whole == verify_alpha_shift(a, 2.0, R, v_list, samples=2 ** 30)
+    assert not verify_alpha_shift(a, 2.0, R, v_list, samples=table - 1).exhaustive
+
+
 # -- convolution boundedness ------------------------------------------------
 
 

@@ -276,7 +276,7 @@ def test_solver_failure_at_max_iter_counts_replayed_steps(monkeypatch):
 levels = st.tuples(
     st.sampled_from(GRIDS), st.sampled_from([1, 2, 3, 8, 12]), st.sampled_from(P_BASES[:7]),
     st.sampled_from(P_SPREADS), st.sampled_from(F_KINDS), st.integers(0, 2**32 - 1),
-    st.booleans(), st.booleans(),
+    st.booleans(), st.booleans(), st.booleans(),
 )
 
 
@@ -291,7 +291,7 @@ def zero_runs(f, rng):
 @settings(max_examples=200, deadline=None)
 @given(levels)
 def test_stack_equals_masked_loop_oracle(case):
-    grid, count, base, spread, kind, seed, wrap, runs = case
+    grid, count, base, spread, kind, seed, wrap, runs, apart = case
     rng = np.random.default_rng(seed)
     q = exponent(grid, base, spread, seed % 2 == 0, rng)
     base = function(grid, kind, rng)
@@ -300,6 +300,8 @@ def test_stack_equals_masked_loop_oracle(case):
     for _ in range(count):
         # comparable levels, so that the order of the level sum shows in the bits
         f = base * rng.uniform(0.25, 1.0, grid.shape)
+        if apart:  # or levels up to 12 orders apart, so that small ratios count too
+            f *= 10.0 ** -rng.uniform(0.0, 12.0, grid.shape)
         if runs:  # and each level zero where the others need not be
             f = zero_runs(f, rng)
         family.append(GridFunction(grid, f) if wrap else f)

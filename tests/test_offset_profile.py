@@ -334,6 +334,7 @@ def test_exhaustive_offsets_are_the_former_table_cells(n, N):
     grid = make_grid(n, 2, N)
     g = np.random.default_rng(N).uniform(1.5, 4.0, size=grid.shape)
     k, d = exponents._offsets(grid, None)
+    assert len(k) == exponents._offset_count(grid)
     if n == 1:
         table = _old_offset_abs_max_1d(g)
         assert np.array_equal(k[:, 0], np.arange(table.size))
@@ -453,17 +454,22 @@ def test_constant_field_needs_no_scan(n, N, exhaustive, monkeypatch):
     assert rep.c_loc == 0.0 and rep.exhaustive is exhaustive
 
 
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("budget", [32, 512, SAMPLE_OFFSETS])
-def test_sampled_offsets_equal_the_former_draws(n, budget):
-    # the sampled route loops over Python scalars now; every grid size from
-    # 16 to 2^17 must still draw the same offsets and distances
-    for N in [2 ** e for e in range(4, 18)]:
-        grid = make_grid(n, 2, N)
+def assert_sampled_offsets_equal_the_former_draws(n, L, budget):
+    # every grid size from 16 (or 8L) to 2^17 draws the same offsets and
+    # distances as the former scalar loop
+    for N in [2 ** e for e in range(4, 18) if 2 ** e >= 8 * L]:
+        grid = make_grid(n, L, N)
         k, d = exponents._offsets(grid, budget)
         k_old, d_old = _old_offsets(grid, budget)
         assert k.dtype == k_old.dtype and d.dtype == d_old.dtype
         assert np.array_equal(k, k_old) and np.array_equal(d, d_old)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("budget", [1, 32, 130, 512, SAMPLE_OFFSETS])
+def test_sampled_offsets_equal_the_former_draws(n, budget):
+    for L in (0.5, 2, 8):
+        assert_sampled_offsets_equal_the_former_draws(n, L, budget)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)

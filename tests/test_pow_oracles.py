@@ -4,18 +4,23 @@ replaced.
 The oracles below are the per-cube `_reconstructions` and its two readers
 (`FactorizationResult.reconstruction_error`, whose relative measure is the
 former `acceptance._max_relative_reconstruction`, and the domination key
-list of `verify_holder_direction`), `coefficient_bound_check` and
-`_pow_entries`, kept verbatim (bodies unchanged, wrapped as functions where
-they were inline).  Each takes one Python float pow per entry; numpy's
-vectorised `np.power` differs from it by an ulp on a few percent of the
-entries, so every compared quantity must be `==`, not close.
+list of `verify_holder_direction`), `coefficient_bound_check` and the former
+nonzero-entry power `_pow_entries`, now one `_pow_each` call, kept verbatim
+(bodies unchanged, wrapped as functions where they were inline).  Each takes
+one Python float pow per entry; numpy's vectorised `np.power` differs from
+it by an ulp on a few percent of the entries at full SIMD dispatch, so every
+compared quantity must be `==`, not close.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vexint.calderon import (
@@ -27,11 +32,11 @@ from vexint.calderon import (
     verify_holder_direction,
 )
 from vexint.errors import InvalidInput, PreconditionViolation
-from vexint.exponents import build_exponent
+from vexint.exponents import SAMPLE_OFFSETS, build_exponent
 from vexint.grid import common_grid, cube_cells, make_grid
 from vexint.seqspaces import (
     DyadicCoefficients,
-    _pow_entries,
+    _pow_each,
     coefficient_bound_check,
     f_norm,
 )
@@ -187,9 +192,89 @@ def test_coefficient_bound_and_entry_powers_match_per_cube_oracles(case, q):
     lam = case.lam
     for v in range(lam.V + 1):
         mod = lam.moduli(v)
-        assert np.array_equal(_pow_entries(mod, q), pow_entries_oracle(mod, q))
+        assert np.array_equal(_pow_each(mod, q), pow_entries_oracle(mod, q))
     if not lam:
         return
     params = case.params
     assert coefficient_bound_check(lam, params.alpha0, params.p0, params.p1) \
         == coefficient_bound_check_oracle(lam, params.alpha0, params.p0, params.p1)
+
+
+# -- the one coefficient pow ---------------------------------------------------
+
+
+def python_pow(b, e):
+    try:
+        return b ** e
+    except OverflowError:
+        return None
+
+
+def assert_pow_each_is_python_pow(bases, expos):
+    """_pow_each equals Python's float pow on the pairs whose pow fits the float
+    range, and refuses the whole array with one InvalidInput if any pow overflows."""
+    want = [python_pow(b, e) for b, e in zip(bases, expos)]
+    fits = np.array([w is not None for w in want], dtype=bool)
+    bases, expos = np.array(bases, dtype=np.float64), np.array(expos, dtype=np.float64)
+    got = _pow_each(bases[fits], expos[fits])
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array([w for w in want if w is not None], dtype=np.float64).tobytes()
+    if not fits.all():
+        with pytest.raises(InvalidInput) as info:
+            _pow_each(bases, expos)
+        assert str(info.value) == "a coefficient power exceeds the float range"
+
+
+# the dyadic weights 2^(l + j u) and moduli |lam| / ||lam|| from 1e-300 to
+# 1e300, to the factorizations' exponents and past the float range
+pow_pairs = st.lists(
+    st.tuples(st.one_of(st.just(2.0), st.floats(-300.0, 300.0).map(lambda t: 10.0 ** t)),
+              st.one_of(st.floats(0.0, 8.0), st.floats(-1100.0, 1100.0))),
+    min_size=1, max_size=64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pow_pairs)
+@example([(2.0, 1023.5), (1e300, 1.0), (1e-300, 3.0)])
+@example([(2.0, 1024.0), (1e-3, 0.5)])
+@example([(1e300, 1.5)])
+def test_pow_each_is_python_pow_to_the_float_range(pairs):
+    bases, expos = zip(*pairs)
+    assert_pow_each_is_python_pow(bases, expos)
+
+
+def compare_pows_and_offsets():
+    """Fixed-seed draws of both exact comparisons: the coefficient pow against
+    Python's, and the sampled offsets against the former scalar loop."""
+    from test_offset_profile import assert_sampled_offsets_equal_the_former_draws
+
+    rng = np.random.default_rng(20161)
+    for _ in range(50):
+        moduli = 10.0 ** rng.uniform(-300.0, 300.0, 400)
+        assert_pow_each_is_python_pow(moduli.tolist(), rng.uniform(0.0, 8.0, 400).tolist())
+        assert_pow_each_is_python_pow([2.0] * 400, rng.uniform(-1100.0, 1100.0, 400).tolist())
+    for n in (1, 2):
+        for L in (0.5, 2.0, 8.0):
+            for budget in (1, 130, SAMPLE_OFFSETS):
+                assert_sampled_offsets_equal_the_former_draws(n, L, budget)
+
+
+def test_pows_and_offsets_hold_with_avx512_disabled():
+    # numpy picks its SIMD loops at import, so the comparisons run again in a
+    # process that starts with the AVX-512 loops switched off
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    script = ("import sys\n"
+              "try:\n"
+              "    import numpy\n"
+              "except RuntimeError as exc:\n"
+              "    print(exc)\n"
+              "    sys.exit(3)\n"
+              "import test_pow_oracles\n"
+              "test_pow_oracles.compare_pows_and_offsets()\n")
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=600)
+    if run.returncode == 3:
+        pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES: {run.stdout.strip()}")
+    assert run.returncode == 0, run.stderr
