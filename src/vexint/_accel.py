@@ -22,14 +22,17 @@ __all__ = ["offset_abs_max_1d", "offset_abs_max_2d", "modular_pow_sum", "log_mod
 #
 # For a periodic field g, M[k] = max_x |g(x) - g(x+k)| for any integer
 # offsets k (taken modulo the grid).  The field is tiled twice along every
-# axis once per call, so g(x+k) is the slice of that tiling starting at k;
-# each offset costs one subtraction into a reused buffer, an in-place abs
-# and a max, with no copy of the field per offset.
+# axis, so g(x+k) is the slice of that tiling starting at k; each offset
+# costs one subtraction into a reused buffer, an in-place abs and a max,
+# with no copy of the field per offset.  A caller that scans one field in
+# several calls may pass the tiling, np.tile(g, (2,) * g.ndim), to all of
+# them; otherwise each call makes its own.
 
 
-def _offset_abs_max(g: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def _offset_abs_max(g: np.ndarray, offsets: np.ndarray, tiled: np.ndarray | None) -> np.ndarray:
     g = np.ascontiguousarray(g, dtype=np.float64)
-    tiled = np.tile(g, (2,) * g.ndim)
+    if tiled is None:
+        tiled = np.tile(g, (2,) * g.ndim)
     buf = _cache_aligned_like(g)
     out = np.empty(len(offsets))
     for i, k in enumerate((np.asarray(offsets) % g.shape).tolist()):
@@ -48,14 +51,17 @@ def _cache_aligned_like(g: np.ndarray) -> np.ndarray:
     return raw[skip:skip + g.size].reshape(g.shape)
 
 
-def offset_abs_max_1d(g: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """M[k] for each integer offset k in `offsets`, shape (K,)."""
-    return _offset_abs_max(g, np.reshape(offsets, (-1, 1)))
+def offset_abs_max_1d(g: np.ndarray, offsets: np.ndarray,
+                      tiled: np.ndarray | None = None) -> np.ndarray:
+    """M[k] for each integer offset k in `offsets`, shape (K,); `tiled` is g tiled twice."""
+    return _offset_abs_max(g, np.reshape(offsets, (-1, 1)), tiled)
 
 
-def offset_abs_max_2d(g: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """M[k] for each integer offset pair k in `offsets`, shape (K, 2)."""
-    return _offset_abs_max(g, np.reshape(offsets, (-1, 2)))
+def offset_abs_max_2d(g: np.ndarray, offsets: np.ndarray,
+                      tiled: np.ndarray | None = None) -> np.ndarray:
+    """M[k] for each integer offset pair k in `offsets`, shape (K, 2); `tiled` is g tiled
+    twice along both axes."""
+    return _offset_abs_max(g, np.reshape(offsets, (-1, 2)), tiled)
 
 
 # -- variable-exponent modular sum -------------------------------------------

@@ -6,34 +6,56 @@ center plays the role of the origin when the decay constant is estimated.
 The local log-Hoelder constant is max_k fl(M[k] w[k]) over lattice offsets
 k, with M[k] = max_x |g(x) - g(x+k)| and w[k] = log(e + 1/|k|).  Scanning an
 offset costs a pass over the grid, so offsets are visited by a cheap upper
-bound U[k] >= M[k] read off block extrema:
+bound B[k] = min(U[k], P[k]) >= M[k]:
 
-- Tile the field into b x b blocks (b in 1D) and keep each block's max and
-  min.  Write k = b K + r componentwise.  For x in block B, x + k lies in
-  block B + K, or also in B + K + e_i along each axis i with r_i != 0.
-- With lo/hi the min/max of g over the blocks x + k can reach,
-  U[k] = max_B max(fl(gmax[B] - lo), fl(hi - gmin[B])).  Rounding is
-  monotone, so fl(g(x) - g(x+k)) never exceeds the first term and
-  fl(g(x+k) - g(x)) never exceeds the second: M[k] <= U[k] <= max g - min g.
-  U depends only on K and on which r_i are nonzero.
-- Offsets are scanned by decreasing fl(U w), stopping at the first with
-  fl(U w) <= best.  Monotone rounding again gives fl(M w) <= fl(U w) for
-  every skipped offset, so the result is the full-table maximum bit for
-  bit, with no margin.
+- U, the block bound.  Tile the field into b x b blocks (b in 1D) and keep
+  each block's max and min.  Write k = b K + r componentwise.  For x in
+  block B, x + k lies in block B + K, or also in B + K + e_i along each
+  axis i with r_i != 0.  With lo/hi the min/max of g over the blocks x + k
+  can reach, U[k] = max_B max(fl(gmax[B] - lo), fl(hi - gmin[B])).
+  Rounding is monotone, so fl(g(x) - g(x+k)) never exceeds the first term
+  and fl(g(x+k) - g(x)) never exceeds the second: M[k] <= U[k] <= max g -
+  min g.  U depends only on K and on which r_i are nonzero.
+- P, the path bound.  With f_i = min(k_i mod N, N - k_i mod N) and M[e_i]
+  the maxima at the n unit offsets, P[k] = fl(fl(S) (1 + 2^-40)) with
+  S = sum_i f_i M[e_i].  Walking f_i unit steps along each axis, the
+  shorter way round, takes x to x + k, so g(x) - g(x+k) is a sum of unit
+  differences.  Each is at most M[e_i] / (1 - u) in real arithmetic
+  (u = 2^-53; fl(|d|) >= (1 - u) |d|, and a subnormal difference is
+  exact), so M[k] <= (1 + u) / (1 - u) S.  If fl(S) is normal, then
+  fl(S) >= (1 - u)^n S and P >= (1 - u) (1 + 2^-40) fl(S); with n <= 2,
+  (1 + 2^-40) (1 - u)^4 > 1 + u, so P >= M[k].  A subnormal fl(S) may
+  lose the slack to absolute rounding, so P is +inf there and U decides.
+  fl(S) = 0 means every unit difference on the path is an exact zero
+  (fl(a - b) = 0 only for a = b), so M[k] = 0 = P.  A P past the float
+  range is +inf, never an error: if the largest P on the grid would pass
+  it, every P is +inf.  P costs the scans of the n unit offsets,
+  so it is built only where they come for free: on the exhaustive table,
+  where they are the heaviest rows, and wherever the field's memo already
+  holds them.  A field of zero oscillation has U = 0 and needs neither.
+
+Offsets are scanned by decreasing fl(B w), stopping at the first with
+fl(B w) <= best.  Monotone rounding again gives fl(M w) <= fl(B w) for
+every skipped offset, so the result is the full-table maximum bit for
+bit, with no margin: a bound only decides which offsets are skipped, and
+every reported maximum is one of the exactly computed scores.
 
 The same cutoff serves any score fl(lift(M) w) with w >= 0 and lift
 nondecreasing up to a known relative error: the bound is
-fl(fl(lift(U) s) w) with a slack s that covers that error.  The
+fl(fl(lift(B) s) w) with a slack s that covers that error.  The
 alpha-shift check of `kernels` scores offset k at level v by
 fl(2.0 ** fl(v M) c) with c = (1 + 2^v |k|)^(-R) (`_shift_maxima`); its
-slack is 1 + 2^-40 (proof at `_POW_SLACK`).  The log-Hoelder score takes
-the identity with slack 1.
+slack is 1 + 2^-40 (proof at `_SLACK`).  The sampled log-Hoelder route
+orders by np.log weights under the same slack and scores only the scanned
+offsets with math.log (`log_holder_constants`).
 
 Each field keeps the maxima M[k] it has scanned in a private memo, keyed
 by the offset's canonical index, so a later scan of the same field (the
 alpha-shift check after `log_holder_constants`, or another level) reads
 them instead of passing over the grid again.  The memo lives on the
 field, never in the module: equal offsets of different fields differ.
+A bounded scan tiles the field once and hands the tiling to every kernel
+call it makes; the tiling is dropped when the scan returns.
 
 The block edge is b = 8 for every grid: N is a power of two >= 16, so 8
 divides N and each axis holds at least 2 blocks.  Halving b doubles the
@@ -42,6 +64,7 @@ cost of the bounds; doubling it leaves them too coarse to prune.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -78,7 +101,12 @@ class LogHolderReport:
 
 @dataclass
 class ExponentField:
-    """Scalar field with declared range and role ('integrability' or 'smoothness')."""
+    """Scalar field with declared range and role ('integrability' or 'smoothness').
+
+    `values` is never changed in place, by this package or by its callers:
+    the extrema are taken once, at construction, and the log-Hoelder report
+    and the scanned offset maxima are memoized on the field.
+    """
 
     grid: Grid
     values: np.ndarray = dc_field(repr=False)
@@ -89,6 +117,8 @@ class ExponentField:
     _lh_report: LogHolderReport | None = dc_field(default=None, repr=False, compare=False)
     # scanned offset maxima M[k] by canonical offset index (`_memo_scan`)
     _scanned: dict[int, float] = dc_field(default_factory=dict, repr=False, compare=False)
+    _min: float = dc_field(init=False, repr=False, compare=False)
+    _max: float = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -96,7 +126,7 @@ class ExponentField:
             raise InvalidInput("exponent field shape does not match grid")
         if not np.all(np.isfinite(self.values)):
             raise InvalidExponent("exponent field contains non-finite values")
-        vmin, vmax = float(self.values.min()), float(self.values.max())
+        self._min, self._max = vmin, vmax = float(self.values.min()), float(self.values.max())
         if not (self.lo <= vmin and vmax <= self.hi):
             raise InvalidExponent(
                 f"field range [{vmin}, {vmax}] escapes declared range [{self.lo}, {self.hi}]"
@@ -111,15 +141,15 @@ class ExponentField:
 
     @property
     def min(self) -> float:
-        return float(self.values.min())
+        return self._min
 
     @property
     def max(self) -> float:
-        return float(self.values.max())
+        return self._max
 
     @property
     def is_constant(self) -> bool:
-        return self.values.min() == self.values.max()
+        return self._min == self._max
 
     def reciprocal(self) -> "ExponentField":
         vals = 1.0 / self.values
@@ -265,11 +295,12 @@ def _distinct_offsets(k: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(np.unravel_index(keys, dims), axis=1), where.reshape(-1)
 
 
-def _scan(field: ExponentField, k: np.ndarray) -> np.ndarray:
-    """max_x |g(x) - g(x+k)| for each row of k."""
+def _scan(field: ExponentField, k: np.ndarray, tiled: np.ndarray | None = None) -> np.ndarray:
+    """max_x |g(x) - g(x+k)| for each row of k; `tiled`, if given, is the field tiled
+    twice along every axis."""
     if field.grid.n == 1:
-        return _accel.offset_abs_max_1d(field.values, k[:, 0])
-    return _accel.offset_abs_max_2d(field.values, k)
+        return _accel.offset_abs_max_1d(field.values, k[:, 0], tiled)
+    return _accel.offset_abs_max_2d(field.values, k, tiled)
 
 
 # block edge of the offset bounds (module docstring): 8 divides every
@@ -281,16 +312,19 @@ _BOUND_CHUNK = 2 ** 16
 # offsets handed to one kernel call by the bound-ordered scan; a chunk may
 # scan past the cutoff, never short of it
 _SCAN_CHUNK = 32
-# relative slack of a bound whose lift is the pow 2.0 ** x.  Let pow err
-# by at most e = 2^-45 relative, and let u = fl(v U) >= fl(v M) = m, by
-# monotone rounding since v >= 0 and U >= M.  If u = m the two pows are
-# equal.  Otherwise 2^m <= 2^u, so
+# relative slack of the bounds whose rounding, or whose lift, is not exact.
+# The path bound's proof is in the module docstring; np.log's at
+# `log_holder_constants`.  For the pow 2.0 ** x: let pow err by at most
+# e = 2^-45 relative, and let u = fl(v B) >= fl(v M) = m, by monotone
+# rounding since v >= 0 and B >= M.  If u = m the two pows are equal.
+# Otherwise 2^m <= 2^u, so
 #   pow(m) <= 2^u (1 + e) <= pow(u) (1 + e) / (1 - e) < pow(u) (1 + 2^-43),
 # while fl(pow(u) (1 + 2^-40)) >= pow(u) (1 + 2^-40) (1 - 2^-53), which
 # exceeds pow(u) (1 + 2^-43).  So fl(pow(u) s) >= pow(m), and multiplying
 # both by the same c >= 0 keeps the order under monotone rounding.  (pow is
 # taken elementwise, so equal arguments give equal values wherever they sit.)
-_POW_SLACK = 1.0 + 2.0 ** -40
+_SLACK = 1.0 + 2.0 ** -40
+_TINY = np.finfo(np.float64).tiny
 
 
 def _offset_bounds(g: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -332,40 +366,64 @@ def _offset_bounds(g: np.ndarray, k: np.ndarray) -> np.ndarray:
     return U[where.reshape(-1)]
 
 
-def _memo_scan(field: ExponentField, k: np.ndarray) -> np.ndarray:
-    """`_scan` of the canonical offset rows k, each offset at most once per field."""
+def _memo_scan(field: ExponentField, k: np.ndarray, tiling=None) -> np.ndarray:
+    """`_scan` of the canonical offset rows k, each offset at most once per field;
+    `tiling()`, if given, returns the tiling that `_scan` takes, and is called only
+    when some row is not in the memo."""
     memo = field._scanned
     keys = np.ravel_multi_index(k.T, (field.grid.N,) * field.grid.n).tolist()
     todo = [i for i, key in enumerate(keys) if key not in memo]
     if todo:
-        memo.update(zip([keys[i] for i in todo], _scan(field, k[todo]).tolist()))
+        tiled = None if tiling is None else tiling()
+        memo.update(zip([keys[i] for i in todo], _scan(field, k[todo], tiled).tolist()))
     return np.array([memo[key] for key in keys])
 
 
-def _bounded_max(field: ExponentField, k: np.ndarray, w: np.ndarray, U: np.ndarray,
-                 lift=None, slack: float = 1.0) -> float:
-    """max of fl(lift(M[k]) * w) over canonical offset rows k, scanning only rows that can raise it.
+def _scan_bounds(field: ExponentField, k: np.ndarray, exhaustive: bool) -> np.ndarray:
+    """B[k] = min(U[k], P[k]) >= M[k] for the canonical offset rows k (module docstring).
 
-    lift is the identity unless given.  Offsets are visited by decreasing
-    reach fl(fl(lift(U) * slack) * w), with U >= M the block bound of
-    `_offset_bounds`, and the scan stops at the first with reach <= best.
-    That is exact when w >= 0 and the slack covers lift's rounding (module
-    docstring): every skipped score is at most its reach.
+    P is taken only where the unit maxima come for free: on an exhaustive
+    table, or from the field's memo.  Otherwise, and for a field of zero
+    oscillation, B is the block bound U.
     """
-    lift = lift or (lambda M: M)
-    reach = lift(U) * slack * w
-    reach[np.isnan(reach)] = np.inf  # inf * 0: no bound, so scan it
+    U = _offset_bounds(field.values, k)
+    grid = field.grid
+    units = np.eye(grid.n, dtype=np.int64)
+    keys = np.ravel_multi_index(units.T, (grid.N,) * grid.n).tolist()
+    if field.is_constant or not (exhaustive or all(key in field._scanned for key in keys)):
+        return U
+    unit = _memo_scan(field, units).tolist()
+    # the largest P on the grid, in the order of the sum below: if it is
+    # finite, no entry overflows (monotone rounding); if not, P is +inf
+    if not math.isfinite(sum(grid.N // 2 * m for m in unit) * _SLACK):
+        return U
+    f = np.minimum(k % grid.N, grid.N - k % grid.N)
+    S = (f * unit).sum(axis=1)
+    P = np.where((S >= _TINY) | (S == 0.0), S * _SLACK, np.inf)
+    return np.minimum(U, P)
+
+
+def _bounded_max(field: ExponentField, k: np.ndarray, reach: np.ndarray, score) -> float:
+    """max of score(M[k[idx]], idx) over the canonical offset rows k, scanning only rows
+    that can raise it.
+
+    Rows are visited by decreasing reach, and the scan stops at the first
+    with reach <= best.  That is exact when every row's score is at most its
+    reach (module docstring).  The field is tiled at the first kernel call,
+    and that one tiling serves every call of the scan.
+    """
+    reach = np.where(np.isnan(reach), np.inf, reach)  # inf * 0: no bound, so scan it
     order = np.argsort(-reach, kind="stable")
     best = 0.0
+    tiling = functools.cache(lambda: np.tile(field.values, (2,) * field.grid.n))
     for start in range(0, order.size, _SCAN_CHUNK):
         idx = order[start:start + _SCAN_CHUNK]
         idx = idx[reach[idx] > best]  # a prefix: reach decreases along idx
         if idx.size == 0:
             break
-        M = _memo_scan(field, k[idx])
         # chunk first: a nan score (inf * 0) is kept and ends the scan, as
         # it would make np.max over the whole table nan
-        best = max(float(np.max(lift(M) * w[idx])), best)
+        best = max(float(np.max(score(_memo_scan(field, k[idx], tiling), idx))), best)
     return best
 
 
@@ -376,17 +434,25 @@ def _shift_maxima(field: ExponentField, budget: int | None, R: float,
 
     The factor c = (1 + 2^v |k|)^(-R) is computed over every row, as the
     full profile would; rows that repeat an offset keep their largest c.
+    Rows are visited by decreasing fl(fl(2.0 ** fl(v B) * (1 + 2^-40)) * c).
     """
     k, d = _offsets(field.grid, budget)
     distinct, where = _distinct_offsets(k, field.grid.N)
-    U = _offset_bounds(field.values, distinct)
+    B = _scan_bounds(field, distinct, budget is None)
     per_level: dict[int, float] = {}
     for v in levels:
         s = 2.0 ** v
         c = np.zeros(len(distinct))
         np.maximum.at(c, where, (1.0 + s * d) ** (-R))
-        per_level[v] = _bounded_max(field, distinct, c, U, lambda M: 2.0 ** (v * M), _POW_SLACK)
+        per_level[v] = _bounded_max(field, distinct, 2.0 ** (v * B) * _SLACK * c,
+                                    lambda M, idx: 2.0 ** (v * M) * c[idx])
     return per_level, int(d.size)
+
+
+def _math_log_weights(dist: np.ndarray) -> np.ndarray:
+    """log(e + 1/d) by math.log, 0 at d = 0: recorded references pin the sampled
+    c_loc bit for bit, and np.log differs from math.log on a few weights."""
+    return np.array([math.log(math.e + 1.0 / x) if x > 0.0 else 0.0 for x in dist.tolist()])
 
 
 def log_holder_constants(field: ExponentField) -> LogHolderReport:
@@ -396,35 +462,40 @@ def log_holder_constants(field: ExponentField) -> LogHolderReport:
     periodic distance; exact all-pairs maximum whenever the grid has at most
     2^16 points, seeded stratified sampling otherwise.  Each distinct offset
     is scanned at most once per field (the memo of the module docstring),
-    by decreasing fl(U * w) with w = log(e + 1/|k|) and U >= M[k] the
-    8 x 8 block-extremum bound, stopping at the first with
-    fl(U * w) <= best: the result equals the full-table maximum bit for
-    bit, since monotone rounding gives fl(M[k] * w) <= fl(U * w) for every
-    skipped offset.  c_dec weights the deviation from g_inf by
-    log(e + distance-to-center).  A field whose oscillation, times its
-    weights, leaves the float range is an InvalidInput.  The report is
-    memoized per field.
+    by decreasing fl(B * w) with w = log(e + 1/|k|) and B = min(U, P) >= M[k]
+    the minimum of the 8 x 8 block bound and the path bound, stopping at the
+    first with fl(B * w) <= best: the result equals the full-table maximum
+    bit for bit, since monotone rounding gives fl(M[k] * w) <= fl(B * w) for
+    every skipped offset.  The sampled route scans no unit offsets for P,
+    so B is U there unless the field's memo holds them.  Its weights are
+    math.log's, and it orders by w' = fl(np.log(.) * (1 + 2^-40)), taking
+    math.log only for the offsets it scans: both logs lie within a few ulp
+    of the true value, so w' >= math.log's weight, and fl(B * w') bounds
+    every skipped score.
+    c_dec weights the deviation from g_inf by log(e + distance-to-center).
+    A field whose bound times its weight leaves the float range is an
+    InvalidInput.  The report is memoized per field.
     """
     if field._lh_report is not None:
         return field._lh_report
     grid = field.grid
     exhaustive = grid.size <= EXHAUSTIVE_POINT_LIMIT
     k, d = _offsets(grid, None if exhaustive else SAMPLE_OFFSETS)
-    if exhaustive:
-        with np.errstate(divide="ignore"):
-            w = np.log(math.e + 1.0 / d)
-        w[0] = 0.0  # zero-distance pairs carry no constraint
-    else:
-        # math.log, not np.log: recorded references pin the sampled c_loc bit for bit
-        w = np.array([0.0] + [math.log(math.e + 1.0 / dist) for dist in d[1:]])
     distinct, where = _distinct_offsets(k, grid.N)
-    # repeated draws of one offset share its length; M >= 0 makes the
-    # largest weight the one that counts in any case
-    w_distinct = np.zeros(len(distinct))
-    np.maximum.at(w_distinct, where, w)
+    # repeated draws of one offset share its length
+    dist = np.empty(len(distinct))
+    dist[where] = d
+    with np.errstate(divide="ignore"):
+        w = np.log(math.e + 1.0 / dist)
+    w[0] = 0.0  # the zero offset sorts first; zero-distance pairs carry no constraint
     dec_weight = np.log(math.e + grid.center_radius())
     with _within_float_range("the field's oscillation max - min, times a log weight,"):
-        c_loc = _bounded_max(field, distinct, w_distinct, _offset_bounds(field.values, distinct))
+        B = _scan_bounds(field, distinct, exhaustive)
+        if exhaustive:
+            c_loc = _bounded_max(field, distinct, B * w, lambda M, idx: M * w[idx])
+        else:
+            c_loc = _bounded_max(field, distinct, B * (w * _SLACK),
+                                 lambda M, idx: M * _math_log_weights(dist[idx]))
         c_dec = float(np.max(np.abs(field.values - field.g_inf) * dec_weight))
     report = LogHolderReport(c_loc=c_loc, c_dec=c_dec, exhaustive=exhaustive,
                              offsets_evaluated=d.size - 1)

@@ -208,13 +208,16 @@ def verify_alpha_shift(alpha: ExponentField, h_exp: float, R: float,
     all-pairs maximum whenever the offset count fits the budget.
 
     Per level v the offsets are visited by decreasing bound
-    fl(fl(2.0 ** fl(v U) * (1 + 2^-40)) * c), with U >= M the block bound
-    of the offset maxima and c = (1 + 2^v |k|)^{-R}, and the scan stops at
-    the first offset whose bound is at most the best ratio so far.  The
-    slack covers any pow error up to 2^-45 relative (`exponents`), so each
-    level's value equals the maximum over every offset bit for bit.  Offset
-    maxima already scanned for this field, by `log_holder_constants` or an
-    earlier level, are read from the field's memo.
+    fl(fl(2.0 ** fl(v B) * (1 + 2^-40)) * c), with c = (1 + 2^v |k|)^{-R}
+    and B = min(U, P) >= M the smaller of the block bound and the path
+    bound of the offset maxima (`exponents`; P comes from the unit-offset
+    maxima that `log_holder_constants` leaves in the field's memo, or that
+    an exhaustive table scans), and the scan stops at the first offset
+    whose bound is at most the best ratio so far.  The slack covers any pow
+    error up to 2^-45 relative (`exponents`), so each level's value equals
+    the maximum over every offset bit for bit.  Offset maxima already
+    scanned for this field, by `log_holder_constants` or an earlier level,
+    are read from the field's memo.
     """
     if not (h_exp > 0.0):
         raise InvalidInput(f"base decay exponent must be positive, got {h_exp}")

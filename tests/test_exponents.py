@@ -313,3 +313,15 @@ def test_oscillation_beyond_float_range_is_typed(n, L, N):
     with pytest.raises(InvalidInput, match="oscillation max - min, times a log weight, "
                                            "exceeds the float range"):
         log_holder_constants(field)
+
+
+def test_extrema_are_kept_from_construction():
+    # min, max and is_constant read the two floats taken at construction and
+    # never reduce the array again (the values are never changed in place)
+    g = make_grid(2, 2, 32)
+    field = build_exponent(g, "sine", base=3.0, amplitude=0.5)
+    want = (float(field.values.min()), float(field.values.max()))
+    field.values = None
+    assert (field.min, field.max, field.is_constant) == (*want, False)
+    const = build_exponent(g, "constant", value=2.5)
+    assert const.is_constant is True and const.min == const.max == 2.5

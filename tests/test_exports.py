@@ -48,6 +48,10 @@ KNOB_ALLOWLIST = {
     "lpf.vanishing_moments.gammas": "a lemma check that only the tests call",
     "lpf.vanishing_moments.step": "a lemma check that only the tests call",
     "cli.main.argv": "the command line; tests and the benchmark hand it in through a wrapper",
+    "_accel.offset_abs_max_1d.tiled": "a bounded scan's one tiling, handed on by name through "
+                                      "exponents._memo_scan and _scan",
+    "_accel.offset_abs_max_2d.tiled": "a bounded scan's one tiling, handed on by name through "
+                                      "exponents._memo_scan and _scan",
 }
 
 

@@ -7,12 +7,14 @@ enumerations, kept verbatim as oracles.  The offset profile built from
 `_offsets`, `_distinct_offsets` and `_scan` (slice kernel, each distinct
 offset scanned once) and the bound-ordered cutoffs of `log_holder_constants`
 and `verify_alpha_shift` must equal them under `==` on the exhaustive and on
-the sampled route, in 1D and in 2D.  The cutoffs order offsets by a
-block-extremum bound, which must never fall below the offset's true maximum.
+the sampled route, in 1D and in 2D.  The cutoffs order offsets by the
+minimum of a block-extremum bound and a path bound, which must never fall
+below the offset's true maximum.
 """
 
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -428,17 +430,107 @@ def test_weight_ordered_cutoff_equals_full_table(grid, kind, a, b, seed, exhaust
 @example(make_grid(2, 2, 32), "spikes", 0.5, 0.0, 7 * 32)
 @example(make_grid(2, 2, 128), "wave", 0.7, 0.9, 9)
 @example(make_grid(1, 2, 8192), "uniform", 0.0, 1.0, 3)
+@example(make_grid(1, 2, 8192), "wave", 0.8, 0.6, 7)
+@example(make_grid(2, 2, 64), "uniform", 0.0, 1.0, 3)
 def test_block_bound_covers_every_offset(grid, kind, a, b, seed):
-    # M[k] <= U[k] <= osc on the whole lattice: the exhaustive table and
-    # the mirror of each of its offsets
-    field = _field(grid, kind, a, b, seed)
+    _assert_bound_covers_the_table(_field(grid, kind, a, b, seed))
+
+
+def _assert_bound_covers_the_table(field):
+    # M[k] <= min(U, P)[k] <= U[k] <= osc on the whole lattice: the
+    # exhaustive table and the mirror of each of its offsets
     g = field.values
-    k, _ = exponents._offsets(grid, None)
+    k, _ = exponents._offsets(field.grid, None)
     M, _ = _profile(field, None)
-    for lattice in (k, -k % grid.N):
+    for lattice in (k, -k % field.grid.N):
         U = exponents._offset_bounds(g, lattice)
-        assert np.all(U >= M)
+        B = exponents._scan_bounds(field, lattice, True)
+        assert np.all(B >= M) and np.all(B <= U)
         assert np.all(U <= g.max() - g.min())
+
+
+def _scaled(grid, vals):
+    """A smoothness field with the given values, its range their own."""
+    return ExponentField(grid, vals, float(vals.min()), float(vals.max()), "smoothness")
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (1, 1024), (2, 32)])
+@pytest.mark.parametrize("scale", [1e307, -1e307, 5e306])
+def test_path_bound_near_overflow(n, N, scale):
+    # a wave of amplitude 1e307 keeps P finite; uniform noise over +-|scale|
+    # puts the largest P past the float range, where P is +inf and U decides
+    grid = make_grid(n, 2, N)
+    wave = _field(grid, "wave", 0.9, 1.0, 5)
+    noise = np.random.default_rng(N).uniform(-1.0, 1.0, size=grid.shape)
+    for vals in ((wave.values - 2.5) * scale, noise * scale):
+        field = _scaled(grid, vals)
+        _assert_bound_covers_the_table(field)
+        assert log_holder_constants(field).c_loc == old_c_loc(field, True)[0]
+    unit = exponents._memo_scan(field, np.eye(n, dtype=np.int64))
+    assert N // 2 * float(unit.sum()) == math.inf  # the noise's P would overflow
+
+
+def test_finite_maximum_whose_block_bound_overflows():
+    # amplitude 5e307: at the short offsets U * w passes the float range, but
+    # P is tight there and every score of the full table is finite, so
+    # c_loc is that table's maximum and not an InvalidInput
+    field = build_exponent(make_grid(2, 1.0, 32), "sine", base=0.0, amplitude=5e307,
+                           role="smoothness")
+    k, _ = exponents._offsets(field.grid, None)
+    assert float(exponents._offset_bounds(field.values, k).max()) * 2.9 == math.inf
+    assert log_holder_constants(field).c_loc == old_c_loc(field, True)[0] < math.inf
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 32)])
+@pytest.mark.parametrize("step", [1e-310, 3e-309, 2.0 ** -1074])
+def test_path_bound_at_subnormal_steps(n, N, step):
+    # a sawtooth of subnormal steps: every unit difference and every sum of
+    # them is subnormal, so P is +inf and U decides; a field constant along
+    # the second axis has exact zero unit maxima there, and P = 0 on (0, k1)
+    grid = make_grid(n, 2, N)
+    x0 = np.indices(grid.shape)[0]
+    for vals in (step * x0, step * (x0 % 8), 1.0 + 2.0 ** -52 * (x0 % 3)):
+        field = _scaled(grid, vals.astype(np.float64))
+        _assert_bound_covers_the_table(field)
+        assert log_holder_constants(field).c_loc == old_c_loc(field, True)[0]
+    if n == 2:
+        k, _ = exponents._offsets(grid, None)
+        on_axis = k[:, 0] == 0
+        assert np.all(exponents._scan_bounds(_scaled(grid, step * x0), k, True)[on_axis] == 0.0)
+
+
+@pytest.mark.parametrize("n,N", [(1, 256), (2, 64)])
+def test_path_bound_is_tight_on_a_ramp(n, N):
+    # a tent of ramp segments with exact dyadic steps: along the first axis
+    # M[k] is k unit steps, which P meets up to its slack, while U carries
+    # a block's worth of steps more; a P scaled by 0.99 falls below M there
+    grid = make_grid(n, 2, N)
+    x0 = np.indices(grid.shape)[0]
+    field = _scaled(grid, 2.0 ** -7 * np.minimum(x0, N - x0))
+    k, _ = exponents._offsets(grid, None)
+    k = k[(k[:, 0] <= N // 4) & ((n == 1) | (k[:, -1] == 0))]
+    M = exponents._scan(field, k)
+    B = exponents._scan_bounds(field, k, True)
+    U = exponents._offset_bounds(field.values, k)
+    assert np.all(B >= M)
+    moved = M > 0.0
+    assert moved.sum() == N // 4 and np.all(B[moved] < U[moved])
+    assert np.all(B[moved] <= M[moved] * (1.0 + 2.0 ** -39))
+
+
+def test_path_bound_only_where_the_unit_maxima_come_for_free(monkeypatch):
+    # on the sampled route the unit offsets are not scanned for P, unless
+    # the field's memo already holds them
+    grid = make_grid(2, 2, 64)
+    field = _field(grid, "wave", 0.7, 0.9, 9)
+    k, _ = exponents._offsets(grid, 256)
+    distinct, _ = exponents._distinct_offsets(k, grid.N)
+    U = exponents._offset_bounds(field.values, distinct)
+    assert np.array_equal(exponents._scan_bounds(field, distinct, False), U)
+    assert field._scanned == {}
+    exponents._memo_scan(field, np.eye(2, dtype=np.int64))
+    B = exponents._scan_bounds(field, distinct, False)
+    assert np.all(B <= U) and np.any(B < U)
 
 
 @pytest.mark.parametrize("n,N", [(1, 64), (2, 32)])
@@ -584,12 +676,13 @@ def test_alpha_shift_scan_count_is_pinned(monkeypatch):
     # regularity-2d in small: an exhaustive log-Hoelder scan at N = 128, then
     # the sampled alpha-shift check reusing its memo; counts are offsets
     # handed to the 2D kernel
-    scanned = []
+    scanned, tilings = [], []
     kernel = _accel.offset_abs_max_2d
 
-    def counting(g, offsets):
+    def counting(g, offsets, tiled=None):
         scanned.append(len(offsets))
-        return kernel(g, offsets)
+        tilings.append(None if tiled is None else weakref.ref(tiled))
+        return kernel(g, offsets, tiled)
 
     monkeypatch.setattr(_accel, "offset_abs_max_2d", counting)
     field = _field(make_grid(2, 2, 128), "wave", 0.7, 0.9, 9)
@@ -598,7 +691,14 @@ def test_alpha_shift_scan_count_is_pinned(monkeypatch):
     rep = _shift(field, 0.5 * lh.c_loc, range(5), SAMPLE_OFFSETS)
     assert not rep.exhaustive and rep.offsets_evaluated == 4093
     distinct = len(exponents._distinct_offsets(exponents._offsets(field.grid, 4096)[0], 128)[0])
-    assert (lh_scans, sum(scanned) - lh_scans, distinct) == (469, 39, 1480)
+    assert (lh_scans, sum(scanned) - lh_scans, distinct) == (190, 103, 1480)
+    # the two unit offsets of the path bound are scanned alone; every other
+    # call hands on its scan's one tiling, which is gone once the scan
+    # returns: one for the log-Hoelder table and one for each of the four
+    # levels that scan new offsets (v = 3 reads all of its own from the memo)
+    assert tilings[0] is None and scanned[0] == 2 and None not in tilings[1:]
+    assert all(ref() is None for ref in tilings[1:])
+    assert len({id(ref) for ref in tilings[1:]}) == 5 < len(tilings) - 1
 
 
 def test_pow_error_is_within_the_bound_slack():
@@ -610,3 +710,40 @@ def test_pow_error_is_within_the_bound_slack():
     e = np.round(x)
     ref = np.array([math.ldexp(math.pow(2.0, xi - ei), int(ei)) for xi, ei in zip(x, e)])
     assert np.all(np.abs(got - ref) <= 2.0 ** -47 * ref)
+
+
+def test_log_error_is_within_the_weight_slack():
+    # the sampled route orders by fl(np.log(.) (1 + 2^-40)) and scores with
+    # math.log, which assumes the two logs differ by at most 2^-45 relative
+    args = [math.e + 1.0 / exponents._offsets(make_grid(n, L, N), SAMPLE_OFFSETS)[1][1:]
+            for n, L, N in ((1, 4, 2 ** 17), (2, 2, 512), (2, 8, 1024))]
+    args.append(math.e + np.random.default_rng(0).uniform(0.0, 1e6, size=2 ** 16))
+    x = np.concatenate(args)
+    got = np.log(x)
+    ref = np.array([math.log(xi) for xi in x.tolist()])
+    assert np.all(np.abs(got - ref) <= 2.0 ** -45 * ref)
+    assert np.all(got * exponents._SLACK >= ref)
+
+
+@pytest.mark.parametrize("n,N", [(1, 4096), (2, 128)])
+def test_sampled_route_takes_math_log_only_where_it_scans(n, N, monkeypatch):
+    weighed, scanned = [], []
+    weights, scan = exponents._math_log_weights, exponents._scan
+
+    def counting_weights(dist):
+        weighed.append(len(dist))
+        return weights(dist)
+
+    def counting_scan(field, k, tiled=None):
+        scanned.append(len(k))
+        return scan(field, k, tiled)
+
+    monkeypatch.setattr(exponents, "_math_log_weights", counting_weights)
+    monkeypatch.setattr(exponents, "_scan", counting_scan)
+    monkeypatch.setattr(exponents, "EXHAUSTIVE_POINT_LIMIT", 0)
+    field = _field(make_grid(n, 2, N), "wave", 0.7, 0.9, 9)
+    rep = log_holder_constants(field)
+    assert (rep.c_loc, rep.offsets_evaluated) == old_c_loc(field, False)
+    distinct = len(exponents._distinct_offsets(exponents._offsets(field.grid, SAMPLE_OFFSETS)[0],
+                                                N)[0])
+    assert sum(weighed) == sum(scanned) < distinct
