@@ -4,9 +4,10 @@ A field is near-constant near the box boundary by recipe design; the box
 center plays the role of the origin when the decay constant is estimated.
 
 The local log-Hoelder constant is max_k fl(M[k] w[k]) over lattice offsets
-k, with M[k] = max_x |g(x) - g(x+k)| and w[k] = log(e + 1/|k|).  Scanning an
-offset costs a pass over the grid, so offsets are visited by a cheap upper
-bound B[k] = min(U[k], P[k]) >= M[k]:
+k, with M[k] = max_x |g(x) - g(x+k)| and w[k] = log(e + 1/|k|).  An exact
+scan of an offset costs a float64 pass over the grid, so offsets pass
+through tiers of upper bounds on M[k], each cheaper than the next, and only
+the offsets that no bound rules out are scanned exactly:
 
 - U, the block bound.  Tile the field into b x b blocks (b in 1D) and keep
   each block's max and min.  Write k = b K + r componentwise.  For x in
@@ -33,29 +34,58 @@ bound B[k] = min(U[k], P[k]) >= M[k]:
   so it is built only where they come for free: on the exhaustive table,
   where they are the heaviest rows, and wherever the field's memo already
   holds them.  A field of zero oscillation has U = 0 and needs neither.
+  B = min(U, P) is built for every offset of a scan at once.
+- B32, the float32 bound, one float32 pass per offset (about a third of a
+  float64 pass at 256 x 256, where the float32 field, its tiling and the
+  buffer fit in cache).  With g32 = fl32(g), m32[k] = max_x |fl32(g32(x) -
+  g32(x+k))|, G = max |g| and e = 2^-23 G + 2^-149,
+  B32[k] = fl(fl(m32 + e) (1 + 2^-20)).  Proof of B32 >= M[k]: a cast errs
+  by |g32 - g| <= 2^-24 |g| + 2^-150 (relative half an ulp for a normal
+  float32, half of 2^-149 absolute below that, a value under 2^-150 going
+  to 0), so the two casts of a pair move its difference by at most e.  The
+  float32 difference of g32(x) and g32(x+k) is exact if subnormal, and
+  within a factor 1 - 2^-24 of the real one otherwise, so
+  |g(x) - g(x+k)| <= m32 / (1 - 2^-24) + e, and rounding that difference
+  in float64 gives M[k] <= (1 + u) / (1 - 2^-24) (m32 + e) < (1 + 2^-23)
+  (m32 + e).  m32 + e >= 2^-149 is normal in float64, and e is computed
+  within a relative (1 - u)^2 (its product 2^-23 G is exact, or errs by at
+  most 2^-1075 when subnormal), so fl(m32 + e) >= (1 - u)^3 (m32 + e) and
+  B32 >= (1 - u)^4 (1 + 2^-20) (m32 + e) > (1 + 2^-23) (m32 + e) >= M[k].
+  A subnormal-scale field, whose steps float32 flushes to 0, gets
+  B32 = e: true, and loose, so B decides there.  A field with G above half
+  of float32's largest value skips the tier, B32 = +inf, and is never
+  cast: below that bound the cast and every float32 difference stay
+  finite, so no overflow can rise inside the float-range guard.
 
-Offsets are scanned by decreasing fl(B w), stopping at the first with
-fl(B w) <= best.  Monotone rounding again gives fl(M w) <= fl(B w) for
-every skipped offset, so the result is the full-table maximum bit for
+Offsets are visited by decreasing fl(B w) in chunks, stopping at the first
+with fl(B w) <= best.  Within a chunk, the offsets whose exact maxima are
+in the field's memo are scored at once, the others get B32 from one
+float32 pass, and they are scanned exactly, one at a time, by decreasing
+fl(min(B, B32) w), up to the first whose bound is <= best.  Monotone
+rounding gives fl(M w) <= fl(B' w) for any B' >= M, so every skipped offset
+scores at most best, and the result is the full-table maximum bit for
 bit, with no margin: a bound only decides which offsets are skipped, and
-every reported maximum is one of the exactly computed scores.
+every reported maximum is one of the exactly computed scores.  A nan
+bound (inf * 0) bounds nothing, so its offset is scanned; a nan score
+ends the scan as it would make np.max over the full table nan.
 
 The same cutoff serves any score fl(lift(M) w) with w >= 0 and lift
 nondecreasing up to a known relative error: the bound is
-fl(fl(lift(B) s) w) with a slack s that covers that error.  The
-alpha-shift check of `kernels` scores offset k at level v by
+fl(fl(lift(B) s) w) with a slack s that covers that error, for B and B32
+alike.  The alpha-shift check of `kernels` scores offset k at level v by
 fl(2.0 ** fl(v M) c) with c = (1 + 2^v |k|)^(-R) (`_shift_maxima`); its
 slack is 1 + 2^-40 (proof at `_SLACK`).  The sampled log-Hoelder route
 orders by np.log weights under the same slack and scores only the scanned
 offsets with math.log (`log_holder_constants`).
 
-Each field keeps the maxima M[k] it has scanned in a private memo, keyed
-by the offset's canonical index, so a later scan of the same field (the
-alpha-shift check after `log_holder_constants`, or another level) reads
-them instead of passing over the grid again.  The memo lives on the
-field, never in the module: equal offsets of different fields differ.
-A bounded scan tiles the field once and hands the tiling to every kernel
-call it makes; the tiling is dropped when the scan returns.
+Each field keeps the maxima M[k] it has scanned, and the bounds B32[k] it
+has computed, in two private memos keyed by the offset's canonical index,
+so a later scan of the same field (the alpha-shift check after
+`log_holder_constants`, or another level) reads them instead of passing
+over the grid again.  The memos live on the field, never in the module:
+equal offsets of different fields differ.  A bounded scan casts and
+tiles the field in float32 at its first float32 pass, and drops both
+when it returns; the exact float64 scans make no copy of the field.
 
 The block edge is b = 8 for every grid: N is a power of two >= 16, so 8
 divides N and each axis holds at least 2 blocks.  Halving b doubles the
@@ -115,8 +145,10 @@ class ExponentField:
     role: str
     g_inf: float | None = None
     _lh_report: LogHolderReport | None = dc_field(default=None, repr=False, compare=False)
-    # scanned offset maxima M[k] by canonical offset index (`_memo_scan`)
+    # scanned offset maxima M[k] and float32 bounds B32[k] by canonical offset
+    # index (`_memo_scan`, `_float32_bounds`)
     _scanned: dict[int, float] = dc_field(default_factory=dict, repr=False, compare=False)
+    _bounds32: dict[int, float] = dc_field(default_factory=dict, repr=False, compare=False)
     _min: float = dc_field(init=False, repr=False, compare=False)
     _max: float = dc_field(init=False, repr=False, compare=False)
 
@@ -295,12 +327,11 @@ def _distinct_offsets(k: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(np.unravel_index(keys, dims), axis=1), where.reshape(-1)
 
 
-def _scan(field: ExponentField, k: np.ndarray, tiled: np.ndarray | None = None) -> np.ndarray:
-    """max_x |g(x) - g(x+k)| for each row of k; `tiled`, if given, is the field tiled
-    twice along every axis."""
+def _scan(field: ExponentField, k: np.ndarray) -> np.ndarray:
+    """max_x |g(x) - g(x+k)| for each row of k, exactly, in float64."""
     if field.grid.n == 1:
-        return _accel.offset_abs_max_1d(field.values, k[:, 0], tiled)
-    return _accel.offset_abs_max_2d(field.values, k, tiled)
+        return _accel.offset_abs_max_1d(field.values, k[:, 0])
+    return _accel.offset_abs_max_2d(field.values, k)
 
 
 # block edge of the offset bounds (module docstring): 8 divides every
@@ -309,8 +340,8 @@ _BLOCK = 8
 # block-array entries gathered at once while the bounds are built; small
 # enough to stay in cache and to leave peak memory to the offset scans
 _BOUND_CHUNK = 2 ** 16
-# offsets handed to one kernel call by the bound-ordered scan; a chunk may
-# scan past the cutoff, never short of it
+# offsets of the bound-ordered scan handed to one float32 pass; a chunk may
+# bound offsets past the cutoff, never short of it
 _SCAN_CHUNK = 32
 # relative slack of the bounds whose rounding, or whose lift, is not exact.
 # The path bound's proof is in the module docstring; np.log's at
@@ -325,6 +356,10 @@ _SCAN_CHUNK = 32
 # taken elementwise, so equal arguments give equal values wherever they sit.)
 _SLACK = 1.0 + 2.0 ** -40
 _TINY = np.finfo(np.float64).tiny
+# the float32 bound's factor (proof in the module docstring), and the largest
+# field magnitude whose float32 cast and differences stay finite
+_FLOAT32_SLACK = 1.0 + 2.0 ** -20
+_FLOAT32_HALF_MAX = float(np.finfo(np.float32).max) / 2.0
 
 
 def _offset_bounds(g: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -366,17 +401,48 @@ def _offset_bounds(g: np.ndarray, k: np.ndarray) -> np.ndarray:
     return U[where.reshape(-1)]
 
 
-def _memo_scan(field: ExponentField, k: np.ndarray, tiling=None) -> np.ndarray:
-    """`_scan` of the canonical offset rows k, each offset at most once per field;
-    `tiling()`, if given, returns the tiling that `_scan` takes, and is called only
-    when some row is not in the memo."""
+def _offset_keys(field: ExponentField, k: np.ndarray) -> np.ndarray:
+    """The memo key of each canonical offset row of k."""
+    return np.ravel_multi_index(k.T, (field.grid.N,) * field.grid.n)
+
+
+def _memo_scan(field: ExponentField, k: np.ndarray) -> np.ndarray:
+    """`_scan` of the canonical offset rows k, each offset at most once per field."""
     memo = field._scanned
-    keys = np.ravel_multi_index(k.T, (field.grid.N,) * field.grid.n).tolist()
+    keys = _offset_keys(field, k).tolist()
     todo = [i for i, key in enumerate(keys) if key not in memo]
     if todo:
-        tiled = None if tiling is None else tiling()
-        memo.update(zip([keys[i] for i in todo], _scan(field, k[todo], tiled).tolist()))
+        memo.update(zip([keys[i] for i in todo], _scan(field, k[todo]).tolist()))
     return np.array([memo[key] for key in keys])
+
+
+def _float32_bounds(field: ExponentField, k: np.ndarray, cast=None) -> np.ndarray:
+    """B32[k] >= M[k] for the canonical offset rows k, each from one float32 pass and
+    kept in the field's memo (module docstring); +inf for a field that float32 cannot
+    hold, with no cast made.  `cast()`, if given, returns the float32 field and its
+    tiling, and is called only when some row is not in the memo."""
+    top = max(abs(field.min), abs(field.max))
+    if top > _FLOAT32_HALF_MAX:
+        return np.full(len(k), np.inf)
+    e = math.ldexp(top, -23) + 2.0 ** -149  # covers the two casts of a difference
+    memo = field._bounds32
+    keys = _offset_keys(field, k).tolist()
+    todo = [i for i, key in enumerate(keys) if key not in memo]
+    if todo:
+        g32, tiled32 = cast() if cast else _float32_cast(field)
+        m32 = _accel.offset_abs_max_float32(g32, tiled32, k[todo])
+        memo.update(zip([keys[i] for i in todo], ((m32 + e) * _FLOAT32_SLACK).tolist()))
+    return np.array([memo[key] for key in keys])
+
+
+def _float32_cast(field: ExponentField) -> tuple[np.ndarray, np.ndarray]:
+    """The field rounded to float32, and that tiled twice along every axis.
+
+    np.pad's wrap gives np.tile's array in one allocation; np.tile's
+    intermediate copies moved a `regularity-2d` peak RSS by 2 MB.
+    """
+    g32 = field.values.astype(np.float32)
+    return g32, np.pad(g32, [(0, field.grid.N)] * field.grid.n, mode="wrap")
 
 
 def _scan_bounds(field: ExponentField, k: np.ndarray, exhaustive: bool) -> np.ndarray:
@@ -389,7 +455,7 @@ def _scan_bounds(field: ExponentField, k: np.ndarray, exhaustive: bool) -> np.nd
     U = _offset_bounds(field.values, k)
     grid = field.grid
     units = np.eye(grid.n, dtype=np.int64)
-    keys = np.ravel_multi_index(units.T, (grid.N,) * grid.n).tolist()
+    keys = _offset_keys(field, units).tolist()
     if field.is_constant or not (exhaustive or all(key in field._scanned for key in keys)):
         return U
     unit = _memo_scan(field, units).tolist()
@@ -403,28 +469,51 @@ def _scan_bounds(field: ExponentField, k: np.ndarray, exhaustive: bool) -> np.nd
     return np.minimum(U, P)
 
 
-def _bounded_max(field: ExponentField, k: np.ndarray, reach: np.ndarray, score) -> float:
+def _bounded_max(field: ExponentField, k: np.ndarray, B: np.ndarray, lift, score) -> float:
     """max of score(M[k[idx]], idx) over the canonical offset rows k, scanning only rows
     that can raise it.
 
-    Rows are visited by decreasing reach, and the scan stops at the first
-    with reach <= best.  That is exact when every row's score is at most its
-    reach (module docstring).  The field is tiled at the first kernel call,
-    and that one tiling serves every call of the scan.
+    `B` bounds M from above, row by row, and `lift(b, idx)` turns bounds b of
+    the rows idx into bounds of their scores (module docstring).  Rows are
+    visited by decreasing lift(B), in chunks, and the scan stops at the first
+    with lift(B) <= best.  Within a chunk, rows in the memo are scored at
+    once; the others get the float32 bound B32, and are scanned exactly one
+    at a time by decreasing lift(min(B, B32)), up to the first that cannot
+    raise best.  The field is cast to float32 once per scan, at the first
+    row that needs a float32 pass.
     """
-    reach = np.where(np.isnan(reach), np.inf, reach)  # inf * 0: no bound, so scan it
+    reach = _nan_to_inf(lift(B, slice(None)))
     order = np.argsort(-reach, kind="stable")
+    keys = _offset_keys(field, k)
+    memo = field._scanned
+    cast = functools.cache(functools.partial(_float32_cast, field))
     best = 0.0
-    tiling = functools.cache(lambda: np.tile(field.values, (2,) * field.grid.n))
     for start in range(0, order.size, _SCAN_CHUNK):
         idx = order[start:start + _SCAN_CHUNK]
         idx = idx[reach[idx] > best]  # a prefix: reach decreases along idx
         if idx.size == 0:
             break
-        # chunk first: a nan score (inf * 0) is kept and ends the scan, as
-        # it would make np.max over the whole table nan
-        best = max(float(np.max(score(_memo_scan(field, k[idx], tiling), idx))), best)
+        known = np.array([key in memo for key in keys[idx].tolist()])
+        if known.any():
+            # a nan score (inf * 0) is kept and ends the scan, as it would
+            # make np.max over the whole table nan
+            best = max(float(np.max(score(_memo_scan(field, k[idx[known]]), idx[known]))), best)
+        rest = idx[~known & (reach[idx] > best)]
+        if rest.size == 0:
+            continue
+        tight = _nan_to_inf(lift(np.minimum(B[rest], _float32_bounds(field, k[rest], cast)),
+                                 rest))
+        for j in np.argsort(-tight, kind="stable").tolist():
+            if not tight[j] > best:
+                break
+            row = rest[j:j + 1]
+            best = max(float(score(_memo_scan(field, k[row]), row)[0]), best)
     return best
+
+
+def _nan_to_inf(reach: np.ndarray) -> np.ndarray:
+    """A nan bound (inf * 0) bounds nothing, so its row must be scanned."""
+    return np.where(np.isnan(reach), np.inf, reach)
 
 
 def _shift_maxima(field: ExponentField, budget: int | None, R: float,
@@ -444,7 +533,8 @@ def _shift_maxima(field: ExponentField, budget: int | None, R: float,
         s = 2.0 ** v
         c = np.zeros(len(distinct))
         np.maximum.at(c, where, (1.0 + s * d) ** (-R))
-        per_level[v] = _bounded_max(field, distinct, 2.0 ** (v * B) * _SLACK * c,
+        per_level[v] = _bounded_max(field, distinct, B,
+                                    lambda b, idx: 2.0 ** (v * b) * _SLACK * c[idx],
                                     lambda M, idx: 2.0 ** (v * M) * c[idx])
     return per_level, int(d.size)
 
@@ -461,17 +551,22 @@ def log_holder_constants(field: ExponentField) -> LogHolderReport:
     c_loc = max over point pairs of |g(x)-g(y)| log(e + 1/dist(x,y)) with the
     periodic distance; exact all-pairs maximum whenever the grid has at most
     2^16 points, seeded stratified sampling otherwise.  Each distinct offset
-    is scanned at most once per field (the memo of the module docstring),
-    by decreasing fl(B * w) with w = log(e + 1/|k|) and B = min(U, P) >= M[k]
-    the minimum of the 8 x 8 block bound and the path bound, stopping at the
-    first with fl(B * w) <= best: the result equals the full-table maximum
-    bit for bit, since monotone rounding gives fl(M[k] * w) <= fl(B * w) for
-    every skipped offset.  The sampled route scans no unit offsets for P,
+    is scanned at most once per field (the memos of the module docstring).
+    Offsets pass through the tiers of the module docstring: they are
+    visited by decreasing fl(B * w), with w = log(e + 1/|k|) and
+    B = min(U, P) >= M[k] the minimum of the 8 x 8 block bound and the path
+    bound; within each chunk the float32 bound B32 >= M[k] orders the exact
+    float64 scans by fl(min(B, B32) * w); and each tier stops at the first
+    offset whose bound times its weight is at most the best exact score.
+    The result equals the full-table maximum bit for bit, since monotone
+    rounding gives fl(M[k] * w) <= fl(B' * w) for every skipped offset and
+    each of its bounds B'.  The sampled route scans no unit offsets for P,
     so B is U there unless the field's memo holds them.  Its weights are
     math.log's, and it orders by w' = fl(np.log(.) * (1 + 2^-40)), taking
     math.log only for the offsets it scans: both logs lie within a few ulp
-    of the true value, so w' >= math.log's weight, and fl(B * w') bounds
-    every skipped score.
+    of the true value, so w' >= math.log's weight, and fl(B' * w') bounds
+    every skipped score.  A field above half of float32's largest value
+    skips the float32 tier.
     c_dec weights the deviation from g_inf by log(e + distance-to-center).
     A field whose bound times its weight leaves the float range is an
     InvalidInput.  The report is memoized per field.
@@ -492,9 +587,10 @@ def log_holder_constants(field: ExponentField) -> LogHolderReport:
     with _within_float_range("the field's oscillation max - min, times a log weight,"):
         B = _scan_bounds(field, distinct, exhaustive)
         if exhaustive:
-            c_loc = _bounded_max(field, distinct, B * w, lambda M, idx: M * w[idx])
+            c_loc = _bounded_max(field, distinct, B, lambda b, idx: b * w[idx],
+                                 lambda M, idx: M * w[idx])
         else:
-            c_loc = _bounded_max(field, distinct, B * (w * _SLACK),
+            c_loc = _bounded_max(field, distinct, B, lambda b, idx: b * (w[idx] * _SLACK),
                                  lambda M, idx: M * _math_log_weights(dist[idx]))
         c_dec = float(np.max(np.abs(field.values - field.g_inf) * dec_weight))
     report = LogHolderReport(c_loc=c_loc, c_dec=c_dec, exhaustive=exhaustive,

@@ -23,7 +23,7 @@ from .errors import (
 from .exponents import ExponentField, _check_theta, _constant_value, build_exponent, \
     interpolate_exponents
 from .grid import Grid, GridFunction, _within_float_range, common_grid
-from .lebesgue import luxemburg_norm, modular_at
+from .lebesgue import _modular_sum, luxemburg_norm
 
 __all__ = [
     "PoissonPair",
@@ -205,15 +205,16 @@ def boundary_modulars(fam: CompetitorFamily) -> tuple[float, float]:
 
     Requires the underlying f normalized in L^{p(.)}; the exponent algebra
     then collapses both modulars to the modular of f itself, so the
-    contract <= 1 + 1e-9 is met as near-equality.
+    contract <= 1 + 1e-9 is met as near-equality.  A modular past the float
+    range is +inf, which fails that contract as it should.
     """
     fv = np.abs(fam.f_values())
-    if abs(modular_at(fv, fam.p, 1.0) - 1.0) > 1e-8:
+    if abs(_modular_sum(fv, fam.p, 1.0) - 1.0) > 1e-8:
         raise InvalidInput("competitor family must be built from a normalized f")
     rho0 = rho1 = 0.0
     for t in T_SAMPLES:
-        rho0 = max(rho0, modular_at(np.abs(fam.evaluate(1j * t)), fam.p0, 1.0))
-        rho1 = max(rho1, modular_at(np.abs(fam.evaluate(1.0 + 1j * t)), fam.p1, 1.0))
+        rho0 = max(rho0, _modular_sum(np.abs(fam.evaluate(1j * t)), fam.p0, 1.0))
+        rho1 = max(rho1, _modular_sum(np.abs(fam.evaluate(1.0 + 1j * t)), fam.p1, 1.0))
     return rho0, rho1
 
 

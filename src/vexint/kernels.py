@@ -212,12 +212,15 @@ def verify_alpha_shift(alpha: ExponentField, h_exp: float, R: float,
     and B = min(U, P) >= M the smaller of the block bound and the path
     bound of the offset maxima (`exponents`; P comes from the unit-offset
     maxima that `log_holder_constants` leaves in the field's memo, or that
-    an exhaustive table scans), and the scan stops at the first offset
-    whose bound is at most the best ratio so far.  The slack covers any pow
-    error up to 2^-45 relative (`exponents`), so each level's value equals
-    the maximum over every offset bit for bit.  Offset maxima already
-    scanned for this field, by `log_holder_constants` or an earlier level,
-    are read from the field's memo.
+    an exhaustive table scans).  Within each chunk of that order the
+    float32 bound B32 >= M takes B's place in the same formula, with
+    min(B, B32), and orders the exact float64 scans; each tier stops at the
+    first offset whose bound is at most the best ratio so far.  The slack
+    covers any pow error up to 2^-45 relative (`exponents`), so each
+    level's value equals the maximum over every offset bit for bit.  Offset
+    maxima and float32 bounds already computed for this field, by
+    `log_holder_constants` or an earlier level, are read from the field's
+    memos.
     """
     if not (h_exp > 0.0):
         raise InvalidInput(f"base decay exponent must be positive, got {h_exp}")

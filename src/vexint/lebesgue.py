@@ -106,12 +106,9 @@ def _check_role(p: ExponentField) -> None:
                            f"exponent, not a {p.role} one")
 
 
-def modular_at(f, p: ExponentField, lam: float) -> float:
-    """Modular of f/lam: integral of (|f(x)|/lam)^{p(x)}.
-
-    May overflow to inf for finite input; a non-finite entry of f or a lam
-    outside (0, inf) raises InvalidInput.
-    """
+def _modular_sum(f, p: ExponentField, lam: float) -> float:
+    """`modular_at` as `_accel.modular_pow_sum` gives it: +inf where the modular
+    overflows, which reads correctly as > 1 wherever only that is asked."""
     fv = _values(f)
     common_grid(f, p, fv)
     _check_role(p)
@@ -122,6 +119,18 @@ def modular_at(f, p: ExponentField, lam: float) -> float:
         raise InvalidInput("function has a non-finite value; its modular is undefined")
     hn = p.grid.h ** p.grid.n
     return _accel.modular_pow_sum(absf, p.values, lam) * hn
+
+
+def modular_at(f, p: ExponentField, lam: float) -> float:
+    """Modular of f/lam: integral of (|f(x)|/lam)^{p(x)}.
+
+    A non-finite entry of f, a lam outside (0, inf), or a modular past the
+    float range raises InvalidInput.
+    """
+    rho = _modular_sum(f, p, lam)
+    if rho == math.inf:
+        raise InvalidInput(f"the modular of f/lam at lam={lam} exceeds the float range")
+    return rho
 
 
 def modular(f, p: ExponentField) -> float:
@@ -270,7 +279,7 @@ def mixed_norm(family, p: ExponentField, q: ExponentField) -> NormResult:
 def unit_ball_check(f, p: ExponentField) -> tuple[bool, bool]:
     """(norm <= 1, modular <= 1); the two must agree for every input."""
     res = luxemburg_norm(f, p)
-    modular_ok = modular(f, p) <= 1.0
+    modular_ok = _modular_sum(f, p, 1.0) <= 1.0
     if res.bracket is not None:
         lo, hi = res.bracket
         if hi <= 1.0:

@@ -4,6 +4,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,6 +74,42 @@ def test_offset_abs_max_2d_matches_pair_loop(case):
     want = np.array([table[half_plane_offset(k0 % N, k1 % N, N)] for k0, k1 in ks])
     assert np.all(want >= 0.0)  # every offset has a half-plane representative
     assert np.array_equal(_accel.offset_abs_max_2d(g, np.array(ks)), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1, 7), (1, 24), (2, 2), (2, 4), (2, 6)]).flatmap(
+    lambda case: st.tuples(
+        st.just(case),
+        st.lists(field_values, min_size=case[1] ** case[0], max_size=case[1] ** case[0]),
+        st.lists(st.tuples(*[st.integers(-50, 50)] * case[0]), min_size=1, max_size=30))))
+def test_offset_abs_max_float32_matches_pair_loop(case):
+    # the pair loops on float32 values subtract in float32
+    (n, N), vals, ks = case
+    g32 = np.array(vals, dtype=np.float32).reshape((N,) * n)
+    got = _accel.offset_abs_max_float32(g32, np.tile(g32, (2,) * n), np.array(ks))
+    if n == 1:
+        table = pair_loop_1d(g32)
+        want = [table[min(k % N, -k % N)] for k, in ks]
+    else:
+        table = pair_loop_2d(g32)
+        want = [table[half_plane_offset(k0 % N, k1 % N, N)] for k0, k1 in ks]
+    assert got.dtype == np.float64 and np.array_equal(got, np.array(want))
+
+
+@pytest.mark.parametrize("shape", [(24,), (2, 2), (6, 6), (16, 16)])
+def test_shifted_difference_is_the_rolled_difference_bit_for_bit(shape):
+    # the float64 scan reads g in flat order and redoes the wrapped columns;
+    # every entry, signed zeros and overflows included, is g - roll(g, -k)
+    rng = np.random.default_rng(len(shape))
+    g = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape)
+    g.flat[:3] = (0.0, -0.0, 1e308)
+    g.flat[-1] = -1e308
+    buf = np.empty_like(g)
+    for k in itertools.product(*(range(N) for N in shape)):
+        with np.errstate(over="ignore"):
+            _accel._shifted_difference(g, list(k), buf)
+            want = g - np.roll(g, tuple(-a for a in k), axis=tuple(range(g.ndim)))
+        assert np.array_equal(buf.view(np.int64), want.view(np.int64)), k
 
 
 def pow_or_inf(x, p):
@@ -172,7 +209,8 @@ def test_log_modular_step_matches_term_loop(case):
 def test_scan_buffer_starts_on_a_cache_line():
     # np.empty_like follows malloc's alignment, 16 bytes past a page for a
     # mapped block, which slows every store of the scan
-    for shape in [(16,), (1000,), (32, 32), (256, 256)]:
-        buf = _accel._cache_aligned_like(np.zeros(shape))
+    for shape, dtype in itertools.product([(16,), (1000,), (32, 32), (256, 256)],
+                                          [np.float64, np.float32]):
+        buf = _accel._cache_aligned_like(np.zeros(shape, dtype=dtype))
         assert buf.ctypes.data % 64 == 0
-        assert buf.shape == shape and buf.dtype == np.float64 and buf.flags.c_contiguous
+        assert buf.shape == shape and buf.dtype == dtype and buf.flags.c_contiguous

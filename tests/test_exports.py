@@ -48,10 +48,6 @@ KNOB_ALLOWLIST = {
     "lpf.vanishing_moments.gammas": "a lemma check that only the tests call",
     "lpf.vanishing_moments.step": "a lemma check that only the tests call",
     "cli.main.argv": "the command line; tests and the benchmark hand it in through a wrapper",
-    "_accel.offset_abs_max_1d.tiled": "a bounded scan's one tiling, handed on by name through "
-                                      "exponents._memo_scan and _scan",
-    "_accel.offset_abs_max_2d.tiled": "a bounded scan's one tiling, handed on by name through "
-                                      "exponents._memo_scan and _scan",
 }
 
 
@@ -70,39 +66,109 @@ def _defaulted(module: str, tree: ast.Module):
             yield from ((f"{module}.{f.name}.{name}", f.name, i) for name, i in named)
 
 
-def _set_slots(node: ast.AST, found: dict, own=frozenset()) -> dict:
+def _signatures(tree: ast.Module, found: dict) -> dict:
+    """{function name: [[(call position or None, parameter name), ...], ...]}, one list
+    per function or method of that bare name; a method's first parameter is no position."""
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    for f in ast.walk(tree):
+        if isinstance(f, ast.FunctionDef):
+            pos = [x.arg for x in f.args.posonlyargs + f.args.args][1 if id(f) in methods else 0:]
+            found.setdefault(f.name, []).append(
+                list(enumerate(pos)) + [(None, k.arg) for k in f.args.kwonlyargs])
+    return found
+
+
+def _set_slots(node: ast.AST, found: dict, own=frozenset(), caller=None) -> dict:
     """{callee name: slots some call sets}, by bare name.  A slot is a keyword, "**", a
-    position, or (position, name) for an argument that is the caller's own parameter."""
+    position, or (position or keyword, caller, name) for an argument that is the calling
+    function's own parameter `name`, handed on; a lambda's caller is None."""
     if isinstance(node, (ast.FunctionDef, ast.Lambda)):
         own = {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+        caller = getattr(node, "name", None)
     if isinstance(node, ast.Call):
         slots = found.setdefault(getattr(node.func, "id", getattr(node.func, "attr", None)), set())
         for i, arg in enumerate(node.args):
             if isinstance(arg, ast.Starred):
                 break
-            slots.add((i, arg.id) if isinstance(arg, ast.Name) and arg.id in own else i)
+            slots.add((i, caller, arg.id) if isinstance(arg, ast.Name) and arg.id in own else i)
         for kw in node.keywords:
-            if not (isinstance(kw.value, ast.Name) and kw.value.id == kw.arg and kw.arg in own):
+            if isinstance(kw.value, ast.Name) and kw.value.id == kw.arg and kw.arg in own:
+                slots.add((kw.arg, caller, kw.arg))
+            else:
                 slots.add(kw.arg or "**")
     for child in ast.iter_child_nodes(node):
-        _set_slots(child, found, own)
+        _set_slots(child, found, own, caller)
     return found
 
 
-def test_every_defaulted_parameter_is_set_by_some_caller():
-    src = sorted((ROOT / "src" / "vexint").glob("*.py"))
-    found: dict = {}
-    for path in src + sorted((ROOT / "perfbench").glob("*.py")):
-        _set_slots(ast.parse(path.read_text(encoding="utf-8")), found)
-    params = [p for path in src for p in _defaulted(path.stem, ast.parse(path.read_text()))]
+def _is_set(fn: str, name: str, i, slots: dict, signatures: dict, seen=frozenset()) -> bool:
+    """Whether some call sets parameter `name` (call position i, None if keyword-only) of
+    `fn`: by value, by "**", as a caller's parameter of another name, or as a caller's
+    parameter of the same name that some call of that caller sets in turn."""
+    here = slots.get(fn, set())
+    if {name, "**", i} & here:
+        return True
+    for _, caller, own in (s for s in here if isinstance(s, tuple) and s[0] in (i, name)):
+        if own != name:
+            return True
+        if caller is not None and (caller, name) not in seen:
+            if any(_is_set(caller, name, j, slots, signatures, seen | {(caller, name)})
+                   for sig in signatures.get(caller, []) for j, param in sig if param == name):
+                return True
+    return False
 
-    def is_set(qualified, fn, i):
-        name, slots = qualified.rsplit(".", 1)[1], found.get(fn, set())
-        passed_on = {s[1] for s in slots if isinstance(s, tuple) and s[0] == i}
-        return bool({name, "**", i} & slots) or bool(passed_on - {name})
-    unset = {q for q, fn, i in params if not is_set(q, fn, i)} - set(KNOB_ALLOWLIST)
-    assert unset == set(), "settings that no caller turns"
-    assert set(KNOB_ALLOWLIST) <= {q for q, _, _ in params}, "allowlist names a stale parameter"
+
+def _unset(sources: dict) -> set:
+    """module.function.parameter of every defaulted public parameter, in the modules of
+    `sources` ({module: source text}), that no call in any of them sets."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    slots, signatures = {}, {}
+    for tree in trees.values():
+        _set_slots(tree, slots)
+        _signatures(tree, signatures)
+    return {q for module, tree in trees.items() for q, fn, i in _defaulted(module, tree)
+            if not _is_set(fn, q.rsplit(".", 1)[1], i, slots, signatures)}
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    src = {path.stem: path.read_text(encoding="utf-8")
+           for path in sorted((ROOT / "src" / "vexint").glob("*.py"))}
+    bench = {f"perfbench.{path.stem}": path.read_text(encoding="utf-8")
+             for path in sorted((ROOT / "perfbench").glob("*.py"))}
+    unset = {q for q in _unset(src | bench) if not q.startswith("perfbench.")}
+    assert unset - set(KNOB_ALLOWLIST) == set(), "settings that no caller turns"
+    params = {q for module, text in src.items() for q, _, _ in _defaulted(module, ast.parse(text))}
+    assert set(KNOB_ALLOWLIST) <= params, "allowlist names a stale parameter"
+
+
+HAND_ON = """
+def knob(x, level=1, *, gain=1.0, bias=0.0):
+    return x
+
+def relay(x, level, gain):
+    return knob(x, level, gain=gain)
+
+def outer(x, level=2, gain=1.0):
+    return relay(x, level, gain)
+
+def top():
+    return outer(1, level=3)
+
+def spin(x, bias):
+    return turn(x, bias)
+
+def turn(x, bias):
+    return spin(x, bias) + knob(x, bias=bias)
+"""
+
+
+def test_a_parameter_handed_on_by_name_is_set_where_the_chain_sets_it():
+    # knob.level reaches a setting call through relay and outer; knob.gain is
+    # handed on the same way, but no call of outer sets it; knob.bias goes
+    # round a cycle of hand-ons that no call enters with a value
+    assert _unset({"synthetic": HAND_ON}) == {
+        "synthetic.knob.gain", "synthetic.knob.bias", "synthetic.outer.gain"}
+    assert _unset({"synthetic": HAND_ON + "\nouter(2, gain=0.5)\n"}) == {"synthetic.knob.bias"}
 
 
 # types whose instances carry a grid, as the public signatures annotate them

@@ -152,15 +152,6 @@ def _call(draw, grid):
     return name, calls[name]
 
 
-# entries whose documented value is an extended real: +inf, and nothing else non-finite,
-# is allowed from them
-EXTENDED = {
-    "modular": "the modular lies in [0, inf]; an overflow reads as inf > 1, on which "
-               "unit_ball_check and the tests of the Luxemburg bracket rely",
-    "modular_at": "as modular",
-}
-
-
 def _numbers_finite(x, depth=0) -> bool:
     """Whether every number reachable from x, through containers, arrays and
     dataclass or object fields, is finite."""
@@ -194,6 +185,4 @@ def test_public_callables_are_finite_or_typed(data):
             result = call()
         except VexintError:
             return
-    if name in EXTENDED and result == math.inf:
-        return
     assert _numbers_finite(result), (name, result)

@@ -256,12 +256,17 @@ def test_zero_and_extreme_magnitudes_keep_their_norms(n, N):
         r = luxemburg_norm(scale * f, p)
         assert r.method == "bisection" and r.iterations == base.iterations
         assert r.value == pytest.approx(scale * base.value, rel=1e-12)
-    # the modulars of such inputs overflow or underflow without raising
+    # the modulars of such inputs underflow to 0 without raising; past the
+    # float range they are an InvalidInput, not a silent inf
     assert modular(np.zeros(g.shape), p) == 0.0
-    assert modular(1e300 * f, p) == math.inf
+    with pytest.raises(InvalidInput, match="exceeds the float range"):
+        modular(1e300 * f, p)
     assert modular(1e-300 * f, p) == 0.0
     assert modular_at(f, p, 1e300) == 0.0
-    assert modular_at(f, p, 1e-300) == math.inf
+    with pytest.raises(InvalidInput, match="exceeds the float range"):
+        modular_at(f, p, 1e-300)
+    # the unit-ball decision still reads the overflowed modular as > 1
+    assert unit_ball_check(1e300 * f, p) == (False, False)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-10, 1.0, 2.0])

@@ -641,10 +641,14 @@ def test_alpha_shift_overflowing_level_equals_full_profile(R):
 
 
 def _memo_is_sound(field):
-    # every remembered maximum is the scan of its own offset on this field
+    # every remembered maximum is the scan of its own offset on this field,
+    # and every remembered float32 bound is at least that scan
     keys = list(field._scanned)
     k = np.stack(np.unravel_index(keys, (field.grid.N,) * field.grid.n), axis=1)
     assert [field._scanned[key] for key in keys] == exponents._scan(field, k).tolist()
+    keys = list(field._bounds32)
+    k = np.stack(np.unravel_index(keys, (field.grid.N,) * field.grid.n), axis=1)
+    assert np.all(np.array([field._bounds32[key] for key in keys]) >= exponents._scan(field, k))
 
 
 @pytest.mark.parametrize("n,N", [(1, 1024), (2, 64)])
@@ -672,33 +676,98 @@ def test_scan_memo_is_per_field_and_order_free(n, N):
             _memo_is_sound(used)
 
 
-def test_alpha_shift_scan_count_is_pinned(monkeypatch):
-    # regularity-2d in small: an exhaustive log-Hoelder scan at N = 128, then
-    # the sampled alpha-shift check reusing its memo; counts are offsets
-    # handed to the 2D kernel
-    scanned, tilings = [], []
-    kernel = _accel.offset_abs_max_2d
+def _counting_kernels(monkeypatch):
+    """Offsets per call handed to the exact 2D kernel and to the float32 pass, and a
+    weak reference to each float32 pass's tiling."""
+    exact, bounded, tilings = [], [], []
+    kernel, pass32 = _accel.offset_abs_max_2d, _accel.offset_abs_max_float32
 
-    def counting(g, offsets, tiled=None):
-        scanned.append(len(offsets))
-        tilings.append(None if tiled is None else weakref.ref(tiled))
-        return kernel(g, offsets, tiled)
+    def counting(g, offsets):
+        exact.append(len(offsets))
+        return kernel(g, offsets)
+
+    def counting32(g32, tiled32, offsets):
+        bounded.append(len(offsets))
+        tilings.append(weakref.ref(tiled32))
+        return pass32(g32, tiled32, offsets)
 
     monkeypatch.setattr(_accel, "offset_abs_max_2d", counting)
+    monkeypatch.setattr(_accel, "offset_abs_max_float32", counting32)
+    return exact, bounded, tilings
+
+
+def test_alpha_shift_scan_count_is_pinned(monkeypatch):
+    # regularity-2d in small: an exhaustive log-Hoelder scan at N = 128, then
+    # the sampled alpha-shift check reusing its memos; counts are offsets
+    # handed to the exact float64 kernel and to the float32 pass
+    exact, bounded, tilings = _counting_kernels(monkeypatch)
     field = _field(make_grid(2, 2, 128), "wave", 0.7, 0.9, 9)
     lh = log_holder_constants(field)
-    lh_scans = sum(scanned)
+    lh_exact, lh_bounded, lh_tilings = sum(exact), sum(bounded), len(tilings)
     rep = _shift(field, 0.5 * lh.c_loc, range(5), SAMPLE_OFFSETS)
     assert not rep.exhaustive and rep.offsets_evaluated == 4093
     distinct = len(exponents._distinct_offsets(exponents._offsets(field.grid, 4096)[0], 128)[0])
-    assert (lh_scans, sum(scanned) - lh_scans, distinct) == (190, 103, 1480)
-    # the two unit offsets of the path bound are scanned alone; every other
-    # call hands on its scan's one tiling, which is gone once the scan
-    # returns: one for the log-Hoelder table and one for each of the four
-    # levels that scan new offsets (v = 3 reads all of its own from the memo)
-    assert tilings[0] is None and scanned[0] == 2 and None not in tilings[1:]
-    assert all(ref() is None for ref in tilings[1:])
-    assert len({id(ref) for ref in tilings[1:]}) == 5 < len(tilings) - 1
+    assert (lh_exact, sum(exact) - lh_exact, distinct) == (7, 6, 1480)
+    assert (lh_bounded, sum(bounded) - lh_bounded) == (188, 74)
+    # the two unit offsets of the path bound are scanned in one call, and
+    # every exact rescan alone, with no copy of the field
+    assert exact[0] == 2 and set(exact[1:]) == {1}
+    # one float32 tiling per bounded scan that bounds new offsets, gone once
+    # the scan returns: one for the log-Hoelder table and one for each of the
+    # four levels that bound new offsets (one level reads all of its own from
+    # the memos)
+    assert all(ref() is None for ref in tilings)
+    assert len({id(ref) for ref in tilings[:lh_tilings]}) == 1
+    assert len({id(ref) for ref in tilings}) == 5 < len(tilings)
+
+
+def test_float32_tier_leaves_few_exact_scans(monkeypatch):
+    # on desk-size exhaustive 2D fields the float32 bound rules out all but a
+    # few of the offsets that B = min(U, P) leaves, so a tier that silently
+    # switched off would hand them all to the float64 kernel
+    exact, bounded, _ = _counting_kernels(monkeypatch)
+    for seed in (1, 5, 9):
+        field = _field(make_grid(2, 2, 64), "wave", 0.7, 0.9, seed)
+        _shift(field, 0.5 * log_holder_constants(field).c_loc, range(5), 2 ** 30)
+    assert 0 < sum(exact) <= sum(bounded) / 10
+
+
+# 1D up to N = 4096 and 2D up to N = 64, every offset of the exhaustive table
+bound_grids = st.one_of(
+    st.sampled_from([16, 64, 256, 1024, 4096]).map(lambda N: make_grid(1, 2, N)),
+    st.sampled_from([16, 32, 64]).map(lambda N: make_grid(2, 2, N)),
+)
+# field magnitudes: float32's normal and subnormal range, float64's
+# subnormal-scale steps, and magnitudes past float32's range
+scales = st.one_of(st.floats(-40.0, 30.0).map(lambda e: 10.0 ** e),
+                   st.sampled_from([1e-310, 3e-309, 2.0 ** -1074, 1e-45, 2e38, 1e300]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bound_grids, kinds, st.floats(0.0, 1.0), st.floats(0.01, 1.0), st.integers(0, 2 ** 16),
+       scales, st.booleans())
+@example(make_grid(2, 2, 64), "wave", 0.7, 0.9, 9, 1e-310, False)
+@example(make_grid(1, 2, 4096), "uniform", 0.0, 1.0, 3, 1e-40, True)
+@example(make_grid(2, 2, 32), "spikes", 0.5, 0.6, 7 * 32 + 6, 1.0, False)
+@example(make_grid(2, 2, 64), "uniform", 0.0, 1.0, 3, 1e300, True)
+@example(make_grid(1, 2, 1024), "wave", 0.8, 0.6, 7, 2e38, False)
+def test_float32_bound_covers_every_offset(grid, kind, a, b, seed, scale, centred):
+    # B32 >= M on the whole exhaustive table, with no warning and no error;
+    # past float32's range the tier is skipped, B32 = +inf, with no cast
+    field = _field(grid, kind, a, b, seed)
+    field = _scaled(grid, (field.values - 2.5 * centred) * scale)
+    k, _ = exponents._offsets(grid, None)
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        B32 = exponents._float32_bounds(field, k)
+    M = exponents._scan(field, k)
+    assert np.all(B32 >= M)
+    past = max(abs(field.min), abs(field.max)) > float(np.finfo(np.float32).max) / 2
+    assert np.all(B32 == np.inf) == past
+    keys = exponents._offset_keys(field, k).tolist()
+    assert field._bounds32 == ({} if past else dict(zip(keys, B32.tolist())))
+    if scale <= 1e30:
+        assert log_holder_constants(field).c_loc == old_c_loc(field, True)[0]
 
 
 def test_pow_error_is_within_the_bound_slack():
@@ -734,9 +803,9 @@ def test_sampled_route_takes_math_log_only_where_it_scans(n, N, monkeypatch):
         weighed.append(len(dist))
         return weights(dist)
 
-    def counting_scan(field, k, tiled=None):
+    def counting_scan(field, k):
         scanned.append(len(k))
-        return scan(field, k, tiled)
+        return scan(field, k)
 
     monkeypatch.setattr(exponents, "_math_log_weights", counting_weights)
     monkeypatch.setattr(exponents, "_scan", counting_scan)
