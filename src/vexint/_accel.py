@@ -5,11 +5,20 @@ functions that dominate the regularity scans and every Luxemburg solve:
 the exact float64 offset scans `offset_abs_max_1d/2d`, and the modular
 passes `modular_pow_sum` and `log_modular_step`.  The float32 bounding
 pass `offset_abs_max_float32` lives here too; a tracer that wraps only the
-exact scans sees its time in the caller's span.  The offset scans take
-slices, not rolls, over offsets given by the caller: which offsets to
-scan, once each, is decided in `exponents`.  A Luxemburg solve makes its
-real modular passes with `modular_pow_sum` and its Newton steps for the
-root with `log_modular_step`, one pass over the nonzero entries each.
+exact scans sees its time in the caller's span.  Which offsets to scan,
+once each, is decided in `exponents`.  A Luxemburg solve makes its real
+modular passes with `modular_pow_sum` and its Newton steps for the root
+with `log_modular_step`, one pass over the nonzero entries each.
+
+All three offset scans run one loop, `_abs_max_each`: per offset, a
+subtraction into one reused buffer, an in-place abs and a max.  They
+differ in where g(x+k) comes from.  The exact scans take it from
+np.roll(g, -k), a fresh float64 copy per offset: after the float32 tier
+only a few dozen offsets of a field reach them, so a copy costs a few
+milliseconds in all.  The float32 pass, which sees every offset the
+cheaper bounds leave, takes it as a slice of its caller's float32 tiling
+(the field tiled twice along every axis), with no copy: at 256 x 256 the
+cast, the tiling and the buffer stay in a 2 MiB cache.
 """
 
 from __future__ import annotations
@@ -25,41 +34,16 @@ __all__ = ["offset_abs_max_1d", "offset_abs_max_2d", "offset_abs_max_float32",
 # -- per-offset maximum absolute difference ---------------------------------
 #
 # For a periodic field g, M[k] = max_x |g(x) - g(x+k)| for any integer
-# offsets k (taken modulo the grid).  The exact float64 scan needs no copy
-# of the field: read in flat order and shifted by s = k0 N + k1 (mod N^n),
-# g gives g(x+k) at every x whose x1 + k1 does not wrap, so one offset is
-# two contiguous subtractions into a reused buffer, then the wrapped
-# columns again, from the right rows, then an in-place abs and a max.
-# Where more columns wrap than not, s is taken a row back (s - N), and the
-# columns that do not wrap are the ones redone.  Every entry of the buffer
-# ends as fl(g(x) - g(x+k)), as a rolled copy would give it.  The float32
-# pass takes its caller's float32 cast and tiling of the field (tiled twice
-# along every axis), so that g(x+k) is one slice of the tiling; at
-# 256 x 256 the cast, the tiling and the buffer stay in a 2 MiB cache,
-# where a float64 tiling would not.
+# offsets k (taken modulo the grid).
 
 
-def _shifted_difference(g: np.ndarray, k: list[int], buf: np.ndarray) -> None:
-    """buf = fl(g(x) - g(x+k)) over the grid, for an offset 0 <= k < N per axis."""
-    size, N, k1 = g.size, g.shape[-1], k[-1]
-    back = g.ndim == 2 and 2 * k1 > N
-    s = (k[0] * N + k1 - back * N) % size if g.ndim == 2 else k1
-    flat, out = g.reshape(-1), buf.reshape(-1)
-    np.subtract(flat[:size - s], flat[s:], out=out[:size - s])
-    np.subtract(flat[size - s:], flat[:s], out=out[size - s:])
-    if g.ndim == 2 and 0 < k1:
-        k0 = k[0]
-        x1, y1 = (slice(0, N - k1), slice(k1, N)) if back else (slice(N - k1, N), slice(0, k1))
-        np.subtract(g[:N - k0, x1], g[k0:, y1], out=buf[:N - k0, x1])
-        np.subtract(g[N - k0:, x1], g[:k0, y1], out=buf[N - k0:, x1])
-
-
-def _offset_abs_max(g: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    g = np.ascontiguousarray(g, dtype=np.float64)
+def _abs_max_each(g: np.ndarray, offsets: np.ndarray, shifted) -> np.ndarray:
+    """max_x |fl(g(x) - shifted(k)(x))| for each row k of `offsets`, reduced to
+    0 <= k < N per axis, where shifted(k) is g(x+k) over the grid."""
     buf = _cache_aligned_like(g)
     out = np.empty(len(offsets))
     for i, k in enumerate((np.asarray(offsets) % g.shape).tolist()):
-        _shifted_difference(g, k, buf)
+        np.subtract(g, shifted(k), out=buf)
         np.abs(buf, out=buf)
         out[i] = buf.max()
     return out
@@ -73,6 +57,12 @@ def _cache_aligned_like(g: np.ndarray) -> np.ndarray:
     raw = np.empty(g.size + per_line, dtype=g.dtype)
     skip = -raw.ctypes.data % 64 // g.itemsize
     return raw[skip:skip + g.size].reshape(g.shape)
+
+
+def _offset_abs_max(g: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    g = np.ascontiguousarray(g, dtype=np.float64)
+    axes = tuple(range(g.ndim))
+    return _abs_max_each(g, offsets, lambda k: np.roll(g, [-a for a in k], axis=axes))
 
 
 def offset_abs_max_1d(g: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -92,13 +82,8 @@ def offset_abs_max_float32(g32: np.ndarray, tiled32: np.ndarray,
     `g32` is a float32 field and `tiled32` is np.tile(g32, (2,) * n); the
     differences are rounded in float32, and each maximum is exact in float64.
     """
-    buf = _cache_aligned_like(g32)
-    out = np.empty(len(offsets))
-    for i, k in enumerate((np.asarray(offsets) % g32.shape).tolist()):
-        np.subtract(g32, tiled32[tuple(slice(a, a + s) for a, s in zip(k, g32.shape))], out=buf)
-        np.abs(buf, out=buf)
-        out[i] = buf.max()
-    return out
+    return _abs_max_each(g32, offsets, lambda k: tiled32[tuple(
+        slice(a, a + s) for a, s in zip(k, g32.shape))])
 
 
 # -- variable-exponent modular sum -------------------------------------------

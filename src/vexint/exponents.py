@@ -85,7 +85,7 @@ so a later scan of the same field (the alpha-shift check after
 over the grid again.  The memos live on the field, never in the module:
 equal offsets of different fields differ.  A bounded scan casts and
 tiles the field in float32 at its first float32 pass, and drops both
-when it returns; the exact float64 scans make no copy of the field.
+when it returns.
 
 The block edge is b = 8 for every grid: N is a power of two >= 16, so 8
 divides N and each axis holds at least 2 blocks.  Halving b doubles the
@@ -406,33 +406,36 @@ def _offset_keys(field: ExponentField, k: np.ndarray) -> np.ndarray:
     return np.ravel_multi_index(k.T, (field.grid.N,) * field.grid.n)
 
 
-def _memo_scan(field: ExponentField, k: np.ndarray) -> np.ndarray:
-    """`_scan` of the canonical offset rows k, each offset at most once per field."""
-    memo = field._scanned
+def _memoized(field: ExponentField, memo: dict[int, float], k: np.ndarray,
+              compute) -> np.ndarray:
+    """memo's values at the canonical offset rows k; the rows not yet in it are
+    computed by one call compute(rows) and kept."""
     keys = _offset_keys(field, k).tolist()
     todo = [i for i, key in enumerate(keys) if key not in memo]
     if todo:
-        memo.update(zip([keys[i] for i in todo], _scan(field, k[todo]).tolist()))
+        memo.update(zip([keys[i] for i in todo], compute(k[todo]).tolist()))
     return np.array([memo[key] for key in keys])
 
 
-def _float32_bounds(field: ExponentField, k: np.ndarray, cast=None) -> np.ndarray:
+def _memo_scan(field: ExponentField, k: np.ndarray) -> np.ndarray:
+    """`_scan` of the canonical offset rows k, each offset at most once per field."""
+    return _memoized(field, field._scanned, k, functools.partial(_scan, field))
+
+
+def _float32_bounds(field: ExponentField, k: np.ndarray, cast) -> np.ndarray:
     """B32[k] >= M[k] for the canonical offset rows k, each from one float32 pass and
     kept in the field's memo (module docstring); +inf for a field that float32 cannot
-    hold, with no cast made.  `cast()`, if given, returns the float32 field and its
-    tiling, and is called only when some row is not in the memo."""
+    hold, with no cast made.  `cast()` returns the float32 field and its tiling, and
+    is called only when some row is not in the memo."""
     top = max(abs(field.min), abs(field.max))
     if top > _FLOAT32_HALF_MAX:
         return np.full(len(k), np.inf)
     e = math.ldexp(top, -23) + 2.0 ** -149  # covers the two casts of a difference
-    memo = field._bounds32
-    keys = _offset_keys(field, k).tolist()
-    todo = [i for i, key in enumerate(keys) if key not in memo]
-    if todo:
-        g32, tiled32 = cast() if cast else _float32_cast(field)
-        m32 = _accel.offset_abs_max_float32(g32, tiled32, k[todo])
-        memo.update(zip([keys[i] for i in todo], ((m32 + e) * _FLOAT32_SLACK).tolist()))
-    return np.array([memo[key] for key in keys])
+
+    def bound(rows: np.ndarray) -> np.ndarray:
+        return (_accel.offset_abs_max_float32(*cast(), rows) + e) * _FLOAT32_SLACK
+
+    return _memoized(field, field._bounds32, k, bound)
 
 
 def _float32_cast(field: ExponentField) -> tuple[np.ndarray, np.ndarray]:

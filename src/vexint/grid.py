@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -94,19 +94,17 @@ class Grid:
 
     def periodic_radius(self) -> np.ndarray:
         """Periodic distance from each grid point to the origin."""
-        d2 = np.zeros(self.shape)
-        for c in self.coords():
-            d = np.minimum(c, 2.0 * self.L - c)
-            d2 = d2 + d * d
-        return np.sqrt(d2)
+        return self._radius(np.minimum(self.axis, 2.0 * self.L - self.axis))
 
     def center_radius(self) -> np.ndarray:
         """Distance from each grid point to the box center (L, ..., L)."""
-        d2 = np.zeros(self.shape)
-        for c in self.coords():
-            d = c - self.L
-            d2 = d2 + d * d
-        return np.sqrt(d2)
+        return self._radius(self.axis - self.L)
+
+    def _radius(self, d: np.ndarray) -> np.ndarray:
+        """sqrt(d(x_0)^2 + ... + d(x_{n-1})^2) over the grid, from the per-axis distances
+        d, summed in axis order as over full coordinate meshes, with no mesh built."""
+        d2 = d * d
+        return np.sqrt(reduce(np.add.outer, [d2] * self.n))
 
     def integrate(self, values: np.ndarray) -> float | complex:
         if values.shape != self.shape:

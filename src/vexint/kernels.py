@@ -371,12 +371,17 @@ def verify_jensen_gamma(p: ExponentField, m_exp: float, f, v_list,
     margin_min = math.inf
     for v in v_list:
         measure = 2.0 ** (-v * grid.n)
-        avg_f = cube_broadcast(grid, cube_sums(grid, fv, v) * hn / measure, v)
-        avg_fp = cube_broadcast(grid, cube_sums(grid, fp, v) * hn / measure, v)
-        avg_decay = cube_broadcast(grid, cube_sums(grid, decay, v) * hn / measure, v)
-        lhs = (gamma * avg_f) ** p.values
-        rhs = avg_fp + min(measure ** m_exp, 1.0) * (decay + avg_decay)
-        margin = rhs - lhs
+        # margin = (avg_fp + min(|Q|^m, 1) (decay + avg_decay)) - (gamma avg_f)^p,
+        # rounded in that order, in two full arrays besides the inputs
+        lhs = cube_broadcast(grid, cube_sums(grid, fv, v) * hn / measure, v)
+        np.multiply(gamma, lhs, out=lhs)
+        np.power(lhs, p.values, out=lhs)
+        margin = cube_broadcast(grid, cube_sums(grid, decay, v) * hn / measure, v)
+        np.add(decay, margin, out=margin)
+        np.multiply(min(measure ** m_exp, 1.0), margin, out=margin)
+        np.add(cube_broadcast(grid, cube_sums(grid, fp, v) * hn / measure, v), margin,
+               out=margin)
+        np.subtract(margin, lhs, out=margin)
         lvl_min = float(margin.min())
         per_level[v] = lvl_min
         if lvl_min < margin_min:

@@ -4,7 +4,6 @@ import itertools
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,22 +93,6 @@ def test_offset_abs_max_float32_matches_pair_loop(case):
         table = pair_loop_2d(g32)
         want = [table[half_plane_offset(k0 % N, k1 % N, N)] for k0, k1 in ks]
     assert got.dtype == np.float64 and np.array_equal(got, np.array(want))
-
-
-@pytest.mark.parametrize("shape", [(24,), (2, 2), (6, 6), (16, 16)])
-def test_shifted_difference_is_the_rolled_difference_bit_for_bit(shape):
-    # the float64 scan reads g in flat order and redoes the wrapped columns;
-    # every entry, signed zeros and overflows included, is g - roll(g, -k)
-    rng = np.random.default_rng(len(shape))
-    g = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape)
-    g.flat[:3] = (0.0, -0.0, 1e308)
-    g.flat[-1] = -1e308
-    buf = np.empty_like(g)
-    for k in itertools.product(*(range(N) for N in shape)):
-        with np.errstate(over="ignore"):
-            _accel._shifted_difference(g, list(k), buf)
-            want = g - np.roll(g, tuple(-a for a in k), axis=tuple(range(g.ndim)))
-        assert np.array_equal(buf.view(np.int64), want.view(np.int64)), k
 
 
 def pow_or_inf(x, p):

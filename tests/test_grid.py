@@ -170,6 +170,27 @@ def test_periodic_radius_symmetry():
     assert np.allclose(r[1:], r[1:][::-1])
 
 
+def mesh_radius(g, per_axis):
+    """sqrt of the per-axis squared distances summed over full coordinate meshes."""
+    d2 = np.zeros(g.shape)
+    for c in g.coords():
+        d = per_axis(c)
+        d2 = d2 + d * d
+    return np.sqrt(d2)
+
+
+@pytest.mark.parametrize("n, L, N", [(1, 0.5, 16), (1, 1, 1024), (1, 4, 16384), (2, 2, 16),
+                                     (2, 1, 256), (2, 8, 128), (2, 2, 512)])
+def test_radii_equal_the_mesh_formula_bit_for_bit(n, L, N):
+    # the radii are built from one axis, never from coordinate meshes
+    g = make_grid(n, L, N)
+    pairs = [(g.periodic_radius(), mesh_radius(g, lambda c: np.minimum(c, 2.0 * g.L - c))),
+             (g.center_radius(), mesh_radius(g, lambda c: c - g.L))]
+    for got, want in pairs:
+        assert got.shape == g.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_grid_function_validation():
     g = make_grid(1, 1, 64)
     with pytest.raises(InvalidInput):

@@ -710,7 +710,7 @@ def test_alpha_shift_scan_count_is_pinned(monkeypatch):
     assert (lh_exact, sum(exact) - lh_exact, distinct) == (7, 6, 1480)
     assert (lh_bounded, sum(bounded) - lh_bounded) == (188, 74)
     # the two unit offsets of the path bound are scanned in one call, and
-    # every exact rescan alone, with no copy of the field
+    # every exact rescan alone
     assert exact[0] == 2 and set(exact[1:]) == {1}
     # one float32 tiling per bounded scan that bounds new offsets, gone once
     # the scan returns: one for the log-Hoelder table and one for each of the
@@ -757,13 +757,20 @@ def test_float32_bound_covers_every_offset(grid, kind, a, b, seed, scale, centre
     field = _field(grid, kind, a, b, seed)
     field = _scaled(grid, (field.values - 2.5 * centred) * scale)
     k, _ = exponents._offsets(grid, None)
+    casts = []
+
+    def cast():
+        casts.append(None)
+        return exponents._float32_cast(field)
+
     with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
         warnings.simplefilter("error")
-        B32 = exponents._float32_bounds(field, k)
+        B32 = exponents._float32_bounds(field, k, cast)
     M = exponents._scan(field, k)
     assert np.all(B32 >= M)
     past = max(abs(field.min), abs(field.max)) > float(np.finfo(np.float32).max) / 2
     assert np.all(B32 == np.inf) == past
+    assert len(casts) == (0 if past else 1)
     keys = exponents._offset_keys(field, k).tolist()
     assert field._bounds32 == ({} if past else dict(zip(keys, B32.tolist())))
     if scale <= 1e30:
