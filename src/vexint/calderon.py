@@ -28,6 +28,7 @@ from .seqspaces import (
     _constant_exponent,
     _level_sum,
     _pow_each,
+    _split,
     f_infty_subset_norm,
     f_norm,
 )
@@ -279,9 +280,8 @@ def _reconstructions(lam: DyadicCoefficients, lam0: DyadicCoefficients,
                      lam1: DyadicCoefficients, norm: float,
                      theta: float) -> tuple[np.ndarray, np.ndarray]:
     """|lam| and norm |lam0|^{1-theta} |lam1|^theta over the support of lam, flat in key order."""
-    nzs = [np.nonzero(a) for a in lam.levels]
-    a, b0, b1 = (np.concatenate([c.moduli(j)[nz] for j, nz in enumerate(nzs)])
-                 for c in (lam, lam0, lam1))
+    nz = np.flatnonzero(lam.flat)
+    a, b0, b1 = (np.hypot(c.flat[nz].real, c.flat[nz].imag) for c in (lam, lam0, lam1))
     with _within_float_range("a reconstruction norm |lam0|^(1-theta) |lam1|^theta"):
         return a, norm * _pow_each(b0, 1.0 - theta) * _pow_each(b1, theta)
 
@@ -292,20 +292,18 @@ def _corner_factors(lam: DyadicCoefficients, norm: float, params: FactorizationP
     and lam1_{j,m} = 2^{l ratio_l + j v(x)} (|lam_{j,m}|/norm)^{e1(x)}, x the cube corner
     and l = classes[j][m]; e0, e1 are grid-shaped and cubes of class NO_CLASS are left out.
     """
-    grid = lam.grid
-    levels0 = [np.zeros_like(a) for a in lam.levels]
-    levels1 = [np.zeros_like(a) for a in lam.levels]
-    left_out = 0
-    for j in range(lam.V + 1):
-        nz = np.nonzero((lam.levels[j] != 0) & (classes[j] != NO_CLASS))
-        left_out += np.count_nonzero(lam.levels[j]) - len(nz[0])
-        l = classes[j][nz]
-        r = lam.moduli(j)[nz] / norm
-        u, v, a, b = (cube_corners(grid, x, j)[nz] for x in (params.u, params.v, e0, e1))
-        levels0[j][nz] = _pow_each(2.0, l + j * u) * _pow_each(r, a)
-        levels1[j][nz] = _pow_each(2.0, l * ratio_l + j * v) * _pow_each(r, b)
-    return (DyadicCoefficients(grid, lam.V, levels0),
-            DyadicCoefficients(grid, lam.V, levels1), left_out)
+    grid, V = lam.grid, lam.V
+    cls = np.concatenate([c.ravel() for c in classes])
+    nz = np.flatnonzero((lam.flat != 0) & (cls != NO_CLASS))
+    j = np.repeat(np.arange(V + 1), [a.size for a in lam.levels])[nz]
+    l, r = cls[nz], np.hypot(lam.flat[nz].real, lam.flat[nz].imag) / norm
+    u, v, a, b = (np.concatenate([cube_corners(grid, x, i).ravel() for i in range(V + 1)])[nz]
+                  for x in (params.u, params.v, e0, e1))
+    flat0, flat1 = np.zeros_like(lam.flat), np.zeros_like(lam.flat)
+    flat0[nz] = _pow_each(2.0, l + j * u) * _pow_each(r, a)
+    flat1[nz] = _pow_each(2.0, l * ratio_l + j * v) * _pow_each(r, b)
+    return (DyadicCoefficients(grid, V, _split(grid, V, flat0)),
+            DyadicCoefficients(grid, V, _split(grid, V, flat1)), len(lam) - len(nz))
 
 
 def factorize_pp(lam: DyadicCoefficients, params: FactorizationParams) -> FactorizationResult:
@@ -478,13 +476,10 @@ def lattice_property_check(truncations, lam: DyadicCoefficients, alpha: Exponent
     truncations = list(truncations)
     common_grid(lam, alpha, p, q, *truncations)
     for i, trunc in enumerate(truncations):
-        for v in range(trunc.V + 1):
-            over = np.argwhere(trunc.moduli(v) > lam.moduli(v) * (1.0 + 1e-12))
-            if len(over):
-                key = (v, tuple(over[0].tolist()))
-                raise PreconditionViolation(
-                    f"truncation {i} exceeds the target at {key}"
-                )
+        over = [key for key, val in trunc.items()
+                if abs(val) > abs(lam.value(*key)) * (1.0 + 1e-12)]
+        if over:
+            raise PreconditionViolation(f"truncation {i} exceeds the target at {over[0]}")
     full = f_norm(lam, alpha, p, q).value
     norms = [f_norm(t, alpha, p, q).value for t in truncations]
     slack = 1e-9 * max(full, 1e-300)

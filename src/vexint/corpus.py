@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvalidInput
 from .grid import Grid, GridFunction, _within_float_range
 from .lpf import _fft
-from .seqspaces import DyadicCoefficients
+from .seqspaces import DyadicCoefficients, _split
 
 MAG_LOW = 1.0e-3
 MAG_HIGH = 1.0e3
@@ -44,18 +44,16 @@ def random_coefficients(grid: Grid, V: int, count: int, rng) -> DyadicCoefficien
     """
     grid.check_level(V)
     count = _count("count", count)
-    shapes = [(grid.cubes_per_axis(j),) * grid.n for j in range(int(V) + 1)]
-    sizes = [math.prod(shape) for shape in shapes]
-    idx = rng.integers(0, sum(sizes), size=count)
+    total = sum(grid.cubes_per_axis(j) ** grid.n for j in range(int(V) + 1))
+    idx = rng.integers(0, total, size=count)
     mags = 10.0 ** rng.uniform(np.log10(MAG_LOW), np.log10(MAG_HIGH), size=count)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=count)
     # the last draw of a repeated cube wins
     last = count - 1 - np.unique(idx[::-1], return_index=True)[1]
-    flat = np.zeros(sum(sizes), dtype=np.complex128)
+    flat = np.zeros(total, dtype=np.complex128)
     flat.real[idx[last]] = mags[last] * np.cos(phases[last])
     flat.imag[idx[last]] = mags[last] * np.sin(phases[last])
-    levels = np.split(flat, np.cumsum(sizes)[:-1])
-    return DyadicCoefficients(grid, V, [a.reshape(shape) for a, shape in zip(levels, shapes)])
+    return DyadicCoefficients(grid, V, _split(grid, int(V), flat))
 
 
 def coefficient_corpus(grid: Grid, V: int, items: int, count: int,

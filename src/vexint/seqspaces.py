@@ -1,21 +1,22 @@
 """Dyadic coefficient sequences and their weighted sequence-space norms.
 
-A coefficient set stores one complex array per level v = 0..V, indexed by
-the cube index m of Q_{v,m}; its support is the set of nonzero entries.
-Norms work level by level: F_v(x) = sum_m 2^{v(alpha(x)+n/2)} |lam_{v,m}| chi_{v,m}(x)
-is the level array broadcast over its cubes times the weight, the family
-goes to the mixed Lebesgue norm, and the endpoint space replaces the outer
-norm by a supremum of cube-averaged tail sums.  Moduli come from `np.hypot`
-(equal to `abs(complex)`) and powers of single coefficients from
-`np.float_power`, whose float64 loop calls libm `pow` as Python's float pow
-does, so every value matches a cube-by-cube evaluation bit for bit.
-`_pow_each` is the one place that takes that pow, here and in the
-factorizations of `calderon`: `np.power` has SIMD loops that can differ
-from it by an ulp.
+A coefficient set keeps lam_{v,m}, v = 0..V, in one flat complex array,
+level-major and each level in C order over the cube index m of Q_{v,m}; its
+support is the set of nonzero entries.  Norms act on one (V + 1, *grid.shape)
+array whose row v, F_v(x) = sum_m 2^{v(alpha(x)+n/2)} |lam_{v,m}| chi_{v,m}(x),
+is level v broadcast over its cubes times the weight; the rows go to the mixed
+Lebesgue norm, and the endpoint space replaces the outer norm by a supremum of
+cube-averaged tail sums.  Moduli come from `np.hypot` (equal to `abs(complex)`)
+and powers of single coefficients from `np.float_power`, whose float64 loop
+calls libm `pow` as Python's float pow does, so every value matches a
+cube-by-cube evaluation bit for bit.  `_pow_each` is the one place that takes
+that pow, here and in the factorizations of `calderon`: `np.power` has SIMD
+loops that can differ from it by an ulp.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
@@ -46,6 +47,8 @@ Key = tuple[int, tuple[int, ...]]
 
 # cell budget for the subset-selection search routes
 GREEDY_CELL_LIMIT = 2 ** 20
+# what a float-range error names, for the level integrands and for their sums
+_INTEGRAND = "a level integrand 2^(v (alpha + n/2) q) |lam|^q or its sum"
 
 
 def _as_int(x, what: str) -> int:
@@ -62,13 +65,22 @@ def _normalize_key(v, m) -> Key:
     return _as_int(v, "coefficient level"), tuple(_as_int(mi, "cube index") for mi in m)
 
 
-def _level_shape(grid: Grid, v: int) -> tuple[int, ...]:
-    return (grid.cubes_per_axis(v),) * grid.n
+@functools.cache
+def _level_slices(grid: Grid, V: int) -> tuple[tuple[slice, tuple[int, ...]], ...]:
+    """(slice, shape) of each level 0..V in a flat array that holds them level-major."""
+    shapes = [(grid.cubes_per_axis(v),) * grid.n for v in range(V + 1)]
+    ends = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
+    return tuple(zip(map(slice, ends, ends[1:]), shapes))
+
+
+def _split(grid: Grid, V: int, flat: np.ndarray) -> list[np.ndarray]:
+    """The level arrays 0..V as reshaped views of `flat`, which holds them level-major."""
+    return [flat[part].reshape(shape) for part, shape in _level_slices(grid, V)]
 
 
 def _levels_from_keys(grid: Grid, V: int, data: Mapping) -> list[np.ndarray]:
     """Level arrays 0..V holding complex(raw) at [m] of level v for each validated key (v, m)."""
-    levels = [np.zeros(_level_shape(grid, v), np.complex128) for v in range(V + 1)]
+    levels = [np.zeros(shape, np.complex128) for _, shape in _level_slices(grid, V)]
     for key, raw in data.items():
         if not (isinstance(key, tuple) and len(key) == 2):
             raise InvalidInput(f"key {key!r} is not a (level, index) pair")
@@ -87,16 +99,18 @@ def _levels_from_keys(grid: Grid, V: int, data: Mapping) -> list[np.ndarray]:
 class DyadicCoefficients:
     """Coefficients lam_{v,m} on the grid's dyadic cubes of levels 0..V.
 
-    `levels[v]` is a complex array of shape (cubes_per_axis(v),)*n holding
-    lam_{v,m} at [m]; zero entries lie outside the support.  The arrays are
-    copied and validated as wholes.  The keyed form {(v, m): value} (m an
-    index tuple, or an int when n = 1) is accepted in their place and
-    checked key by key; `items()` and the records are its sorted views.
+    `flat` holds lam_{v,m} level by level, v = 0..V, each level in C order over
+    m, the order of sorted keys; zero entries lie outside the support, and
+    `levels[v]` is level v's view in `flat`, of shape (cubes_per_axis(v),)*n.
+    Level arrays are copied and validated as wholes; the keyed form {(v, m):
+    value} (m an index tuple, or an int when n = 1) is accepted in their place
+    and checked key by key; `items()` and the records are its sorted views.
     """
 
     grid: Grid
     V: int
     levels: list[np.ndarray] = dc_field(repr=False)
+    flat: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.V = int(self.V)
@@ -104,23 +118,23 @@ class DyadicCoefficients:
         levels = self.levels
         if isinstance(levels, Mapping):
             levels = _levels_from_keys(self.grid, self.V, levels)
-        levels = [np.array(a, dtype=np.complex128) for a in levels]
+        levels = [np.asarray(a, dtype=np.complex128) for a in levels]
         if len(levels) != self.V + 1:
             raise InvalidInput(
                 f"{len(levels)} level arrays given for declared max level {self.V}")
-        for v, a in enumerate(levels):
-            if a.shape != _level_shape(self.grid, v):
-                raise InvalidConfiguration(
-                    f"level {v} array has shape {a.shape}, not {_level_shape(self.grid, v)}")
+        for v, (a, (_, shape)) in enumerate(zip(levels, _level_slices(self.grid, self.V))):
+            if a.shape != shape:
+                raise InvalidConfiguration(f"level {v} array has shape {a.shape}, not {shape}")
             if not np.isfinite(a).all():
                 raise InvalidInput(f"level {v} holds a non-finite coefficient")
-        self.levels = levels
+        self.flat = np.concatenate([a.ravel() for a in levels])
+        self.levels = _split(self.grid, self.V, self.flat)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DyadicCoefficients):
             return NotImplemented
         return (self.grid == other.grid and self.V == other.V
-                and all(np.array_equal(a, b) for a, b in zip(self.levels, other.levels)))
+                and np.array_equal(self.flat, other.flat))
 
     def level_support(self, v: int) -> tuple[tuple[np.ndarray, ...], list[Key]]:
         """Index arrays of the nonzero level-v entries and their keys, in index order."""
@@ -130,7 +144,7 @@ class DyadicCoefficients:
     def moduli(self, v: int) -> np.ndarray:
         """|lam_{v,m}| over the level-v cube indices; zeros above V."""
         if v > self.V:
-            return np.zeros(_level_shape(self.grid, v))
+            return np.zeros((self.grid.cubes_per_axis(v),) * self.grid.n)
         a = self.levels[v]
         return np.hypot(a.real, a.imag)
 
@@ -147,10 +161,10 @@ class DyadicCoefficients:
         return complex(self.levels[v][m]) if inside else 0.0 + 0.0j
 
     def __len__(self) -> int:
-        return sum(int(np.count_nonzero(a)) for a in self.levels)
+        return int(np.count_nonzero(self.flat))
 
     def scaled(self, c: complex) -> "DyadicCoefficients":
-        return DyadicCoefficients(self.grid, self.V, [c * a for a in self.levels])
+        return DyadicCoefficients(self.grid, self.V, _split(self.grid, self.V, c * self.flat))
 
     def restricted(self, keys) -> "DyadicCoefficients":
         """Truncation keeping only the given support keys."""
@@ -177,35 +191,36 @@ def _pow_each(base, expo) -> np.ndarray:
         return np.float_power(base, expo)
 
 
-def _coefficient_levels(lam: DyadicCoefficients, alpha: ExponentField, q: float = 1.0,
-                        take=lambda v, level: level, vs=None) -> list:
-    """[take(v, G_v) for v in vs], vs = 0..V by default, under one float-range guard:
+def _coefficient_levels(lam: DyadicCoefficients, alpha: ExponentField,
+                        q: float = 1.0) -> np.ndarray:
+    """The (V + 1, *grid.shape) array of G_0..G_V, under one float-range guard:
     G_v(x) = 2^{v(alpha(x)+n/2)q} sum_m |lam_{v,m}|^q chi_{v,m}(x), and q = 1 gives F_v."""
     grid = lam.grid
-    with _within_float_range("a level integrand 2^(v (alpha + n/2) q) |lam|^q or its sum", q):
-        return [take(v, cube_broadcast(grid, _pow_each(lam.moduli(v), q), v)
-                     * np.exp2(v * q * (alpha.values + 0.5 * grid.n)))
-                for v in (range(lam.V + 1) if vs is None else vs)]
+    v = np.arange(lam.V + 1).reshape((-1,) + (1,) * grid.n)
+    with _within_float_range(_INTEGRAND, q):
+        powers = _split(grid, lam.V, _pow_each(np.hypot(lam.flat.real, lam.flat.imag), q))
+        levels = np.stack([cube_broadcast(grid, a, j) for j, a in enumerate(powers)])
+        return np.multiply(levels, np.exp2(v * q * (alpha.values + 0.5 * grid.n)), out=levels)
 
 
 def _level_sum(lam: DyadicCoefficients, alpha: ExponentField, q: float,
                keep=None) -> tuple[np.ndarray, float]:
-    """(S, (max S)^{1/q}) for S = sum_v G_v, added level by level; with `keep`, G_v
+    """(S, (max S)^{1/q}) for S = sum_v G_v, added in level order; with `keep`, G_v
     only on the cells keep[v] marks (the `cube_cells` layout of `SubsetSelection.levels`)."""
-    total = np.zeros(lam.grid.shape)
-
-    def add(v, level):
-        if keep is not None:
-            level = np.where(cells_to_grid(lam.grid, keep[v], v), level, 0.0)
-        np.add(total, level, out=total)
-    _coefficient_levels(lam, alpha, q, add)
+    mask = True if keep is None else [cells_to_grid(lam.grid, k, v)
+                                      for v, k in zip(range(lam.V + 1), keep)]
+    with _within_float_range(_INTEGRAND, q):
+        total = _coefficient_levels(lam, alpha, q).sum(axis=0, where=mask)
     with _within_float_range("the q-th root of a level sum", q):
         return total, float(total.max()) ** (1.0 / q)
 
 
 def level_function(lam: DyadicCoefficients, alpha: ExponentField, v: int) -> GridFunction:
-    """F_v(x) = sum_m 2^{v(alpha(x)+n/2)} |lam_{v,m}| chi_{v,m}(x)."""
-    return GridFunction(common_grid(lam, alpha), _coefficient_levels(lam, alpha, vs=[v])[0])
+    """F_v(x) = sum_m 2^{v(alpha(x)+n/2)} |lam_{v,m}| chi_{v,m}(x); zero above V."""
+    grid = common_grid(lam, alpha)
+    grid.check_level(v)
+    return GridFunction(grid, _coefficient_levels(lam, alpha)[v] if v <= lam.V
+                        else np.zeros(grid.shape))
 
 
 def f_norm(lam: DyadicCoefficients, alpha: ExponentField, p: ExponentField,
@@ -259,18 +274,16 @@ def coefficient_bound_check(lam: DyadicCoefficients, alpha: ExponentField,
         raise InvalidInput("coefficient bound is undefined for zero norm")
     n = grid.n
     expo = alpha.values - n / p.values + 0.5 * n
-    worst = 0.0
-    for j in range(lam.V + 1):
-        mod = lam.moduli(j)
-        nz = np.nonzero(mod)
-        # j >= 0, so the pointwise max of 2^{j expo} over a cube sits at max expo
-        top = cube_cells(grid, expo, j).max(axis=-1)[nz]
-        worst = max(worst, float((mod[nz] * _pow_each(2.0, j * top) / norm).max(initial=0.0)))
-    return worst
+    mod = np.hypot(lam.flat.real, lam.flat.imag)
+    nz = np.flatnonzero(mod)
+    # j >= 0, so the pointwise max of 2^{j expo} over a cube sits at max expo
+    jtop = np.concatenate([j * cube_cells(grid, expo, j).max(axis=-1).ravel()
+                           for j in range(lam.V + 1)])[nz]
+    return float((mod[nz] * _pow_each(2.0, jtop) / norm).max(initial=0.0))
 
 
 def _cells_shape(grid: Grid, v: int) -> tuple[int, ...]:
-    return _level_shape(grid, v) + (grid.cells_per_axis(v) ** grid.n,)
+    return (grid.cubes_per_axis(v),) * grid.n + (grid.cells_per_axis(v) ** grid.n,)
 
 
 @dataclass(eq=False)
@@ -319,13 +332,12 @@ def greedy_selection(lam: DyadicCoefficients, alpha: ExponentField, q) -> Subset
     the cube's block).
     """
     grid = common_grid(lam, alpha, q)
-
-    def smallest_half(v, level):
+    keep = []
+    for v, level in enumerate(_coefficient_levels(lam, alpha, _constant_exponent(q))):
         blocks = cube_cells(grid, level, v)
         ranks = np.argsort(np.argsort(blocks, axis=-1, kind="stable"), axis=-1)
-        return (ranks <= blocks.shape[-1] // 2) & (lam.levels[v] != 0)[..., None]
-    return SubsetSelection(grid, _coefficient_levels(lam, alpha, _constant_exponent(q),
-                                                     smallest_half))
+        keep.append((ranks <= blocks.shape[-1] // 2) & (lam.levels[v] != 0)[..., None])
+    return SubsetSelection(grid, keep)
 
 
 def f_infty_subset_norm(lam: DyadicCoefficients, alpha: ExponentField, q,
@@ -341,12 +353,6 @@ def f_infty_subset_norm(lam: DyadicCoefficients, alpha: ExponentField, q,
     return _level_sum(lam, alpha, q, sel.levels)[1]
 
 
-def _support_cells(lam: DyadicCoefficients) -> int:
-    grid = lam.grid
-    return sum(int(np.count_nonzero(a)) * grid.cells_per_axis(v) ** grid.n
-               for v, a in enumerate(lam.levels))
-
-
 def prop1_equivalence_check(lam: DyadicCoefficients, alpha: ExponentField,
                             q) -> tuple[float, float]:
     """(endpoint norm, best subset value found); their ratio is the recorded bracket.
@@ -354,11 +360,12 @@ def prop1_equivalence_check(lam: DyadicCoefficients, alpha: ExponentField,
     The subset route tries the greedy rule and the trivial E = Q selection
     and keeps the smaller value.
     """
-    common_grid(lam, alpha, q)
+    grid = common_grid(lam, alpha, q)
     q = _constant_exponent(q)
     if not lam:
         return 0.0, 0.0
-    if _support_cells(lam) > GREEDY_CELL_LIMIT:
+    if sum(int(np.count_nonzero(a)) * grid.cells_per_axis(v) ** grid.n
+           for v, a in enumerate(lam.levels)) > GREEDY_CELL_LIMIT:
         raise InvalidInput("support too large for the subset search route")
     direct = f_infty_norm(lam, alpha, q)
     best = min(

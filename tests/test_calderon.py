@@ -568,6 +568,20 @@ def test_lattice_violations():
         lattice_property_check([elsewhere], lam, alpha, p, p)
 
 
+def test_lattice_violation_names_the_first_key_in_sorted_order():
+    # a truncation may reach above the target's max level, where the target is zero
+    alpha = const(G, 0.0, "smoothness")
+    p = const(G, 2.0)
+    lam = DyadicCoefficients(G, 2, {(0, (1,)): 3.0, (2, (5,)): -1.0})
+    deeper = DyadicCoefficients(G, 3, {(0, (1,)): 3.0, (2, (5,)): 2.0j, (3, (7,)): 1.0})
+    with pytest.raises(PreconditionViolation,
+                       match=r"^truncation 1 exceeds the target at \(2, \(5,\)\)$"):
+        lattice_property_check([lam, deeper], lam, alpha, p, p)
+    above = DyadicCoefficients(G, 3, {(0, (1,)): 3.0, (3, (7,)): 1.0})
+    with pytest.raises(PreconditionViolation, match=r"at \(3, \(7,\)\)$"):
+        lattice_property_check([above], lam, alpha, p, p)
+
+
 # --------------------------------------------------------------- classifier
 
 

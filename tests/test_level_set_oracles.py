@@ -168,7 +168,7 @@ def subset_norm_oracle(lam, alpha, q, masks):
         keep[v][grid.cube_slices(DyadicCube(v, m))] = mask
     total = np.zeros(grid.shape)
     for v in range(lam.V + 1):
-        total += np.where(keep[v], _coefficient_levels(lam, alpha, q, vs=[v])[0], 0.0)
+        total += np.where(keep[v], _coefficient_levels(lam, alpha, q)[v], 0.0)
     return float(total.max()) ** (1.0 / q)
 
 

@@ -19,12 +19,13 @@ from vexint.errors import (
     ResolutionExceeded,
 )
 from vexint.exponents import build_exponent
-from vexint.grid import cube_mask, enumerate_cubes, make_grid
+from vexint.grid import cube_cells, cube_mask, enumerate_cubes, make_grid
 from vexint.seqspaces import (
     DyadicCoefficients,
     SubsetSelection,
     _coefficient_levels,
     _level_sum,
+    _pow_each,
     coefficient_bound_check,
     f_infty_norm,
     f_infty_subset_norm,
@@ -312,6 +313,16 @@ def test_level_function_weight_beyond_float_range_is_typed():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(InvalidInput, match="exceeds the float range"):
             level_function(lam, a, 3)
+
+
+def test_level_sum_beyond_float_range_is_typed():
+    # both integrands are finite, their sum on the shared cells is not; the
+    # sum runs inside the float-range guard, so it never comes back as inf
+    g = make_grid(1, 1.0, 64)
+    a = build_exponent(g, "constant", value=0.0, role="smoothness")
+    lam = DyadicCoefficients(g, 1, {(0, 0): 1e308, (1, 0): 1e308})
+    with pytest.raises(InvalidInput, match="or its sum exceeds the float range"):
+        f_infty_subset_norm(lam, a, 1.0, full_selection(lam))
 
 
 # -- coefficient bound --------------------------------------------------------
@@ -675,7 +686,7 @@ def test_level_arrays_match_per_cube_oracles_exactly(lam, base, amplitude, q):
     for v in range(lam.V + 1):
         assert np.array_equal(level_function(lam, alpha, v).values,
                               level_function_oracle(lam, alpha, v))
-        assert np.array_equal(_coefficient_levels(lam, alpha, q, vs=[v])[0],
+        assert np.array_equal(_coefficient_levels(lam, alpha, q)[v],
                               level_integrand_oracle(lam, alpha, v, q))
     assert np.array_equal(_level_sum(lam, alpha, q)[0] ** (1.0 / q),
                           stacked_majorant_oracle(lam, alpha, q))
@@ -699,3 +710,44 @@ def test_records_roundtrip_exact_and_sorted(lam):
     assert len(lam) == len(keys)
     assert all(val != 0 for _key, val in lam.items())
     assert DyadicCoefficients(lam.grid, lam.V, dict(lam.items())) == lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficient_sets())
+def test_flat_array_holds_the_levels_as_views(lam):
+    assert np.array_equal(lam.flat, np.concatenate([a.ravel() for a in lam.levels]))
+    assert all(np.shares_memory(a, lam.flat) for a in lam.levels)
+    # every cube of levels 0..V in the order of the flat array
+    cubes = [(v, m) for v, a in enumerate(lam.levels) for m in np.ndindex(a.shape)]
+    assert [cubes[i] for i in np.flatnonzero(lam.flat)] == lam.support()
+    lam.levels[lam.V][(-1,) * lam.grid.n] = 7.0 - 1.0j
+    assert lam.flat[-1] == 7.0 - 1.0j
+
+
+def coefficient_bound_oracle(lam, alpha, p, q):
+    """The level-by-level form of `coefficient_bound_check`."""
+    grid = lam.grid
+    norm = f_norm(lam, alpha, p, q).value
+    n = grid.n
+    expo = alpha.values - n / p.values + 0.5 * n
+    worst = 0.0
+    for j in range(lam.V + 1):
+        mod = lam.moduli(j)
+        nz = np.nonzero(mod)
+        top = cube_cells(grid, expo, j).max(axis=-1)[nz]
+        worst = max(worst, float((mod[nz] * _pow_each(2.0, j * top) / norm).max(initial=0.0)))
+    return worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficient_sets(),
+       st.floats(min_value=-0.8, max_value=0.8),
+       st.floats(min_value=0.0, max_value=0.5),
+       st.floats(min_value=1.5, max_value=3.0))
+def test_coefficient_bound_matches_the_level_loop_exactly(lam, base, amplitude, p_base):
+    alpha = oracle_alpha(lam.grid, base, amplitude)
+    p = build_exponent(lam.grid, "sine", base=p_base, amplitude=0.4)
+    q = build_exponent(lam.grid, "constant", value=2.0)
+    if len(lam):
+        assert coefficient_bound_check(lam, alpha, p, q) == \
+            coefficient_bound_oracle(lam, alpha, p, q)
