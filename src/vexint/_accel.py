@@ -102,7 +102,7 @@ def modular_pow_sum(absf: np.ndarray, p: np.ndarray, lam: float) -> float:
     with np.errstate(over="ignore"):
         terms = np.divide(absf, lam)
         np.power(terms, p, out=terms, where=absf > 0.0)
-        return float(np.sum(terms))
+        return float(terms.sum())
 
 
 def log_modular_step(logf: np.ndarray, p: np.ndarray, t: float) -> tuple[float, float]:

@@ -21,11 +21,13 @@ from .errors import (
     PreconditionViolation,
 )
 from .exponents import ExponentField, _check_theta, build_exponent, interpolate_exponents
-from .grid import Grid, GridFunction, _within_float_range, common_grid, cube_cells, cube_corners
+from .grid import Grid, GridFunction, _within_float_range, common_grid, cube_cells
 from .seqspaces import (
     DyadicCoefficients,
     SubsetSelection,
     _constant_exponent,
+    _entry_layout,
+    _key_of,
     _level_sum,
     _pow_each,
     _split,
@@ -295,13 +297,17 @@ def _corner_factors(lam: DyadicCoefficients, norm: float, params: FactorizationP
     grid, V = lam.grid, lam.V
     cls = np.concatenate([c.ravel() for c in classes])
     nz = np.flatnonzero((lam.flat != 0) & (cls != NO_CLASS))
-    j = np.repeat(np.arange(V + 1), [a.size for a in lam.levels])[nz]
+    level, corner, _ = _entry_layout(grid, V)
+    j, at = level[nz], corner[nz]
     l, r = cls[nz], np.hypot(lam.flat[nz].real, lam.flat[nz].imag) / norm
-    u, v, a, b = (np.concatenate([cube_corners(grid, x, i).ravel() for i in range(V + 1)])[nz]
-                  for x in (params.u, params.v, e0, e1))
+    u, v, a, b = (np.take(x, at) for x in (params.u, params.v, e0, e1))
+    # one pow call for both factors' weights 2^(...) and powers of r
+    two = np.full_like(r, 2.0)
+    w0, w1, r0, r1 = _pow_each(np.stack([two, two, r, r]),
+                               np.stack([l + j * u, l * ratio_l + j * v, a, b]))
     flat0, flat1 = np.zeros_like(lam.flat), np.zeros_like(lam.flat)
-    flat0[nz] = _pow_each(2.0, l + j * u) * _pow_each(r, a)
-    flat1[nz] = _pow_each(2.0, l * ratio_l + j * v) * _pow_each(r, b)
+    flat0[nz] = w0 * r0
+    flat1[nz] = w1 * r1
     return (DyadicCoefficients(grid, V, _split(grid, V, flat0)),
             DyadicCoefficients(grid, V, _split(grid, V, flat1)), len(lam) - len(nz))
 
@@ -380,23 +386,25 @@ def build_level_sets(lam: DyadicCoefficients,
     ratio = np.zeros(grid.shape)
     ratio[positive] = (g_vals[positive] / lam_norm) ** gamma
 
-    class_levels = []
+    # the (K//2+1)-th largest cell value M of each cube, flat in key order: the
+    # majority of Q exceeds t iff t < M; the rest acts on all levels at once
+    M = []
     for j in range(lam.V + 1):
         cells = cube_cells(grid, ratio, j)
         k = cells.shape[-1]
-        # (K//2+1)-th largest cell value: majority of Q exceeds t iff t < M
-        M = np.partition(cells, k - 1 - k // 2, axis=-1)[..., k - 1 - k // 2]
-        supported = lam.levels[j] != 0
-        cls = np.where(supported, _dyadic_level(M), NO_CLASS)
-        big = np.argwhere(supported & (M <= 0.0) & (lam.moduli(j) > 1e-12 * lam_norm))
-        if len(big):
-            raise InvalidConfiguration(f"cube {(j, tuple(big[0].tolist()))} escaped every "
-                                       "level class but carries a nonzero coefficient")
-        class_levels.append(cls)
-
-    assigned = np.concatenate([cls[cls != NO_CLASS] for cls in class_levels])
+        M.append(np.partition(cells, k - 1 - k // 2, axis=-1)[..., k - 1 - k // 2].ravel())
+    M = np.concatenate(M)
+    supported = lam.flat != 0
+    cls = np.where(supported, _dyadic_level(M), NO_CLASS)
+    big = np.flatnonzero(supported & (M <= 0.0)
+                         & (np.hypot(lam.flat.real, lam.flat.imag) > 1e-12 * lam_norm))
+    if big.size:
+        raise InvalidConfiguration(f"cube {_key_of(grid, lam.V, big[0])} escaped every "
+                                   "level class but carries a nonzero coefficient")
+    assigned = cls[cls != NO_CLASS]
     l_min, l_max = (int(assigned.min()), int(assigned.max())) if assigned.size else (0, -1)
-    return LevelSetDecomposition(g, ratio, class_levels, l_min, l_max, gamma, lam_norm)
+    return LevelSetDecomposition(g, ratio, _split(grid, lam.V, cls), l_min, l_max, gamma,
+                                 lam_norm)
 
 
 def _subset_from_level_sets(lam: DyadicCoefficients,

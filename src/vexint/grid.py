@@ -9,7 +9,6 @@ coincides with the trapezoid rule.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -201,17 +200,30 @@ def common_grid(*args) -> Grid:
     return grid
 
 
-@contextmanager
-def _within_float_range(what: str, q: float | None = None, error=InvalidInput):
+def _within_float_range(what: str, q: float | None = None, error=InvalidInput) -> "_FloatRange":
     """The one float-range rule: a numpy overflow or invalid operation, or a
     Python float overflow, in the block is an `error`, InvalidInput unless
     given, saying that `what` exceeds the float range."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except (FloatingPointError, OverflowError):
-        at = "" if q is None else f" (q={q})"
-        raise error(f"{what} exceeds the float range{at}") from None
+    return _FloatRange(np.errstate(over="raise", invalid="raise"), what, q, error)
+
+
+class _FloatRange:
+    """The guard `_within_float_range` returns: a plain class, since the norms enter
+    thousands of guards a suite pass and a generator-based one costs twice as much."""
+
+    __slots__ = ("state", "what", "q", "error")
+
+    def __init__(self, state: np.errstate, what: str, q: float | None, error) -> None:
+        self.state, self.what, self.q, self.error = state, what, q, error
+
+    def __enter__(self) -> None:
+        self.state.__enter__()
+
+    def __exit__(self, kind, exc, tb) -> None:
+        self.state.__exit__(kind, exc, tb)
+        if kind is not None and issubclass(kind, (FloatingPointError, OverflowError)):
+            at = "" if self.q is None else f" (q={self.q})"
+            raise self.error(f"{self.what} exceeds the float range{at}") from None
 
 
 def make_grid(n: int, L: float, N: int) -> Grid:

@@ -11,16 +11,29 @@ maximum with rho(hi) > 1 means the norm exceeds the float range.  Only lo is
 halved down, until 1 < rho(lo), and the bracket is then halved at the
 geometric midpoint until hi - lo <= tol * hi.  Every step is a decision
 rho(lam) > 1, and the reported NormResult is a function of those decisions.
+The bisection also stops when the rounded midpoint is not strictly inside
+(lo, hi): at subnormal scale, where the bracket closes down to two adjacent
+floats before hi - lo <= tol * hi holds, or for a tol below the float
+spacing, where the midpoint lands on an end.  A midpoint on an end leaves
+the bracket as it is, so such a solve could only run into MAX_ITER; it
+reports hi instead, whose modular is <= 1 as after any step.  A solve that
+never rounds a midpoint onto an end is not changed by this stop.
 
 Most decisions are known without a pass over f.  Safeguarded Newton first
 finds t* = log lambda* as the root of g(t) = log rho(e^t), in the log domain
 (`_accel.log_modular_step`); g is convex and decreasing with slope in
-[-p+, -p-], so Newton started below the root climbs to it monotonically.
-A decision at lam with |log lam - t*| > margin is then read off t*; only the
-few midpoints within the margin of t*, and the residual rho(hi), are real
-passes, so the result is bit for bit the one real passes everywhere give.
-Passes are kept by scale within one solve: the residual reuses the pass
-that last decided at hi, if one did.
+[-p+, -p-].  Newton starts at the log of min(||f||_{p+}, ||f||_{p-}),
+clamped into the opening bracket: the two constant-exponent passes that open
+the bracket give both norms, and the start is usually below the root, from
+where Newton climbs to it monotonically (from above, by convexity, its first
+step lands below the root).  Where it starts does not matter to the result:
+any t* it accepts has |g(t*)| <= NEWTON_RESIDUAL and so lies within R of the
+true root (below), and every decision read off such a t* is the one a real
+pass makes.  A decision at lam with |log lam - t*| > margin is then read off
+t*; only the few midpoints within the margin of t*, and the residual
+rho(hi), are real passes, so the result is bit for bit the one real passes
+everywhere give.  Passes are kept by scale within one solve: the residual
+reuses the pass that last decided at hi, if one did.
 
 Why the margin is safe.  Each solve takes its own margin from its p-, p+
 and number of entries N (`_margin`).  Let u = 2^-53 and assume numpy's
@@ -56,10 +69,12 @@ N = 2^30 it is 2.1e-10.  Newton that has not converged after NEWTON_STEPS,
 or leaves the opening bracket, gives no t*, and so does p+ > REPLAY_P_MAX;
 every decision is then a real pass.
 
-The level stack raises only the nonzero entries of its levels: a level is
-zero on every cube that no coefficient touches, a zero stays +0 as 0^q
+The level stack takes its levels as one (V + 1, *grid.shape) array, as the
+sequence spaces build them, and raises only their nonzero entries: a level
+is zero on every cube that no coefficient touches, a zero stays +0 as 0^q
 would, and numpy's power is about twice as slow on vectors with runs of
-zeros in them.
+zeros in them.  A family of grid functions or arrays is stacked into one
+such array first.
 """
 
 from __future__ import annotations
@@ -149,8 +164,9 @@ def _margin(p: ExponentField, size: int) -> float:
     return 2.0 * (_root_error(p, size) + d_rho / p.min + 8.0 * U * 745.0)
 
 
-def _log_root(absf: np.ndarray, p: ExponentField, hn: float, lo: float, hi: float) -> float | None:
-    """t* = log lambda* by Newton from log lo, or None unless it converges in [log lo, log hi]."""
+def _log_root(absf: np.ndarray, p: ExponentField, hn: float, lo: float, hi: float,
+              start: float) -> float | None:
+    """t* = log lambda* by Newton from log start, or None unless it converges in [log lo, log hi]."""
     if p.max > REPLAY_P_MAX:
         return None
     nz = absf > 0.0
@@ -158,7 +174,7 @@ def _log_root(absf: np.ndarray, p: ExponentField, hn: float, lo: float, hi: floa
     pn = p.values[nz]
     t_lo, t_hi = math.log(lo), math.log(hi)
     log_hn = math.log(hn)
-    t = t_lo
+    t = math.log(start)
     for _ in range(NEWTON_STEPS):
         g, slope = _accel.log_modular_step(logf, pn, t)
         g += log_hn
@@ -178,7 +194,7 @@ def luxemburg_norm(f, p: ExponentField, tol: float = DEFAULT_TOL) -> NormResult:
     _check_role(p)
     absf = np.abs(fv)
     fmax = float(absf.max())
-    if not np.isfinite(fmax):
+    if not math.isfinite(fmax):
         raise InvalidInput("function has a non-finite value; its Luxemburg norm is undefined")
     if fmax == 0.0:
         return NormResult(0.0, 0, 0.0, "zero")
@@ -208,7 +224,7 @@ def luxemburg_norm(f, p: ExponentField, tol: float = DEFAULT_TOL) -> NormResult:
     norm_lo = const_norm(p.min)
     lo = max(min(norm_hi, FLOAT_MAX) / 2.0, 1e-300)
     hi = min(2.0 * norm_lo + fmax, FLOAT_MAX)
-    t_star = _log_root(absf, p, hn, lo, hi)
+    t_star = _log_root(absf, p, hn, lo, hi, min(max(min(norm_hi, norm_lo), lo), hi))
     margin = _margin(p, absf.size)
 
     def above(lam: float) -> bool:
@@ -230,7 +246,9 @@ def luxemburg_norm(f, p: ExponentField, tol: float = DEFAULT_TOL) -> NormResult:
             raise SolverFailure("lower bracket for the Luxemburg norm did not close")
 
     while hi - lo > tol * hi:
-        mid = np.sqrt(lo) * np.sqrt(hi)  # geometric midpoint, overflow-safe
+        mid = math.sqrt(lo) * math.sqrt(hi)  # geometric midpoint, overflow-safe
+        if not lo < mid < hi:
+            break  # no step can move the bracket any more (module docstring)
         if above(mid):
             lo = mid
         else:
@@ -246,28 +264,36 @@ def luxemburg_norm(f, p: ExponentField, tol: float = DEFAULT_TOL) -> NormResult:
 
 
 def stack(family, q: ExponentField) -> np.ndarray:
-    """Pointwise inner norm (sum_v |f_v(x)|^{q(x)})^{1/q(x)}, overflow-safe."""
+    """Pointwise inner norm (sum_v |f_v(x)|^{q(x)})^{1/q(x)}, overflow-safe.
+
+    `family` is one array of the levels f_0..f_V, of shape (V + 1, *grid.shape), as
+    `seqspaces` builds it, or a sequence of grid functions or arrays, which is stacked
+    into one; either way the levels are read once, as one array.
+    """
     _check_role(q)
-    vals = [_values(f) for f in family]
-    common_grid(q, *family)
-    if not vals:
+    if not isinstance(family, np.ndarray):
+        family = list(family)
+        common_grid(q, *family)
+        family = [_values(f) for f in family]
+    vals = np.abs(family).astype(np.float64, copy=False)
+    if not len(vals):
         return np.zeros(q.grid.shape)
-    vals = np.abs(vals).astype(np.float64, copy=False)
+    if vals.shape[1:] != q.grid.shape:
+        raise InvalidInput(f"arguments live on different grids: levels of shape "
+                           f"{vals.shape[1:]} and {q.grid}")
     big = vals.max(axis=0)
-    if not np.isfinite(big.max()):  # both maxima propagate nan
+    if not math.isfinite(big.max()):  # both maxima propagate nan
         raise InvalidInput("family has a non-finite value; its level stack is undefined")
-    out = np.zeros(q.grid.shape)
     pos = big > 0.0
-    # factor out the pointwise max so the q-powers stay in [0, 1], and raise
-    # only the nonzero entries; levels add up in order, as a running sum over
-    # the levels would
-    np.divide(vals, big, out=vals, where=pos)
+    # factor out the pointwise max so the q-powers stay in [0, 1] (a point where
+    # every level is zero is divided by 1), and raise only the nonzero entries;
+    # levels add up in order, as a running sum over the levels would
+    np.divide(vals, np.where(pos, big, 1.0), out=vals)
     np.power(vals, q.values, out=vals, where=vals > 0.0)
     acc = vals.sum(axis=0)
     np.power(acc, 1.0 / q.values, out=acc, where=pos)
     with _within_float_range("a level stack (sum_v |f_v|^q)^(1/q)"):
-        np.multiply(big, acc, out=out, where=pos)
-    return out
+        return np.multiply(big, acc)
 
 
 def mixed_norm(family, p: ExponentField, q: ExponentField) -> NormResult:

@@ -4,14 +4,18 @@ A coefficient set keeps lam_{v,m}, v = 0..V, in one flat complex array,
 level-major and each level in C order over the cube index m of Q_{v,m}; its
 support is the set of nonzero entries.  Norms act on one (V + 1, *grid.shape)
 array whose row v, F_v(x) = sum_m 2^{v(alpha(x)+n/2)} |lam_{v,m}| chi_{v,m}(x),
-is level v broadcast over its cubes times the weight; the rows go to the mixed
-Lebesgue norm, and the endpoint space replaces the outer norm by a supremum of
-cube-averaged tail sums.  Moduli come from `np.hypot` (equal to `abs(complex)`)
-and powers of single coefficients from `np.float_power`, whose float64 loop
-calls libm `pow` as Python's float pow does, so every value matches a
-cube-by-cube evaluation bit for bit.  `_pow_each` is the one place that takes
-that pow, here and in the factorizations of `calderon`: `np.power` has SIMD
-loops that can differ from it by an ulp.
+is level v broadcast over its cubes times the weight.  It is built from the
+flat array for all levels at once: n `np.repeat` calls spread each entry over
+its cube's cells, with repeat counts from a per-(grid, V) layout
+(`_entry_layout`) that also gives each entry's level and its cube's corner on
+the grid and holds nothing per cell.  The array goes to `lebesgue.stack` and
+the Luxemburg solve as it is; the endpoint space replaces the outer norm by a
+supremum of cube-averaged tail sums.  Moduli come from `np.hypot` (equal to
+`abs(complex)`) and powers of single coefficients from `np.float_power`,
+whose float64 loop calls libm `pow` as Python's float pow does, so every
+value matches a cube-by-cube evaluation bit for bit.  `_pow_each` is the one
+place that takes that pow, here and in the factorizations of `calderon`:
+`np.power` has SIMD loops that can differ from it by an ulp.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ import numpy as np
 from .errors import InvalidConfiguration, InvalidInput, InvalidSelection
 from .exponents import ExponentField, _constant_value
 from .grid import (Grid, GridFunction, _within_float_range, cells_to_grid, common_grid,
-                   cube_broadcast, cube_cells, cube_sums)
-from .lebesgue import NormResult, mixed_norm
+                   cube_cells, cube_sums)
+from .lebesgue import NormResult, luxemburg_norm, stack
 
 __all__ = [
     "DyadicCoefficients",
@@ -73,6 +77,32 @@ def _level_slices(grid: Grid, V: int) -> tuple[tuple[slice, tuple[int, ...]], ..
     return tuple(zip(map(slice, ends, ends[1:]), shapes))
 
 
+@functools.cache
+def _entry_layout(grid: Grid, V: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Per-entry geometry of a flat array over levels 0..V, held level-major: the level
+    of each entry, the flat grid index of its cube's lower corner, and the repeat counts
+    that spread the entries over their cells (`_coefficient_levels`).
+
+    Broadcast step k repeats rows of N^k values: level v has C^(n-k) of them, C its
+    cubes per axis, each repeated c = N / C times.  All of it is per cube, not per cell.
+    """
+    n, N = grid.n, grid.N
+    cubes = np.array([grid.cubes_per_axis(v) for v in range(V + 1)])
+    cells = N // cubes
+    level = np.repeat(np.arange(V + 1), cubes ** n)
+    corner = np.concatenate([functools.reduce(np.add.outer, [np.arange(0, N, c) * N ** k
+                                                             for k in range(n - 1, -1, -1)]).ravel()
+                             for c in cells])
+    return level, corner, tuple(np.repeat(cells, cubes ** (n - k)) for k in range(n))
+
+
+def _key_of(grid: Grid, V: int, i: int) -> Key:
+    """The key (v, m) of entry i of a flat array over levels 0..V, held level-major."""
+    v = int(_entry_layout(grid, V)[0][i])
+    part, shape = _level_slices(grid, V)[v]
+    return v, tuple(int(mi) for mi in np.unravel_index(i - part.start, shape))
+
+
 def _split(grid: Grid, V: int, flat: np.ndarray) -> list[np.ndarray]:
     """The level arrays 0..V as reshaped views of `flat`, which holds them level-major."""
     return [flat[part].reshape(shape) for part, shape in _level_slices(grid, V)]
@@ -91,7 +121,10 @@ def _levels_from_keys(grid: Grid, V: int, data: Mapping) -> list[np.ndarray]:
         if len(m) != grid.n or any(mi < 0 or mi >= grid.cubes_per_axis(v) for mi in m):
             raise InvalidConfiguration(f"cube (v={v}, m={m}) is not a cube of the n={grid.n} "
                                        f"box [0, {2 * grid.L})^{grid.n}")
-        levels[v][m] = complex(raw)
+        try:
+            levels[v][m] = complex(raw)
+        except (TypeError, ValueError):
+            raise InvalidInput(f"coefficient {(v, m)} value {raw!r} is not a number") from None
     return levels
 
 
@@ -118,16 +151,21 @@ class DyadicCoefficients:
         levels = self.levels
         if isinstance(levels, Mapping):
             levels = _levels_from_keys(self.grid, self.V, levels)
-        levels = [np.asarray(a, dtype=np.complex128) for a in levels]
+        try:
+            levels = [np.asarray(a, dtype=np.complex128) for a in levels]
+        except (TypeError, ValueError):
+            raise InvalidInput("a level array holds a value that is not a number") from None
         if len(levels) != self.V + 1:
             raise InvalidInput(
                 f"{len(levels)} level arrays given for declared max level {self.V}")
         for v, (a, (_, shape)) in enumerate(zip(levels, _level_slices(self.grid, self.V))):
             if a.shape != shape:
                 raise InvalidConfiguration(f"level {v} array has shape {a.shape}, not {shape}")
-            if not np.isfinite(a).all():
-                raise InvalidInput(f"level {v} holds a non-finite coefficient")
         self.flat = np.concatenate([a.ravel() for a in levels])
+        finite = np.isfinite(self.flat.view(np.float64))  # real and imaginary parts
+        if not finite.all():
+            v, _ = _key_of(self.grid, self.V, np.argmin(finite) // 2)
+            raise InvalidInput(f"level {v} holds a non-finite coefficient")
         self.levels = _split(self.grid, self.V, self.flat)
 
     def __eq__(self, other) -> bool:
@@ -196,11 +234,16 @@ def _coefficient_levels(lam: DyadicCoefficients, alpha: ExponentField,
     """The (V + 1, *grid.shape) array of G_0..G_V, under one float-range guard:
     G_v(x) = 2^{v(alpha(x)+n/2)q} sum_m |lam_{v,m}|^q chi_{v,m}(x), and q = 1 gives F_v."""
     grid = lam.grid
-    v = np.arange(lam.V + 1).reshape((-1,) + (1,) * grid.n)
+    v = np.arange(1, lam.V + 1).reshape((-1,) + (1,) * grid.n)
     with _within_float_range(_INTEGRAND, q):
-        powers = _split(grid, lam.V, _pow_each(np.hypot(lam.flat.real, lam.flat.imag), q))
-        levels = np.stack([cube_broadcast(grid, a, j) for j, a in enumerate(powers)])
-        return np.multiply(levels, np.exp2(v * q * (alpha.values + 0.5 * grid.n)), out=levels)
+        levels = _pow_each(np.hypot(lam.flat.real, lam.flat.imag), q)
+        for reps in _entry_layout(grid, lam.V)[2]:
+            levels = np.repeat(levels.reshape(reps.size, -1), reps, axis=0)
+        levels = levels.reshape((lam.V + 1,) + grid.shape)
+        # level 0's weight is 2^0 = 1 exactly, so only the levels above it are weighted
+        weighted = levels[1:]
+        np.multiply(weighted, np.exp2(v * q * (alpha.values + 0.5 * grid.n)), out=weighted)
+        return levels
 
 
 def _level_sum(lam: DyadicCoefficients, alpha: ExponentField, q: float,
@@ -227,7 +270,7 @@ def f_norm(lam: DyadicCoefficients, alpha: ExponentField, p: ExponentField,
            q: ExponentField) -> NormResult:
     """Sequence-space norm: mixed (p, q) norm of the weighted level functions."""
     common_grid(lam, alpha, p, q)
-    return mixed_norm(_coefficient_levels(lam, alpha), p, q)
+    return luxemburg_norm(stack(_coefficient_levels(lam, alpha), q), p)
 
 
 def dyadic_tail_sup(grid: Grid, integrands, q: float) -> float:

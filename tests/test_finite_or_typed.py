@@ -15,15 +15,17 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vexint import corpus, interp, kernels, lebesgue
-from vexint.errors import PreconditionWarning, VexintError
+from vexint.errors import InvalidInput, PreconditionWarning, VexintError
 from vexint.exponents import build_exponent, conjugate, interpolate_exponents, \
     log_holder_constants
 from vexint.grid import GridFunction, make_grid
 from vexint.lpf import build_resolution_of_unity
+from vexint.seqspaces import DyadicCoefficients
 
 GRIDS = {1: make_grid(1, 4.0, 256), 2: make_grid(2, 1.0, 32)}
 BANKS = {n: build_resolution_of_unity(g, g.v_max) for n, g in GRIDS.items()}
@@ -186,3 +188,14 @@ def test_public_callables_are_finite_or_typed(data):
         except VexintError:
             return
     assert _numbers_finite(result), (name, result)
+
+
+@pytest.mark.parametrize("levels", [
+    {(0, 0): "abc"},
+    {(0, 0): None},
+    [np.full(8, "abc"), np.zeros(16)],
+], ids=["string value", "None value", "string level array"])
+def test_coefficients_that_are_no_numbers_are_typed(levels):
+    # complex() and numpy's conversion raise a ValueError or a TypeError here
+    with pytest.raises(InvalidInput, match="not a number"):
+        DyadicCoefficients(GRIDS[1], 1, levels)

@@ -326,3 +326,31 @@ def test_inner_exponent_must_be_an_integrability_exponent(value):
         mixed_norm([np.ones(G.shape)], P2, q)
     with pytest.raises(InvalidInput, match="integrability"):
         f_norm(lam, alpha, P2, q)
+
+
+@pytest.mark.parametrize("v", [1e-314, 1e-316, 1e-320, 5e-324])
+def test_solve_at_subnormal_scale_stops_at_adjacent_floats(v):
+    # the bracket closes down to two adjacent subnormals, where the geometric
+    # midpoint is one of them; the solve stops there with hi, as it would have
+    # after any step, instead of exceeding MAX_ITER
+    grid = make_grid(1, 1.0, 64)
+    p = build_exponent(grid, "sine", base=2.0, amplitude=0.5, frequency=1)
+    f = np.full(grid.shape, v)
+    res = luxemburg_norm(f, p)
+    lo, hi = res.bracket
+    assert res.method == "bisection" and res.value == hi
+    assert modular_at(f, p, hi) <= 1.0
+    assert np.nextafter(lo, math.inf) == hi
+
+
+def test_tolerance_below_the_float_spacing_stops_at_the_rounded_midpoint():
+    # at tol = 1e-17 the bracket closes to a few ulps, where the rounded
+    # geometric midpoint falls on an end and no step can move the bracket
+    grid = make_grid(1, 1.0, 64)
+    p = build_exponent(grid, "sine", base=2.0, amplitude=0.5, frequency=1)
+    f = np.linspace(0.5, 2.0, grid.N)
+    res = luxemburg_norm(f, p, tol=1e-17)
+    lo, hi = res.bracket
+    assert res.value == hi and math.sqrt(lo) * math.sqrt(hi) in (lo, hi)
+    assert modular_at(f, p, hi) <= 1.0 < modular_at(f, p, lo)
+    assert abs(res.value - luxemburg_norm(f, p).value) <= 1e-10 * res.value

@@ -17,11 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vexint import _accel, lebesgue
-from vexint.corpus import band_limited_corpus
+from vexint.acceptance import SCALE_1D, _rand_integrability, _rand_smoothness
+from vexint.corpus import band_limited_corpus, random_coefficients
 from vexint.errors import InvalidInput, SolverFailure
 from vexint.exponents import ExponentField, build_exponent
 from vexint.grid import GridFunction, common_grid, make_grid
 from vexint.lebesgue import DEFAULT_TOL, NormResult, _check_role, _values, luxemburg_norm, stack
+from vexint.seqspaces import _coefficient_levels
 
 MAX_ITER = lebesgue.MAX_ITER
 
@@ -219,8 +221,8 @@ def test_replay_holds_with_the_root_off_by_its_error_bound(monkeypatch, sign):
     log_root = lebesgue._log_root
     shifted = []
 
-    def off(absf, p, hn, lo, hi):
-        t = log_root(absf, p, hn, lo, hi)
+    def off(absf, p, *rest):
+        t = log_root(absf, p, *rest)
         if t is None:
             return None
         shifted.append(t)
@@ -316,3 +318,65 @@ def test_stack_empty_and_all_zero_families(grid):
     q = exponent(grid, 2.0, 0.5, False, np.random.default_rng(3))
     for family in ([], [np.zeros(grid.shape)], [np.zeros(grid.shape)] * 3):
         assert stack(family, q).tobytes() == oracle_stack(family, q).tobytes()
+
+
+def test_newton_start_moves_no_result(monkeypatch):
+    # any t* that Newton accepts replays the same decisions, so starting it at
+    # log lo, as the solver once did, leaves every NormResult field and every
+    # error as it is; the two starts do take different numbers of steps
+    kernel, log_root = _accel.log_modular_step, lebesgue._log_root
+    steps = []
+
+    def counted(*args):
+        steps[-1] += 1
+        return kernel(*args)
+
+    def solve_all():
+        results = []
+        for f, p, tol in fixed_cases(60):
+            steps.append(0)
+            results.append(outcome(luxemburg_norm, f, p, tol))
+        return results
+
+    monkeypatch.setattr(_accel, "log_modular_step", counted)
+    want = solve_all()
+    want_steps, steps[:] = steps[:], []
+    monkeypatch.setattr(lebesgue, "_log_root",
+                        lambda absf, p, hn, lo, hi, start: log_root(absf, p, hn, lo, hi, lo))
+    assert solve_all() == want
+    assert steps != want_steps
+
+
+def desk_stacks(count):
+    """Level stacks as criterion 2 builds them: 350 coefficients of levels 0..4 on
+    the 1-D desk grid, a smoothness alpha, a sine p and an inner q of each kind."""
+    grid = make_grid(*SCALE_1D)
+    rng = np.random.default_rng(37)
+    for _ in range(count):
+        lam = random_coefficients(grid, 4, 350, rng)
+        alpha = _rand_smoothness(grid, rng)
+        amp = float(rng.uniform(0.1, 0.5))
+        p = build_exponent(grid, "sine", base=float(rng.uniform(1.2 + amp, 3.5)),
+                           amplitude=amp, frequency=int(rng.integers(1, 4)))
+        yield stack(_coefficient_levels(lam, alpha), _rand_integrability(grid, rng)), p
+
+
+def test_newton_takes_few_steps_from_the_lower_constant_norm(monkeypatch):
+    # Newton starts at the smaller of ||f||_{p+} and ||f||_{p-}, clamped into
+    # the opening bracket: about 3.2 steps per solve on this corpus, where a
+    # start at log lo = log(||f||_{p+} / 2) took 4.0; the counts repeat exactly
+    kernel = _accel.log_modular_step
+    steps = [0]
+
+    def counted(*args):
+        steps[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(_accel, "log_modular_step", counted)
+    solves = 0
+    for f, p in desk_stacks(50):
+        before = steps[0]
+        assert luxemburg_norm(f, p).method == "bisection"
+        solves += steps[0] > before
+    assert solves == 50
+    assert steps[0] <= 3.4 * solves

@@ -11,21 +11,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vexint.calderon import (
+    NO_CLASS,
+    _corner_factors,
+    _dyadic_level,
+    build_level_sets,
+    factorization_params_pp,
+    factorization_params_pq_infty,
+)
 from vexint.corpus import coefficient_corpus
 from vexint.errors import (
     InvalidConfiguration,
     InvalidInput,
     InvalidSelection,
     ResolutionExceeded,
+    VexintError,
 )
 from vexint.exponents import build_exponent
-from vexint.grid import cube_cells, cube_mask, enumerate_cubes, make_grid
+from vexint.grid import (GridFunction, _within_float_range, common_grid, cube_broadcast, cube_cells,
+                         cube_corners, cube_mask, enumerate_cubes, make_grid)
+from vexint.lebesgue import _check_role, _values, stack
 from vexint.seqspaces import (
+    _INTEGRAND,
     DyadicCoefficients,
     SubsetSelection,
     _coefficient_levels,
+    _constant_exponent,
+    _entry_layout,
     _level_sum,
     _pow_each,
+    _split,
     coefficient_bound_check,
     f_infty_norm,
     f_infty_subset_norm,
@@ -751,3 +766,208 @@ def test_coefficient_bound_matches_the_level_loop_exactly(lam, base, amplitude, 
     if len(lam):
         assert coefficient_bound_check(lam, alpha, p, q) == \
             coefficient_bound_oracle(lam, alpha, p, q)
+
+
+# -- the stacked level array against the per-level code it replaced --------------
+#
+# The oracles below are the per-level bodies the stacked path replaced, kept
+# verbatim: `_coefficient_levels` with one `cube_broadcast` per level, `stack`
+# over a list of level rows, the corner values as one `cube_corners` slice per
+# level, `calderon._corner_factors` built on them, and the class loop of
+# `build_level_sets`.  Every compared array must be equal byte for byte.
+
+
+def coefficient_levels_oracle(lam, alpha, q=1.0):
+    grid = lam.grid
+    v = np.arange(lam.V + 1).reshape((-1,) + (1,) * grid.n)
+    with _within_float_range(_INTEGRAND, q):
+        powers = _split(grid, lam.V, _pow_each(np.hypot(lam.flat.real, lam.flat.imag), q))
+        levels = np.stack([cube_broadcast(grid, a, j) for j, a in enumerate(powers)])
+        return np.multiply(levels, np.exp2(v * q * (alpha.values + 0.5 * grid.n)), out=levels)
+
+
+def stack_oracle(family, q):
+    _check_role(q)
+    vals = [_values(f) for f in family]
+    common_grid(q, *family)
+    if not vals:
+        return np.zeros(q.grid.shape)
+    vals = np.abs(vals).astype(np.float64, copy=False)
+    big = vals.max(axis=0)
+    if not np.isfinite(big.max()):  # both maxima propagate nan
+        raise InvalidInput("family has a non-finite value; its level stack is undefined")
+    out = np.zeros(q.grid.shape)
+    pos = big > 0.0
+    # factor out the pointwise max so the q-powers stay in [0, 1], and raise
+    # only the nonzero entries; levels add up in order, as a running sum over
+    # the levels would
+    np.divide(vals, big, out=vals, where=pos)
+    np.power(vals, q.values, out=vals, where=vals > 0.0)
+    acc = vals.sum(axis=0)
+    np.power(acc, 1.0 / q.values, out=acc, where=pos)
+    with _within_float_range("a level stack (sum_v |f_v|^q)^(1/q)"):
+        np.multiply(big, acc, out=out, where=pos)
+    return out
+
+
+def corner_values_oracle(grid, V, x):
+    return np.concatenate([cube_corners(grid, x, i).ravel() for i in range(V + 1)])
+
+
+def corner_factors_oracle(lam, norm, params, e0, e1, classes, ratio_l=0.0):
+    grid, V = lam.grid, lam.V
+    cls = np.concatenate([c.ravel() for c in classes])
+    nz = np.flatnonzero((lam.flat != 0) & (cls != NO_CLASS))
+    j = np.repeat(np.arange(V + 1), [a.size for a in lam.levels])[nz]
+    l, r = cls[nz], np.hypot(lam.flat[nz].real, lam.flat[nz].imag) / norm
+    u, v, a, b = (np.concatenate([cube_corners(grid, x, i).ravel() for i in range(V + 1)])[nz]
+                  for x in (params.u, params.v, e0, e1))
+    flat0, flat1 = np.zeros_like(lam.flat), np.zeros_like(lam.flat)
+    flat0[nz] = _pow_each(2.0, l + j * u) * _pow_each(r, a)
+    flat1[nz] = _pow_each(2.0, l * ratio_l + j * v) * _pow_each(r, b)
+    return flat0, flat1, len(lam) - len(nz)
+
+
+def level_classes_oracle(lam, params):
+    """The class arrays and (l_min, l_max) of `build_level_sets`, level by level."""
+    gamma = params.gamma
+    qv = _constant_exponent(params.q)
+    grid = lam.grid
+    g_vals = _level_sum(lam, params.alpha, qv)[0] ** (1.0 / qv)
+    if not lam:
+        return [np.full(a.shape, NO_CLASS) for a in lam.levels], 0, -1
+    lam_norm = f_norm(lam, params.alpha, params.p, params.q).value
+    positive = g_vals > 0.0
+    ratio = np.zeros(grid.shape)
+    ratio[positive] = (g_vals[positive] / lam_norm) ** gamma
+
+    class_levels = []
+    for j in range(lam.V + 1):
+        cells = cube_cells(grid, ratio, j)
+        k = cells.shape[-1]
+        # (K//2+1)-th largest cell value: majority of Q exceeds t iff t < M
+        M = np.partition(cells, k - 1 - k // 2, axis=-1)[..., k - 1 - k // 2]
+        supported = lam.levels[j] != 0
+        cls = np.where(supported, _dyadic_level(M), NO_CLASS)
+        big = np.argwhere(supported & (M <= 0.0) & (lam.moduli(j) > 1e-12 * lam_norm))
+        if len(big):
+            raise InvalidConfiguration(f"cube {(j, tuple(big[0].tolist()))} escaped every "
+                                       "level class but carries a nonzero coefficient")
+        class_levels.append(cls)
+
+    assigned = np.concatenate([cls[cls != NO_CLASS] for cls in class_levels])
+    l_min, l_max = (int(assigned.min()), int(assigned.max())) if assigned.size else (0, -1)
+    return class_levels, l_min, l_max
+
+
+def same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def outcome_of(compute):
+    """(compute()'s value, None), or (None, the type and message of the VexintError it raises)."""
+    try:
+        return compute(), None
+    except VexintError as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=80, deadline=None)
+@given(coefficient_sets(),
+       st.floats(min_value=-0.8, max_value=0.8),
+       st.floats(min_value=0.0, max_value=0.5),
+       st.one_of(st.just(1.0), st.integers(min_value=0, max_value=2 ** 32).map(
+           lambda seed: float(np.random.default_rng(seed).uniform(1.0, 4.0)))))
+def test_coefficient_levels_equal_the_per_level_broadcast(lam, base, amplitude, q):
+    alpha = oracle_alpha(lam.grid, base, amplitude)
+    assert same_bytes(_coefficient_levels(lam, alpha, q), coefficient_levels_oracle(lam, alpha, q))
+
+
+@settings(max_examples=80, deadline=None)
+@given(coefficient_sets(),
+       st.floats(min_value=-0.8, max_value=0.8),
+       st.floats(min_value=1e-3, max_value=3.0),
+       st.floats(min_value=0.0, max_value=0.9))
+def test_stack_of_the_level_array_equals_the_stack_of_its_rows(lam, base, q_above_1, spread):
+    alpha = oracle_alpha(lam.grid, base, 0.3)
+    q = build_exponent(lam.grid, "sine", base=1.0 + q_above_1 + spread, amplitude=spread)
+    levels = _coefficient_levels(lam, alpha)
+    want = stack_oracle(list(levels), q)
+    assert same_bytes(stack(levels, q), want)
+    assert same_bytes(stack(list(levels), q), want)
+    assert same_bytes(stack([GridFunction(lam.grid, row) for row in levels], q), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficient_sets(), st.integers(min_value=0, max_value=2 ** 32))
+def test_corner_gather_equals_the_cube_corners_loop(lam, seed):
+    grid, V = lam.grid, lam.V
+    level, corner, _ = _entry_layout(grid, V)
+    x = np.random.default_rng(seed).standard_normal(grid.shape)
+    assert same_bytes(np.take(x, corner), corner_values_oracle(grid, V, x))
+    assert np.array_equal(level, np.repeat(np.arange(V + 1), [a.size for a in lam.levels]))
+
+
+def pq_params(grid, theta, q0, q1):
+    a0 = build_exponent(grid, "sine", base=0.2, amplitude=0.3, role="smoothness")
+    a1 = build_exponent(grid, "constant", value=-0.1, role="smoothness")
+    p0 = build_exponent(grid, "sine", base=2.4, amplitude=0.4)
+    return factorization_params_pq_infty(theta, a0, a1, p0, q0, q1)
+
+
+def pp_params(grid, theta):
+    a0 = build_exponent(grid, "sine", base=0.2, amplitude=0.25, role="smoothness")
+    a1 = build_exponent(grid, "constant", value=-0.1, role="smoothness")
+    p0 = build_exponent(grid, "sine", base=2.2, amplitude=0.4)
+    p1 = build_exponent(grid, "plateau", left=3.0, right=2.0, width=0.5)
+    return factorization_params_pp(theta, a0, a1, p0, p1)
+
+
+thetas = st.floats(min_value=0.1, max_value=0.9)
+endpoint_qs = st.floats(min_value=1.2, max_value=4.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficient_sets(), thetas, endpoint_qs, endpoint_qs)
+def test_level_set_classes_equal_the_per_level_loop(lam, theta, q0, q1):
+    params = pq_params(lam.grid, theta, q0, q1)
+
+    def stacked():
+        decomp = build_level_sets(lam, params)
+        return decomp.class_levels, decomp.l_min, decomp.l_max
+
+    (got, got_error), (want, want_error) = (
+        outcome_of(stacked), outcome_of(lambda: level_classes_oracle(lam, params)))
+    assert got_error == want_error  # the same error with the same message, or none
+    if want_error is None:
+        assert len(got[0]) == len(want[0])
+        assert all(same_bytes(a, b) for a, b in zip(got[0], want[0]))
+        assert got[1:] == want[1:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficient_sets(), thetas, endpoint_qs, endpoint_qs, st.booleans())
+def test_corner_factors_equal_the_per_level_code(lam, theta, q0, q1, pp):
+    if not lam:
+        return
+    params = pp_params(lam.grid, theta) if pp else pq_params(lam.grid, theta, q0, q1)
+    if pp:
+        classes, ratio_l = [np.zeros(a.shape, dtype=np.int64) for a in lam.levels], 0.0
+    else:
+        decomp, error = outcome_of(lambda: build_level_sets(lam, params))
+        if error is not None:
+            return
+        classes, ratio_l = decomp.class_levels, params.delta / params.gamma
+    norm = f_norm(lam, params.alpha, params.p, params.q).value
+    e0, e1 = params.q.values / params.q0.values, params.q.values / params.q1.values
+
+    def stacked():
+        lam0, lam1, zero_count = _corner_factors(lam, norm, params, e0, e1, classes, ratio_l)
+        return lam0.flat, lam1.flat, zero_count
+
+    (got, got_error), (want, want_error) = outcome_of(stacked), outcome_of(
+        lambda: corner_factors_oracle(lam, norm, params, e0, e1, classes, ratio_l))
+    assert got_error == want_error
+    if want_error is None:
+        assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+        assert got[2] == want[2]
